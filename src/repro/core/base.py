@@ -12,6 +12,7 @@ from repro.ldp.mechanisms import rr_keep_probability
 from repro.protocols.base import FakeReport
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.sparse import reject_members, sorted_unique
 
 
 class Attack(abc.ABC):
@@ -57,7 +58,7 @@ def random_new_neighbors(
     Excludes ``node`` itself and ``existing`` neighbours.  Returns fewer than
     ``count`` only if the graph runs out of candidates.
     """
-    forbidden = np.union1d(existing, [node])
+    forbidden = sorted_unique(np.append(np.asarray(existing, dtype=np.int64), node))
     available = num_nodes - forbidden.size
     count = min(count, available)
     if count <= 0:
@@ -65,8 +66,8 @@ def random_new_neighbors(
     chosen: np.ndarray = np.empty(0, dtype=np.int64)
     while chosen.size < count:
         draws = rng.integers(0, num_nodes, size=int((count - chosen.size) * 1.3) + 8)
-        draws = np.setdiff1d(draws, forbidden)
-        chosen = np.union1d(chosen, draws)
+        draws = reject_members(sorted_unique(draws), forbidden)
+        chosen = sorted_unique(np.concatenate([chosen, draws]))
     if chosen.size > count:
         chosen = rng.choice(chosen, size=count, replace=False)
     return np.sort(chosen)

@@ -12,7 +12,11 @@ estimation.  Two repair strategies cover the paper's countermeasures:
   flagged node; with symmetric pair-level collection that information is not
   separately available, so the statistically equivalent reconstruction is a
   fresh draw at the perturbed graph's edge density (what an honest RR row
-  looks like to the server a priori).  See DESIGN.md §2.
+  looks like to the server a priori).  See the paper's §VII-A for the
+  reconstruction this stands in for.
+
+Both repairs stay in sorted int64 pair codes end to end: removal masks the
+graph's code array, reconstruction merges the redrawn pairs' codes into it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.metrics import edge_density
 from repro.protocols.base import CollectedReports
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.sparse import encode_pairs, merge_sorted_disjoint, sorted_unique
 
 
 class Defense(abc.ABC):
@@ -85,6 +90,27 @@ def detection_quality(flagged: np.ndarray, fake_users: np.ndarray) -> DetectionQ
     )
 
 
+def _flagged_ids(flagged, num_nodes: int) -> np.ndarray:
+    """Validate repair input: a 1-D array of integer node ids in range.
+
+    Empty, unsorted and duplicated ids are accepted as they are; anything
+    else that would index the node mask wrongly (a negative id silently
+    wraps) raises a ``ValueError`` naming ``flagged``.
+    """
+    ids = np.asarray(flagged)
+    if ids.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ValueError(f"flagged must be a 1-D array of node ids, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"flagged must hold integer node ids, got {ids.dtype} value {ids[0]!r}")
+    ids = ids.astype(np.int64, copy=False)
+    bad = ids[(ids < 0) | (ids >= num_nodes)]
+    if bad.size:
+        raise ValueError(f"flagged holds node id {int(bad[0])}, outside 0..{num_nodes - 1}")
+    return ids
+
+
 def remove_flagged_pairs(reports: CollectedReports, flagged: np.ndarray) -> CollectedReports:
     """Removal repair: drop every pair incident to a flagged user.
 
@@ -92,15 +118,18 @@ def remove_flagged_pairs(reports: CollectedReports, flagged: np.ndarray) -> Coll
     against the reduced bit universe instead of reading the removal as a
     global degree drop.
     """
-    flagged = np.asarray(flagged, dtype=np.int64)
+    graph = reports.perturbed_graph
+    flagged = _flagged_ids(flagged, graph.num_nodes)
     if flagged.size == 0:
         return reports
-    graph = reports.perturbed_graph
     mask = np.zeros(graph.num_nodes, dtype=bool)
     mask[flagged] = True
     rows, cols = graph.edge_arrays()
     keep = ~(mask[rows] | mask[cols])
-    repaired = Graph(graph.num_nodes, zip(rows[keep].tolist(), cols[keep].tolist()))
+    # A mask over sorted unique codes keeps them sorted and unique.
+    repaired = Graph.from_codes(
+        graph.num_nodes, graph.edge_codes[keep], assume_sorted_unique=True
+    )
     return CollectedReports(
         perturbed_graph=repaired,
         reported_degrees=reports.reported_degrees,
@@ -120,28 +149,37 @@ def resample_flagged_rows(
     flagged users lose their real data — the false-positive cost that drives
     the U-shape of Fig. 12(a).
     """
-    flagged = np.asarray(flagged, dtype=np.int64)
+    graph = reports.perturbed_graph
+    num_nodes = graph.num_nodes
+    flagged = _flagged_ids(flagged, num_nodes)
     if flagged.size == 0:
         return reports
     generator = ensure_rng(rng)
-    graph = reports.perturbed_graph
     density = edge_density(graph)
     stripped = remove_flagged_pairs(reports, flagged).perturbed_graph
 
     # Process flagged nodes in order, unmasking each as it is handled, so a
     # flagged-flagged pair is drawn exactly once (by the later node).
-    mask = np.zeros(graph.num_nodes, dtype=bool)
+    mask = np.zeros(num_nodes, dtype=bool)
     mask[flagged] = True
-    new_edges: list[tuple[int, int]] = []
+    drawn = []
     for node in flagged.tolist():
         mask[node] = False
         others = np.flatnonzero(~mask)
         others = others[others != node]
         draws = others[generator.random(others.size) < density]
-        new_edges.extend((node, int(other)) for other in draws)
+        drawn.append(encode_pairs(np.full(draws.size, node), draws, num_nodes))
 
+    # A duplicated flagged id can redraw a pair, so dedupe the new codes; they
+    # are disjoint from the stripped graph, whose pairs touch no flagged node.
+    new_codes = sorted_unique(np.concatenate(drawn))
+    repaired = Graph.from_codes(
+        num_nodes,
+        merge_sorted_disjoint(stripped.edge_codes, new_codes),
+        assume_sorted_unique=True,
+    )
     return CollectedReports(
-        perturbed_graph=stripped.with_edges(new_edges),
+        perturbed_graph=repaired,
         reported_degrees=reports.reported_degrees,
         adjacency_epsilon=reports.adjacency_epsilon,
         degree_epsilon=reports.degree_epsilon,

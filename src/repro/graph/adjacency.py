@@ -77,8 +77,8 @@ class Graph:
     num_nodes:
         Number of nodes.  Isolated nodes are allowed.
     edges:
-        Iterable of ``(u, v)`` pairs.  Duplicates and orientation are
-        normalised away; self-loops raise.
+        Iterable of ``(u, v)`` pairs, or an ``(E, 2)`` integer array.
+        Duplicates and orientation are normalised away; self-loops raise.
 
     Examples
     --------
@@ -96,7 +96,9 @@ class Graph:
     def __init__(self, num_nodes: int, edges: Iterable[Tuple[int, int]] = ()):
         check_non_negative(num_nodes, "num_nodes")
         self._num_nodes = int(num_nodes)
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_array = np.asarray(edges, dtype=np.int64)
         if edge_array.size == 0:
             codes = np.empty(0, dtype=np.int64)
         else:
@@ -362,14 +364,18 @@ class Graph:
     def subgraph(self, nodes: Sequence[int]) -> "Graph":
         """Induced subgraph on ``nodes`` (relabelled to 0..len(nodes)-1)."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size != np.unique(nodes).size:
+        ascending = bool(np.all(nodes[1:] > nodes[:-1]))
+        if not ascending and nodes.size != np.unique(nodes).size:
             raise ValueError("subgraph nodes must be unique")
         mapping = -np.ones(self._num_nodes, dtype=np.int64)
         mapping[nodes] = np.arange(nodes.size)
         rows, cols = self.edge_arrays()
-        keep = (mapping[rows] >= 0) & (mapping[cols] >= 0)
-        edges = np.stack([mapping[rows[keep]], mapping[cols[keep]]], axis=1)
-        return Graph(nodes.size, edges)
+        rows, cols = mapping[rows], mapping[cols]
+        keep = (rows >= 0) & (cols >= 0)
+        codes = encode_pairs(rows[keep], cols[keep], nodes.size)
+        # Ascending ``nodes`` make the relabelling monotone, which keeps the
+        # (row, col) lex order and so the re-encoded codes sorted and unique.
+        return Graph.from_codes(nodes.size, codes, assume_sorted_unique=ascending)
 
     # ------------------------------------------------------------------
     # Internals

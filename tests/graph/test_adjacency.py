@@ -41,6 +41,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="pairs"):
             Graph(3, [(0, 1, 2)])
 
+    def test_ndarray_edges(self):
+        edges = np.array([[0, 1], [2, 1], [1, 0], [3, 2]])
+        assert Graph(4, edges) == Graph(4, [(0, 1), (2, 1), (1, 0), (3, 2)])
+        assert Graph(4, np.empty((0, 2), dtype=np.int64)) == Graph(4)
+        with pytest.raises(ValueError, match="pairs"):
+            Graph(4, np.array([0, 1, 2]))
+
     def test_negative_num_nodes_rejected(self):
         with pytest.raises(ValueError):
             Graph(-1)
@@ -166,6 +173,21 @@ class TestEdits:
         assert sub.num_nodes == 3
         assert sub.num_edges == 1
         assert sub.has_edge(0, 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subgraph_matches_relabelled_edges(self, seed):
+        # Ascending nodes build from the re-encoded codes directly; any
+        # other order goes through np.unique.  Both equal the induced edges.
+        rng = np.random.default_rng(seed)
+        g = Graph.from_codes(30, np.flatnonzero(rng.random(pair_count(30)) < 0.3))
+        for nodes in (np.sort(rng.choice(30, 12, replace=False)),
+                      rng.choice(30, 12, replace=False),
+                      np.arange(30), np.empty(0, dtype=np.int64)):
+            label = {int(node): i for i, node in enumerate(nodes)}
+            expected = Graph(nodes.size, [
+                (label[u], label[v]) for u, v in g.edges() if u in label and v in label
+            ])
+            assert g.subgraph(nodes) == expected
 
     def test_subgraph_duplicate_nodes_rejected(self, triangle_plus_isolated):
         with pytest.raises(ValueError, match="unique"):
