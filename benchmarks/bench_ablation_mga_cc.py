@@ -1,4 +1,4 @@
-"""Ablations of the MGA design choices called out in DESIGN.md §6.
+"""Ablations of the MGA design choices behind the paper's attack allocations.
 
 * prioritized allocation (fake-fake edges first) vs target-only claims for
   the clustering MGA — pairing is what closes triangles;

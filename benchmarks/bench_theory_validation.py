@@ -8,7 +8,7 @@ degrees and by ``2/(p^2(2p-1))`` per triangle for clustering), so we compare
 stable band rather than equal 1.
 
 Also benchmarks the paired (common-random-numbers) evaluation against
-independent-noise runs — the ablation of DESIGN.md §6 item 1.
+independent-noise runs (README, "Paired incremental evaluation").
 """
 
 import numpy as np

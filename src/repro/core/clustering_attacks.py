@@ -61,7 +61,7 @@ class ClusteringMGA(Attack):
         The paper's allocation (default).  When False, fake nodes spend
         their entire budget on targets without pairing up — no fake–fake
         edge means no new triangles, which is exactly what the ablation
-        bench demonstrates (DESIGN.md §6).
+        bench demonstrates (``benchmarks/bench_ablation_mga_cc.py``).
     respect_budget:
         When False the budget cap is ignored (every pair claims every
         target) — the unconstrained, detectable optimum.

@@ -113,7 +113,7 @@ class DegreeMGA(Attack):
     respect_budget:
         If False the budget cap is ignored and every fake node claims every
         target — the unconstrained optimum, trivially detectable; kept as an
-        ablation (DESIGN.md §6).
+        ablation (``benchmarks/bench_ablation_mga_cc.py``).
     keep_organic_edges:
         If False the report contains target claims only.
     evade_consistency:

@@ -69,7 +69,7 @@ def community_labels(graph):
 
     LF-GDPR's modularity estimator needs a server-held partition; the paper
     does not specify one, so we fix the standard greedy-modularity partition
-    (DESIGN.md §2).
+    (see :func:`repro.scenarios.run.community_labels`).
     """
     from repro.scenarios.run import community_labels as _community_labels
 

@@ -14,6 +14,18 @@ is an exact integer, so the packed path is **bit-identical** to the sparse
 path: dispatching between them (``should_use_packed``) never changes a
 result, which keeps every engine cache entry valid.
 
+Two kernels carry the in-memory packed layer (shared with
+:mod:`repro.graph.bittensor`):
+
+* :func:`pack_symmetric_plane` — scatter both orientations of every edge
+  as bytes into an ``n x 64 ceil(n/64)`` scratch and fold it with
+  :func:`np.packbits`; the edges come straight from a graph's sorted pair
+  codes (:func:`repro.utils.sparse.decode_pairs` decodes them by row runs).
+* :func:`pair_popcounts` — ``popcount(row_u & row_v)`` (optionally also
+  ``& mask``) for a list of pairs, one buffered column-major sweep; the
+  full triangle count and the incremental :meth:`BitMatrix.triangles_touching`
+  are a ``bincount`` over its output.
+
 Dispatch knobs (both overridable per process):
 
 * ``REPRO_DENSE_THRESHOLD`` — edge-density threshold above which metrics
@@ -25,6 +37,7 @@ Dispatch knobs (both overridable per process):
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +49,8 @@ DEFAULT_DENSITY_THRESHOLD = 0.05
 #: Environment variable overriding :data:`DEFAULT_DENSITY_THRESHOLD`.
 DENSITY_THRESHOLD_ENV = "REPRO_DENSE_THRESHOLD"
 
-#: Default cap on packed-matrix memory (n^2/8 bytes): 1 GiB ~ 92k nodes.
+#: Default cap on packed-matrix memory (see :func:`packed_bytes`): 1 GiB
+#: holds a 92,672-node matrix.
 DEFAULT_MAX_PACKED_BYTES = 1 << 30
 
 #: Environment variable overriding :data:`DEFAULT_MAX_PACKED_BYTES`.
@@ -53,6 +67,17 @@ def max_packed_bytes() -> int:
     return int(os.environ.get(MAX_PACKED_BYTES_ENV, DEFAULT_MAX_PACKED_BYTES))
 
 
+def packed_bytes(num_nodes: int) -> int:
+    """Bytes of one packed ``n x ceil(n/64)`` uint64 matrix (plane).
+
+    Rows are padded to whole words, so this exceeds ``n * n // 8`` whenever
+    ``n`` is not a multiple of 64 — the size every memory-cap check must
+    compare against.
+    """
+    n = int(num_nodes)
+    return n * (((n + 63) >> 6) << 3)
+
+
 def should_use_packed(graph) -> bool:
     """Whether ``graph`` should route dense-friendly metrics through packing.
 
@@ -64,7 +89,7 @@ def should_use_packed(graph) -> bool:
     n = graph.num_nodes
     if n < 3:
         return False
-    if n * n // 8 > max_packed_bytes():
+    if packed_bytes(n) > max_packed_bytes():
         return False
     return graph.num_edges / pair_count(n) >= density_threshold()
 
@@ -154,13 +179,115 @@ def accumulate_bits(positions: np.ndarray, bit: np.ndarray, size: int) -> np.nda
     return out
 
 
-def _word_popcounts(words_1d: np.ndarray) -> np.ndarray:
+def pack_symmetric_plane(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    num_nodes: int,
+    out: np.ndarray,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Pack the symmetric adjacency of aligned edge arrays into ``out``.
+
+    ``out`` is an ``(n, ceil(n/64))`` uint64 array (a fresh matrix or one
+    plane of a stack).  Both orientations of every edge are scattered as 1
+    bytes into a zeroed ``n x 64 ceil(n/64)`` uint8 ``scratch``, which
+    :func:`np.packbits` (little bit order) folds into 8 bytes per word; the
+    bytes are read as little-endian words, so the plane is exact on any host
+    byte order.  Duplicate edges merely rewrite a 1, so the result is an
+    exact OR.  ``scratch`` may be passed in to be reused across planes; it
+    must be all zero on entry and is zero again on return.
+
+    Peak transient memory is the ``n^2``-byte scratch, the ``n^2/8`` packed
+    bytes and one E-long index array — below the ~``80 E`` bytes of
+    symmetrized index and weight arrays a per-bit accumulation needs at the
+    packed-dispatch densities (``E >= 0.025 n^2``).
+    """
+    n = int(num_nodes)
+    words = (n + 63) >> 6
+    if n == 0 or rows.size == 0:
+        out[...] = 0
+        return out
+    width = words << 6
+    if scratch is None:
+        scratch = np.zeros((n, width), dtype=np.uint8)
+    flat = scratch.reshape(-1)
+    for high, low in ((rows, cols), (cols, rows)):
+        positions = high * width
+        positions += low
+        flat[positions] = 1
+    out[...] = np.packbits(scratch, axis=-1, bitorder="little").view("<u8")
+    scratch.fill(0)
+    return out
+
+
+def _word_popcounts(words_1d: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Set bits of each element of a 1-D uint64 array (values <= 64)."""
     if _HAVE_BITWISE_COUNT:
-        return np.bitwise_count(words_1d)
-    return _BYTE_POPCOUNT[words_1d.view(np.uint8)].reshape(words_1d.size, 8).sum(
+        return np.bitwise_count(words_1d, out=out)
+    counts = _BYTE_POPCOUNT[words_1d.view(np.uint8)].reshape(words_1d.size, 8).sum(
         axis=-1, dtype=np.uint8
     )
+    if out is None:
+        return counts
+    out[...] = counts
+    return out
+
+
+#: Pairs per block of :func:`pair_popcounts`: its uint64 working buffers
+#: (512 KiB apiece) stay cache-resident across the word loop.
+_PAIR_BLOCK = 1 << 16
+
+
+def pair_popcounts(
+    columns: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    mask: Optional[np.ndarray] = None,
+):
+    """``popcount(row_u & row_v)`` for every pair ``(u[k], v[k])``.
+
+    ``columns`` is the *transposed* packed matrix, ``(words, rows)``
+    C-contiguous, so each word step gathers from one contiguous column.
+    With ``mask`` (a ``words``-long packed node set) the same sweep also
+    returns ``popcount(row_u & row_v & mask)``, as a second array.
+
+    The pairs run in blocks of at most :data:`_PAIR_BLOCK` through
+    preallocated ``out=`` buffers.  ``u`` is expected grouped into runs of
+    equal ids (edge lists sorted by lower endpoint, touched rows in order):
+    its side is filled by one ``np.repeat`` of the run heads per word
+    instead of a per-pair gather, and ``v`` by an unchecked
+    ``np.take(..., mode="clip")``.  Counts accumulate in the narrowest
+    unsigned dtype holding ``64 * words``.
+    """
+    num_words = columns.shape[0]
+    total = u.size
+    acc_dtype = np.uint16 if num_words << 6 <= 0xFFFF else np.uint32
+    full = np.zeros(total, dtype=acc_dtype)
+    masked = np.zeros(total, dtype=acc_dtype) if mask is not None else None
+    if total == 0 or num_words == 0:
+        return full if mask is None else (full, masked)
+    block = min(total, _PAIR_BLOCK)
+    anded = np.empty(block, dtype=np.uint64)
+    pops = np.empty(block, dtype=np.uint8)
+    for start in range(0, total, block):
+        block_u = u[start : start + block]
+        block_v = v[start : start + block]
+        size = block_u.size
+        heads = np.flatnonzero(np.r_[True, block_u[1:] != block_u[:-1]])
+        head_ids = block_u[heads]
+        run_lengths = np.diff(heads, append=size)
+        words_v, pop = anded[:size], pops[:size]
+        acc_full = full[start : start + size]
+        acc_masked = masked[start : start + size] if masked is not None else None
+        for word in range(num_words):
+            column = columns[word]
+            np.take(column, block_v, out=words_v, mode="clip")
+            np.bitwise_and(np.repeat(column[head_ids], run_lengths), words_v, out=words_v)
+            np.add(acc_full, _word_popcounts(words_v, out=pop), out=acc_full)
+            if acc_masked is not None:
+                np.bitwise_and(words_v, mask[word], out=words_v)
+                np.add(acc_masked, _word_popcounts(words_v, out=pop), out=acc_masked)
+    return full if mask is None else (full, masked)
 
 
 def _gather_triangles(
@@ -178,34 +305,17 @@ def _gather_triangles(
     endpoints; every incident triangle of a node is hit exactly twice, once
     per far endpoint of its opposite edge, so a halving yields exact counts.
 
-    The sweep runs word-column-major over a transposed copy of the matrix:
-    gathering one word column per endpoint keeps both the gather sources
-    and the popcount accumulation contiguous, which beats the row-major
-    ``(edges, words)`` gather by ~2x (the short last axis defeats the
-    vectorised reduction there).  Popcount partial sums stay within the
-    accumulator dtype (``<= 64 * words ~ n``) and the per-chunk bincounts
-    accumulate them as float64 — exact, every value far below 2^53.
+    The per-edge counts come from :func:`pair_popcounts` over a transposed
+    copy of the matrix; two ``bincount`` passes (float64 weights, exact: every
+    sum is far below 2^53) spread them onto the endpoints.
     """
     counts = np.zeros(num_nodes, dtype=np.int64)
     if edge_rows.size == 0:
         return counts
-    num_words = flat_rows.shape[1]
     columns = np.ascontiguousarray(flat_rows.T)
-    acc_dtype = np.uint16 if num_words << 6 <= 0xFFFF else np.uint32
-    chunk = max(1, _CHUNK_WORDS // max(1, num_words))
-    for start in range(0, edge_rows.size, chunk):
-        block_u = edge_rows[start : start + chunk]
-        block_v = edge_cols[start : start + chunk]
-        acc = np.zeros(block_u.size, dtype=acc_dtype)
-        for word in range(num_words):
-            acc += _word_popcounts(columns[word, block_u] & columns[word, block_v])
-        pops = acc.astype(np.float64)
-        counts += np.bincount(block_u, weights=pops, minlength=num_nodes).astype(
-            np.int64
-        )
-        counts += np.bincount(block_v, weights=pops, minlength=num_nodes).astype(
-            np.int64
-        )
+    pops = pair_popcounts(columns, edge_rows, edge_cols).astype(np.float64)
+    counts += np.bincount(edge_rows, weights=pops, minlength=num_nodes).astype(np.int64)
+    counts += np.bincount(edge_cols, weights=pops, minlength=num_nodes).astype(np.int64)
     return counts // 2
 
 
@@ -259,19 +369,13 @@ class BitMatrix:
 
     @classmethod
     def from_edge_arrays(cls, num_nodes: int, rows: np.ndarray, cols: np.ndarray) -> "BitMatrix":
-        """Pack aligned edge arrays (duplicate-free, self-loop-free)."""
+        """Pack aligned edge arrays (self-loop-free) via
+        :func:`pack_symmetric_plane`."""
         n = int(num_nodes)
-        words = (n + 63) >> 6
-        if n == 0 or rows.size == 0:
-            return cls(n, np.zeros((n, words), dtype=np.uint64))
-        sym_rows = np.concatenate([rows, cols])
-        sym_cols = np.concatenate([cols, rows])
-        flat = sym_rows * words + (sym_cols >> 6)
-        bit = sym_cols & 63
-        # Each (row, bit) position appears at most once in a simple graph, so
-        # the split-bincount accumulation is an exact OR.
-        matrix = accumulate_bits(flat, bit, n * words)
-        return cls(n, matrix.reshape(n, words))
+        matrix = np.empty((n, (n + 63) >> 6), dtype=np.uint64)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        return cls(n, pack_symmetric_plane(rows, cols, n, matrix))
 
     # ------------------------------------------------------------------
     # Exact integer counts
@@ -357,8 +461,8 @@ class BitMatrix:
         toggled, in both orientations.  Each edit set must be duplicate-free
         (the callers pass decoded *net* added/removed pair codes, which are
         sorted and unique by construction): the toggles accumulate through
-        the same split-bincount trick as :meth:`from_edge_arrays`, where a
-        repeated pair would carry into the neighbouring bit.
+        :func:`accumulate_bits`, where a repeated pair would carry into the
+        neighbouring bit.
         """
         flat_rows = self.rows.copy().reshape(-1)
         drop_rows = np.asarray(drop_rows, dtype=np.int64)
@@ -405,35 +509,47 @@ class BitMatrix:
         touched neighbour ``s`` contributes ``|N(u) & N(s)|`` pairs where
         ``s`` itself is the touched vertex plus ``|N(u) & N(s) \\ nodes|``
         pairs where the third vertex is the touched one; summing and halving
-        counts every qualifying triangle exactly once.
+        counts every qualifying triangle exactly once.  ``nodes`` is a set:
+        repeated ids count once.
+
+        Every ``(touched, neighbour)`` pair's full and touched-masked
+        common-neighbour counts come from one :func:`pair_popcounts` sweep
+        per row block of touched nodes, no per-node loop.
         """
         n = self.num_nodes
         counts = np.zeros(n, dtype=np.int64)
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
         if n == 0 or nodes.size == 0:
             return counts
         one = np.uint64(1)
         mask = np.zeros(self.num_words, dtype=np.uint64)
         np.bitwise_or.at(mask, nodes >> 6, one << (nodes & 63).astype(np.uint64))
-        word_index, bit_shift = bit_index_arrays(n)
+        columns = np.ascontiguousarray(self.rows.T)
+        own = np.zeros(n, dtype=np.int64)
         # Ordered qualifying-pair counts for nodes outside the touched set.
         term = np.zeros(n, dtype=np.int64)
-        chunk = max(1, _CHUNK_WORDS // max(self.num_words, 1))
-        for node in nodes.tolist():
-            row = self.rows[node]
-            present = (row[word_index] >> bit_shift) & one
-            neighbors = np.nonzero(present)[0]
+        # Touched rows unpack to n bytes apiece: row blocks bound both the
+        # unpacked bits and the (touched, neighbour) pair arrays.
+        block = max(1, _CHUNK_WORDS // n)
+        for start in range(0, nodes.size, block):
+            ids = nodes[start : start + block]
+            present = np.unpackbits(
+                self.rows[ids].astype("<u8", copy=False).view(np.uint8),
+                axis=1,
+                count=n,
+                bitorder="little",
+            )
+            local, neighbors = np.divmod(np.flatnonzero(present.view(bool)), n)
             if not neighbors.size:
                 continue
-            own = 0
-            for start in range(0, neighbors.size, chunk):
-                block = neighbors[start : start + chunk]
-                anded = self.rows[block] & row
-                pop_full = _row_popcounts(anded)
-                pop_touched = _row_popcounts(anded & mask)
-                own += int(pop_full.sum())
-                term[block] += 2 * pop_full - pop_touched
-            counts[node] = own // 2
+            touched = ids[local]
+            pop_full, pop_touched = pair_popcounts(columns, touched, neighbors, mask)
+            pop_full = pop_full.astype(np.int64)
+            own += np.bincount(touched, weights=pop_full, minlength=n).astype(np.int64)
+            term += np.bincount(
+                neighbors, weights=2 * pop_full - pop_touched, minlength=n
+            ).astype(np.int64)
+        counts[nodes] = own[nodes] // 2
         outside = np.ones(n, dtype=bool)
         outside[nodes] = False
         counts[outside] = term[outside] // 2

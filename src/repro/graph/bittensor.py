@@ -7,12 +7,14 @@ the Python-level node loop once per trial.  :class:`BitTensor` stacks all
 trials' packed adjacency matrices into one ``trials x n x words`` uint64
 array so that
 
-* packing runs as a single split-bincount accumulation over every trial's
-  edges at once (:func:`repro.graph.bitmatrix.accumulate_bits`);
+* packing writes each trial's plane straight into the preallocated stack
+  through one reused byte scratch
+  (:func:`repro.graph.bitmatrix.pack_symmetric_plane`);
 * degrees are one popcount reduction over the whole stack;
-* per-node triangle counts run as one blockwise row-AND/popcount sweep whose
-  broadcast temporaries amortize across the trial axis (optionally served by
-  the numba kernel behind ``REPRO_KERNELS`` — see :mod:`repro.graph.native`);
+* per-node triangle counts run as one buffered pair-popcount sweep per
+  plane over that trial's stored edges
+  (:func:`repro.graph.bitmatrix.pair_popcounts`; optionally served by the
+  numba kernel behind ``REPRO_KERNELS`` — see :mod:`repro.graph.native`);
 * intra-community edge counts mask all planes per community in one pass;
 * attack-override row patches apply to any subset of planes in one
   accumulate/toggle pass (:meth:`with_edits`).
@@ -39,6 +41,7 @@ from repro.graph.bitmatrix import (
     _row_popcounts,
     accumulate_bits,
     bit_index_arrays,
+    pack_symmetric_plane,
 )
 
 #: One plane's worth of edits: ``(add_rows, add_cols, drop_rows, drop_cols)``.
@@ -89,7 +92,13 @@ class BitTensor:
 
     @classmethod
     def from_graphs(cls, graphs: Iterable) -> "BitTensor":
-        """Pack many same-order graphs in one accumulation pass."""
+        """Pack many same-order graphs, plane by plane, into one stack.
+
+        Each plane is written in place by
+        :func:`~repro.graph.bitmatrix.pack_symmetric_plane`, all sharing one
+        byte scratch, so the transient memory is one ``n^2``-byte buffer
+        whatever the trial count.
+        """
         graphs = list(graphs)
         if not graphs:
             raise ValueError("BitTensor needs at least one graph")
@@ -100,27 +109,16 @@ class BitTensor:
                     f"all graphs must share one node count; got {graph.num_nodes} != {n}"
                 )
         words = (n + 63) >> 6
-        trials = len(graphs)
-        plane_words = n * words
-        positions = []
-        bits = []
+        planes = np.empty((len(graphs), n, words), dtype=np.uint64)
+        scratch = np.zeros((n, words << 6), dtype=np.uint8)
         edges = []
         for trial, graph in enumerate(graphs):
             rows, cols = graph.edge_arrays()
-            edges.append((np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)))
-            if rows.size == 0:
-                continue
-            sym_rows = np.concatenate([rows, cols])
-            sym_cols = np.concatenate([cols, rows])
-            positions.append(trial * plane_words + sym_rows * words + (sym_cols >> 6))
-            bits.append(sym_cols & 63)
-        if positions:
-            flat = accumulate_bits(
-                np.concatenate(positions), np.concatenate(bits), trials * plane_words
-            )
-        else:
-            flat = np.zeros(trials * plane_words, dtype=np.uint64)
-        return cls(n, flat.reshape(trials, n, words), edges=edges)
+            rows = np.asarray(rows, dtype=np.int64)
+            cols = np.asarray(cols, dtype=np.int64)
+            edges.append((rows, cols))
+            pack_symmetric_plane(rows, cols, n, planes[trial], scratch)
+        return cls(n, planes, edges=edges)
 
     def plane(self, trial: int) -> BitMatrix:
         """Trial ``trial``'s adjacency as a zero-copy :class:`BitMatrix` view.
@@ -166,15 +164,14 @@ class BitTensor:
     def triangles_per_node(self) -> np.ndarray:
         """``(trials, n)`` per-node incident-triangle counts.
 
-        Exactly :meth:`BitMatrix.triangles_per_node` per plane: every
-        trial's edges index into the flattened ``(trials * n, words)`` row
-        stack with a per-trial offset, so one edge-gather/AND/popcount sweep
-        (:func:`repro.graph.bitmatrix._gather_triangles`) serves all planes
-        — ``O(E_total ceil(n/64))`` word operations, no per-node loop.  The
+        Exactly :meth:`BitMatrix.triangles_per_node` per plane: each
+        trial's edges drive one edge-gather/AND/popcount sweep
+        (:func:`repro.graph.bitmatrix._gather_triangles`) over its plane —
+        ``O(E_total ceil(n/64))`` word operations, no per-node loop.  The
         numba kernel (``REPRO_KERNELS``) computes the same counts with a
         per-node bit-extraction loop when available.
         """
-        trials, n, words = self.planes.shape
+        trials, n = self.planes.shape[:2]
         if n == 0:
             return np.zeros((trials, n), dtype=np.int64)
         kernel = native.triangle_kernel()
@@ -183,24 +180,11 @@ class BitTensor:
             return kernel(
                 np.ascontiguousarray(self.planes), word_index, bit_shift
             )
-        flat_u = []
-        flat_v = []
+        counts = np.empty((trials, n), dtype=np.int64)
         for trial in range(trials):
             rows, cols = self.trial_edges(trial)
-            if rows.size == 0:
-                continue
-            offset = trial * n
-            flat_u.append(rows + offset)
-            flat_v.append(cols + offset)
-        if not flat_u:
-            return np.zeros((trials, n), dtype=np.int64)
-        counts = _gather_triangles(
-            self.planes.reshape(trials * n, words),
-            np.concatenate(flat_u),
-            np.concatenate(flat_v),
-            trials * n,
-        )
-        return counts.reshape(trials, n)
+            counts[trial] = _gather_triangles(self.planes[trial], rows, cols, n)
+        return counts
 
     def intra_community_edges(
         self, labels: np.ndarray, num_communities: int

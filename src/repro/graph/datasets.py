@@ -3,7 +3,7 @@
 The paper evaluates on four SNAP graphs.  This environment is offline, so we
 generate deterministic synthetic surrogates matched to each dataset's node
 count and average degree (the quantities the attacks and estimators are
-sensitive to — see DESIGN.md §2 for the substitution rationale):
+sensitive to, which is why the substitution keeps exactly those two):
 
 ========  =========  ============  ===========
 Dataset   Nodes      Edges         Avg. degree

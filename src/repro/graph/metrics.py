@@ -144,14 +144,24 @@ def triangles_touching(graph: Graph, nodes: np.ndarray) -> np.ndarray:
 
     Density-adaptive like :func:`triangles_per_node` (packed row-AND +
     popcount vs sparse matmul restricted to the touched rows); both backends
-    return the same exact integers.
+    return the same exact integers.  ``nodes`` is a set: repeated ids count
+    once, and ids outside ``0..n-1`` raise :class:`ValueError`.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = _node_set(nodes, graph.num_nodes)
     if graph.num_nodes == 0 or nodes.size == 0:
         return np.zeros(graph.num_nodes, dtype=np.int64)
     if should_use_packed(graph):
         return BitMatrix.from_graph(graph).triangles_touching(nodes)
     return _triangles_touching_sparse(graph, nodes)
+
+
+def _node_set(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
+    """``nodes`` as sorted distinct int64 ids, validated against ``0..n-1``."""
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    if nodes.size and (nodes[0] < 0 or nodes[-1] >= num_nodes):
+        bad = int(nodes[0]) if nodes[0] < 0 else int(nodes[-1])
+        raise ValueError(f"{name} must be node ids in 0..{num_nodes - 1}; got {bad}")
+    return nodes
 
 
 def _triangles_touching_sparse(graph: Graph, nodes: np.ndarray) -> np.ndarray:
@@ -214,10 +224,12 @@ def triangles_per_node_incremental(
     ``cache`` (optional) carries the honest graph's packed matrix across
     calls; ``added_codes``/``removed_codes`` (optional, net sorted pair
     codes) let the packed path patch the before matrix's rows instead of
-    re-packing ``after`` from scratch.
+    re-packing ``after`` from scratch.  ``touched`` is a set like ``nodes``
+    of :func:`triangles_touching`: repeats count once, and ids outside
+    ``0..n-1`` raise :class:`ValueError`.
     """
-    touched = np.asarray(touched, dtype=np.int64)
     n = before.num_nodes
+    touched = _node_set(touched, n, "touched")
     if touched.size == 0:
         return before_triangles
     if not should_use_incremental(n, touched.size):

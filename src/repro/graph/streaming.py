@@ -46,6 +46,7 @@ from repro.graph.bitmatrix import (
     accumulate_bits,
     density_threshold,
     max_packed_bytes,
+    packed_bytes,
 )
 from repro.utils.sparse import decode_pairs, pair_count
 
@@ -66,7 +67,7 @@ def should_stream(graph) -> bool:
     n = graph.num_nodes
     if n < 3:
         return False
-    if n * n // 8 <= max_packed_bytes():
+    if packed_bytes(n) <= max_packed_bytes():
         return False
     return graph.num_edges / pair_count(n) >= density_threshold()
 
@@ -80,7 +81,7 @@ def rows_per_block(num_nodes: int, max_bytes: int | None = None) -> int:
     """
     if max_bytes is None:
         max_bytes = max_packed_bytes()
-    row_bytes = ((num_nodes + 63) >> 6) << 3
+    row_bytes = packed_bytes(num_nodes) // max(1, num_nodes)
     return max(1, int(max_bytes) // max(1, row_bytes))
 
 

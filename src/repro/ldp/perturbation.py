@@ -11,9 +11,9 @@ at O(E + #flipped-non-edges) cost:
 
 Following the paper's estimator model (Eq. 16 and the Fig. 4 case analysis,
 which assume a single retention probability ``p`` per undirected edge), the
-perturbation is applied once per *unordered pair*; see DESIGN.md §2 for why
-this symmetric interpretation is the one consistent with the paper's
-calibration formulas.
+perturbation is applied once per *unordered pair*: only this symmetric
+interpretation is consistent with the paper's calibration formulas, which
+assign each undirected edge one retention probability.
 """
 
 from __future__ import annotations

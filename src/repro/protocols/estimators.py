@@ -160,7 +160,8 @@ def estimate_clustering_coefficients(
       perturbed degree over-counts at low epsilon, but it is the estimator
       the paper's attack analysis (and Theorem 2) is built on.
     * ``"calibrated"`` — unbiased true-degree estimates from the perturbed
-      rows; a strictly better estimator, kept as an ablation (DESIGN.md §6).
+      rows; a strictly better estimator, kept as an ablation (the paper's
+      Eq. 15/16 and Theorem 2 assume the perturbed degree).
 
     ``observed_triangles`` optionally supplies the per-node triangle counts
     of ``perturbed`` (exact integers), skipping the dominant

@@ -27,7 +27,7 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import max_packed_bytes, should_use_packed
+from repro.graph.bitmatrix import max_packed_bytes, packed_bytes, should_use_packed
 from repro.graph.bittensor import BitTensor
 from repro.graph.metrics import (
     should_use_incremental,
@@ -99,8 +99,8 @@ class LFGDPRProtocol(GraphLDPProtocol):
         * ``"fused"`` — inverse-variance combination of both.  The
           minimum-variance honest-world estimator; because the self-report
           variance does not grow with N, it almost ignores the bit channel
-          and therefore largely resists the paper's attacks — an ablation
-          discussed in DESIGN.md §6.
+          and therefore largely resists the paper's attacks — an ablation,
+          not the estimator the paper's attack analysis assumes.
     clustering_degree_plugin:
         Degree plug-in for the clustering estimator: ``"perturbed"``
         (paper-faithful Eq. 15/16 default) or ``"calibrated"`` (lower-bias
@@ -295,8 +295,7 @@ class LFGDPRProtocol(GraphLDPProtocol):
 
         if not all(should_use_packed(plane) for plane in perturbed):
             return runs
-        plane_bytes = graph.num_nodes * (((graph.num_nodes + 63) >> 6) << 3)
-        chunk = max(1, max_packed_bytes() // max(1, plane_bytes))
+        chunk = max(1, max_packed_bytes() // max(1, packed_bytes(graph.num_nodes)))
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
             num_communities = int(labels.max()) + 1 if labels.size else 0

@@ -46,7 +46,7 @@ def community_labels(graph: Graph) -> np.ndarray:
 
     LF-GDPR's modularity estimator needs a server-held partition; the paper
     does not specify one, so we fix the standard greedy-modularity partition
-    (DESIGN.md §2).
+    of the original graph, shared by every panel on the same dataset.
     """
     import networkx as nx
 

@@ -83,14 +83,33 @@ def _row_starts(n: int) -> np.ndarray:
 def decode_pairs(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Invert :func:`encode_pairs`: codes back to (i, j) with i < j.
 
-    Pure integer inversion: binary-search the cached row-start ranks for the
-    row, subtract for the column.  Exact by construction (no float rounding
-    to guard), and one vectorised pass over the codes.
+    Pure integer inversion against the cached row-start ranks, exact by
+    construction (no float rounding to guard).  Two equivalent strategies,
+    chosen by an input property observed in one comparison pass:
+
+    * ascending codes (every ``Graph``'s edge set) holding at least ~``n/4``
+      codes decode by **row runs**: ``n`` probes of the row starts into the
+      codes delimit each row's contiguous run, and ``np.repeat`` expands the
+      rows and the per-row column offsets — O(n log E + E) sequential work;
+    * anything else (small edit sets, unsorted draws) binary-searches each
+      code's row among the row starts — O(E log n).
     """
     codes = np.asarray(codes, dtype=np.int64)
-    if codes.size and (codes.min() < 0 or codes.max() >= pair_count(n)):
+    if not codes.size:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    ascending = bool(np.all(codes[1:] >= codes[:-1]))
+    low, high = (codes[0], codes[-1]) if ascending else (codes.min(), codes.max())
+    if low < 0 or high >= pair_count(n):
         raise ValueError("pair code out of range")
     row_starts = _row_starts(n)
+    if ascending and codes.size >= n // 4:
+        run_starts = np.searchsorted(codes, row_starts, side="left")
+        run_lengths = np.diff(run_starts, append=codes.size)
+        rows = np.arange(n, dtype=np.int64)
+        i = np.repeat(rows, run_lengths)
+        j = codes - np.repeat(row_starts - rows - 1, run_lengths)
+        return i, j
     i = np.searchsorted(row_starts, codes, side="right") - 1
     j = codes - row_starts[i] + i + 1
     return i, j

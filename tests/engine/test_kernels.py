@@ -212,3 +212,27 @@ class TestCollectPairedBatch:
 
     def test_empty_seed_list(self, graph):
         assert LFGDPRProtocol(epsilon=2.0).collect_paired_batch(graph, []) == []
+
+    @pytest.mark.parametrize("slack,expected", [(-1, [1, 1, 1]), (0, [2, 1])])
+    def test_tensor_chunks_sized_by_padded_plane_bytes(
+        self, graph, slack, expected, monkeypatch
+    ):
+        from repro.graph.bitmatrix import packed_bytes
+        from repro.protocols import lfgdpr
+
+        sizes = []
+        real = lfgdpr.BitTensor.from_graphs
+
+        def recording(graphs):
+            graphs = list(graphs)
+            sizes.append(len(graphs))
+            return real(graphs)
+
+        monkeypatch.setattr(lfgdpr.BitTensor, "from_graphs", recording)
+        # One byte under two padded planes fits one plane per tensor only.
+        cap = 2 * packed_bytes(graph.num_nodes) + slack
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(cap))
+        LFGDPRProtocol(epsilon=2.0).collect_paired_batch(
+            graph, [3, 11, 27], metric="clustering_coefficient"
+        )
+        assert sizes == expected

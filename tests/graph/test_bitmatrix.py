@@ -15,16 +15,46 @@ from hypothesis import strategies as st
 
 from repro.graph import metrics
 from repro.graph.adjacency import Graph
+from repro.graph import bitmatrix
 from repro.graph.bitmatrix import (
     DEFAULT_DENSITY_THRESHOLD,
     BitMatrix,
+    accumulate_bits,
     density_threshold,
+    pack_symmetric_plane,
+    packed_bytes,
+    pair_popcounts,
     should_use_packed,
 )
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.graph.metrics import edge_density, triangles_per_node
+from repro.graph.streaming import rows_per_block, should_stream
 from repro.ldp.perturbation import perturb_graph
 from repro.utils.sparse import pair_count
+
+
+def reference_pack(num_nodes, rows, cols):
+    """The split-bincount packer that byte-scatter + packbits replaced."""
+    n = int(num_nodes)
+    words = (n + 63) >> 6
+    if n == 0 or rows.size == 0:
+        return np.zeros((n, words), dtype=np.uint64)
+    sym_rows = np.concatenate([rows, cols])
+    sym_cols = np.concatenate([cols, rows])
+    flat = sym_rows * words + (sym_cols >> 6)
+    return accumulate_bits(flat, sym_cols & 63, n * words).reshape(n, words)
+
+
+def random_code_graph(n, density, seed):
+    total = pair_count(n)
+    count = int(round(density * total))
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(total, size=count, replace=False) if count else np.empty(0)
+    return Graph.from_codes(n, np.asarray(codes, dtype=np.int64))
+
+
+PACK_SIZES = [0, 1, 2, 63, 64, 65, 127, 128, 129, 200]
+PACK_DENSITIES = [0.0, 0.01, 0.05, 0.5, 0.9, 1.0]
 
 
 class TestPacking:
@@ -195,3 +225,108 @@ class TestDispatch:
     def test_tiny_graphs_stay_sparse(self):
         assert not should_use_packed(Graph(2, [(0, 1)]))
         assert not should_use_packed(Graph(0))
+
+
+class TestPackSymmetricPlane:
+    @pytest.mark.parametrize("density", PACK_DENSITIES)
+    @pytest.mark.parametrize("n", PACK_SIZES)
+    def test_equals_split_bincount_reference(self, n, density):
+        graph = random_code_graph(n, density, seed=n * 7 + int(density * 100))
+        rows, cols = graph.edge_arrays()
+        packed = BitMatrix.from_edge_arrays(n, rows, cols)
+        assert packed.rows.dtype == np.uint64
+        assert packed.rows.shape == (n, (n + 63) >> 6)
+        assert np.array_equal(packed.rows, reference_pack(n, rows, cols))
+        assert np.array_equal(packed.degrees(), graph.degrees())
+
+    def test_bit_layout_is_word_j_over_64_position_j_mod_64(self):
+        packed = BitMatrix.from_edge_arrays(130, np.array([0, 64]), np.array([129, 65]))
+        assert packed.rows[0].tolist() == [0, 0, 1 << 1]
+        assert packed.rows[129].tolist() == [1, 0, 0]
+        assert packed.rows[64].tolist() == [0, 1 << 1, 0]
+        assert packed.rows[65].tolist() == [0, 1, 0]
+
+    def test_reused_scratch_is_zero_again_and_planes_independent(self):
+        n = 129
+        scratch = np.zeros((n, ((n + 63) >> 6) << 6), dtype=np.uint8)
+        out = np.empty((n, (n + 63) >> 6), dtype=np.uint64)
+        for density in (1.0, 0.0, 0.3):
+            rows, cols = random_code_graph(n, density, seed=3).edge_arrays()
+            pack_symmetric_plane(rows, cols, n, out, scratch)
+            assert not scratch.any()
+            assert np.array_equal(out, reference_pack(n, rows, cols))
+
+    def test_duplicate_edges_are_an_or(self):
+        rows = np.array([0, 0, 1, 0])
+        cols = np.array([1, 1, 2, 1])
+        packed = BitMatrix.from_edge_arrays(3, rows, cols)
+        assert packed.degrees().tolist() == [1, 2, 1]
+
+
+def reference_pair_popcounts(matrix, u, v, mask=None):
+    anded = matrix[u] & matrix[v]
+    full = bitmatrix._row_popcounts(anded)
+    if mask is None:
+        return full
+    return full, bitmatrix._row_popcounts(anded & mask)
+
+
+class TestPairPopcounts:
+    @pytest.mark.parametrize("n", [1, 64, 65, 200])
+    @pytest.mark.parametrize("sort_u", [True, False])
+    def test_matches_row_major_reference(self, n, sort_u, monkeypatch):
+        rng = np.random.default_rng(n)
+        words = (n + 63) >> 6
+        matrix = rng.integers(0, 2**64, size=(n, words), dtype=np.uint64)
+        u = rng.integers(0, n, size=500)
+        if sort_u:
+            u.sort()
+        v = rng.integers(0, n, size=500)
+        mask = rng.integers(0, 2**64, size=words, dtype=np.uint64)
+        columns = np.ascontiguousarray(matrix.T)
+        # Blocks of 64 pairs: runs of u straddle block edges.
+        monkeypatch.setattr(bitmatrix, "_PAIR_BLOCK", 64)
+        full = pair_popcounts(columns, u, v)
+        assert np.array_equal(full, reference_pair_popcounts(matrix, u, v))
+        both = pair_popcounts(columns, u, v, mask)
+        expected = reference_pair_popcounts(matrix, u, v, mask)
+        assert np.array_equal(both[0], expected[0])
+        assert np.array_equal(both[1], expected[1])
+
+    def test_no_pairs(self):
+        columns = np.zeros((2, 70), dtype=np.uint64)
+        empty = np.empty(0, dtype=np.int64)
+        assert pair_popcounts(columns, empty, empty).size == 0
+        full, masked = pair_popcounts(columns, empty, empty, np.zeros(2, np.uint64))
+        assert full.size == masked.size == 0
+
+
+@pytest.mark.parametrize("density", PACK_DENSITIES)
+@pytest.mark.parametrize("n", PACK_SIZES)
+def test_triangles_per_node_matches_networkx(n, density):
+    graph = random_code_graph(n, density, seed=n + int(density * 1000))
+    counts = BitMatrix.from_graph(graph).triangles_per_node()
+    theirs = nx.triangles(graph.to_networkx())
+    assert counts.tolist() == [theirs[i] for i in range(n)]
+
+
+class TestPackedBytes:
+    @pytest.mark.parametrize(
+        "n,expected", [(0, 0), (1, 8), (64, 512), (65, 1040), (92681, 1074358152)]
+    )
+    def test_values(self, n, expected):
+        assert packed_bytes(n) == expected
+
+    def test_rows_are_padded_to_words(self):
+        # n*n//8 undercounts every n that is not a multiple of 64.
+        assert packed_bytes(92681) > 1 << 30 >= 92681 * 92681 // 8
+
+    def test_cap_boundary_for_both_predicates(self, monkeypatch):
+        graph = random_code_graph(65, 0.5, seed=0)
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(packed_bytes(65)))
+        assert should_use_packed(graph) and not should_stream(graph)
+        assert rows_per_block(65) == 65
+        # One byte short: the n*n//8 = 528-byte estimate would still admit it.
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(packed_bytes(65) - 1))
+        assert not should_use_packed(graph) and should_stream(graph)
+        assert rows_per_block(65) == 64

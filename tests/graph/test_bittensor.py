@@ -15,6 +15,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix, accumulate_bits, bit_index_arrays
 from repro.graph.bittensor import BitTensor
 from repro.graph import native
+from tests.graph.test_bitmatrix import PACK_SIZES, reference_pack
 
 
 def random_graphs(n, trials, density, seed):
@@ -55,6 +56,26 @@ def test_matches_per_plane_bitmatrix_and_networkx(trials, n):
             assert np.array_equal(triangles[trial], plane.triangles_per_node())
             if n:
                 assert np.array_equal(triangles[trial], nx_triangles(graph))
+
+
+@pytest.mark.parametrize("n", PACK_SIZES)
+def test_stack_mixing_empty_and_full_planes_matches_reference(n):
+    complete = Graph.from_codes(n, np.arange(n * (n - 1) // 2, dtype=np.int64))
+    graphs = [Graph(n), complete] + random_graphs(n, 2, 0.05, seed=n) + [Graph(n)]
+    graphs += random_graphs(n, 2, 0.5, seed=n + 1) + [complete]
+    tensor = BitTensor.from_graphs(graphs)
+    assert tensor.planes.shape == (len(graphs), n, (n + 63) >> 6)
+    for trial, graph in enumerate(graphs):
+        assert np.array_equal(
+            tensor.planes[trial], reference_pack(n, *graph.edge_arrays())
+        )
+    triangles = tensor.triangles_per_node()
+    expected = (n - 1) * (n - 2) // 2
+    assert triangles[0].tolist() == [0] * n
+    assert triangles[1].tolist() == [expected] * n
+    for trial, graph in enumerate(graphs):
+        if n:
+            assert np.array_equal(triangles[trial], nx_triangles(graph))
 
 
 def test_triangles_without_stored_edges_rederives_from_planes():

@@ -11,9 +11,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graph import metrics
+from repro.graph import bitmatrix, metrics
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import BitMatrix
+from repro.graph.bitmatrix import BitMatrix, _row_popcounts, bit_index_arrays
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.metrics import (
     DEFAULT_DELTA_THRESHOLD,
@@ -78,6 +78,88 @@ class TestTrianglesTouching:
     def test_empty_touched_set(self):
         graph = erdos_renyi_graph(10, 0.5, rng=0)
         assert triangles_touching(graph, np.empty(0, dtype=np.int64)).tolist() == [0] * 10
+
+
+def reference_touching(packed: BitMatrix, nodes: np.ndarray) -> np.ndarray:
+    """The per-node row loop that the single pair-popcount sweep replaced."""
+    n = packed.num_nodes
+    counts = np.zeros(n, dtype=np.int64)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if n == 0 or nodes.size == 0:
+        return counts
+    one = np.uint64(1)
+    mask = np.zeros(packed.num_words, dtype=np.uint64)
+    np.bitwise_or.at(mask, nodes >> 6, one << (nodes & 63).astype(np.uint64))
+    word_index, bit_shift = bit_index_arrays(n)
+    term = np.zeros(n, dtype=np.int64)
+    for node in nodes.tolist():
+        row = packed.rows[node]
+        neighbors = np.nonzero((row[word_index] >> bit_shift) & one)[0]
+        if not neighbors.size:
+            continue
+        anded = packed.rows[neighbors] & row
+        pop_full = _row_popcounts(anded)
+        counts[node] = int(pop_full.sum()) // 2
+        term[neighbors] += 2 * pop_full - _row_popcounts(anded & mask)
+    outside = np.ones(n, dtype=bool)
+    outside[nodes] = False
+    counts[outside] = term[outside] // 2
+    return counts
+
+
+class TestPackedTouchingKernel:
+    @pytest.mark.parametrize("n", [3, 63, 64, 65, 130])
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
+    def test_matches_per_node_reference(self, n, density):
+        rng = np.random.default_rng(n)
+        graph = erdos_renyi_graph(n, density, rng=n + 1)
+        packed = BitMatrix.from_graph(graph)
+        for size in (1, 2, n // 3, n):
+            touched = np.sort(rng.choice(n, size=max(1, size), replace=False))
+            assert np.array_equal(
+                packed.triangles_touching(touched), reference_touching(packed, touched)
+            )
+
+    def test_row_blocks_and_pair_blocks_do_not_change_counts(self, monkeypatch):
+        graph = erdos_renyi_graph(150, 0.4, rng=2)
+        packed = BitMatrix.from_graph(graph)
+        touched = np.arange(0, 150, 4)
+        expected = reference_touching(packed, touched)
+        # 150 unpacked bytes per row: one touched row per block, and pair
+        # blocks far shorter than a row's neighbour run.
+        monkeypatch.setattr(bitmatrix, "_CHUNK_WORDS", 200)
+        monkeypatch.setattr(bitmatrix, "_PAIR_BLOCK", 7)
+        assert np.array_equal(packed.triangles_touching(touched), expected)
+
+    def test_full_touched_set_equals_networkx(self):
+        graph = erdos_renyi_graph(70, 0.3, rng=8)
+        counts = BitMatrix.from_graph(graph).triangles_touching(np.arange(70))
+        assert np.array_equal(counts, networkx_triangles(graph))
+
+
+class TestTouchingNodeSet:
+    @pytest.mark.parametrize("backend_threshold", ["0", "1.1"])
+    def test_repeated_ids_count_once(self, backend_threshold, monkeypatch):
+        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", backend_threshold)
+        graph = erdos_renyi_graph(60, 0.3, rng=4)
+        once = triangles_touching(graph, np.array([3, 7, 20]))
+        assert np.array_equal(triangles_touching(graph, np.array([3, 7, 7, 20])), once)
+        assert np.array_equal(triangles_touching(graph, np.array([20, 3, 7, 3])), once)
+
+    @pytest.mark.parametrize("backend_threshold", ["0", "1.1"])
+    @pytest.mark.parametrize("bad", [-1, 60])
+    def test_out_of_range_ids_raise(self, backend_threshold, bad, monkeypatch):
+        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", backend_threshold)
+        graph = erdos_renyi_graph(60, 0.3, rng=4)
+        with pytest.raises(ValueError, match="nodes"):
+            triangles_touching(graph, np.array([3, bad]))
+
+    def test_incremental_validates_touched(self):
+        graph = erdos_renyi_graph(20, 0.3, rng=4)
+        with pytest.raises(ValueError, match="touched"):
+            triangles_per_node_incremental(
+                graph, graph, np.array([-1]), triangles_per_node(graph)
+            )
 
 
 class TestIncrementalEquality:

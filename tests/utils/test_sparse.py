@@ -82,6 +82,68 @@ class TestEncodeDecode:
             assert np.array_equal(encode_pairs(rows, cols, n), codes)
 
 
+def reference_decode(codes, n):
+    """Per-code binary search over the row starts (the pre-row-run decode)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    i = np.arange(n, dtype=np.int64)
+    row_starts = i * n - i * (i + 1) // 2
+    rows = np.searchsorted(row_starts, codes, side="right") - 1
+    return rows, codes - row_starts[rows] + rows + 1
+
+
+class TestDecodeRowRuns:
+    """Row-run decode of ascending codes equals the per-code binary search."""
+
+    def assert_decodes_like_reference(self, codes, n):
+        rows, cols = decode_pairs(codes, n)
+        expected_rows, expected_cols = reference_decode(codes, n)
+        assert rows.dtype == cols.dtype == np.int64
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(cols, expected_cols)
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 200, 1000])
+    @pytest.mark.parametrize("density", [0.001, 0.05, 0.5, 1.0])
+    def test_sorted_codes(self, n, density):
+        rng = np.random.default_rng(n)
+        total = pair_count(n)
+        count = max(1, int(density * total))
+        codes = np.sort(rng.choice(total, size=count, replace=False))
+        self.assert_decodes_like_reference(codes, n)
+
+    @pytest.mark.parametrize("n", [2, 65, 1000])
+    def test_unsorted_and_duplicated_codes(self, n):
+        rng = np.random.default_rng(n + 1)
+        codes = rng.integers(0, pair_count(n), size=3 * n)
+        self.assert_decodes_like_reference(codes, n)
+        self.assert_decodes_like_reference(np.sort(codes), n)  # ascending, repeats
+        self.assert_decodes_like_reference(np.sort(codes)[::-1], n)
+
+    def test_fewer_codes_than_a_quarter_of_n(self):
+        n = 1000
+        codes = np.array([0, 5, 998, 999, 1500, pair_count(n) - 1], dtype=np.int64)
+        assert codes.size < n // 4
+        self.assert_decodes_like_reference(codes, n)
+
+    def test_first_and_last_rows_and_single_code(self):
+        n = 70
+        codes = np.array([0, pair_count(n) - 1], dtype=np.int64)
+        rows, cols = decode_pairs(codes, n)
+        assert rows.tolist() == [0, n - 2] and cols.tolist() == [1, n - 1]
+        rows, cols = decode_pairs(np.array([pair_count(n) - 1]), n)
+        assert rows.tolist() == [n - 2] and cols.tolist() == [n - 1]
+
+    def test_empty(self):
+        for n in (0, 1, 10):
+            rows, cols = decode_pairs(np.empty(0, dtype=np.int64), n)
+            assert rows.dtype == cols.dtype == np.int64
+            assert rows.size == cols.size == 0
+
+    @pytest.mark.parametrize("codes", [[-1, 0, 1], [0, 1, 45], [3, -1], [45, 2]])
+    def test_out_of_range_on_both_paths(self, codes):
+        with pytest.raises(ValueError, match="out of range"):
+            decode_pairs(np.array(codes), 10)
+
+
 class TestSamplePairsExcluding:
     def test_avoids_forbidden(self):
         rng = np.random.default_rng(0)
