@@ -11,20 +11,19 @@ seed, so the measured gain isolates the attack's effect instead of LDP noise
 variance.  ``paired=False`` re-randomises the after run for sensitivity
 analysis (benchmarked in ``bench_theory_validation``).
 
-Paired runs flow through :meth:`GraphLDPProtocol.collect_paired`: the honest
-world is collected once and the after-world derived from the shared state —
-bit-identical to two seed-replayed ``collect`` calls, but the honest
-randomness is drawn once and the estimators can update honest estimates
-incrementally over the attacker-touched rows.  ``REPRO_PAIRED_COLLECTION=0``
-forces the legacy two-collection path (identical outputs; the knob exists for
-A/B benchmarking and bisection).
+Every evaluation path — here, the defended and untargeted evaluations and
+the engine's point kernel — shares :func:`craft_trial` (the per-trial
+prologue) and :func:`metric_estimates` (the estimator dispatch).  Paired
+runs flow through :meth:`GraphLDPProtocol.collect_paired`: the honest world
+is collected once and the after-world derived from the shared state —
+bit-identical to two seed-replayed ``collect`` calls, and the estimators can
+update honest estimates incrementally over the attacker-touched rows.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,16 +35,6 @@ from repro.utils.rng import RngLike, child_rng, ensure_rng
 
 #: Metrics an attack can be evaluated on.
 METRICS = ("degree_centrality", "clustering_coefficient", "modularity")
-
-#: Environment variable: set to ``"0"`` to disable shared-collection reuse
-#: and run paired evaluations through two independent seed-replayed collects.
-PAIRED_COLLECTION_ENV = "REPRO_PAIRED_COLLECTION"
-
-
-def paired_collection_enabled() -> bool:
-    """Whether paired evaluations share one honest collection (default on)."""
-    return os.environ.get(PAIRED_COLLECTION_ENV, "1") != "0"
-
 
 @dataclass
 class AttackOutcome:
@@ -78,6 +67,38 @@ class AttackOutcome:
         return float(self.per_target_gain.mean())
 
 
+def craft_trial(
+    graph: Graph,
+    protocol: GraphLDPProtocol,
+    attack: Attack,
+    threat: ThreatModel,
+    seed: RngLike,
+) -> Tuple[Dict[int, FakeReport], int]:
+    """The per-trial prologue: crafted overrides and the protocol seed.
+
+    The attacker learns the public protocol parameters, crafts on the
+    ``"attack-craft"`` child stream of ``seed``, and must leave no fake user
+    without a report; the protocol's paired collection then runs on a seed
+    drawn from the ``"protocol-run"`` child stream.  Every evaluation path
+    calls this one helper, so their RNG streams agree by construction.
+    """
+    knowledge = AttackerKnowledge.from_protocol(protocol, graph)
+    overrides = attack.craft(graph, threat, knowledge, rng=child_rng(seed, "attack-craft"))
+    missing = np.setdiff1d(threat.fake_users, np.fromiter(overrides.keys(), dtype=np.int64))
+    if missing.size:
+        raise ValueError(f"attack left fake users without reports: {missing.tolist()}")
+    protocol_seed = int(child_rng(seed, "protocol-run").integers(2**63 - 1))
+    return overrides, protocol_seed
+
+
+def check_metric(metric: str, labels: Optional[np.ndarray]) -> None:
+    """Reject an unknown metric, and modularity without community labels."""
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    if metric == "modularity" and labels is None:
+        raise ValueError("modularity evaluation requires community labels")
+
+
 def metric_estimates(
     protocol: GraphLDPProtocol,
     metric: str,
@@ -89,10 +110,11 @@ def metric_estimates(
     """Before/after target estimates for one paired pair of report views.
 
     The single definition of how a metric name maps onto the protocol's
-    estimator surface, shared by :func:`evaluate_attack` and the engine's
-    batched point kernel (``repro.engine.kernels``) so both paths produce
-    identical floats by construction.  Modularity is a global metric: its
-    estimates are length-1 arrays regardless of ``targets``.
+    estimator surface, shared by :func:`evaluate_attack`, the defended
+    evaluation and the engine's point kernel (``repro.engine.kernels``) so
+    every path produces identical floats by construction.  Modularity is a
+    global metric: its estimates are length-1 arrays regardless of
+    ``targets``.
     """
     if metric == "degree_centrality":
         before = protocol.estimate_degree_centrality(before_reports)[targets]
@@ -129,21 +151,9 @@ def evaluate_attack(
     paired:
         Common random numbers between the two runs (default).
     """
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if metric == "modularity" and labels is None:
-        raise ValueError("modularity evaluation requires community labels")
-
-    knowledge = AttackerKnowledge.from_protocol(protocol, graph)
-    attack_rng = child_rng(rng, "attack-craft")
-    overrides = attack.craft(graph, threat, knowledge, rng=attack_rng)
-
-    missing = np.setdiff1d(threat.fake_users, np.fromiter(overrides.keys(), dtype=np.int64))
-    if missing.size:
-        raise ValueError(f"attack left fake users without reports: {missing.tolist()}")
-
-    protocol_seed = int(child_rng(rng, "protocol-run").integers(2**63 - 1))
-    if paired and paired_collection_enabled():
+    check_metric(metric, labels)
+    overrides, protocol_seed = craft_trial(graph, protocol, attack, threat, rng)
+    if paired:
         # One honest collection, shared: the after-view applies the overrides
         # to the same perturbed state the before-view exposes (bit-identical
         # to replaying the seed, without re-drawing the honest randomness).
@@ -152,11 +162,7 @@ def evaluate_attack(
         after_reports = run.after(overrides)
     else:
         before_reports = protocol.collect(graph, protocol_seed)
-        after_seed = (
-            protocol_seed
-            if paired
-            else int(child_rng(rng, "protocol-run-after").integers(2**63 - 1))
-        )
+        after_seed = int(child_rng(rng, "protocol-run-after").integers(2**63 - 1))
         after_reports = protocol.collect(graph, after_seed, overrides=overrides)
 
     before, after = metric_estimates(

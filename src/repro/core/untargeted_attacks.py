@@ -28,11 +28,11 @@ from typing import Dict
 import numpy as np
 
 from repro.core.base import Attack, ensure_attack_rng, random_new_neighbors
-from repro.core.gain import paired_collection_enabled
+from repro.core.gain import craft_trial
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.graph.adjacency import Graph
 from repro.protocols.base import FakeReport, GraphLDPProtocol
-from repro.utils.rng import RngLike, child_rng
+from repro.utils.rng import RngLike
 
 
 class UntargetedUniformAttack(Attack):
@@ -140,16 +140,10 @@ def evaluate_untargeted_attack(
             "untargeted evaluation supports degree_centrality or "
             f"clustering_coefficient, got {metric!r}"
         )
-    knowledge = AttackerKnowledge.from_protocol(protocol, graph)
-    overrides = attack.craft(graph, threat, knowledge, rng=child_rng(rng, "attack-craft"))
-    seed = int(child_rng(rng, "protocol-run").integers(2**63 - 1))
-    if paired_collection_enabled():
-        run = protocol.collect_paired(graph, seed)
-        before_reports = run.before
-        after_reports = run.after(overrides)
-    else:
-        before_reports = protocol.collect(graph, seed)
-        after_reports = protocol.collect(graph, seed, overrides=overrides)
+    overrides, seed = craft_trial(graph, protocol, attack, threat, rng)
+    run = protocol.collect_paired(graph, seed)
+    before_reports = run.before
+    after_reports = run.after(overrides)
     if metric == "degree_centrality":
         before = protocol.estimate_degree_centrality(before_reports)
         after = protocol.estimate_degree_centrality(after_reports)

@@ -14,17 +14,17 @@ mechanism behind the U-shape of Fig. 12(a) and Naive2's negative results).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.base import Attack
-from repro.core.gain import METRICS, paired_collection_enabled
-from repro.core.threat_model import AttackerKnowledge, ThreatModel
+from repro.core.gain import check_metric, craft_trial, metric_estimates
+from repro.core.threat_model import ThreatModel
 from repro.defenses.base import Defense, DetectionQuality, detection_quality
 from repro.graph.adjacency import Graph
-from repro.protocols.base import FakeReport, GraphLDPProtocol
-from repro.utils.rng import RngLike, child_rng
+from repro.protocols.base import GraphLDPProtocol
+from repro.utils.rng import RngLike
 
 
 @dataclass
@@ -63,43 +63,22 @@ def evaluate_defended_attack(
 ) -> DefendedOutcome:
     """Run attack + defense with common random numbers and measure the gain.
 
-    Mirrors :func:`repro.core.gain.evaluate_attack` exactly (same child-rng
-    keys, so the undefended and defended gains of the same seed are directly
-    comparable), inserting ``defense.apply`` between collection and
-    estimation of the attacked run.
+    Mirrors :func:`repro.core.gain.evaluate_attack` exactly (the same
+    :func:`~repro.core.gain.craft_trial` prologue, so the undefended and
+    defended gains of the same seed are directly comparable), inserting
+    ``defense.apply`` between collection and estimation of the attacked run.
     """
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if metric == "modularity" and labels is None:
-        raise ValueError("modularity evaluation requires community labels")
-
-    knowledge = AttackerKnowledge.from_protocol(protocol, graph)
-    overrides: Dict[int, FakeReport] = attack.craft(
-        graph, threat, knowledge, rng=child_rng(rng, "attack-craft")
+    check_metric(metric, labels)
+    overrides, protocol_seed = craft_trial(graph, protocol, attack, threat, rng)
+    # The honest collection is shared with the attacked after-run the
+    # defense post-processes — one perturbation per evaluation, exactly as
+    # in the undefended pipeline.  Repairs rebuild reports without the
+    # paired baseline, so defended estimation recomputes fully.
+    run = protocol.collect_paired(graph, protocol_seed)
+    defended_reports, flagged = defense.apply(run.after(overrides))
+    before, after = metric_estimates(
+        protocol, metric, run.before, defended_reports, threat.targets, labels
     )
-    protocol_seed = int(child_rng(rng, "protocol-run").integers(2**63 - 1))
-    if paired_collection_enabled():
-        # The honest collection is shared with the attacked after-run the
-        # defense post-processes — one perturbation per evaluation, exactly
-        # as in the undefended pipeline.  Repairs rebuild reports without
-        # the paired baseline, so defended estimation recomputes fully.
-        run = protocol.collect_paired(graph, protocol_seed)
-        before_reports = run.before
-        after_reports = run.after(overrides)
-    else:
-        before_reports = protocol.collect(graph, protocol_seed)
-        after_reports = protocol.collect(graph, protocol_seed, overrides=overrides)
-    defended_reports, flagged = defense.apply(after_reports)
-
-    if metric == "degree_centrality":
-        before = protocol.estimate_degree_centrality(before_reports)[threat.targets]
-        after = protocol.estimate_degree_centrality(defended_reports)[threat.targets]
-    elif metric == "clustering_coefficient":
-        before = protocol.estimate_clustering_coefficient(before_reports)[threat.targets]
-        after = protocol.estimate_clustering_coefficient(defended_reports)[threat.targets]
-    else:
-        before = np.array([protocol.estimate_modularity(before_reports, labels)])
-        after = np.array([protocol.estimate_modularity(defended_reports, labels)])
 
     return DefendedOutcome(
         attack_name=attack.name,

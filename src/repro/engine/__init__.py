@@ -19,9 +19,9 @@ cache in front:
 * :mod:`repro.engine.executors` — serial and process-pool execution plus
   :func:`~repro.engine.executors.run_tasks` /
   :func:`~repro.engine.executors.run_batch`, the cache-aware orchestrators;
-* :mod:`repro.engine.kernels` — cross-trial batched execution: cache-miss
-  tasks group by figure-point identity and eligible groups run through the
-  stacked bit-plane kernels (``REPRO_BATCH_TRIALS=0`` forces per-trial);
+* :mod:`repro.engine.kernels` — the one evaluation path: cache-miss tasks
+  group by figure-point identity and every group, defended or singleton,
+  runs through one batched collection (stacked bit-planes for LF-GDPR);
 * :mod:`repro.engine.session` — :class:`~repro.engine.session.EngineSession`,
   the persistent pool + graph store + cache driving heterogeneous
   (multi-graph) batches;
@@ -57,11 +57,7 @@ from repro.engine.executors import (
     run_tasks,
 )
 from repro.engine.graph_store import GraphStore
-from repro.engine.kernels import (
-    batch_trials_enabled,
-    execute_tasks_grouped,
-    point_key,
-)
+from repro.engine.kernels import execute_tasks_grouped, point_key
 from repro.engine.registry import ATTACKS, DEFENSES, PROTOCOLS, Registry
 from repro.engine.result_store import ShardedResultStore
 from repro.engine.session import EngineSession, session_scope
@@ -97,7 +93,6 @@ __all__ = [
     "EngineSession",
     "GraphStore",
     "ShardedResultStore",
-    "batch_trials_enabled",
     "cache_for",
     "execute_task",
     "execute_tasks_grouped",

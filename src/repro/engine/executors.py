@@ -177,10 +177,12 @@ def execute_task(
 ) -> float:
     """Run one trial task and return its total gain.
 
-    ``attack_factory`` / ``protocol_factory`` override the registry lookup;
-    the experiment layer passes them when a sweep uses components that are
-    not registered (such components cannot be cached or parallelised, but
-    they follow the exact same seed derivation, so results stay comparable).
+    The single-task reference the engine's point kernel
+    (:mod:`repro.engine.kernels`) must equal.  ``attack_factory`` /
+    ``protocol_factory`` override the registry lookup; the experiment layer
+    passes them when a sweep uses components that are not registered (such
+    components cannot be cached or parallelised, but they follow the exact
+    same seed derivation, so results stay comparable).
     """
     with current_tracer().span(
         "task.execute",
@@ -253,12 +255,11 @@ class Executor(abc.ABC):
 
 
 class SerialExecutor(Executor):
-    """Run tasks in the calling process, batching same-point trial groups.
+    """Run tasks in the calling process, one kernel pass per figure point.
 
-    Trials that share a figure point route through the cross-trial kernels
-    (:func:`repro.engine.kernels.execute_tasks_grouped`); everything else —
-    and everything when ``REPRO_BATCH_TRIALS=0`` — runs the per-task scalar
-    path.  Both produce bit-identical gains, in input order.
+    Every task — whatever its point group's size, defense or protocol —
+    runs through :func:`repro.engine.kernels.execute_tasks_grouped`, whose
+    gains equal :func:`execute_task` bit for bit, in input order.
     """
 
     def execute(

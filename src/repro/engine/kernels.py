@@ -1,53 +1,37 @@
-"""Cross-trial batched execution of same-point task groups.
+"""The engine's one evaluation path: one kernel pass per figure point.
 
 A compiled scenario batch lays its trials out innermost, so the cache-miss
 tasks an executor receives arrive as runs of trials that differ *only* in
-their derived seed — same graph, metric, attack, protocol, epsilon, beta,
-gamma, defense and labelling.  :func:`execute_tasks_grouped` exploits that:
-it splits a single-graph task list into those point groups and routes every
-eligible group through one batched kernel pass
-(:meth:`~repro.protocols.lfgdpr.LFGDPRProtocol.collect_paired_batch` over
-the stacked bit-planes of :class:`~repro.graph.bittensor.BitTensor`)
-instead of per-trial scalar evaluation.
+their derived seed.  :func:`execute_tasks_grouped` splits a single-graph
+task list into those point groups and runs every group — singletons,
+defended points and LDPGen included — through one
+:meth:`~repro.protocols.base.GraphLDPProtocol.collect_paired_batch` call
+(for LF-GDPR, over the stacked bit-planes of
+:class:`~repro.graph.bittensor.BitTensor`).
 
-Bit-identity contract: the batched path replays, per task, the exact child
-RNG streams and the exact estimator arithmetic of
-:func:`repro.core.gain.evaluate_attack` — batching only reorders draws
+Bit-identity contract: per task, the kernel runs the same prologue
+(:func:`~repro.core.gain.craft_trial`) and estimator dispatch
+(:func:`~repro.core.gain.metric_estimates`) as the single-task reference
+:func:`repro.engine.executors.execute_task`; batching only reorders draws
 *across* independent streams and amortizes exact-integer kernel passes, so
-gains (and therefore golden results and cache entries) are unchanged.
-Scalar fallbacks keep everything else honest: singleton groups, defended
-tasks, protocols without a batch surface, unpaired collection mode, and
-``REPRO_BATCH_TRIALS=0``.
-
-Telemetry: each task gets its usual ``task.execute`` span (wrapping its
-per-trial threat/craft work) whatever path runs it, so span accounting is
-indistinguishable from the scalar executor; ``kernel.batched`` /
-``kernel.scalar`` counters record how many tasks each path served.
+gains, goldens and cache entries are unchanged.  Each task keeps its own
+``task.execute`` span; the ``kernel.batched`` counter counts tasks served.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.gain import METRICS, metric_estimates, paired_collection_enabled
-from repro.core.threat_model import AttackerKnowledge, ThreatModel
-from repro.engine.registry import ATTACKS, PROTOCOLS
+from repro.core.gain import check_metric, craft_trial, metric_estimates
+from repro.core.threat_model import ThreatModel
+from repro.engine.registry import ATTACKS, DEFENSES, PROTOCOLS
 from repro.engine.tasks import TrialTask
 from repro.graph.adjacency import Graph
 from repro.telemetry.core import current_tracer
 from repro.utils.rng import child_rng
-
-#: Env knob: set to ``"0"`` to disable cross-trial batching (scalar path).
-BATCH_TRIALS_ENV = "REPRO_BATCH_TRIALS"
-
-
-def batch_trials_enabled() -> bool:
-    """Whether same-point trial groups run through the batched kernels."""
-    return os.environ.get(BATCH_TRIALS_ENV, "1") != "0"
 
 
 def point_key(task: TrialTask) -> Tuple:
@@ -79,82 +63,45 @@ def group_by_point(tasks: Sequence[TrialTask]) -> List[List[int]]:
     return list(groups.values())
 
 
-def _batch_protocol(tasks: Sequence[TrialTask]):
-    """The shared protocol instance for an eligible group, else ``None``.
-
-    Singletons gain nothing; defended tasks run extra protocol rounds the
-    batch surface does not model; unknown metrics and the legacy two-run
-    collection mode must keep their scalar semantics; and the protocol
-    itself must offer ``collect_paired_batch`` (LDPGen regenerates a
-    synthetic graph per run and has no stackable bit-plane form).  Protocol
-    construction is deterministic in epsilon and collection is stateless,
-    so one instance can serve every trial of the point.
-    """
-    first = tasks[0]
-    if (
-        len(tasks) < 2
-        or first.defense
-        or first.metric not in METRICS
-        or not batch_trials_enabled()
-        or not paired_collection_enabled()
-    ):
-        return None
-    try:
-        protocol = PROTOCOLS.create(first.protocol, epsilon=first.epsilon)
-    except KeyError:
-        return None
-    if getattr(protocol, "collect_paired_batch", None) is None:
-        return None
-    return protocol
-
-
 def execute_tasks_grouped(
     tasks: Sequence[TrialTask],
     graph: Graph,
     labels: Optional[np.ndarray] = None,
 ) -> List[float]:
-    """Gains of a single-graph task list, batching same-point trial groups.
+    """Gains of a single-graph task list, one kernel pass per point group.
 
-    The drop-in body of ``SerialExecutor.execute`` and the worker chunk
-    runner: output order matches input order, and every task is reported
-    under its own ``task.execute`` span exactly as the scalar loop does.
+    The body of ``SerialExecutor.execute`` and the worker chunk runner:
+    output order matches input order, and every task is reported under its
+    own ``task.execute`` span.
     """
-    from repro.engine.executors import execute_task
-
     tracer = current_tracer()
-    gains: List[Optional[float]] = [None] * len(tasks)
+    gains: List[float] = [0.0] * len(tasks)
     for indices in group_by_point(tasks):
         group = [tasks[index] for index in indices]
-        protocol = _batch_protocol(group)
-        if protocol is not None:
-            tracer.counter("kernel.batched", len(group))
-            computed = _execute_point_batched(group, graph, protocol, labels)
-        else:
-            tracer.counter("kernel.scalar", len(group))
-            computed = [execute_task(task, graph, labels) for task in group]
-        for index, gain in zip(indices, computed):
+        tracer.counter("kernel.batched", len(group))
+        for index, gain in zip(indices, _execute_point_batched(group, graph, labels)):
             gains[index] = gain
-    return [float(gain) for gain in gains]
+    return gains
 
 
 def _execute_point_batched(
     tasks: Sequence[TrialTask],
     graph: Graph,
-    protocol,
     labels: Optional[np.ndarray],
 ) -> List[float]:
     """All trials of one point through one batched collection.
 
-    Phase one replays each task's scalar prologue under its own
-    ``task.execute`` span — threat sampling, attacker knowledge, crafting,
-    fake-report validation and the protocol-seed derivation, with the same
-    child streams as :func:`~repro.core.gain.evaluate_attack`.  Phase two
-    collects every trial at once; phase three estimates per trial through
-    the shared :func:`~repro.core.gain.metric_estimates` helper.
+    Phase one runs each task's threat sampling and
+    :func:`~repro.core.gain.craft_trial` under its own ``task.execute``
+    span and creates its defense, if any.  Phase two collects every trial
+    at once.  Phase three applies each defense to its attacked view and
+    estimates.  Protocol construction is deterministic in epsilon and
+    collection is stateless, so one protocol instance serves the point.
     """
-    metric = tasks[0].metric
-    if metric == "modularity" and labels is None:
-        raise ValueError("modularity evaluation requires community labels")
+    first = tasks[0]
+    protocol = PROTOCOLS.create(first.protocol, epsilon=first.epsilon)
+    metric = first.metric
+    check_metric(metric, labels)
     tracer = current_tracer()
     crafted = []
     for task in tasks:
@@ -167,31 +114,24 @@ def _execute_point_batched(
             threat = ThreatModel.sample(
                 graph, task.beta, task.gamma, rng=child_rng(task.seed, "threat")
             )
-            knowledge = AttackerKnowledge.from_protocol(protocol, graph)
-            overrides = attack.craft(
-                graph, threat, knowledge, rng=child_rng(task.seed, "attack-craft")
+            defense = (
+                DEFENSES.create(task.defense, **dict(task.defense_args))
+                if task.defense
+                else None
             )
-            missing = np.setdiff1d(
-                threat.fake_users, np.fromiter(overrides.keys(), dtype=np.int64)
-            )
-            if missing.size:
-                raise ValueError(
-                    f"attack left fake users without reports: {missing.tolist()}"
-                )
-            protocol_seed = int(
-                child_rng(task.seed, "protocol-run").integers(2**63 - 1)
-            )
-            crafted.append((threat, overrides, protocol_seed))
+            overrides, protocol_seed = craft_trial(graph, protocol, attack, threat, task.seed)
+            crafted.append((threat, overrides, protocol_seed, defense))
 
     runs = protocol.collect_paired_batch(
-        graph, [seed for _, _, seed in crafted], metric=metric, labels=labels
+        graph, [seed for _, _, seed, _ in crafted], metric=metric, labels=labels
     )
     gains = []
-    for (threat, overrides, _), run in zip(crafted, runs):
-        before_reports = run.before
+    for (threat, overrides, _, defense), run in zip(crafted, runs):
         after_reports = run.after(overrides)
+        if defense is not None:
+            after_reports, _ = defense.apply(after_reports)
         before, after = metric_estimates(
-            protocol, metric, before_reports, after_reports, threat.targets, labels
+            protocol, metric, run.before, after_reports, threat.targets, labels
         )
         gains.append(float(np.abs(after - before).sum()))
     return gains

@@ -1,11 +1,10 @@
 """Trial-stacked bit-plane adjacency tensor for cross-trial batched metrics.
 
 Every trial of one figure point perturbs the *same* graph at the *same*
-epsilon with an independent RNG stream; the per-trial scalar path then packs
-and sweeps each perturbed graph alone, paying the gather/AND temporaries and
-the Python-level node loop once per trial.  :class:`BitTensor` stacks all
-trials' packed adjacency matrices into one ``trials x n x words`` uint64
-array so that
+epsilon with an independent RNG stream; packing and sweeping each perturbed
+graph alone would pay the gather/AND temporaries and the Python-level node
+loop once per trial.  :class:`BitTensor` stacks all trials' packed adjacency
+matrices into one ``trials x n x words`` uint64 array so that
 
 * packing writes each trial's plane straight into the preallocated stack
   through one reused byte scratch

@@ -60,15 +60,10 @@ def perturb_graph(graph: Graph, epsilon: float, rng: RngLike = None) -> Graph:
 
     Returns a new :class:`Graph` drawn from the same distribution as flipping
     every upper-triangle adjacency bit independently with probability
-    ``1 - p`` where ``p = e^eps / (1 + e^eps)``.
+    ``1 - p`` where ``p = e^eps / (1 + e^eps)``.  A batch of one over
+    :func:`perturb_graph_batch`.
     """
-    generator = ensure_rng(rng)
-    keep = rr_keep_probability(epsilon)
-    n = graph.num_nodes
-    codes = graph.edge_codes
-    non_edges = pair_count(n) - codes.size
-    merged = _perturbed_codes(codes, n, non_edges, keep, generator)
-    return Graph.from_codes(n, merged, assume_sorted_unique=True)
+    return perturb_graph_batch(graph, epsilon, [rng])[0]
 
 
 def perturb_graph_batch(
@@ -78,13 +73,13 @@ def perturb_graph_batch(
 
     ``rngs`` carries one independent stream per trial (the engine derives
     them with the exact same ``child_rng`` keys as the per-trial path).
-    Plane ``t`` of the result is **bit-identical** to
-    ``perturb_graph(graph, epsilon, rngs[t])``: each stream makes the same
-    draws in the same order — the batching hoists only the draw-free shared
-    setup (edge codes, the keep probability, the non-edge count) out of the
-    trial loop.  Because the streams are independent, evaluating them
-    back-to-back instead of interleaved with other per-trial work is a pure
-    reordering with no distributional or numerical effect.
+    Plane ``t`` of the result is **bit-identical** to a single-trial draw on
+    ``rngs[t]``: each stream makes the same draws in the same order — the
+    batching hoists only the draw-free shared setup (edge codes, the keep
+    probability, the non-edge count) out of the trial loop.  Because the
+    streams are independent, evaluating them back-to-back instead of
+    interleaved with other per-trial work is a pure reordering with no
+    distributional or numerical effect.
     """
     keep = rr_keep_probability(epsilon)
     n = graph.num_nodes

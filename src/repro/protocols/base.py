@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -208,6 +208,20 @@ class GraphLDPProtocol(abc.ABC):
         """
         return TwoRunPairedCollection(self, graph, rng)
 
+    def collect_paired_batch(
+        self,
+        graph: Graph,
+        seeds: Sequence[RngLike],
+        metric: Optional[str] = None,
+        labels: Optional[np.ndarray] = None,
+    ) -> List["PairedCollection"]:
+        """:meth:`collect_paired` per seed; ``metric``/``labels`` are hints.
+
+        Protocols with a stackable collection override this to amortize
+        work across the trials of one figure point.
+        """
+        return [self.collect_paired(graph, seed) for seed in seeds]
+
     @abc.abstractmethod
     def estimate_degree_centrality(self, reports: CollectedReports) -> np.ndarray:
         """Per-node degree-centrality estimates (Eq. 8 on estimated degrees)."""
@@ -385,8 +399,8 @@ class TwoRunPairedCollection(PairedCollection):
     """Fallback pairing that re-runs ``collect`` per view.
 
     Used by protocols without a shared-state implementation; views are
-    paired through seed replay exactly as the legacy two-run path, so
-    results are identical — only the redundant honest computation remains.
+    paired through seed replay, so results equal two ``collect`` calls with
+    the shared seed — only the redundant honest computation remains.
     """
 
     def __init__(self, protocol: GraphLDPProtocol, graph: Graph, rng: RngLike):

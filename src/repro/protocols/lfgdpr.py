@@ -218,24 +218,10 @@ class LFGDPRProtocol(GraphLDPProtocol):
         noisy degree vector, both pure functions of the seed — so the paired
         run draws them once and manufactures after-views by override
         application alone, bit-identical to :meth:`collect` under the same
-        seed but at half the collection cost per pair.
+        seed but at half the collection cost per pair.  A paired run is a
+        batch of one: :meth:`collect_paired_batch` is the only body.
         """
-        rng = require_replayable_seed(rng)
-        perturbed = perturb_graph(
-            graph, self.budget.adjacency_epsilon, rng=child_rng(rng, "lfgdpr-adjacency")
-        )
-        noisy_degrees = perturb_degree(
-            graph.degrees(),
-            self.budget.degree_epsilon,
-            rng=child_rng(rng, "lfgdpr-degree"),
-        )
-        honest = CollectedReports(
-            perturbed_graph=perturbed,
-            reported_degrees=np.asarray(noisy_degrees, dtype=np.float64),
-            adjacency_epsilon=self.budget.adjacency_epsilon,
-            degree_epsilon=self.budget.degree_epsilon,
-        )
-        return SharedGraphPairedCollection(honest)
+        return self.collect_paired_batch(graph, [rng])[0]
 
     def collect_paired_batch(
         self,
@@ -246,9 +232,9 @@ class LFGDPRProtocol(GraphLDPProtocol):
     ) -> List[SharedGraphPairedCollection]:
         """All trials of one figure point collected through batched kernels.
 
-        Entry ``t`` of the result is bit-identical to
-        ``collect_paired(graph, seeds[t])``: every per-trial RNG stream is
-        derived with the same ``child_rng`` keys and consumed in the same
+        Entry ``t`` of the result is bit-identical to two seed-replayed
+        :meth:`collect` calls with ``seeds[t]``: every per-trial RNG stream
+        is derived with the same ``child_rng`` keys and consumed in the same
         order, and every batched metric below is an exact-integer reordering
         of the per-trial computation.  The batching buys three amortizations:
 

@@ -120,3 +120,56 @@ class TestAverageGain:
         protocol = LFGDPRProtocol(epsilon=4.0)
         with pytest.raises(ValueError, match="trials"):
             average_gain(graph, protocol, DegreeMGA(), "degree_centrality", 0.05, 0.05, trials=0)
+
+
+class DropFirstFakeMGA(DegreeMGA):
+    """A DegreeMGA that leaves the first fake user without a crafted report."""
+
+    def craft(self, graph, threat, knowledge, rng=None):
+        overrides = super().craft(graph, threat, knowledge, rng=rng)
+        del overrides[int(threat.fake_users[0])]
+        return overrides
+
+
+class TestMissingFakeReports:
+    """Every evaluation path rejects an attack that skips a fake user."""
+
+    def test_evaluate_attack(self, graph, threat):
+        with pytest.raises(ValueError, match="fake users without reports"):
+            evaluate_attack(graph, LFGDPRProtocol(epsilon=4.0), DropFirstFakeMGA(), threat)
+
+    def test_evaluate_defended_attack(self, graph, threat):
+        from repro.defenses.evaluation import evaluate_defended_attack
+        from repro.defenses.naive import NaiveTopDegreeDefense
+
+        with pytest.raises(ValueError, match="fake users without reports"):
+            evaluate_defended_attack(
+                graph, LFGDPRProtocol(epsilon=4.0), DropFirstFakeMGA(),
+                NaiveTopDegreeDefense(), threat,
+            )
+
+    def test_evaluate_untargeted_attack(self, graph, threat):
+        from repro.core.untargeted_attacks import evaluate_untargeted_attack
+
+        with pytest.raises(ValueError, match="fake users without reports"):
+            evaluate_untargeted_attack(
+                graph, LFGDPRProtocol(epsilon=4.0), DropFirstFakeMGA(), threat
+            )
+
+    def test_engine_kernel_on_defended_task(self, graph, monkeypatch):
+        from repro.engine.kernels import execute_tasks_grouped
+        from repro.engine.registry import ATTACKS
+        from repro.engine.tasks import TrialTask, graph_fingerprint
+
+        monkeypatch.setitem(ATTACKS._factories, "test/drop-first-fake", DropFirstFakeMGA)
+        tasks = [
+            TrialTask(
+                graph_key=graph_fingerprint(graph), metric="degree_centrality",
+                attack="test/drop-first-fake", protocol="lfgdpr", epsilon=4.0,
+                beta=0.05, gamma=0.05, seed=seed, trial=seed,
+                defense="detect1", defense_args=(("threshold", 50),),
+            )
+            for seed in range(2)
+        ]
+        with pytest.raises(ValueError, match="fake users without reports"):
+            execute_tasks_grouped(tasks, graph)

@@ -1,24 +1,19 @@
-"""Tests for cross-trial batched dispatch of same-point task groups.
+"""Tests for the engine's point kernel, the one path every task runs through.
 
-The batched kernel path is pure reordering: for any task list it must
-produce gains bit-identical to the scalar per-trial loop, emit the same
-``task.execute`` span accounting, and share cache entries with the scalar
-path in both directions.  These tests pin that contract plus the routing
-rules (who batches, who falls back) and the ``REPRO_BATCH_TRIALS`` knob.
+The kernel is pure reordering: for any task list it must produce gains
+bit-identical to the single-task reference (``execute_task``), emit the same
+``task.execute`` span accounting, and share cache entries with the reference
+in both directions.  These tests pin that contract for every point shape —
+multi-trial and singleton groups, defended points, LDPGen and modularity —
+plus the kernel's counters and errors.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine.cache import NullCache, ResultCache
-from repro.engine.executors import SerialExecutor, execute_task, run_tasks
-from repro.engine.kernels import (
-    BATCH_TRIALS_ENV,
-    batch_trials_enabled,
-    execute_tasks_grouped,
-    group_by_point,
-    point_key,
-)
+from repro.engine.executors import Executor, SerialExecutor, execute_task, run_tasks
+from repro.engine.kernels import execute_tasks_grouped, group_by_point, point_key
 from repro.engine.tasks import TrialTask, derive_trial_seed, graph_fingerprint
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.protocols.lfgdpr import LFGDPRProtocol
@@ -35,16 +30,25 @@ def labels(graph):
     return (np.arange(graph.num_nodes) // 30).astype(np.int64)
 
 
-def make_tasks(graph, metric, attack, trials, *, epsilon=2.0, tag="kern", **extra):
+def make_tasks(
+    graph, metric, attack, trials, *, epsilon=2.0, tag="kern", protocol="lfgdpr", **extra
+):
     return [
         TrialTask(
             graph_key=graph_fingerprint(graph), metric=metric, attack=attack,
-            protocol="lfgdpr", epsilon=epsilon, beta=0.05, gamma=0.05,
+            protocol=protocol, epsilon=epsilon, beta=0.05, gamma=0.05,
             seed=derive_trial_seed(0, f"{tag}|{metric}|{attack}|{epsilon}|{trial}"),
             trial=trial, **extra,
         )
         for trial in range(trials)
     ]
+
+
+class ReferenceExecutor(Executor):
+    """Runs every task through the single-task reference, one at a time."""
+
+    def execute(self, tasks, graph, labels=None):
+        return [execute_task(task, graph, labels) for task in tasks]
 
 
 class TestPointGrouping:
@@ -80,20 +84,6 @@ class TestPointGrouping:
         assert group_by_point(interleaved) == [[0, 2], [1, 3]]
 
 
-class TestBatchTrialsKnob:
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv(BATCH_TRIALS_ENV, raising=False)
-        assert batch_trials_enabled()
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv(BATCH_TRIALS_ENV, "0")
-        assert not batch_trials_enabled()
-
-    def test_one_enables(self, monkeypatch):
-        monkeypatch.setenv(BATCH_TRIALS_ENV, "1")
-        assert batch_trials_enabled()
-
-
 METRIC_ATTACKS = [
     ("degree_centrality", "degree/rva"),
     ("degree_centrality", "degree/mga"),
@@ -101,113 +91,137 @@ METRIC_ATTACKS = [
     ("modularity", "clustering/mga"),
 ]
 
+#: Defended points: the paper's two detectors and a naive baseline.
+DEFENSES = [
+    ("detect1", (("threshold", 1),)),
+    ("detect2", ()),
+    ("naive1", ()),
+]
 
-class TestBatchedScalarEquality:
+
+class TestKernelEqualsReference:
+    @pytest.mark.parametrize("trials", [4, 1])
     @pytest.mark.parametrize("metric,attack", METRIC_ATTACKS)
-    def test_gains_bit_identical(self, graph, labels, metric, attack, monkeypatch):
-        tasks = make_tasks(graph, metric, attack, 4)
+    def test_undefended_groups(self, graph, labels, metric, attack, trials):
+        tasks = make_tasks(graph, metric, attack, trials)
         task_labels = labels if metric == "modularity" else None
-        monkeypatch.setenv(BATCH_TRIALS_ENV, "1")
-        batched = execute_tasks_grouped(tasks, graph, task_labels)
-        monkeypatch.setenv(BATCH_TRIALS_ENV, "0")
-        scalar = execute_tasks_grouped(tasks, graph, task_labels)
-        direct = [execute_task(task, graph, task_labels) for task in tasks]
-        assert batched == scalar == direct
+        kernel = execute_tasks_grouped(tasks, graph, task_labels)
+        assert kernel == [execute_task(task, graph, task_labels) for task in tasks]
 
-    def test_mixed_points_keep_input_order(self, graph, monkeypatch):
+    @pytest.mark.parametrize("trials", [3, 1])
+    @pytest.mark.parametrize("metric", ["degree_centrality", "clustering_coefficient"])
+    @pytest.mark.parametrize("defense,defense_args", DEFENSES)
+    def test_defended_groups(self, graph, metric, defense, defense_args, trials):
+        # At epsilon 8 every listed defense flags users on this graph.
+        tasks = make_tasks(
+            graph, metric, "degree/mga", trials, epsilon=8.0, tag="defended",
+            defense=defense, defense_args=defense_args,
+        )
+        kernel = execute_tasks_grouped(tasks, graph)
+        assert kernel == [execute_task(task, graph) for task in tasks]
+
+    @pytest.mark.parametrize("metric", ["degree_centrality", "modularity"])
+    def test_ldpgen_groups(self, graph, labels, metric):
+        tasks = make_tasks(graph, metric, "degree/mga", 2, protocol="ldpgen")
+        task_labels = labels if metric == "modularity" else None
+        kernel = execute_tasks_grouped(tasks, graph, task_labels)
+        assert kernel == [execute_task(task, graph, task_labels) for task in tasks]
+
+    def test_mixed_points_keep_input_order(self, graph):
         a = make_tasks(graph, "degree_centrality", "degree/rva", 3)
         b = make_tasks(graph, "degree_centrality", "degree/mga", 3, epsilon=4.0)
         interleaved = [a[0], b[0], a[1], b[1], a[2], b[2]]
-        monkeypatch.setenv(BATCH_TRIALS_ENV, "1")
-        batched = execute_tasks_grouped(interleaved, graph)
-        expected = [execute_task(task, graph) for task in interleaved]
-        assert batched == expected
+        kernel = execute_tasks_grouped(interleaved, graph)
+        assert kernel == [execute_task(task, graph) for task in interleaved]
 
 
-class TestRoutingAndCounters:
-    def test_batched_group_counts_tasks_and_spans(self, graph, monkeypatch):
-        monkeypatch.setenv(BATCH_TRIALS_ENV, "1")
-        tasks = make_tasks(graph, "degree_centrality", "degree/rva", 3)
+class TestCountersAndErrors:
+    def test_every_task_counts_as_batched(self, graph):
+        tasks = (
+            make_tasks(graph, "degree_centrality", "degree/rva", 3)
+            + make_tasks(graph, "degree_centrality", "degree/mga", 1, tag="single")
+            + make_tasks(
+                graph, "degree_centrality", "degree/rva", 2, tag="defended",
+                defense="detect1", defense_args=(("threshold", 50),),
+            )
+            + make_tasks(graph, "degree_centrality", "degree/mga", 2, protocol="ldpgen")
+        )
         with use_tracer(Tracer()) as tracer:
             execute_tasks_grouped(tasks, graph)
-        assert tracer.counters.get("kernel.batched") == 3
+        assert tracer.counters.get("kernel.batched") == len(tasks)
         assert "kernel.scalar" not in tracer.counters
         executed = [s for s in tracer.spans if s.name == "task.execute"]
         assert len(executed) == len(tasks)
-        assert sorted(s.attributes["trial"] for s in executed) == [0, 1, 2]
+        assert sorted(s.attributes["trial"] for s in executed) == [0, 0, 0, 0, 1, 1, 1, 2]
 
-    def test_disabled_env_routes_scalar(self, graph, monkeypatch):
-        monkeypatch.setenv(BATCH_TRIALS_ENV, "0")
-        tasks = make_tasks(graph, "degree_centrality", "degree/rva", 3)
-        with use_tracer(Tracer()) as tracer:
+    def test_unknown_metric_raises_like_evaluate_attack(self, graph):
+        tasks = make_tasks(graph, "pagerank", "degree/rva", 2)
+        with pytest.raises(ValueError, match="metric must be one of"):
             execute_tasks_grouped(tasks, graph)
-        assert tracer.counters.get("kernel.scalar") == 3
-        assert "kernel.batched" not in tracer.counters
-        assert len([s for s in tracer.spans if s.name == "task.execute"]) == 3
+        with pytest.raises(ValueError, match="metric must be one of"):
+            execute_task(tasks[0], graph)
 
-    def test_singletons_route_scalar(self, graph, monkeypatch):
-        monkeypatch.setenv(BATCH_TRIALS_ENV, "1")
-        tasks = make_tasks(graph, "degree_centrality", "degree/rva", 1)
-        with use_tracer(Tracer()) as tracer:
+    def test_modularity_without_labels_raises(self, graph):
+        tasks = make_tasks(graph, "modularity", "clustering/mga", 2)
+        with pytest.raises(ValueError, match="requires community labels"):
             execute_tasks_grouped(tasks, graph)
-        assert tracer.counters.get("kernel.scalar") == 1
 
-    def test_defended_tasks_route_scalar(self, graph, monkeypatch):
-        monkeypatch.setenv(BATCH_TRIALS_ENV, "1")
-        tasks = [
-            TrialTask(
-                graph_key=graph_fingerprint(graph), metric="degree_centrality",
-                attack="degree/rva", protocol="lfgdpr", epsilon=2.0,
-                beta=0.05, gamma=0.05,
-                seed=derive_trial_seed(0, f"defended|{trial}"), trial=trial,
-                defense="detect1", defense_args=(("threshold", 50),),
-            )
-            for trial in range(2)
-        ]
-        with use_tracer(Tracer()) as tracer:
-            gains = execute_tasks_grouped(tasks, graph)
-        assert tracer.counters.get("kernel.scalar") == 2
-        assert gains == [execute_task(task, graph) for task in tasks]
+    def test_unknown_protocol_raises_registry_key_error(self, graph):
+        tasks = make_tasks(graph, "degree_centrality", "degree/rva", 2, protocol="nope")
+        with pytest.raises(KeyError, match="unknown protocol 'nope'"):
+            execute_tasks_grouped(tasks, graph)
 
 
 class TestCacheInterchangeability:
-    def test_batched_cold_fills_cache_scalar_warm_reads_it(
-        self, graph, tmp_path, monkeypatch
+    @pytest.mark.parametrize("cold_executor,warm_executor", [
+        (SerialExecutor, ReferenceExecutor),
+        (ReferenceExecutor, SerialExecutor),
+    ])
+    def test_one_path_fills_cache_other_reads_it(
+        self, graph, tmp_path, cold_executor, warm_executor
     ):
         tasks = make_tasks(graph, "clustering_coefficient", "clustering/mga", 3)
-        monkeypatch.setenv(BATCH_TRIALS_ENV, "1")
         cold = run_tasks(
-            tasks, graph, executor=SerialExecutor(), cache=ResultCache(tmp_path)
+            tasks, graph, executor=cold_executor(), cache=ResultCache(tmp_path)
         )
-        monkeypatch.setenv(BATCH_TRIALS_ENV, "0")
         warm_cache = ResultCache(tmp_path)
-        warm = run_tasks(tasks, graph, executor=SerialExecutor(), cache=warm_cache)
+        warm = run_tasks(tasks, graph, executor=warm_executor(), cache=warm_cache)
         assert warm == cold
         assert warm_cache.hits == len(tasks)
-        fresh = run_tasks(tasks, graph, executor=SerialExecutor(), cache=NullCache())
+        fresh = run_tasks(tasks, graph, executor=warm_executor(), cache=NullCache())
         assert fresh == cold
+
+
+def assert_reports_identical(first, second):
+    assert np.array_equal(
+        first.perturbed_graph.edge_codes, second.perturbed_graph.edge_codes
+    )
+    assert np.array_equal(first.reported_degrees, second.reported_degrees)
+    assert np.array_equal(first.overridden, second.overridden)
 
 
 class TestCollectPairedBatch:
     @pytest.mark.parametrize("metric", [
-        "degree_centrality", "clustering_coefficient", "modularity",
+        None, "degree_centrality", "clustering_coefficient", "modularity",
     ])
-    def test_runs_bit_identical_to_collect_paired(self, graph, labels, metric):
+    def test_runs_match_seed_replayed_collects(self, graph, labels, metric):
+        from repro.core.degree_attacks import DegreeMGA
+        from repro.core.gain import craft_trial
+        from repro.core.threat_model import ThreatModel
+
         protocol = LFGDPRProtocol(epsilon=2.0)
         seeds = [3, 11, 27]
         batch_labels = labels if metric == "modularity" else None
         runs = protocol.collect_paired_batch(
             graph, seeds, metric=metric, labels=batch_labels
         )
+        threat = ThreatModel.sample(graph, 0.05, 0.05, rng=1)
+        overrides, _ = craft_trial(graph, protocol, DegreeMGA(), threat, 5)
         assert len(runs) == len(seeds)
         for seed, run in zip(seeds, runs):
-            single = protocol.collect_paired(graph, seed)
-            assert np.array_equal(
-                run.before.perturbed_graph.edge_codes,
-                single.before.perturbed_graph.edge_codes,
-            )
-            assert np.array_equal(
-                run.before.reported_degrees, single.before.reported_degrees
+            assert_reports_identical(run.before, protocol.collect(graph, seed))
+            assert_reports_identical(
+                run.after(overrides), protocol.collect(graph, seed, overrides=overrides)
             )
 
     def test_empty_seed_list(self, graph):

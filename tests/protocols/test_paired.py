@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.degree_attacks import DegreeMGA
 from repro.core.gain import evaluate_attack
-from repro.core.threat_model import ThreatModel
+from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.defenses.evaluation import evaluate_defended_attack
 from repro.defenses.naive import NaiveTopDegreeDefense
 from repro.graph.generators import powerlaw_cluster_graph
@@ -25,6 +25,7 @@ from repro.protocols.base import (
 )
 from repro.protocols.ldpgen import LDPGenProtocol
 from repro.protocols.lfgdpr import LFGDPRProtocol
+from repro.utils.rng import child_rng
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +99,39 @@ class TestSharedCollectionBitIdentity:
             TwoRunPairedCollection(protocol, graph, np.random.default_rng(0))
 
 
+def seed_replay_reference(graph, protocol, attack, threat, metric, seed, labels=None,
+                          defense=None):
+    """Before/after target estimates from two seed-replayed ``collect`` calls.
+
+    Written out independently of ``repro.core.gain``: the attacker crafts on
+    the ``"attack-craft"`` child of ``seed``, both worlds are collected from
+    scratch with the ``"protocol-run"`` seed, and the optional defense
+    repairs the attacked world before estimation.
+    """
+    knowledge = AttackerKnowledge.from_protocol(protocol, graph)
+    overrides = attack.craft(graph, threat, knowledge, rng=child_rng(seed, "attack-craft"))
+    protocol_seed = int(child_rng(seed, "protocol-run").integers(2**63 - 1))
+    before_reports = protocol.collect(graph, protocol_seed)
+    after_reports = protocol.collect(graph, protocol_seed, overrides=overrides)
+    flagged = None
+    if defense is not None:
+        after_reports, flagged = defense.apply(after_reports)
+    estimates = []
+    for reports in (before_reports, after_reports):
+        if metric == "degree_centrality":
+            estimates.append(protocol.estimate_degree_centrality(reports)[threat.targets])
+        elif metric == "clustering_coefficient":
+            estimates.append(protocol.estimate_clustering_coefficient(reports)[threat.targets])
+        else:
+            estimates.append(np.array([protocol.estimate_modularity(reports, labels)]))
+    return estimates[0], estimates[1], flagged
+
+
 class TestEvaluationPipelineEquivalence:
-    """The rewired evaluation matches the legacy two-collection path."""
+    """The paired evaluation matches an explicit two-collection reference."""
 
     @pytest.mark.parametrize("metric", ["degree_centrality", "clustering_coefficient", "modularity"])
-    def test_evaluate_attack_matches_legacy(self, graph, metric, monkeypatch):
+    def test_evaluate_attack_matches_seed_replay(self, graph, metric):
         labels = np.arange(graph.num_nodes) % 4
         threat = ThreatModel.sample(graph, 0.05, 0.05, rng=1)
         protocol = LFGDPRProtocol(epsilon=4.0)
@@ -110,15 +139,14 @@ class TestEvaluationPipelineEquivalence:
         outcome = evaluate_attack(
             graph, protocol, DegreeMGA(), threat, metric=metric, rng=11, labels=labels
         )
-        monkeypatch.setenv("REPRO_PAIRED_COLLECTION", "0")
-        legacy = evaluate_attack(
-            graph, protocol, DegreeMGA(), threat, metric=metric, rng=11, labels=labels
+        before, after, _ = seed_replay_reference(
+            graph, protocol, DegreeMGA(), threat, metric, 11, labels=labels
         )
-        assert np.array_equal(outcome.before, legacy.before)
-        assert np.array_equal(outcome.after, legacy.after)
-        assert outcome.total_gain == legacy.total_gain
+        assert np.array_equal(outcome.before, before)
+        assert np.array_equal(outcome.after, after)
+        assert outcome.total_gain == float(np.abs(after - before).sum())
 
-    def test_evaluate_attack_matches_legacy_across_thresholds(self, graph, monkeypatch):
+    def test_evaluate_attack_matches_across_thresholds(self, graph, monkeypatch):
         """Fallback and incremental estimation yield the same bits."""
         threat = ThreatModel.sample(graph, 0.1, 0.05, rng=2)
         protocol = LFGDPRProtocol(epsilon=2.0)
@@ -132,7 +160,7 @@ class TestEvaluationPipelineEquivalence:
             gains.append(outcome.after.tolist())
         assert gains[0] == gains[1]
 
-    def test_defended_evaluation_matches_legacy(self, graph, monkeypatch):
+    def test_defended_evaluation_matches_seed_replay(self, graph):
         threat = ThreatModel.sample(graph, 0.05, 0.05, rng=3)
         protocol = LFGDPRProtocol(epsilon=4.0)
         defense = NaiveTopDegreeDefense()
@@ -140,27 +168,25 @@ class TestEvaluationPipelineEquivalence:
             graph, protocol, DegreeMGA(), defense, threat,
             metric="clustering_coefficient", rng=21,
         )
-        monkeypatch.setenv("REPRO_PAIRED_COLLECTION", "0")
-        legacy = evaluate_defended_attack(
-            graph, protocol, DegreeMGA(), defense, threat,
-            metric="clustering_coefficient", rng=21,
+        before, after, flagged = seed_replay_reference(
+            graph, protocol, DegreeMGA(), threat, "clustering_coefficient", 21,
+            defense=defense,
         )
-        assert np.array_equal(outcome.before, legacy.before)
-        assert np.array_equal(outcome.after_defended, legacy.after_defended)
-        assert np.array_equal(outcome.flagged, legacy.flagged)
+        assert np.array_equal(outcome.before, before)
+        assert np.array_equal(outcome.after_defended, after)
+        assert np.array_equal(outcome.flagged, flagged)
 
-    def test_ldpgen_evaluation_matches_legacy(self, graph, monkeypatch):
+    def test_ldpgen_evaluation_matches_seed_replay(self, graph):
         threat = ThreatModel.sample(graph, 0.05, 0.05, rng=4)
         protocol = LDPGenProtocol(epsilon=4.0, refined_groups=4)
         outcome = evaluate_attack(
             graph, protocol, DegreeMGA(), threat, metric="degree_centrality", rng=9
         )
-        monkeypatch.setenv("REPRO_PAIRED_COLLECTION", "0")
-        legacy = evaluate_attack(
-            graph, protocol, DegreeMGA(), threat, metric="degree_centrality", rng=9
+        before, after, _ = seed_replay_reference(
+            graph, protocol, DegreeMGA(), threat, "degree_centrality", 9
         )
-        assert np.array_equal(outcome.before, legacy.before)
-        assert np.array_equal(outcome.after, legacy.after)
+        assert np.array_equal(outcome.before, before)
+        assert np.array_equal(outcome.after, after)
 
 
 class TestAugmentCollisionRegression:
