@@ -49,7 +49,6 @@ from repro.graph.adjacency import (
     SharedGraphHandle,
     attach_shared_memory,
 )
-from repro.graph.streaming import ChunkedRowsHandle, share_packed_row_blocks
 from repro.telemetry.core import current_tracer
 
 
@@ -157,7 +156,6 @@ class GraphStore:
         self._graphs: Dict[str, Graph] = {}
         self._labels: Dict[str, Optional[np.ndarray]] = {"": None}
         self._graph_handles: Dict[str, SharedGraphHandle] = {}
-        self._chunked_handles: Dict[str, ChunkedRowsHandle] = {}
         self._labels_handles: Dict[str, SharedLabelsHandle] = {}
         self._segments: list = []  # owned SharedMemory objects, unlinked on close
         self._closed = False
@@ -248,42 +246,6 @@ class GraphStore:
             self._segments.append(segment)
         return handle
 
-    def export_graph_chunked(
-        self,
-        graph_key: str,
-        *,
-        block_rows: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ) -> ChunkedRowsHandle:
-        """The packed rows of one graph as chunked segments, exported once.
-
-        The out-of-core counterpart of :meth:`export_graph` for graphs whose
-        packed adjacency matrix exceeds ``REPRO_DENSE_MAX_BYTES``: each
-        chunk of rows lands in its own segment (built block by block — the
-        full matrix is never resident here either), and workers attach only
-        the row ranges they process via
-        :func:`repro.graph.streaming.attach_packed_row_block`.  Exports are
-        memoized per graph key; the default chunk height is first-export
-        sticky.  Segments are owned by the store and unlinked on close.
-        """
-        self._check_open()
-        handle = self._chunked_handles.get(graph_key)
-        if handle is None:
-            tracer = current_tracer()
-            with tracer.span("shm.graph_export_chunked", graph_key=graph_key):
-                handle, segments = share_packed_row_blocks(
-                    self.graph(graph_key),
-                    block_rows=block_rows,
-                    max_bytes=max_bytes,
-                )
-            tracer.counter("shm.graph_export_chunked")
-            tracer.counter(
-                "shm.export_bytes", sum(segment.size for segment in segments)
-            )
-            self._chunked_handles[graph_key] = handle
-            self._segments.extend(segments)
-        return handle
-
     def export_labels(self, labels_key: str) -> Optional[SharedLabelsHandle]:
         """The shared-memory handle of one labelling (None for '')."""
         if not labels_key:
@@ -348,7 +310,6 @@ class GraphStore:
                 pass
         self._segments.clear()
         self._graph_handles.clear()
-        self._chunked_handles.clear()
         self._labels_handles.clear()
 
     def _check_open(self) -> None:

@@ -23,8 +23,11 @@ Two kernels carry the in-memory packed layer (shared with
   codes (:func:`repro.utils.sparse.decode_pairs` decodes them by row runs).
 * :func:`pair_popcounts` — ``popcount(row_u & row_v)`` (optionally also
   ``& mask``) for a list of pairs, one buffered column-major sweep; the
-  full triangle count and the incremental :meth:`BitMatrix.triangles_touching`
-  are a ``bincount`` over its output.
+  full triangle count, the incremental :meth:`BitMatrix.triangles_touching`
+  and the out-of-core block-pair sweep
+  (:func:`repro.graph.streaming.streaming_triangles_per_node`, whose ``u``
+  and ``v`` rows live in two different blocks) are a ``bincount`` over its
+  output.
 
 Dispatch knobs (both overridable per process):
 
@@ -94,6 +97,20 @@ def should_use_packed(graph) -> bool:
     return graph.num_edges / pair_count(n) >= density_threshold()
 
 
+def node_set(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
+    """``nodes`` as sorted distinct int64 ids, validated against ``0..n-1``.
+
+    The one validator of every node-set argument (``nodes``, ``touched``)
+    of the packed and sparse triangle-touching paths; the error names
+    ``name``.
+    """
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    if nodes.size and (nodes[0] < 0 or nodes[-1] >= num_nodes):
+        bad = int(nodes[0]) if nodes[0] < 0 else int(nodes[-1])
+        raise ValueError(f"{name} must be node ids in 0..{num_nodes - 1}; got {bad}")
+    return nodes
+
+
 _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 #: Per-byte popcount table for numpy < 2.0 (no ``np.bitwise_count``).
 _BYTE_POPCOUNT = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
@@ -110,32 +127,15 @@ def _row_popcounts(words: np.ndarray) -> np.ndarray:
     return _BYTE_POPCOUNT[words.view(np.uint8)].sum(axis=-1, dtype=np.int64)
 
 
-#: Cached ``(word_index, bit_shift)`` pairs per node count — every triangle
-#: or touched-row sweep needs them and they only depend on ``n``.
-_BIT_INDEX_CACHE: dict = {}
-_BIT_INDEX_CACHE_LIMIT = 8
-
-
-def bit_index_arrays(num_nodes: int):
-    """``(word_index, bit_shift)`` for extracting bit ``j`` of a packed row.
-
-    Bit ``j`` lives in word ``j >> 6`` at position ``j & 63``; the arrays are
-    read-only and cached per ``n`` so repeated sweeps (one per node per
-    triangle pass, one per trial in the batched kernels) stop reallocating
-    them.
-    """
-    cached = _BIT_INDEX_CACHE.get(num_nodes)
-    if cached is None:
-        positions = np.arange(num_nodes, dtype=np.int64)
-        word_index = positions >> 6
-        bit_shift = (positions & 63).astype(np.uint64)
-        word_index.setflags(write=False)
-        bit_shift.setflags(write=False)
-        cached = (word_index, bit_shift)
-        _BIT_INDEX_CACHE[num_nodes] = cached
-        while len(_BIT_INDEX_CACHE) > _BIT_INDEX_CACHE_LIMIT:
-            _BIT_INDEX_CACHE.pop(next(iter(_BIT_INDEX_CACHE)))
-    return cached
+def _unpack_rows(rows: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``(len(rows), n)`` bool view of packed rows: bit ``j`` is word
+    ``j >> 6``, position ``j & 63``, read as little-endian on any host."""
+    return np.unpackbits(
+        rows.astype("<u8", copy=False).view(np.uint8),
+        axis=1,
+        count=num_nodes,
+        bitorder="little",
+    ).view(bool)
 
 
 def accumulate_bits(positions: np.ndarray, bit: np.ndarray, size: int) -> np.ndarray:
@@ -243,13 +243,17 @@ def pair_popcounts(
     u: np.ndarray,
     v: np.ndarray,
     mask: Optional[np.ndarray] = None,
+    v_columns: Optional[np.ndarray] = None,
 ):
     """``popcount(row_u & row_v)`` for every pair ``(u[k], v[k])``.
 
     ``columns`` is the *transposed* packed matrix, ``(words, rows)``
     C-contiguous, so each word step gathers from one contiguous column.
-    With ``mask`` (a ``words``-long packed node set) the same sweep also
-    returns ``popcount(row_u & row_v & mask)``, as a second array.
+    ``v`` indexes ``v_columns`` instead when given — another transposed
+    block with the same word count, so ``row_u`` and ``row_v`` may come
+    from two different row blocks.  With ``mask`` (a ``words``-long packed
+    node set) the same sweep also returns ``popcount(row_u & row_v & mask)``,
+    as a second array.
 
     The pairs run in blocks of at most :data:`_PAIR_BLOCK` through
     preallocated ``out=`` buffers.  ``u`` is expected grouped into runs of
@@ -259,6 +263,8 @@ def pair_popcounts(
     ``np.take(..., mode="clip")``.  Counts accumulate in the narrowest
     unsigned dtype holding ``64 * words``.
     """
+    if v_columns is None:
+        v_columns = columns
     num_words = columns.shape[0]
     total = u.size
     acc_dtype = np.uint16 if num_words << 6 <= 0xFFFF else np.uint32
@@ -281,7 +287,7 @@ def pair_popcounts(
         acc_masked = masked[start : start + size] if masked is not None else None
         for word in range(num_words):
             column = columns[word]
-            np.take(column, block_v, out=words_v, mode="clip")
+            np.take(v_columns[word], block_v, out=words_v, mode="clip")
             np.bitwise_and(np.repeat(column[head_ids], run_lengths), words_v, out=words_v)
             np.add(acc_full, _word_popcounts(words_v, out=pop), out=acc_full)
             if acc_masked is not None:
@@ -306,17 +312,29 @@ def _gather_triangles(
     per far endpoint of its opposite edge, so a halving yields exact counts.
 
     The per-edge counts come from :func:`pair_popcounts` over a transposed
-    copy of the matrix; two ``bincount`` passes (float64 weights, exact: every
-    sum is far below 2^53) spread them onto the endpoints.
+    copy of the matrix and :func:`endpoint_sums` spreads them onto the
+    endpoints — the one-block-pair case of
+    :func:`repro.graph.streaming.streaming_triangles_per_node`.
     """
-    counts = np.zeros(num_nodes, dtype=np.int64)
     if edge_rows.size == 0:
-        return counts
+        return np.zeros(num_nodes, dtype=np.int64)
     columns = np.ascontiguousarray(flat_rows.T)
-    pops = pair_popcounts(columns, edge_rows, edge_cols).astype(np.float64)
-    counts += np.bincount(edge_rows, weights=pops, minlength=num_nodes).astype(np.int64)
-    counts += np.bincount(edge_cols, weights=pops, minlength=num_nodes).astype(np.int64)
-    return counts // 2
+    pops = pair_popcounts(columns, edge_rows, edge_cols)
+    return endpoint_sums(edge_rows, edge_cols, pops, num_nodes) // 2
+
+
+def endpoint_sums(
+    edge_rows: np.ndarray, edge_cols: np.ndarray, pops: np.ndarray, num_nodes: int
+) -> np.ndarray:
+    """Per-node sum of ``pops[k]`` over the edges ``k`` incident to it.
+
+    Two ``bincount`` passes with float64 weights — exact, every sum is far
+    below 2^53 — spread each edge's count onto both of its endpoints.
+    """
+    weights = pops.astype(np.float64)
+    counts = np.bincount(edge_rows, weights=weights, minlength=num_nodes).astype(np.int64)
+    counts += np.bincount(edge_cols, weights=weights, minlength=num_nodes).astype(np.int64)
+    return counts
 
 
 def _masked_popcount_sum(matrix: np.ndarray, row_ids: np.ndarray, mask: np.ndarray) -> int:
@@ -399,22 +417,19 @@ class BitMatrix:
     def edge_endpoints(self) -> tuple:
         """Edges as aligned ``(rows, cols)`` arrays with ``rows < cols``.
 
-        Decoded from the packed bits in row blocks (endian-independent
-        ``word >> position`` extraction), so callers that do not already
-        hold the edge list can still drive the edge-gather kernels.
+        Decoded from the packed bits in row blocks (:func:`_unpack_rows`),
+        so callers that do not already hold the edge list can still drive
+        the edge-gather kernels.
         """
         n = self.num_nodes
         empty = np.empty(0, dtype=np.int64)
         if n == 0:
             return empty, empty
-        word_index, bit_shift = bit_index_arrays(n)
-        one = np.uint64(1)
-        block = max(1, _CHUNK_WORDS // max(1, n))
+        block = max(1, _CHUNK_WORDS // n)
         us, vs = [], []
         for start in range(0, n, block):
             stop = min(n, start + block)
-            present = (self.rows[start:stop, word_index] >> bit_shift) & one
-            block_rows, block_cols = np.nonzero(present)
+            block_rows, block_cols = np.nonzero(_unpack_rows(self.rows[start:stop], n))
             keep = block_cols > block_rows + start
             us.append(block_rows[keep] + start)
             vs.append(block_cols[keep])
@@ -510,7 +525,8 @@ class BitMatrix:
         ``s`` itself is the touched vertex plus ``|N(u) & N(s) \\ nodes|``
         pairs where the third vertex is the touched one; summing and halving
         counts every qualifying triangle exactly once.  ``nodes`` is a set:
-        repeated ids count once.
+        repeated ids count once, and ids outside ``0..n-1`` raise
+        :class:`ValueError` (:func:`node_set`).
 
         Every ``(touched, neighbour)`` pair's full and touched-masked
         common-neighbour counts come from one :func:`pair_popcounts` sweep
@@ -518,7 +534,7 @@ class BitMatrix:
         """
         n = self.num_nodes
         counts = np.zeros(n, dtype=np.int64)
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        nodes = node_set(nodes, n)
         if n == 0 or nodes.size == 0:
             return counts
         one = np.uint64(1)
@@ -533,13 +549,7 @@ class BitMatrix:
         block = max(1, _CHUNK_WORDS // n)
         for start in range(0, nodes.size, block):
             ids = nodes[start : start + block]
-            present = np.unpackbits(
-                self.rows[ids].astype("<u8", copy=False).view(np.uint8),
-                axis=1,
-                count=n,
-                bitorder="little",
-            )
-            local, neighbors = np.divmod(np.flatnonzero(present.view(bool)), n)
+            local, neighbors = np.divmod(np.flatnonzero(_unpack_rows(self.rows[ids], n)), n)
             if not neighbors.size:
                 continue
             touched = ids[local]

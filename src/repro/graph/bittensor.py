@@ -12,8 +12,8 @@ matrices into one ``trials x n x words`` uint64 array so that
 * degrees are one popcount reduction over the whole stack;
 * per-node triangle counts run as one buffered pair-popcount sweep per
   plane over that trial's stored edges
-  (:func:`repro.graph.bitmatrix.pair_popcounts`; optionally served by the
-  numba kernel behind ``REPRO_KERNELS`` — see :mod:`repro.graph.native`);
+  (:func:`repro.graph.bitmatrix.pair_popcounts`, the one packed triangle
+  kernel);
 * intra-community edge counts mask all planes per community in one pass;
 * attack-override row patches apply to any subset of planes in one
   accumulate/toggle pass (:meth:`with_edits`).
@@ -21,7 +21,7 @@ matrices into one ``trials x n x words`` uint64 array so that
 Every quantity is an exact integer equal to what the per-trial
 :class:`~repro.graph.bitmatrix.BitMatrix` computes plane by plane — the
 batched path is a pure reordering of the same word operations, so engine
-results stay bit-identical whichever kernel serves them.  :meth:`plane`
+results stay bit-identical to the per-trial path.  :meth:`plane`
 exposes single trials as zero-copy ``BitMatrix`` views, which downstream
 incremental estimators adopt as their cached packed matrix.
 """
@@ -32,14 +32,12 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph import native
 from repro.graph.bitmatrix import (
     _CHUNK_WORDS,
     BitMatrix,
     _gather_triangles,
     _row_popcounts,
     accumulate_bits,
-    bit_index_arrays,
     pack_symmetric_plane,
 )
 
@@ -165,20 +163,13 @@ class BitTensor:
 
         Exactly :meth:`BitMatrix.triangles_per_node` per plane: each
         trial's edges drive one edge-gather/AND/popcount sweep
-        (:func:`repro.graph.bitmatrix._gather_triangles`) over its plane —
-        ``O(E_total ceil(n/64))`` word operations, no per-node loop.  The
-        numba kernel (``REPRO_KERNELS``) computes the same counts with a
-        per-node bit-extraction loop when available.
+        (:func:`repro.graph.bitmatrix._gather_triangles`, built on
+        :func:`~repro.graph.bitmatrix.pair_popcounts`) over its plane —
+        ``O(E_total ceil(n/64))`` word operations, no per-node loop.
         """
         trials, n = self.planes.shape[:2]
         if n == 0:
             return np.zeros((trials, n), dtype=np.int64)
-        kernel = native.triangle_kernel()
-        if kernel is not None:
-            word_index, bit_shift = bit_index_arrays(n)
-            return kernel(
-                np.ascontiguousarray(self.planes), word_index, bit_shift
-            )
         counts = np.empty((trials, n), dtype=np.int64)
         for trial in range(trials):
             rows, cols = self.trial_edges(trial)

@@ -14,7 +14,7 @@ from typing import MutableMapping, Optional, Sequence
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import BitMatrix, should_use_packed
+from repro.graph.bitmatrix import BitMatrix, node_set, should_use_packed
 from repro.graph.streaming import should_stream, streaming_triangles_per_node
 from repro.telemetry.core import current_tracer
 from repro.utils.sparse import decode_pairs, pair_count
@@ -147,21 +147,12 @@ def triangles_touching(graph: Graph, nodes: np.ndarray) -> np.ndarray:
     return the same exact integers.  ``nodes`` is a set: repeated ids count
     once, and ids outside ``0..n-1`` raise :class:`ValueError`.
     """
-    nodes = _node_set(nodes, graph.num_nodes)
+    nodes = node_set(nodes, graph.num_nodes)
     if graph.num_nodes == 0 or nodes.size == 0:
         return np.zeros(graph.num_nodes, dtype=np.int64)
     if should_use_packed(graph):
         return BitMatrix.from_graph(graph).triangles_touching(nodes)
     return _triangles_touching_sparse(graph, nodes)
-
-
-def _node_set(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
-    """``nodes`` as sorted distinct int64 ids, validated against ``0..n-1``."""
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    if nodes.size and (nodes[0] < 0 or nodes[-1] >= num_nodes):
-        bad = int(nodes[0]) if nodes[0] < 0 else int(nodes[-1])
-        raise ValueError(f"{name} must be node ids in 0..{num_nodes - 1}; got {bad}")
-    return nodes
 
 
 def _triangles_touching_sparse(graph: Graph, nodes: np.ndarray) -> np.ndarray:
@@ -229,7 +220,7 @@ def triangles_per_node_incremental(
     ``0..n-1`` raise :class:`ValueError`.
     """
     n = before.num_nodes
-    touched = _node_set(touched, n, "touched")
+    touched = node_set(touched, n, "touched")
     if touched.size == 0:
         return before_triangles
     if not should_use_incremental(n, touched.size):

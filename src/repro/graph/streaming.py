@@ -17,7 +17,9 @@ holds) and serves the packed form in **row-range blocks** built on demand:
   :func:`streaming_intra_community_edges`) whose results equal the dense /
   sparse backends bit for bit (all three count the same exact integers),
   with peak transient memory bounded by the chunk size instead of ``O(E)``
-  or ``O(n^2/8)``.
+  or ``O(n^2/8)``.  The triangle sweep pairs row blocks and counts each
+  pair with :func:`repro.graph.bitmatrix.pair_popcounts`, the popcount
+  kernel of the in-memory backends.
 
 Why this is possible: the codes are sorted in upper-triangle row-major
 order, so the edges whose *lower* endpoint falls in a row range occupy one
@@ -35,18 +37,17 @@ near-dense million-node graphs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from repro.graph.bitmatrix import (
-    _CHUNK_WORDS,
-    _row_popcounts,
     accumulate_bits,
     density_threshold,
+    endpoint_sums,
     max_packed_bytes,
     packed_bytes,
+    pair_popcounts,
 )
 from repro.utils.sparse import decode_pairs, pair_count
 
@@ -171,108 +172,6 @@ def iter_packed_row_blocks(
         yield start, stop, builder.build(start, stop)
 
 
-@dataclass(frozen=True)
-class ChunkedRowsHandle:
-    """Picklable reference to a graph's packed rows, chunked across segments.
-
-    ``boundaries`` has one entry per chunk plus a trailing ``num_nodes``:
-    chunk ``i`` holds packed rows ``[boundaries[i], boundaries[i + 1])`` in
-    the shared-memory segment ``segment_names[i]``.  Workers attach exactly
-    the chunks whose row ranges they process — never the whole matrix.
-    """
-
-    num_nodes: int
-    boundaries: Tuple[int, ...]
-    segment_names: Tuple[str, ...]
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.segment_names)
-
-    def chunk_for_row(self, row: int) -> int:
-        """Index of the chunk holding packed row ``row``."""
-        if not 0 <= row < self.num_nodes:
-            raise ValueError(f"row {row} out of [0, {self.num_nodes})")
-        return int(np.searchsorted(self.boundaries, row, side="right")) - 1
-
-
-def share_packed_row_blocks(
-    graph,
-    *,
-    block_rows: int | None = None,
-    max_bytes: int | None = None,
-) -> Tuple[ChunkedRowsHandle, List[object]]:
-    """Export a graph's packed rows as one shared-memory segment per block.
-
-    Blocks are built with :func:`iter_packed_row_blocks` (so each segment
-    honours ``REPRO_DENSE_MAX_BYTES`` by default and the full ``n^2/8``
-    matrix is never resident: one block is live at a time while exporting).
-    Returns the picklable handle plus the created ``SharedMemory`` segments,
-    whose lifecycle the caller owns — :class:`repro.engine.graph_store
-    .GraphStore` adopts them and unlinks on close.
-    """
-    from multiprocessing import shared_memory
-
-    n = graph.num_nodes
-    boundaries: List[int] = [0]
-    names: List[str] = []
-    segments: List[object] = []
-    try:
-        for start, stop, rows in iter_packed_row_blocks(
-            graph, block_rows, max_bytes=max_bytes
-        ):
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(1, rows.nbytes)
-            )
-            if rows.size:
-                np.ndarray(rows.shape, dtype=np.uint64, buffer=segment.buf)[:] = rows
-            boundaries.append(stop)
-            names.append(segment.name)
-            segments.append(segment)
-    except BaseException:
-        for segment in segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:  # pragma: no cover - cleanup best effort
-                pass
-        raise
-    if not names:  # n == 0: a handle with no chunks
-        boundaries = [0, 0]
-        empty = shared_memory.SharedMemory(create=True, size=1)
-        names.append(empty.name)
-        segments.append(empty)
-    return (
-        ChunkedRowsHandle(n, tuple(boundaries), tuple(names)),
-        segments,
-    )
-
-
-def attach_packed_row_block(
-    handle: ChunkedRowsHandle, chunk: int
-) -> Tuple[int, int, np.ndarray, object]:
-    """Map one exported chunk read-only; returns ``(start, stop, rows, shm)``.
-
-    Zero-copy: ``rows`` is a ``(stop - start, ceil(n/64))`` uint64 view of
-    the shared segment.  The caller must keep ``shm`` alive as long as the
-    view and close (never unlink) it afterwards — the exporting store owns
-    the unlink.
-    """
-    from repro.graph.adjacency import attach_shared_memory
-
-    if not 0 <= chunk < handle.num_chunks:
-        raise ValueError(f"chunk {chunk} out of [0, {handle.num_chunks})")
-    start = handle.boundaries[chunk]
-    stop = handle.boundaries[chunk + 1]
-    words = (handle.num_nodes + 63) >> 6
-    segment = attach_shared_memory(handle.segment_names[chunk])
-    rows = np.frombuffer(
-        segment.buf, dtype=np.uint64, count=(stop - start) * words
-    ).reshape(stop - start, words)
-    rows.flags.writeable = False
-    return start, stop, rows, segment
-
-
 def streaming_degrees(graph, chunk_edges: int | None = None) -> np.ndarray:
     """Exact degrees with O(``chunk_edges``) transients.
 
@@ -332,30 +231,38 @@ def streaming_triangles_per_node(
     The edge-gather formulation of
     :meth:`~repro.graph.bitmatrix.BitMatrix.triangles_per_node` — every edge
     ``{u, v}`` contributes ``popcount(row_u & row_v)`` to both endpoints,
-    halved at the end — with ``row_u`` and ``row_v`` served from two live
-    row blocks instead of a resident matrix.  The default block height is
-    *half* of :func:`rows_per_block` so the pair of live blocks together
-    honours ``REPRO_DENSE_MAX_BYTES``.  Identical integers to the in-memory
-    backends: the same popcounts accumulate onto the same endpoints.
+    halved at the end — with ``row_u`` and ``row_v`` served from two row
+    blocks instead of a resident matrix.  For each block pair (A, B) holding
+    ``u`` and ``v`` the counts come from one
+    :func:`~repro.graph.bitmatrix.pair_popcounts` sweep over the transposed
+    blocks, the kernel of the in-memory backends: a sweep with one block
+    covering every row is exactly their full sweep.  Identical integers to
+    the in-memory backends: the same popcounts accumulate onto the same
+    endpoints.
+
+    Memory promise: three blocks are live at once — A's transposed copy, B
+    as built and B's transposed copy — so the default block height gives
+    each a third of ``REPRO_DENSE_MAX_BYTES`` (``max_bytes`` overrides the
+    cap) and the three together honour it.
 
     Cost: ``O((n / block_rows)^2)`` block builds of ``O(E_block)`` each plus
     the same AND+popcount volume as the dense sweep — the price of never
     holding the matrix.
     """
     n = graph.num_nodes
-    counts = np.zeros(n, dtype=np.int64)
-    if n == 0 or graph.num_edges == 0:
-        return counts
     if block_rows is None:
-        block_rows = max(1, rows_per_block(n, max_bytes) // 2)
+        if max_bytes is None:
+            max_bytes = max_packed_bytes()
+        block_rows = rows_per_block(n, int(max_bytes) // 3)
     block_rows = int(block_rows)
     if block_rows < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
+    counts = np.zeros(n, dtype=np.int64)
+    if n == 0 or graph.num_edges == 0:
+        return counts
     builder = RowBlockBuilder.from_graph(graph)
     edge_rows = builder._rows
     edge_cols = builder._cols
-    words = builder.num_words
-    chunk = max(1, _CHUNK_WORDS // max(1, words))
     for a_start in range(0, n, block_rows):
         a_stop = min(n, a_start + block_rows)
         # Edges with the lower endpoint in block A: one contiguous slice.
@@ -363,27 +270,27 @@ def streaming_triangles_per_node(
         hi = np.searchsorted(edge_rows, a_stop, side="left")
         if lo == hi:
             continue
-        block_a = builder.build(a_start, a_stop)
+        columns_a = np.ascontiguousarray(builder.build(a_start, a_stop).T)
         slice_u = edge_rows[lo:hi]
         slice_v = edge_cols[lo:hi]
+        local_u = slice_u - a_start
+        pops = np.zeros(hi - lo, dtype=np.int64)
         # The upper endpoint v > u can only live in block A or later ones.
         for b_start in range(a_start, n, block_rows):
             b_stop = min(n, b_start + block_rows)
             selected = np.flatnonzero((slice_v >= b_start) & (slice_v < b_stop))
             if selected.size == 0:
                 continue
-            block_b = (
-                block_a
+            columns_b = (
+                columns_a
                 if b_start == a_start
-                else builder.build(b_start, b_stop)
+                else np.ascontiguousarray(builder.build(b_start, b_stop).T)
             )
-            for start in range(0, selected.size, chunk):
-                pick = selected[start : start + chunk]
-                us = slice_u[pick]
-                vs = slice_v[pick]
-                pops = _row_popcounts(
-                    block_a[us - a_start] & block_b[vs - b_start]
-                ).astype(np.float64)
-                counts += np.bincount(us, weights=pops, minlength=n).astype(np.int64)
-                counts += np.bincount(vs, weights=pops, minlength=n).astype(np.int64)
+            pops[selected] = pair_popcounts(
+                columns_a,
+                local_u[selected],
+                slice_v[selected] - b_start,
+                v_columns=columns_b,
+            )
+        counts += endpoint_sums(slice_u, slice_v, pops, n)
     return counts // 2

@@ -293,6 +293,27 @@ class TestPairPopcounts:
         assert np.array_equal(both[0], expected[0])
         assert np.array_equal(both[1], expected[1])
 
+    @pytest.mark.parametrize("n", [1, 65, 200])
+    def test_v_side_from_a_second_block(self, n, monkeypatch):
+        rng = np.random.default_rng(n + 1)
+        words = (n + 63) >> 6
+        block_u = rng.integers(0, 2**64, size=(n, words), dtype=np.uint64)
+        block_v = rng.integers(0, 2**64, size=(n + 3, words), dtype=np.uint64)
+        u = np.sort(rng.integers(0, n, size=300))
+        v = rng.integers(0, n + 3, size=300)
+        mask = rng.integers(0, 2**64, size=words, dtype=np.uint64)
+        monkeypatch.setattr(bitmatrix, "_PAIR_BLOCK", 64)
+        anded = block_u[u] & block_v[v]
+        full, masked = pair_popcounts(
+            np.ascontiguousarray(block_u.T),
+            u,
+            v,
+            mask,
+            v_columns=np.ascontiguousarray(block_v.T),
+        )
+        assert np.array_equal(full, bitmatrix._row_popcounts(anded))
+        assert np.array_equal(masked, bitmatrix._row_popcounts(anded & mask))
+
     def test_no_pairs(self):
         columns = np.zeros((2, 70), dtype=np.uint64)
         empty = np.empty(0, dtype=np.int64)
@@ -301,13 +322,22 @@ class TestPairPopcounts:
         assert full.size == masked.size == 0
 
 
-@pytest.mark.parametrize("density", PACK_DENSITIES)
-@pytest.mark.parametrize("n", PACK_SIZES)
-def test_triangles_per_node_matches_networkx(n, density):
-    graph = random_code_graph(n, density, seed=n + int(density * 1000))
-    counts = BitMatrix.from_graph(graph).triangles_per_node()
-    theirs = nx.triangles(graph.to_networkx())
-    assert counts.tolist() == [theirs[i] for i in range(n)]
+class TestTrianglesTouchingValidation:
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_out_of_range_ids_raise_naming_nodes(self, bad):
+        matrix = BitMatrix.from_graph(Graph(5, [(0, 1), (1, 2), (2, 0)]))
+        with pytest.raises(ValueError, match="nodes must be node ids in 0..4"):
+            matrix.triangles_touching([1, bad])
+        with pytest.raises(ValueError, match="nodes"):
+            matrix.triangles_touching([bad])
+
+    def test_method_and_dispatcher_raise_the_same_error(self):
+        graph = Graph(5, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(ValueError) as method_error:
+            BitMatrix.from_graph(graph).triangles_touching([5])
+        with pytest.raises(ValueError) as dispatch_error:
+            metrics.triangles_touching(graph, [5])
+        assert str(method_error.value) == str(dispatch_error.value)
 
 
 class TestPackedBytes:

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import BitMatrix, accumulate_bits, bit_index_arrays
+from repro.graph.bitmatrix import BitMatrix, accumulate_bits
 from repro.graph.bittensor import BitTensor
-from repro.graph import native
 from tests.graph.test_bitmatrix import PACK_SIZES, reference_pack
 
 
@@ -40,22 +39,18 @@ def nx_triangles(graph):
 
 @pytest.mark.parametrize("trials", [1, 2, 7])
 @pytest.mark.parametrize("n", [0, 1, 2, 64, 65])
-def test_matches_per_plane_bitmatrix_and_networkx(trials, n):
+def test_degrees_match_per_plane_bitmatrix(trials, n):
+    # Per-plane triangle identity lives in tests/graph/test_triangle_identity.py.
     for density in (0.0, 0.1, 0.5, 0.9):
         graphs = random_graphs(n, trials, density, seed=n * 31 + trials)
         tensor = BitTensor.from_graphs(graphs)
         assert tensor.num_trials == trials
         assert tensor.num_nodes == n
         degrees = tensor.degrees()
-        triangles = tensor.triangles_per_node()
         assert degrees.shape == (trials, n)
-        assert triangles.shape == (trials, n)
+        assert tensor.triangles_per_node().shape == (trials, n)
         for trial, graph in enumerate(graphs):
-            plane = BitMatrix.from_graph(graph)
-            assert np.array_equal(degrees[trial], plane.degrees())
-            assert np.array_equal(triangles[trial], plane.triangles_per_node())
-            if n:
-                assert np.array_equal(triangles[trial], nx_triangles(graph))
+            assert np.array_equal(degrees[trial], BitMatrix.from_graph(graph).degrees())
 
 
 @pytest.mark.parametrize("n", PACK_SIZES)
@@ -221,39 +216,3 @@ class TestAccumulateBits:
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 4
         )
         assert np.array_equal(out, np.zeros(4, dtype=np.uint64))
-
-
-class TestBitIndexCache:
-    def test_cached_and_read_only(self):
-        first = bit_index_arrays(100)
-        second = bit_index_arrays(100)
-        assert first[0] is second[0] and first[1] is second[1]
-        assert not first[0].flags.writeable
-        assert not first[1].flags.writeable
-        word_index, bit_shift = first
-        assert word_index.tolist() == [j >> 6 for j in range(100)]
-        assert bit_shift.tolist() == [j & 63 for j in range(100)]
-
-
-class TestNativeGating:
-    def test_mode_validation(self, monkeypatch):
-        monkeypatch.setenv(native.KERNELS_ENV, "nonsense")
-        with pytest.raises(ValueError, match="REPRO_KERNELS"):
-            native.kernels_mode()
-
-    def test_numpy_mode_disables_kernel(self, monkeypatch):
-        monkeypatch.setenv(native.KERNELS_ENV, "numpy")
-        assert native.triangle_kernel() is None
-
-    def test_numba_mode_raises_when_unavailable(self, monkeypatch):
-        monkeypatch.setenv(native.KERNELS_ENV, "numba")
-        if native.numba_available():
-            assert native.triangle_kernel() is not None
-        else:
-            with pytest.raises(RuntimeError, match="numba"):
-                native.use_numba()
-
-    def test_auto_mode_never_raises(self, monkeypatch):
-        monkeypatch.setenv(native.KERNELS_ENV, "auto")
-        kernel = native.triangle_kernel()
-        assert kernel is None or callable(kernel)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.graph import bitmatrix, metrics
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import BitMatrix, _row_popcounts, bit_index_arrays
+from repro.graph.bitmatrix import BitMatrix, _row_popcounts
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.metrics import (
     DEFAULT_DELTA_THRESHOLD,
@@ -90,7 +90,8 @@ def reference_touching(packed: BitMatrix, nodes: np.ndarray) -> np.ndarray:
     one = np.uint64(1)
     mask = np.zeros(packed.num_words, dtype=np.uint64)
     np.bitwise_or.at(mask, nodes >> 6, one << (nodes & 63).astype(np.uint64))
-    word_index, bit_shift = bit_index_arrays(n)
+    positions = np.arange(n)
+    word_index, bit_shift = positions >> 6, (positions & 63).astype(np.uint64)
     term = np.zeros(n, dtype=np.int64)
     for node in nodes.tolist():
         row = packed.rows[node]

@@ -9,17 +9,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.engine.graph_store import GraphStore
 from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix
 from repro.graph.bittensor import BitTensor
 from repro.graph.metrics import triangles_per_node
 from repro.graph.streaming import (
     RowBlockBuilder,
-    attach_packed_row_block,
     iter_packed_row_blocks,
     rows_per_block,
-    share_packed_row_blocks,
     should_stream,
     streaming_degrees,
     streaming_intra_community_edges,
@@ -148,19 +145,13 @@ class TestStreamingEstimators:
             packed,
         )
 
-    @pytest.mark.parametrize("block_rows", [1, 11, 64, 200])
-    def test_triangles_identical(self, block_rows):
-        graph = random_graph(96, 0.35, seed=7)
-        expected = BitMatrix.from_graph(graph).triangles_per_node()
-        assert np.array_equal(
-            streaming_triangles_per_node(graph, block_rows), expected
-        )
+    # Triangle identity per block height lives in
+    # tests/graph/test_triangle_identity.py.
 
-    def test_triangles_empty_and_tiny(self):
-        assert streaming_triangles_per_node(Graph(0, [])).size == 0
-        assert np.array_equal(
-            streaming_triangles_per_node(Graph(3, [(0, 1)])), np.zeros(3, np.int64)
-        )
+    @pytest.mark.parametrize("graph", [Graph(5, []), Graph(0, []), Graph(5, [(0, 1)])])
+    def test_triangles_reject_bad_block_rows_on_any_graph(self, graph):
+        with pytest.raises(ValueError, match="block_rows"):
+            streaming_triangles_per_node(graph, 0)
 
 
 class TestDispatch:
@@ -257,51 +248,3 @@ class TestRowRangeViews:
         assert np.array_equal(view, tensor.planes[:, 4:20, :])
         with pytest.raises(ValueError, match="row range"):
             tensor.row_range(-1, 5)
-
-
-class TestChunkedSharedMemory:
-    def test_export_attach_round_trip(self):
-        graph = random_graph(100, 0.25, seed=14)
-        full = BitMatrix.from_graph(graph).rows
-        with GraphStore() as store:
-            key = store.add_graph(graph)
-            handle = store.export_graph_chunked(key, block_rows=17)
-            assert handle is store.export_graph_chunked(key)  # memoized
-            assert handle.boundaries[0] == 0
-            assert handle.boundaries[-1] == graph.num_nodes
-            pieces = []
-            for chunk in range(handle.num_chunks):
-                start, stop, rows, segment = attach_packed_row_block(handle, chunk)
-                pieces.append(np.array(rows))
-                assert np.array_equal(pieces[-1], full[start:stop])
-                del rows
-                segment.close()
-            assert np.array_equal(np.concatenate(pieces), full)
-
-    def test_chunk_for_row(self):
-        graph = random_graph(50, 0.3, seed=15)
-        handle, segments = share_packed_row_blocks(graph, block_rows=12)
-        try:
-            assert handle.chunk_for_row(0) == 0
-            assert handle.chunk_for_row(11) == 0
-            assert handle.chunk_for_row(12) == 1
-            assert handle.chunk_for_row(49) == handle.num_chunks - 1
-            with pytest.raises(ValueError, match="out of"):
-                handle.chunk_for_row(50)
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
-
-    def test_empty_graph_export(self):
-        with GraphStore() as store:
-            key = store.add_graph(Graph(0, []))
-            handle = store.export_graph_chunked(key)
-            assert handle.num_nodes == 0
-
-    def test_closed_store_refuses_export(self):
-        store = GraphStore()
-        key = store.add_graph(random_graph(10, 0.5))
-        store.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            store.export_graph_chunked(key)
