@@ -5,8 +5,8 @@ the out-of-core block-pair sweep at several block heights) all count through
 :func:`repro.graph.bitmatrix.pair_popcounts`; the sparse backend counts closed
 walks.  Dispatch between them must never change a result, so each one must
 equal the networkx reference exactly on every fixture — word boundaries
-(63/64/65), a three-word graph (130), the degenerate n < 3 graphs, and
-densities from edgeless to complete.
+(63/64/65 and 127/128/129), three- and four-word graphs (130, 200), the
+degenerate n < 3 graphs, and densities from edgeless to complete.
 """
 
 import networkx as nx
@@ -20,8 +20,8 @@ from repro.graph.bittensor import BitTensor
 from repro.graph.streaming import RowBlockBuilder, streaming_triangles_per_node
 from repro.utils.sparse import pair_count
 
-SIZES = [0, 1, 2, 3, 63, 64, 65, 130]
-DENSITIES = [0.0, 0.05, 0.5, 1.0]
+SIZES = [0, 1, 2, 3, 63, 64, 65, 127, 128, 129, 130, 200]
+DENSITIES = [0.0, 0.01, 0.05, 0.5, 0.9, 1.0]
 
 
 def code_graph(n: int, density: float, seed: int) -> Graph:
@@ -38,9 +38,9 @@ def networkx_triangles(graph: Graph) -> np.ndarray:
 
 
 def stream_block_heights(n: int):
-    """block_rows in {1, 7, ceil(n/2), n}, each at least one row, then the
-    default (None: derived from the byte cap)."""
-    return sorted({1, 7, max(1, -(-n // 2)), max(1, n)}) + [None]
+    """block_rows in {1, 7, ceil(n/2), n}, each at least one row, one taller
+    than the graph, then the default (None: derived from the byte cap)."""
+    return sorted({1, 7, max(1, -(-n // 2)), max(1, n), 2 * n + 1}) + [None]
 
 
 def backends(graph: Graph):
