@@ -34,7 +34,6 @@ from repro.core import (
     FrequencyRIA,
     FrequencyRPA,
     ThreatModel,
-    average_gain,
     evaluate_attack,
     evaluate_frequency_attack,
     theorem1_degree_gain,
@@ -47,7 +46,6 @@ from repro.engine import (
     EngineSession,
     GraphStore,
     ParallelExecutor,
-    ResultCache,
     SerialExecutor,
     ShardedResultStore,
     TrialTask,
@@ -91,7 +89,6 @@ __all__ = [
     "EngineSession",
     "GraphStore",
     "ParallelExecutor",
-    "ResultCache",
     "SerialExecutor",
     "ShardedResultStore",
     "TrialTask",
@@ -108,7 +105,6 @@ __all__ = [
     "FrequencyRIA",
     "FrequencyRPA",
     "ThreatModel",
-    "average_gain",
     "evaluate_attack",
     "evaluate_frequency_attack",
     "theorem1_degree_gain",

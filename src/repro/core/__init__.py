@@ -1,6 +1,6 @@
 """The paper's primary contribution: poisoning attacks and their evaluation."""
 
-from repro.core.base import Attack, random_new_neighbors, rr_perturb_neighbor_set
+from repro.core.base import Attack, random_new_neighbors
 from repro.core.clustering_attacks import ClusteringMGA, ClusteringRNA, ClusteringRVA
 from repro.core.degree_attacks import DegreeMGA, DegreeRNA, DegreeRVA
 from repro.core.frequency_attacks import (
@@ -11,7 +11,7 @@ from repro.core.frequency_attacks import (
     FrequencyRPA,
     evaluate_frequency_attack,
 )
-from repro.core.gain import METRICS, AttackOutcome, average_gain, evaluate_attack
+from repro.core.gain import METRICS, AttackOutcome, evaluate_attack
 from repro.core.theory import theorem1_degree_gain, theorem2_clustering_gain
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.core.untargeted_attacks import (
@@ -30,7 +30,6 @@ __all__ = [
     "evaluate_untargeted_attack",
     "Attack",
     "random_new_neighbors",
-    "rr_perturb_neighbor_set",
     "ClusteringMGA",
     "ClusteringRNA",
     "ClusteringRVA",
@@ -45,7 +44,6 @@ __all__ = [
     "evaluate_frequency_attack",
     "METRICS",
     "AttackOutcome",
-    "average_gain",
     "evaluate_attack",
     "theorem1_degree_gain",
     "theorem2_clustering_gain",

@@ -8,7 +8,6 @@ from typing import Dict
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.ldp.mechanisms import rr_keep_probability
 from repro.protocols.base import FakeReport
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.utils.rng import RngLike, ensure_rng
@@ -71,28 +70,6 @@ def random_new_neighbors(
     if chosen.size > count:
         chosen = rng.choice(chosen, size=count, replace=False)
     return np.sort(chosen)
-
-
-def rr_perturb_neighbor_set(
-    node: int,
-    neighbors: np.ndarray,
-    num_nodes: int,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Randomized response applied to one adjacency bit vector, sparsely.
-
-    Used by RNA, which submits *honestly perturbed* reports: each true
-    neighbour bit survives with probability ``p`` and each of the remaining
-    ``N - 1 - d`` zero bits flips with probability ``1 - p``.
-    """
-    keep = rr_keep_probability(epsilon)
-    neighbors = np.unique(np.asarray(neighbors, dtype=np.int64))
-    survivors = neighbors[rng.random(neighbors.size) < keep]
-    num_zero_bits = num_nodes - 1 - neighbors.size
-    flip_count = int(rng.binomial(num_zero_bits, 1.0 - keep)) if num_zero_bits > 0 else 0
-    flipped = random_new_neighbors(node, neighbors, flip_count, num_nodes, rng)
-    return np.union1d(survivors, flipped)
 
 
 def ensure_attack_rng(rng: RngLike) -> np.random.Generator:

@@ -31,7 +31,7 @@ from repro.core.base import Attack
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.graph.adjacency import Graph
 from repro.protocols.base import FakeReport, GraphLDPProtocol
-from repro.utils.rng import RngLike, child_rng, ensure_rng
+from repro.utils.rng import RngLike, child_rng
 
 #: Metrics an attack can be evaluated on.
 METRICS = ("degree_centrality", "clustering_coefficient", "modularity")
@@ -180,33 +180,3 @@ def evaluate_attack(
         after=after,
         overrides=overrides if type(overrides) is dict else dict(overrides),
     )
-
-
-def average_gain(
-    graph: Graph,
-    protocol: GraphLDPProtocol,
-    attack: Attack,
-    metric: str,
-    beta: float,
-    gamma: float,
-    trials: int = 3,
-    rng: RngLike = 0,
-    labels: Optional[np.ndarray] = None,
-) -> float:
-    """Mean total gain over ``trials`` independent threat-model draws.
-
-    This is the quantity the paper's figures plot: each trial redraws fake
-    users, targets, attack randomness and protocol noise.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    root = ensure_rng(rng)
-    gains = []
-    for trial in range(trials):
-        trial_seed = int(root.integers(2**63 - 1))
-        threat = ThreatModel.sample(graph, beta, gamma, rng=child_rng(trial_seed, "threat"))
-        outcome = evaluate_attack(
-            graph, protocol, attack, threat, metric=metric, rng=trial_seed, labels=labels
-        )
-        gains.append(outcome.total_gain)
-    return float(np.mean(gains))

@@ -10,18 +10,13 @@ from repro.defenses.base import (
 )
 from repro.defenses.degree_consistency import DegreeConsistencyDefense
 from repro.defenses.evaluation import DefendedOutcome, evaluate_defended_attack
-from repro.defenses.frequency import (
-    OUEAnomalyDefense,
-    defended_estimate,
-    normalize_frequencies,
-)
+from repro.defenses.frequency import OUEAnomalyDefense, normalize_frequencies
 from repro.defenses.frequent_itemset import FrequentItemsetDefense
 from repro.defenses.hybrid import HybridDefense
 from repro.defenses.naive import NaiveDegreeTailsDefense, NaiveTopDegreeDefense
 
 __all__ = [
     "OUEAnomalyDefense",
-    "defended_estimate",
     "normalize_frequencies",
     "HybridDefense",
     "apriori",

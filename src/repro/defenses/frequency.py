@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ldp.frequency_oracles import OUE, FrequencyOracle
+from repro.ldp.frequency_oracles import OUE
 from repro.utils.validation import check_positive
 
 
@@ -90,18 +90,3 @@ class OUEAnomalyDefense:
     def filter_reports(self, oracle: OUE, reports: np.ndarray) -> np.ndarray:
         """Reports with anomalous rows removed."""
         return np.asarray(reports)[self.keep_mask(oracle, reports)]
-
-
-def defended_estimate(
-    oracle: FrequencyOracle,
-    reports: np.ndarray,
-    normalize: bool = True,
-    oue_defense: OUEAnomalyDefense | None = None,
-) -> np.ndarray:
-    """Estimate frequencies with the selected countermeasures applied."""
-    if oue_defense is not None and isinstance(oracle, OUE):
-        reports = oue_defense.filter_reports(oracle, reports)
-    estimates = oracle.estimate_frequencies(reports)
-    if normalize:
-        estimates = normalize_frequencies(estimates)
-    return estimates

@@ -1,19 +1,20 @@
 """Task-graph experiment execution engine.
 
-The engine turns an experiment sweep into a flat list of declarative
-:class:`~repro.engine.tasks.TrialTask` specs — one per (parameter value ×
-attack × trial) — and executes them through pluggable
+The engine executes the flat lists of declarative
+:class:`~repro.engine.tasks.TrialTask` specs that scenarios compile to — one
+per (parameter value × series × trial) — through pluggable
 :class:`~repro.engine.executors.Executor` backends with an on-disk result
-cache in front:
+store in front:
 
 * :mod:`repro.engine.registry` — string-keyed registries of attacks,
   protocols and defenses, so every scenario is addressable by name from
   configs, task specs and the CLI;
 * :mod:`repro.engine.tasks` — the frozen task spec and its stable content
   hash (the cache key);
-* :mod:`repro.engine.cache` — the legacy per-task JSON result cache;
-* :mod:`repro.engine.result_store` — the sharded append-only result store
-  (the default cache), with transparent read-through of the legacy layout;
+* :mod:`repro.engine.cache` — the cache version stamp, the cache root and
+  the no-op cache behind ``--no-cache``;
+* :mod:`repro.engine.result_store` — the sharded append-only result store,
+  the one place a cached result lives;
 * :mod:`repro.engine.graph_store` — graphs registered by content key and
   exported once into shared memory for zero-copy worker attach;
 * :mod:`repro.engine.executors` — serial and process-pool execution plus
@@ -36,7 +37,7 @@ Serial and parallel executions are bit-identical, and cached results are
 indistinguishable from recomputed ones.
 """
 
-from repro.engine.cache import CACHE_VERSION, NullCache, ResultCache, default_cache_dir
+from repro.engine.cache import CACHE_VERSION, NullCache, default_cache_dir
 from repro.engine.distributed import (
     DistributedExecutor,
     LeaseDirectory,
@@ -51,7 +52,6 @@ from repro.engine.executors import (
     SerialExecutor,
     cache_for,
     execute_task,
-    executor_for,
     min_parallel_tasks,
     run_batch,
     run_tasks,
@@ -79,7 +79,6 @@ __all__ = [
     "labels_fingerprint",
     "CACHE_VERSION",
     "NullCache",
-    "ResultCache",
     "default_cache_dir",
     "ChunkTimeoutError",
     "DistributedExecutor",
@@ -96,7 +95,6 @@ __all__ = [
     "cache_for",
     "execute_task",
     "execute_tasks_grouped",
-    "executor_for",
     "point_key",
     "min_parallel_tasks",
     "run_batch",

@@ -1,27 +1,21 @@
-"""On-disk JSON result cache keyed by task content hash.
+"""Result-cache constants: the version stamp, the cache root and the null cache.
 
-Each cached entry is one small JSON file under ``<root>/<hh>/<hash>.json``
-holding the cache-version stamp, the task's identity fields and the measured
-gain.  Reads validate both the version stamp and the stored identity, so a
-stale cache from an older engine (or a hash collision) degrades to a miss,
-never to a wrong result.  Writes are atomic (tmp file + rename), so
-concurrent processes sharing a cache directory cannot observe torn entries.
-
-The cache root resolves, in order: an explicit ``root`` argument, the
-``REPRO_CACHE_DIR`` environment variable, ``.repro_cache/`` under the
-current working directory.  Bump :data:`CACHE_VERSION` whenever a change
-anywhere in the library alters what a task computes.
+Results live in :class:`~repro.engine.result_store.ShardedResultStore`; this
+module holds what the store, the integrity tooling and the drivers share
+without importing one another.  The cache root resolves, in order: an
+explicit ``root`` argument, the ``REPRO_CACHE_DIR`` environment variable,
+``.repro_cache/`` under the current working directory.  Bump
+:data:`CACHE_VERSION` whenever a change anywhere in the library alters what a
+task computes.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
-from repro.engine.tasks import TrialTask, identity_payload
+from repro.engine.tasks import TrialTask
 
 #: Invalidation stamp: entries written under another version are ignored.
 CACHE_VERSION = 1
@@ -36,82 +30,6 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override)
     return Path.cwd() / ".repro_cache"
-
-
-class ResultCache:
-    """Task-hash-keyed persistent store of trial gains.
-
-    Parameters
-    ----------
-    root:
-        Cache directory; created lazily on first write.  Defaults to
-        :func:`default_cache_dir`.
-    """
-
-    def __init__(self, root: Union[str, Path, None] = None):
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
-
-    def path_for(self, task: TrialTask) -> Path:
-        """Where ``task``'s entry lives (two-level fan-out keeps dirs small)."""
-        digest = task.content_hash()
-        return self.root / digest[:2] / f"{digest}.json"
-
-    def get(self, task: TrialTask) -> Optional[float]:
-        """The cached gain for ``task``, or None on any kind of miss."""
-        path = self.path_for(task)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        identity = identity_payload(task)
-        if entry.get("cache_version") != CACHE_VERSION or entry.get("task") != identity:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return float(entry["gain"])
-
-    def put(self, task: TrialTask, gain: float) -> None:
-        """Persist ``gain`` for ``task`` atomically."""
-        path = self.path_for(task)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "cache_version": CACHE_VERSION,
-            "task": identity_payload(task),
-            "gain": float(gain),
-        }
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=path.parent, suffix=".tmp", delete=False, encoding="utf-8"
-        )
-        try:
-            json.dump(entry, handle)
-            handle.close()
-            os.replace(handle.name, path)
-        except BaseException:
-            handle.close()
-            os.unlink(handle.name)
-            raise
-
-    def stats(self) -> dict:
-        """Lifetime hit/miss counters of this cache instance."""
-        return {"hits": self.hits, "misses": self.misses}
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number of entries removed."""
-        removed = 0
-        if self.root.is_dir():
-            for entry in self.root.glob("*/*.json"):
-                entry.unlink()
-                removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
 
 
 class NullCache:

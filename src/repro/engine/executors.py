@@ -47,11 +47,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from repro.core.base import Attack
 from repro.core.gain import evaluate_attack
 from repro.core.threat_model import ThreatModel
 from repro.defenses.evaluation import evaluate_defended_attack
-from repro.engine.cache import NullCache, ResultCache
+from repro.engine.cache import NullCache
 from repro.engine.graph_store import (
     GraphStore,
     SharedLabelsHandle,
@@ -63,12 +62,11 @@ from repro.engine.registry import ATTACKS, DEFENSES, PROTOCOLS
 from repro.engine.result_store import ShardedResultStore
 from repro.engine.tasks import TrialTask
 from repro.graph.adjacency import Graph, SharedGraphHandle
-from repro.protocols.base import GraphLDPProtocol
 from repro.telemetry.core import Tracer, current_tracer, set_tracer
 from repro.utils.rng import child_rng
 
 #: Any cache flavour the drivers accept.
-CacheLike = Union[ResultCache, ShardedResultStore, NullCache]
+CacheLike = Union[ShardedResultStore, NullCache]
 
 #: Env knob: smallest batch worth a process-pool fan-out.  Batches below the
 #: threshold run in-process (pool startup would dominate).  Default 2 keeps
@@ -172,29 +170,19 @@ def execute_task(
     task: TrialTask,
     graph: Graph,
     labels: Optional[np.ndarray] = None,
-    attack_factory: Optional[Callable[[], Attack]] = None,
-    protocol_factory: Optional[Callable[[float], GraphLDPProtocol]] = None,
 ) -> float:
     """Run one trial task and return its total gain.
 
     The single-task reference the engine's point kernel
-    (:mod:`repro.engine.kernels`) must equal.  ``attack_factory`` /
-    ``protocol_factory`` override the registry lookup; the experiment layer
-    passes them when a sweep uses components that are not registered (such
-    components cannot be cached or parallelised, but they follow the exact
-    same seed derivation, so results stay comparable).
+    (:mod:`repro.engine.kernels`) must equal.
     """
     with current_tracer().span(
         "task.execute",
         figure=task.figure, series=task.series, attack=task.attack,
         value=task.value, trial=task.trial,
     ):
-        attack = attack_factory() if attack_factory is not None else ATTACKS.create(task.attack)
-        protocol = (
-            protocol_factory(task.epsilon)
-            if protocol_factory is not None
-            else PROTOCOLS.create(task.protocol, epsilon=task.epsilon)
-        )
+        attack = ATTACKS.create(task.attack)
+        protocol = PROTOCOLS.create(task.protocol, epsilon=task.epsilon)
         threat = ThreatModel.sample(
             graph, task.beta, task.gamma, rng=child_rng(task.seed, "threat")
         )
@@ -632,28 +620,8 @@ class ParallelExecutor(Executor):
                 del unfinished[futures[future]]
 
 
-def executor_for(config) -> Executor:
-    """The executor implied by ``config.jobs`` (1 -> serial).
-
-    ``config.max_retries``/``config.task_timeout`` (when present) size the
-    parallel executor's crash-retry and stall-deadline behaviour.
-    """
-    jobs = getattr(config, "jobs", 1)
-    if jobs > 1:
-        return ParallelExecutor(
-            jobs=jobs,
-            max_retries=getattr(config, "max_retries", None),
-            task_timeout=getattr(config, "task_timeout", None),
-        )
-    return SerialExecutor()
-
-
 def cache_for(config) -> CacheLike:
-    """The cache implied by ``config.cache`` (False -> no caching).
-
-    Caching now goes through the sharded append-only store; legacy per-task
-    caches at the same root keep answering through its read-through path.
-    """
+    """The cache implied by ``config.cache``: the sharded store, or none."""
     return ShardedResultStore() if getattr(config, "cache", False) else NullCache()
 
 

@@ -1,17 +1,17 @@
 """End-to-end data integrity for the storage plane.
 
 Every durable artifact the engine depends on — result shards, lease files,
-goldens, legacy cache entries — used to be trusted byte for byte: a flipped
-bit in a gain digit parsed fine and was silently *believed*, a torn or
-unparseable line was silently *dropped* as a cache miss.  This module makes
-corruption detectable, reportable and repairable:
+goldens — used to be trusted byte for byte: a flipped bit in a gain digit
+parsed fine and was silently *believed*, a torn or unparseable line was
+silently *dropped* as a cache miss.  This module makes corruption
+detectable, reportable and repairable:
 
 * **Checksums** — every shard line gains an optional CRC32 field
   (:data:`CHECKSUM_FIELD`) stamped at append time over the entry's canonical
   JSON form and verified at parse time.  Lines written before this field
   existed stay readable (the field is optional), so no
   :data:`~repro.engine.cache.CACHE_VERSION` bump is needed — checksummed and
-  legacy-unchecksummed lines coexist in one shard.
+  unchecksummed lines coexist in one shard.
 * **Quarantine** — a record failing verification is copied into
   ``<cache_root>/quarantine/`` with a structured reason
   (:data:`REASON_BAD_CHECKSUM`, :data:`REASON_TORN_LINE`,
@@ -29,9 +29,11 @@ corruption detectable, reportable and repairable:
 * **Offline maintenance** — :func:`verify_store` (full scan, per-shard
   report), :func:`repair_store` (write-temp+rename compaction preserving
   last-writer-wins winners bit-identically), :func:`gc_store` (expired
-  leases, orphaned legacy files, stale temp files).  These back the
+  leases and stale lease temp files).  These back the
   ``repro cache verify|repair|gc|stats`` CLI family and assume a quiesced
-  store — run them between sweeps, not under one.
+  store — run them between sweeps, not under one.  Each raises
+  ``ValueError`` when the cache root is not a directory, so a mistyped root
+  fails loudly instead of reporting an empty store as clean.
 
 Counters flow through the telemetry tracer: ``integrity.corrupt`` (lines
 failing verification), ``integrity.quarantined`` (quarantine copies
@@ -55,7 +57,7 @@ from repro.engine.tasks import TrialTask
 from repro.telemetry.core import current_tracer
 
 #: Optional per-line checksum field: CRC32 (hex8) over the entry's canonical
-#: JSON form with this field removed.  Lines without it are legacy entries.
+#: JSON form with this field removed.  Lines written before it existed lack it.
 CHECKSUM_FIELD = "crc"
 
 #: Subdirectory of the cache root holding quarantined records.
@@ -293,13 +295,11 @@ class StoreReport:
 
     root: Path
     shards: List[ShardReport] = field(default_factory=list)
-    legacy_files: int = 0
-    legacy_corrupt: int = 0
     quarantined: int = 0
 
     @property
     def corrupt_total(self) -> int:
-        return sum(shard.corrupt_total for shard in self.shards) + self.legacy_corrupt
+        return sum(shard.corrupt_total for shard in self.shards)
 
     @property
     def distinct_total(self) -> int:
@@ -324,10 +324,6 @@ class StoreReport:
             f"{sum(s.unchecksummed for s in self.shards)} legacy-unchecksummed, "
             f"{sum(s.superseded for s in self.shards)} superseded, "
             f"{sum(s.salvaged for s in self.shards)} salvaged)"
-        )
-        lines.append(
-            f"legacy per-task files: {self.legacy_files} "
-            f"({self.legacy_corrupt} corrupt)"
         )
         lines.append(f"quarantine: {self.quarantined} records")
         lines.append(
@@ -387,18 +383,22 @@ def _scan_shard(path: Path) -> Tuple[ShardReport, Dict[str, int], List[Tuple[int
     return report, winners, keepable
 
 
-def _legacy_paths(root: Path) -> List[Path]:
-    return sorted(root.glob("[0-9a-f][0-9a-f]/*.json"))
+def _store_root(root: Union[str, Path, None]) -> Path:
+    """The cache root to scan; ``ValueError`` naming it if not a directory."""
+    root = Path(root) if root is not None else default_cache_dir()
+    if not root.is_dir():
+        raise ValueError(f"cache root {str(root)!r} is not a directory")
+    return root
 
 
 def verify_store(root: Union[str, Path, None] = None) -> StoreReport:
-    """Full-store integrity scan: every shard line, every legacy file.
+    """Full-store integrity scan: every line of every shard.
 
     Read-only — reports damage (``integrity.corrupt`` counters fire) but
     quarantines nothing; :func:`repair_store` is the mutating counterpart.
     Run it quiesced: an append in flight reads as a torn trailing line.
     """
-    root = Path(root) if root is not None else default_cache_dir()
+    root = _store_root(root)
     tracer = current_tracer()
     report = StoreReport(root=root)
     for path in sorted(root.glob("shard-*.jsonl")):
@@ -406,16 +406,6 @@ def verify_store(root: Union[str, Path, None] = None) -> StoreReport:
         report.shards.append(shard)
         if shard.corrupt_total:
             tracer.counter("integrity.corrupt", shard.corrupt_total)
-    for path in _legacy_paths(root):
-        report.legacy_files += 1
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            ok = isinstance(entry, dict) and math.isfinite(float(entry.get("gain", 0.0)))
-        except (OSError, ValueError, TypeError):
-            ok = False
-        if not ok:
-            report.legacy_corrupt += 1
-            tracer.counter("integrity.corrupt")
     report.quarantined = len(Quarantine(root))
     return report
 
@@ -454,7 +444,7 @@ def repair_store(root: Union[str, Path, None] = None) -> RepairReport:
     shards are left untouched.  Run quiesced — a concurrent append between
     scan and rename would be lost.
     """
-    root = Path(root) if root is not None else default_cache_dir()
+    root = _store_root(root)
     tracer = current_tracer()
     quarantine = Quarantine(root)
     report = RepairReport(root=root)
@@ -515,32 +505,27 @@ class GcReport:
     root: Path
     leases_pruned: int = 0
     temp_files_pruned: int = 0
-    legacy_pruned: int = 0
-    legacy_dirs_pruned: int = 0
 
     def format(self) -> str:
         return (
             f"gc of {self.root}: pruned {self.leases_pruned} expired lease(s), "
-            f"{self.temp_files_pruned} stale temp file(s), "
-            f"{self.legacy_pruned} migrated legacy file(s) "
-            f"({self.legacy_dirs_pruned} emptied fan-out dir(s))"
+            f"{self.temp_files_pruned} stale temp file(s)"
         )
 
 
 def gc_store(
     root: Union[str, Path, None] = None, lease_ttl: float = 30.0
 ) -> GcReport:
-    """Prune expired leases, stale temp files and migrated legacy entries.
+    """Prune expired leases and stale lease temp files.
 
     A lease (or lease temp file) whose mtime is older than ``lease_ttl``
     has not been heartbeated for at least that long — heartbeats rewrite
-    the file — so it is dead weight from a crashed worker.  A legacy
-    per-task file whose hash already answers from its shard was migrated
-    forward and will never be read again.  Live data is never touched.
+    the file — so it is dead weight from a crashed worker.  Live data is
+    never touched.
     """
     import time
 
-    root = Path(root) if root is not None else default_cache_dir()
+    root = _store_root(root)
     report = GcReport(root=root)
     now = time.time()
     leases = root / "leases"
@@ -561,22 +546,4 @@ def gc_store(
                 report.temp_files_pruned += 1
             else:
                 report.leases_pruned += 1
-    migrated: Dict[str, Set[str]] = {}
-    for shard_path in root.glob("shard-*.jsonl"):
-        prefix = shard_path.stem[len("shard-"):]
-        _, winners, _ = _scan_shard(shard_path)
-        migrated[prefix] = set(winners)
-    for path in _legacy_paths(root):
-        if path.stem in migrated.get(path.parent.name, ()):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            report.legacy_pruned += 1
-    for directory in sorted(root.glob("[0-9a-f][0-9a-f]")):
-        try:
-            directory.rmdir()  # only succeeds when empty
-            report.legacy_dirs_pruned += 1
-        except OSError:
-            pass
     return report

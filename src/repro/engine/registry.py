@@ -2,13 +2,11 @@
 
 Task specs (:class:`repro.engine.tasks.TrialTask`) must be serialisable and
 hashable, so they reference scenario components *by name* rather than by
-object.  The registries here map those names to factories and back:
+object.  The registries here map those names to factories:
 
 >>> from repro.engine.registry import ATTACKS
 >>> ATTACKS.create("degree/mga").name
 'MGA'
->>> ATTACKS.resolve(type(ATTACKS.create("degree/mga")))
-'degree/mga'
 
 Every attack and protocol exported from :mod:`repro.core` /
 :mod:`repro.protocols` (and every graph defense from :mod:`repro.defenses`)
@@ -24,7 +22,7 @@ T = TypeVar("T")
 
 
 class Registry:
-    """A name -> factory mapping with reverse lookup.
+    """A name -> factory mapping.
 
     Parameters
     ----------
@@ -67,13 +65,6 @@ class Registry:
     def create(self, name: str, **kwargs) -> object:
         """Instantiate the component registered under ``name``."""
         return self.get(name)(**kwargs)
-
-    def resolve(self, factory: Callable[..., object]) -> Optional[str]:
-        """Reverse lookup: the name ``factory`` is registered under, or None."""
-        for name, registered in self._factories.items():
-            if registered is factory:
-                return name
-        return None
 
     def names(self) -> Tuple[str, ...]:
         """All registered names, sorted."""

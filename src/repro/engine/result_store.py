@@ -1,27 +1,20 @@
-"""Sharded, append-only result store with legacy per-task read-through.
+"""Sharded, append-only result store keyed by task content hash.
 
-The original :class:`~repro.engine.cache.ResultCache` wrote one tiny JSON
-file per task.  At scenario scale that layout is dominated by filesystem
-metadata: thousands of ``open``/``rename`` pairs, one inode each, and a
-directory entry per trial.  :class:`ShardedResultStore` replaces it with 256
-append-only shard files keyed by the first two hex digits of the task
-content hash — the same prefix the legacy layout used for its fan-out
-directories, so both generations share one cache root:
+:class:`ShardedResultStore` keeps every result in one of 256 append-only
+shard files keyed by the first two hex digits of the task content hash, so
+a sweep of thousands of trials costs a few file appends instead of one
+inode per task:
 
 * ``<root>/shard-<hh>.jsonl`` — one JSON line per result, appended with a
   single ``write`` on an ``O_APPEND`` descriptor (atomic on POSIX), so
   concurrent processes can append to the same shard without locks or torn
-  reads; duplicate hashes resolve last-writer-wins;
-* ``<root>/<hh>/<hash>.json`` — the legacy per-task layout, still **read**
-  transparently: a shard miss falls through to the legacy file, and a hit
-  there is migrated forward by appending it to the shard, so old caches
-  keep answering without a recompute and converge to the new layout.
+  reads; duplicate hashes resolve last-writer-wins.
 
-Entries store the full task identity next to the gain, exactly like the
-legacy cache: a version bump, an identity mismatch (hash collision) or a
-torn trailing line all degrade to a miss, never to a wrong result.
-:data:`~repro.engine.cache.CACHE_VERSION` is shared with the legacy cache —
-task identities did not change, so neither did the stamp.
+Entries store the full task identity next to the gain: a
+:data:`~repro.engine.cache.CACHE_VERSION` bump, an identity mismatch (hash
+collision) or a torn trailing line all degrade to a miss, never to a wrong
+result.  Files of the retired one-file-per-task layout
+(``<root>/<hh>/<hash>.json``) are not read: their tasks miss and recompute.
 
 Integrity (see :mod:`repro.engine.integrity`): every line appended here
 carries a CRC32 checksum verified at parse time (pre-checksum lines stay
@@ -35,7 +28,6 @@ the non-durable results reported so ``--resume`` recomputes exactly those.
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
 from pathlib import Path
@@ -43,9 +35,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.engine.cache import CACHE_VERSION, default_cache_dir
 from repro.engine.integrity import (
-    REASON_NON_FINITE,
     REASON_TORN_LINE,
-    REASON_UNPARSEABLE,
     CHECKSUM_FIELD,
     Quarantine,
     ensure_finite_gain,
@@ -81,8 +71,7 @@ class ShardedResultStore:
     Parameters
     ----------
     root:
-        Cache directory, shared with (and layered over) any legacy per-task
-        cache already there.  Defaults to
+        Cache directory; created lazily on first write.  Defaults to
         :func:`repro.engine.cache.default_cache_dir`.
 
     Shard indexes are loaded lazily, one file parse per touched prefix, and
@@ -96,11 +85,9 @@ class ShardedResultStore:
         self.hits = 0
         self.misses = 0
         self.appends = 0
-        self.migrated = 0
         self.shards_loaded = 0
         self.reloads = 0
         self.corrupt = 0
-        self.legacy_corrupt = 0
         #: True once an append hit a disk fault and the store switched to
         #: the in-memory overlay for the entries it could not persist.
         self.degraded = False
@@ -120,14 +107,12 @@ class ShardedResultStore:
         """Lifetime counters of this store instance.
 
         ``hits``/``misses`` count :meth:`get` outcomes, ``appends`` counts
-        :meth:`put` writes, ``migrated`` counts legacy entries forwarded
-        into shards, ``shards_loaded`` counts shard files actually parsed,
-        ``reloads`` counts staleness-probe re-parses that picked up other
-        processes' appends, ``corrupt``/``quarantined`` count shard lines
-        failing integrity verification (and the quarantine records written
-        for them), ``legacy_corrupt`` counts unreadable legacy per-task
-        files, and ``non_durable`` counts results held only in memory after
-        a disk-fault degradation.
+        :meth:`put` writes, ``shards_loaded`` counts shard files actually
+        parsed, ``reloads`` counts staleness-probe re-parses that picked up
+        other processes' appends, ``corrupt``/``quarantined`` count shard
+        lines failing integrity verification (and the quarantine records
+        written for them), and ``non_durable`` counts results held only in
+        memory after a disk-fault degradation.
         :meth:`~repro.engine.session.EngineSession.close` logs this
         snapshot through telemetry.
         """
@@ -135,12 +120,10 @@ class ShardedResultStore:
             "hits": self.hits,
             "misses": self.misses,
             "appends": self.appends,
-            "migrated": self.migrated,
             "shards_loaded": self.shards_loaded,
             "reloads": self.reloads,
             "corrupt": self.corrupt,
             "quarantined": self.quarantine.added,
-            "legacy_corrupt": self.legacy_corrupt,
             "non_durable": len(self._non_durable),
         }
 
@@ -163,10 +146,6 @@ class ShardedResultStore:
         """Where one shard's append-only file lives."""
         return self.root / f"shard-{prefix}.jsonl"
 
-    def _legacy_path(self, digest: str) -> Path:
-        """Where the pre-shard layout kept this task's entry."""
-        return self.root / digest[:SHARD_PREFIX_LEN] / f"{digest}.json"
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -186,8 +165,6 @@ class ShardedResultStore:
         entry = self._index.get(prefix, {}).get(digest)
         if entry is None and self._reload_if_stale(prefix):
             entry = self._index.get(prefix, {}).get(digest)
-        if entry is None:
-            entry = self._read_legacy(task, digest)
         if entry is None or not self._valid(entry, task):
             self.misses += 1
             current_tracer().counter("result_store.miss")
@@ -209,63 +186,6 @@ class ShardedResultStore:
         self.corrupt += 1
         current_tracer().counter("integrity.corrupt")
         self.quarantine.add(source, line_number, raw, reason)
-
-    def _read_legacy(self, task: TrialTask, digest: str) -> Optional[dict]:
-        """Read-through of the legacy per-task file, migrating on a hit.
-
-        Damage here is never silent: an unreadable, unparseable or
-        non-finite legacy file is counted (``result_store.legacy_corrupt``)
-        and quarantined, then degrades to a miss.
-        """
-        path = self._legacy_path(digest)
-        source = f"{digest[:SHARD_PREFIX_LEN]}/{path.name}"
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            # Unreadable (permissions, I/O error): nothing to quarantine,
-            # but the skip must be visible.
-            self.legacy_corrupt += 1
-            current_tracer().counter("result_store.legacy_corrupt")
-            return None
-        try:
-            entry = json.loads(raw)
-        except json.JSONDecodeError:
-            self.legacy_corrupt += 1
-            current_tracer().counter("result_store.legacy_corrupt")
-            self._record_corrupt(source, 1, raw, REASON_UNPARSEABLE)
-            return None
-        if not isinstance(entry, dict):
-            self.legacy_corrupt += 1
-            current_tracer().counter("result_store.legacy_corrupt")
-            self._record_corrupt(source, 1, raw, REASON_UNPARSEABLE)
-            return None
-        gain = entry.get("gain")
-        if (
-            not isinstance(gain, (int, float))
-            or isinstance(gain, bool)
-            or not math.isfinite(gain)
-        ):
-            self.legacy_corrupt += 1
-            current_tracer().counter("result_store.legacy_corrupt")
-            self._record_corrupt(source, 1, raw, REASON_NON_FINITE)
-            return None
-        if not self._valid(entry, task):
-            return None
-        # Migrate forward (legacy entries carry no hash field): next time
-        # this prefix loads, the shard answers.  Migration is best-effort —
-        # a read-only or full cache root must degrade to answering from the
-        # legacy file, never fail the read.
-        entry = stamp_checksum({**entry, "hash": digest})
-        try:
-            self._append(digest, entry)
-        except OSError:
-            self._index.setdefault(digest[:SHARD_PREFIX_LEN], {})[digest] = entry
-        self.migrated += 1
-        current_tracer().counter("result_store.migrated")
-        return entry
 
     def _shard_stat(self, prefix: str) -> Optional[Tuple[int, int]]:
         """The shard file's (size, mtime_ns), or None when absent."""
@@ -466,7 +386,7 @@ class ShardedResultStore:
         self._shard_stats.clear()
 
     def clear(self) -> int:
-        """Delete every entry — shards and legacy files; returns entry count.
+        """Delete every shard; returns the number of entries removed.
 
         Counts distinct stored results (same semantics as ``len``), not raw
         shard lines — duplicate appends and torn lines are not entries.
@@ -476,14 +396,12 @@ class ShardedResultStore:
         if self.root.is_dir():
             for shard in self.root.glob("shard-*.jsonl"):
                 shard.unlink()
-            for entry in self.root.glob("[0-9a-f][0-9a-f]/*.json"):
-                entry.unlink()
         self.refresh()
         self._non_durable.clear()
         return removed
 
     def __len__(self) -> int:
-        """Distinct stored results (shards plus unmigrated legacy entries)."""
+        """Distinct stored results across all shards (plus the overlay)."""
         if not self.root.is_dir():
             return len(self._non_durable)
         digests = set(self._non_durable)
@@ -492,6 +410,4 @@ class ShardedResultStore:
             self._load_shard(prefix)
         for index in self._index.values():
             digests.update(index)
-        for entry in self.root.glob("[0-9a-f][0-9a-f]/*.json"):
-            digests.add(entry.stem)
         return len(digests)

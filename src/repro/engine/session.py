@@ -224,8 +224,7 @@ def session_scope(
     ephemeral session is created from ``config`` with ``cache`` installed
     as its default (so the override slot comes back None) and closed when
     the block exits.  This is the single definition of the session
-    acquisition dance every entry point (scenario runs, sweep runner)
-    shares.
+    acquisition dance the scenario runners share.
     """
     if session is not None:
         yield session, cache

@@ -87,9 +87,8 @@ def labels_fingerprint(labels) -> str:
 def identity_payload(task: "TrialTask") -> dict:
     """A task's identity fields as stored/compared on disk (tuples -> lists).
 
-    The single definition both cache generations validate entries against —
-    the legacy per-task cache and the sharded store must agree byte for
-    byte, or legacy read-through would silently degrade to misses.
+    The single definition the sharded store writes and validates entries
+    against, so a stored identity compares equal to a live task's.
     """
     payload = dict(task.identity())
     payload["defense_args"] = [list(pair) for pair in task.defense_args]

@@ -1,4 +1,4 @@
-"""Experiment harness: Table III defaults, sweep runner, per-figure drivers."""
+"""Experiment harness: Table III defaults, sweep results, per-figure drivers."""
 
 from repro.experiments.config import (
     BETAS,
@@ -28,13 +28,7 @@ from repro.experiments.figures import (
     table2_rows,
 )
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    CLUSTERING_ATTACKS,
-    DEGREE_ATTACKS,
-    SweepResult,
-    build_sweep_tasks,
-    run_attack_sweep,
-)
+from repro.experiments.runner import SweepResult
 
 __all__ = [
     "BETAS",
@@ -61,9 +55,5 @@ __all__ = [
     "fig15",
     "table2_rows",
     "format_table",
-    "CLUSTERING_ATTACKS",
-    "DEGREE_ATTACKS",
     "SweepResult",
-    "build_sweep_tasks",
-    "run_attack_sweep",
 ]

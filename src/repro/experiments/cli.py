@@ -7,7 +7,8 @@ List everything that can be run::
     python -m repro list
     python -m repro scenario list
 
-Regenerate Fig. 6 for the Facebook surrogate at a laptop-friendly scale::
+Regenerate Fig. 6 for the Facebook surrogate at a laptop-friendly scale
+(every paper artifact command is an alias for ``scenario run <name>``)::
 
     python -m repro fig6 --dataset facebook --scale 0.2 --trials 2
 
@@ -29,7 +30,7 @@ import dataclasses
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.engine import integrity
 from repro.engine.distributed import DEFAULT_LEASE_TTL, DistributedExecutor
@@ -53,41 +54,19 @@ from repro.telemetry import ProgressPrinter, RunManifest, Tracer
 from repro.telemetry.core import current_tracer, use_tracer
 from repro.telemetry.export import summarize_trace, write_trace
 
-#: Figure drivers that take (dataset, config).
-_PER_DATASET: Dict[str, Callable] = {
-    "fig6": figures.fig6,
-    "fig7": figures.fig7,
-    "fig8": figures.fig8,
-    "fig9": figures.fig9,
-    "fig10": figures.fig10,
-    "fig11": figures.fig11,
-}
-
-#: Figure drivers that take (config, dataset) and default to facebook.
-_DEFENSE_FIGURES: Dict[str, Callable] = {
-    "fig12a": figures.fig12a,
-    "fig12b": figures.fig12b,
-    "fig13a": figures.fig13a,
-    "fig13b": figures.fig13b,
-}
-
-#: Two-panel protocol comparisons.
-_PROTOCOL_FIGURES: Dict[str, Callable] = {
-    "fig14": figures.fig14,
-    "fig15": figures.fig15,
-}
-
-ARTIFACTS = ["table2", *_PER_DATASET, *_DEFENSE_FIGURES, *_PROTOCOL_FIGURES]
+#: Paper artifacts.  Each is an alias: ``repro fig6 ...`` runs exactly
+#: ``repro scenario run fig6 ...``.
+ARTIFACTS = ("table2", *figures.FIGURE_SCENARIOS)
 
 
-def _add_run_options(parser: argparse.ArgumentParser, dataset_default: Optional[str]) -> None:
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
     """The shared experiment knobs (Table III defaults + engine backends)."""
     parser.add_argument(
         "--dataset",
-        default=dataset_default,
+        default=None,
         choices=known_dataset_names(),
-        help="dataset surrogate, or a fetched snap-* real dataset"
-        + ("" if dataset_default else " (default: the scenario's own dataset)"),
+        help="dataset surrogate, or a fetched snap-* real dataset "
+        "(default: the scenario's own dataset)",
     )
     parser.add_argument(
         "--scale", type=float, default=None,
@@ -119,6 +98,28 @@ def _add_run_options(parser: argparse.ArgumentParser, dataset_default: Optional[
         "--task-timeout", type=float, default=None,
         help="seconds one round of in-flight worker chunks may stall before "
         "the pool is replaced and the round retried (default: no deadline)",
+    )
+
+
+def _add_scenario_run_options(parser: argparse.ArgumentParser) -> None:
+    """Everything ``scenario run`` (and each artifact alias) accepts."""
+    _add_run_options(parser)
+    parser.add_argument(
+        "--trace", metavar="PATH", default=None,
+        help="record telemetry and write a JSONL trace (plus a sibling "
+        ".manifest.json run manifest) to PATH; inspect it with "
+        "'repro trace summarize PATH'",
+    )
+    parser.add_argument(
+        "--progress", action="store_true",
+        help="print live per-panel progress to stderr while trials run",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="finish an interrupted sweep: refresh the shared result store "
+        "so everything any worker appended before dying answers as a cache "
+        "hit, recompute only what is missing, and print the reuse summary "
+        "(results are bit-identical to an uninterrupted run)",
     )
 
 
@@ -161,24 +162,7 @@ def _add_scenario_commands(subparsers) -> None:
         help="registered scenario name(s) (see 'scenario list'); multiple "
         "names run as one batched fan-out",
     )
-    _add_run_options(runner, dataset_default=None)
-    runner.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="record telemetry and write a JSONL trace (plus a sibling "
-        ".manifest.json run manifest) to PATH; inspect it with "
-        "'repro trace summarize PATH'",
-    )
-    runner.add_argument(
-        "--progress", action="store_true",
-        help="print live per-panel progress to stderr while trials run",
-    )
-    runner.add_argument(
-        "--resume", action="store_true",
-        help="finish an interrupted sweep: refresh the shared result store "
-        "so everything any worker appended before dying answers as a cache "
-        "hit, recompute only what is missing, and print the reuse summary "
-        "(results are bit-identical to an uninterrupted run)",
-    )
+    _add_scenario_run_options(runner)
 
     recorder = actions.add_parser(
         "record",
@@ -241,7 +225,7 @@ def _add_worker_command(subparsers) -> None:
         help="registered scenario name(s); every worker of one sweep must "
         "pass the same names and knobs",
     )
-    _add_run_options(worker, dataset_default=None)
+    _add_run_options(worker)
     worker.add_argument(
         "--worker-id", default=None,
         help="fleet-unique lease owner id (default: <hostname>:<pid>)",
@@ -269,32 +253,30 @@ def _add_cache_commands(subparsers) -> None:
         "cache",
         help="inspect and maintain the on-disk result store",
         description="Integrity tooling for the sharded result store: verify "
-        "scans every shard line and legacy file and reports corruption "
-        "per shard; repair compacts shards (corrupt lines move to "
-        "<root>/quarantine/ with a structured reason, superseded duplicates "
-        "drop, last-writer-wins winners are preserved bit-identically); gc "
-        "prunes expired leases, stale temp files and already-migrated "
-        "legacy files; stats prints the same scan without failing on "
-        "damage.  Run these between sweeps — a live append reads as a torn "
-        "trailing line.",
+        "scans every shard line and reports corruption per shard; repair "
+        "compacts shards (corrupt lines move to <root>/quarantine/ with a "
+        "structured reason, superseded duplicates drop, last-writer-wins "
+        "winners are preserved bit-identically); gc prunes expired leases "
+        "and stale temp files; stats prints the same scan without failing "
+        "on damage.  Run these between sweeps — a live append reads as a "
+        "torn trailing line.  A cache root that is not a directory is an "
+        "error (exit code 2).",
     )
     actions = cache.add_subparsers(dest="action", required=True)
     descriptions = {
         "verify": "Full-store integrity scan: parse and checksum-verify "
-        "every shard line, probe every legacy per-task file, count "
-        "quarantined records.  Read-only.  Exit code 1 when any corrupt "
+        "every shard line, count quarantined records.  Read-only.  Exit code 1 when any corrupt "
         "record is found.",
         "repair": "Rewrite damaged shards via write-temp+rename compaction: "
         "corrupt lines are quarantined with their reason, superseded "
         "duplicates dropped, surviving last-writer-wins entries preserved "
         "byte for byte.  Clean shards are left untouched.",
         "gc": "Prune dead weight: lease files and lease temp files whose "
-        "mtime is older than --lease-ttl (a crashed worker's leftovers), "
-        "and legacy per-task files whose entry already answers from its "
-        "shard (migrated forward, never read again).",
+        "mtime is older than --lease-ttl (a crashed worker's leftovers).",
         "stats": "Print the verify scan's summary (entries, checksummed vs "
-        "legacy lines, superseded duplicates, quarantine size) without "
-        "treating damage as a failure.  Exit code 0 always.",
+        "unchecksummed lines, superseded duplicates, quarantine size) "
+        "without treating damage as a failure.  Exit code 0 unless the "
+        "cache root is missing.",
     }
     for name in ("verify", "repair", "gc", "stats"):
         action = actions.add_parser(
@@ -405,16 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
         "beyond the paper's grid.",
     )
     subparsers = parser.add_subparsers(dest="artifact", required=True)
-    subparsers.add_parser("list", help="enumerate the paper artifacts")
+    subparsers.add_parser("list", help="enumerate the paper artifacts and commands")
     for name in ARTIFACTS:
-        helps = {
-            "table2": "dataset statistics",
-            **{fig: "per-dataset attack sweep (use --dataset)" for fig in _PER_DATASET},
-            **{fig: "countermeasure sweep (facebook)" for fig in _DEFENSE_FIGURES},
-            **{fig: "LF-GDPR vs LDPGen comparison" for fig in _PROTOCOL_FIGURES},
-        }
-        artifact = subparsers.add_parser(name, help=helps[name])
-        _add_run_options(artifact, dataset_default="facebook")
+        artifact = subparsers.add_parser(
+            name,
+            help=f"alias for 'scenario run {name}'",
+            description=f"{SCENARIOS.create(name).description}.  Runs exactly "
+            f"'repro scenario run {name}' with the same options.",
+        )
+        _add_scenario_run_options(artifact)
     _add_scenario_commands(subparsers)
     _add_worker_command(subparsers)
     _add_cache_commands(subparsers)
@@ -584,21 +565,19 @@ def _warn_non_durable(store: Optional[ShardedResultStore], out) -> None:
 def _cache_run(args, out) -> int:
     """The ``cache verify|repair|gc|stats`` maintenance commands."""
     root = Path(args.dir) if args.dir else None
-    if args.action == "verify":
-        report = integrity.verify_store(root)
-        print(report.format(), file=out)
-        return 1 if report.corrupt_total else 0
-    if args.action == "repair":
-        report = integrity.repair_store(root)
-        print(report.format(), file=out)
-        return 0
-    if args.action == "gc":
-        report = integrity.gc_store(root, lease_ttl=args.lease_ttl)
-        print(report.format(), file=out)
-        return 0
-    # stats: the verify scan, informational exit code.
-    print(integrity.verify_store(root).format(), file=out)
-    return 0
+    try:
+        if args.action == "repair":
+            report = integrity.repair_store(root)
+        elif args.action == "gc":
+            report = integrity.gc_store(root, lease_ttl=args.lease_ttl)
+        else:
+            report = integrity.verify_store(root)
+    except ValueError as error:
+        print(error, file=out)
+        return 2
+    print(report.format(), file=out)
+    # stats is the verify scan with an informational exit code.
+    return 1 if args.action == "verify" and report.corrupt_total else 0
 
 
 class _current_tracer_scope:
@@ -733,47 +712,17 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return _trace_summarize(args, out)
 
     if args.artifact == "list":
-        lines: List[str] = ["available artifacts:"]
-        lines.append("  table2       dataset statistics")
-        for name in _PER_DATASET:
-            lines.append(f"  {name:<12} per-dataset attack sweep (use --dataset)")
-        for name in _DEFENSE_FIGURES:
-            lines.append(f"  {name:<12} countermeasure sweep (facebook)")
-        for name in _PROTOCOL_FIGURES:
-            lines.append(f"  {name:<12} LF-GDPR vs LDPGen comparison")
+        lines: List[str] = ["paper artifacts (each an alias for 'scenario run <name>'):"]
+        for name in ARTIFACTS:
+            lines.append(f"  {name:<12} {SCENARIOS.create(name).description}")
+        lines.append("commands:")
         lines.append("  scenario     declarative scenarios (list/run/record/check)")
         lines.append("  worker       one process of a distributed sweep fleet")
         lines.append("  cache        result-store integrity (verify/repair/gc/stats)")
         lines.append("  dataset      real-dataset cache (list/fetch/stats)")
+        lines.append("  trace        telemetry traces (summarize)")
         print("\n".join(lines), file=out)
         return 0
 
-    config = _config_from(args)
-
-    if args.artifact == "table2":
-        rows = figures.table2_rows(config)
-        print(
-            format_table(
-                ["dataset", "paper nodes", "paper edges", "surrogate nodes", "surrogate edges"],
-                rows,
-                title="Table II",
-            ),
-            file=out,
-        )
-        return 0
-
-    if args.artifact in _PER_DATASET:
-        result = _PER_DATASET[args.artifact](args.dataset, config)
-        print(result.format(), file=out)
-        return 0
-
-    if args.artifact in _DEFENSE_FIGURES:
-        result = _DEFENSE_FIGURES[args.artifact](config, dataset=args.dataset)
-        print(result.format(), file=out)
-        return 0
-
-    results = _PROTOCOL_FIGURES[args.artifact](config, dataset=args.dataset)
-    for sweep in results.values():
-        print(sweep.format(), file=out)
-        print(file=out)
-    return 0
+    args.names = [args.artifact]
+    return _scenario_run(args, out)

@@ -44,7 +44,8 @@ class ExperimentConfig:
         Results are bit-identical for any value (every trial task derives
         its own seed).
     cache:
-        Reuse the on-disk trial-result cache (``repro.engine.cache``) so a
+        Reuse the on-disk result store
+        (:class:`~repro.engine.result_store.ShardedResultStore`) so a
         re-run only computes missing points.  Disable with ``--no-cache``.
     max_retries:
         Crash-retry rounds for parallel execution: a worker process dying

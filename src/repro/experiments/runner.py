@@ -1,65 +1,22 @@
-"""Generic sweep runner shared by all figure drivers.
+"""Sweep results: the gain curves every figure plots.
 
-One experiment point = the mean overall gain of one attack over
+One experiment point = the mean overall gain of one series over
 ``config.trials`` independent threat-model draws; a *sweep* varies one
-parameter (epsilon, beta or gamma) while the rest stay at Table III
-defaults, producing one series per attack — exactly the curves the paper's
-figures plot.
-
-Execution goes through :mod:`repro.engine`: the sweep is flattened into one
-:class:`~repro.engine.tasks.TrialTask` per (value × attack × trial), answered
-from the on-disk result cache where possible and executed serially or on a
-process pool for the rest.  Because every task derives its own seed, the
-resulting curves are identical whatever the executor, worker count or cache
-state.
+parameter (epsilon, beta, gamma or a defense argument) while the rest stay
+at Table III defaults, producing one series per attack — exactly the curves
+the paper's figures plot.  :func:`repro.scenarios.run_scenario` executes a
+sweep and aggregates its per-trial gains into a :class:`SweepResult`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.base import Attack
-from repro.core.clustering_attacks import ClusteringMGA, ClusteringRNA, ClusteringRVA
-from repro.core.degree_attacks import DegreeMGA, DegreeRNA, DegreeRVA
-from repro.engine.executors import (
-    CacheLike,
-    Executor,
-    cache_for,
-    execute_task,
-    run_tasks,
-)
-from repro.engine.session import EngineSession, session_scope
-from repro.engine.registry import ATTACKS, PROTOCOLS
-from repro.engine.tasks import (
-    TrialTask,
-    derive_trial_seed,
-    graph_fingerprint,
-    labels_fingerprint,
-)
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_table
-from repro.graph.adjacency import Graph
-from repro.protocols.base import GraphLDPProtocol
-from repro.protocols.lfgdpr import LFGDPRProtocol
-
-#: Parameters a sweep may vary.
-SWEEPABLE = ("epsilon", "beta", "gamma")
-
-#: Attack constructors in the paper's presentation order.
-DEGREE_ATTACKS: Dict[str, Callable[[], Attack]] = {
-    "RVA": DegreeRVA,
-    "RNA": DegreeRNA,
-    "MGA": DegreeMGA,
-}
-CLUSTERING_ATTACKS: Dict[str, Callable[[], Attack]] = {
-    "RVA": ClusteringRVA,
-    "RNA": ClusteringRNA,
-    "MGA": ClusteringMGA,
-}
 
 
 def stderr_of(samples: Sequence[float]) -> float:
@@ -126,147 +83,3 @@ class SweepResult:
         self.series.setdefault(name, []).append(float(np.mean(gains)))
         self.stderr.setdefault(name, []).append(stderr_of(gains))
         self.samples.setdefault(name, []).append(gains)
-
-
-def build_sweep_tasks(
-    graph: Graph,
-    dataset: str,
-    metric: str,
-    parameter: str,
-    values: Sequence[float],
-    config: ExperimentConfig,
-    attack_names: Mapping[str, str],
-    protocol_name: str,
-    labels_key: str,
-    figure: str,
-) -> List[TrialTask]:
-    """Flatten a sweep into its (value × attack × trial) task list.
-
-    ``attack_names`` maps series names to registry keys.  The per-task seed
-    key encodes every display coordinate, so each task owns an independent
-    stream no matter how the batch is partitioned.
-    """
-    graph_key = graph_fingerprint(graph)
-    tasks: List[TrialTask] = []
-    for value in values:
-        point = {
-            "epsilon": config.epsilon,
-            "beta": config.beta,
-            "gamma": config.gamma,
-            parameter: value,
-        }
-        for series, attack_name in attack_names.items():
-            for trial in range(config.trials):
-                # float() first: the key must not depend on whether `values`
-                # came in as Python floats or numpy scalars (whose repr also
-                # changed across numpy versions).
-                seed = derive_trial_seed(
-                    config.seed,
-                    f"{figure}|{dataset}|{metric}|{series}|{parameter}={float(value)!r}|trial={trial}",
-                )
-                tasks.append(
-                    TrialTask(
-                        graph_key=graph_key,
-                        metric=metric,
-                        attack=attack_name,
-                        protocol=protocol_name,
-                        epsilon=point["epsilon"],
-                        beta=point["beta"],
-                        gamma=point["gamma"],
-                        seed=seed,
-                        labels_key=labels_key,
-                        figure=figure,
-                        series=series,
-                        parameter=parameter,
-                        value=float(value),
-                        trial=trial,
-                    )
-                )
-    return tasks
-
-
-def run_attack_sweep(
-    graph: Graph,
-    dataset: str,
-    metric: str,
-    parameter: str,
-    values: Sequence[float],
-    config: ExperimentConfig,
-    attacks: Optional[Mapping[str, Callable[[], Attack]]] = None,
-    protocol_factory: Callable[[float], GraphLDPProtocol] = LFGDPRProtocol,
-    labels: Optional[np.ndarray] = None,
-    figure: str = "",
-    executor: Optional[Executor] = None,
-    cache: Optional[CacheLike] = None,
-    session: Optional[EngineSession] = None,
-) -> SweepResult:
-    """Run one figure's sweep through the engine and return the gain curves.
-
-    Parameters
-    ----------
-    parameter / values:
-        Which of ``epsilon``/``beta``/``gamma`` varies and over which grid.
-    attacks:
-        Name -> constructor mapping; defaults to the degree attacks for
-        ``degree_centrality`` and the clustering attacks otherwise.
-    protocol_factory:
-        Called with the (possibly swept) epsilon; lets Exp 9 swap in LDPGen.
-    labels:
-        Community labels, required when ``metric == "modularity"``.
-    executor / cache / session:
-        Execution backends.  The default runs the batch through an
-        :class:`~repro.engine.session.EngineSession` sized by
-        ``config.jobs`` with ``config.cache`` semantics (ephemeral, or the
-        given ``session`` to share a pool/graph store across sweeps);
-        passing ``executor`` drives the batch directly instead.  Components
-        not present in the engine registries fall back to in-process serial
-        execution without caching (same seeds, same results).
-    """
-    if parameter not in SWEEPABLE:
-        raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
-    if attacks is None:
-        attacks = DEGREE_ATTACKS if metric == "degree_centrality" else CLUSTERING_ATTACKS
-
-    attack_names = {series: ATTACKS.resolve(factory) for series, factory in attacks.items()}
-    protocol_name = PROTOCOLS.resolve(protocol_factory)
-    registered = protocol_name is not None and all(
-        name is not None for name in attack_names.values()
-    )
-
-    tasks = build_sweep_tasks(
-        graph, dataset, metric, parameter, values, config,
-        {series: name or f"<unregistered:{series}>" for series, name in attack_names.items()},
-        protocol_name or "<unregistered>",
-        labels_fingerprint(labels),
-        figure=figure,
-    )
-    if registered:
-        if executor is not None:
-            cache = cache if cache is not None else cache_for(config)
-            gains = run_tasks(tasks, graph, labels=labels, executor=executor, cache=cache)
-        else:
-            with session_scope(config, session, cache) as (live_session, batch_cache):
-                live_session.add_graph(graph, labels)
-                gains = live_session.run(tasks, cache=batch_cache)
-    else:
-        factories = dict(attacks)
-        gains = [
-            execute_task(
-                task, graph, labels,
-                attack_factory=factories[task.series],
-                protocol_factory=protocol_factory,
-            )
-            for task in tasks
-        ]
-
-    result = SweepResult(
-        figure=figure, dataset=dataset, metric=metric,
-        parameter=parameter, values=list(values),
-    )
-    by_point: Dict[tuple, List[float]] = {}
-    for task, gain in zip(tasks, gains):
-        by_point.setdefault((task.value, task.series), []).append(gain)
-    for value in values:
-        for series in attacks:
-            result.add_point(series, by_point[(float(value), series)])
-    return result

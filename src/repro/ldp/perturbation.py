@@ -18,12 +18,11 @@ assign each undirected edge one retention probability.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.streaming import iter_packed_row_blocks
 from repro.ldp.mechanisms import rr_keep_probability
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.sparse import merge_sorted_disjoint, pair_count, sample_pairs_excluding
@@ -91,35 +90,6 @@ def perturb_graph_batch(
         merged = _perturbed_codes(codes, n, non_edges, keep, generator)
         perturbed.append(Graph.from_codes(n, merged, assume_sorted_unique=True))
     return perturbed
-
-
-def perturb_graph_stream(
-    graph: Graph,
-    epsilon: float,
-    rng: RngLike = None,
-    *,
-    block_rows: int | None = None,
-    max_bytes: int | None = None,
-) -> Tuple[Graph, Iterator[Tuple[int, int, np.ndarray]]]:
-    """Randomized response served as packed per-user row blocks.
-
-    Returns ``(perturbed, blocks)``: the perturbed graph in its sparse pair
-    code form — the irreducible O(E') representation — plus an iterator of
-    ``(start, stop, rows)`` packed uint64 row blocks of its adjacency
-    matrix, block height honouring ``REPRO_DENSE_MAX_BYTES`` by default.
-    The full ``n^2/8``-byte matrix is never materialized: each block is
-    built on demand from the sorted codes and dropped when the consumer
-    moves on.
-
-    RNG identity: the sampling happens **eagerly in this call** through the
-    same core as :func:`perturb_graph` — the stream consumes its generator
-    draw-for-draw identically to the in-memory path, and ``perturbed``
-    equals ``perturb_graph(graph, epsilon, rng)`` bit for bit for any block
-    height (block iteration itself draws nothing).
-    """
-    perturbed = perturb_graph(graph, epsilon, rng)
-    blocks = iter_packed_row_blocks(perturbed, block_rows, max_bytes=max_bytes)
-    return perturbed, blocks
 
 
 def expected_perturbed_degree(degree: float, num_nodes: int, epsilon: float) -> float:

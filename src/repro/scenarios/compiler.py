@@ -100,9 +100,12 @@ def _series_tasks(
             point = _point(config, spec.parameter, value)
             display_value = float(value)
             key = f"{panel.figure}|{series.name}|{spec.parameter}={value}|trial={{trial}}"
-        else:  # sweep style, point sweep — the historical build_sweep_tasks key
+        else:  # sweep style, point sweep — the historical attack-sweep key
             point = _point(config, spec.parameter, value)
             display_value = float(value)
+            # float() first: the key must not depend on whether the value
+            # is a Python float or a numpy scalar (whose repr changed
+            # across numpy versions).
             key = (
                 f"{panel.figure}|{spec.dataset}|{spec.metric}|{series.name}"
                 f"|{spec.parameter}={float(value)!r}|trial={{trial}}"

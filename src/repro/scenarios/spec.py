@@ -35,8 +35,9 @@ SWEEP_DEFENSE_ARG = "defense_arg"  #: the value becomes a defense argument
 SWEEP_FLAT = "flat"  #: the series ignores the sweep (flat reference line)
 
 #: Seed-key styles.  ``sweep`` reproduces the historical
-#: :func:`repro.experiments.runner.build_sweep_tasks` keys; ``defense``
-#: reproduces the historical Figs. 12-13 countermeasure keys.  Keeping both
+#: ``<figure>|<dataset>|<metric>|<series>|<parameter>=<value>|trial=<t>``
+#: attack-sweep keys; ``defense`` reproduces the historical Figs. 12-13
+#: countermeasure keys.  Keeping both
 #: styles keeps every pre-scenario figure output bit-identical.
 SEED_STYLES = ("sweep", "defense")
 

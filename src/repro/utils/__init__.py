@@ -1,6 +1,6 @@
 """Shared utilities: seeded randomness, argument validation, sparse helpers."""
 
-from repro.utils.rng import RngLike, child_rng, ensure_rng, spawn_rngs
+from repro.utils.rng import RngLike, child_rng, ensure_rng
 from repro.utils.validation import (
     check_fraction,
     check_in_range,
@@ -14,7 +14,6 @@ __all__ = [
     "RngLike",
     "child_rng",
     "ensure_rng",
-    "spawn_rngs",
     "check_fraction",
     "check_in_range",
     "check_non_negative",

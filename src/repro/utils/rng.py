@@ -14,7 +14,7 @@ twice, which :func:`child_rng` supports through a stable string key.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -75,16 +75,3 @@ def child_rng(seed: RngLike, key: str) -> np.random.Generator:
     generator = ensure_rng(seed)
     drawn = int(generator.integers(0, 2**63 - 1))
     return np.random.default_rng(np.random.SeedSequence(entropy=[drawn, key_int]))
-
-
-def spawn_rngs(rng: RngLike, count: int) -> Iterator[np.random.Generator]:
-    """Yield ``count`` independent generators derived from ``rng``.
-
-    Useful for per-trial streams in the experiment runner.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = ensure_rng(rng)
-    seeds = root.integers(0, 2**63 - 1, size=count)
-    for seed in seeds:
-        yield np.random.default_rng(int(seed))

@@ -5,7 +5,7 @@ The execution engine's result cache defaults to a persistent directory
 read results a previous — possibly different — version of the code wrote,
 nor litter the working tree, so the whole session is pointed at a throwaway
 cache directory.  Tests that exercise caching explicitly pass their own
-``ResultCache(tmp_path)`` and are unaffected.
+``ShardedResultStore(tmp_path)`` and are unaffected.
 """
 
 from __future__ import annotations

@@ -3,10 +3,8 @@
 import hashlib
 
 import numpy as np
-import pytest
 
-from repro.core.base import random_new_neighbors, rr_perturb_neighbor_set
-from repro.ldp.mechanisms import rr_keep_probability
+from repro.core.base import random_new_neighbors
 
 
 class TestRandomNewNeighbors:
@@ -70,45 +68,3 @@ def _random_new_neighbors_digest() -> str:
                 digest.update(rng.integers(0, 2**62, dtype=np.int64).tobytes())
     return digest.hexdigest()
 
-
-class TestRRPerturbNeighborSet:
-    def test_output_excludes_self(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            out = rr_perturb_neighbor_set(3, np.array([0, 1]), 20, 1.0, rng)
-            assert 3 not in out
-
-    def test_high_epsilon_identity(self):
-        rng = np.random.default_rng(1)
-        neighbors = np.array([2, 5, 9])
-        out = rr_perturb_neighbor_set(0, neighbors, 200, 40.0, rng)
-        assert np.array_equal(out, neighbors)
-
-    def test_survival_rate(self):
-        epsilon = 1.5
-        keep = rr_keep_probability(epsilon)
-        rng = np.random.default_rng(2)
-        neighbors = np.arange(1, 201)
-        rates = []
-        for _ in range(30):
-            out = rr_perturb_neighbor_set(0, neighbors, 10_000, epsilon, rng)
-            rates.append(np.intersect1d(out, neighbors).size / neighbors.size)
-        assert np.mean(rates) == pytest.approx(keep, rel=0.03)
-
-    def test_flip_rate(self):
-        epsilon = 2.0
-        keep = rr_keep_probability(epsilon)
-        rng = np.random.default_rng(3)
-        neighbors = np.array([1])
-        n = 2_000
-        new_counts = []
-        for _ in range(20):
-            out = rr_perturb_neighbor_set(0, neighbors, n, epsilon, rng)
-            new_counts.append(np.setdiff1d(out, neighbors).size)
-        expected = (n - 2) * (1 - keep)
-        assert np.mean(new_counts) == pytest.approx(expected, rel=0.1)
-
-    def test_deduplicates_input(self):
-        rng = np.random.default_rng(4)
-        out = rr_perturb_neighbor_set(0, np.array([1, 1, 2]), 10, 40.0, rng)
-        assert out.tolist() == [1, 2]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.degree_attacks import DegreeMGA
-from repro.core.gain import METRICS, AttackOutcome, average_gain, evaluate_attack
+from repro.core.gain import METRICS, AttackOutcome, evaluate_attack
 from repro.core.threat_model import ThreatModel
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.protocols.ldpgen import LDPGenProtocol
@@ -98,28 +98,6 @@ class TestEvaluateAttack:
 
     def test_metrics_constant(self):
         assert METRICS == ("degree_centrality", "clustering_coefficient", "modularity")
-
-
-class TestAverageGain:
-    def test_positive_for_mga(self, graph):
-        protocol = LFGDPRProtocol(epsilon=4.0)
-        gain = average_gain(
-            graph, protocol, DegreeMGA(), "degree_centrality", beta=0.05, gamma=0.05,
-            trials=2, rng=0,
-        )
-        assert gain > 0
-
-    def test_deterministic(self, graph):
-        protocol = LFGDPRProtocol(epsilon=4.0)
-        kwargs = dict(metric="degree_centrality", beta=0.05, gamma=0.05, trials=2, rng=9)
-        a = average_gain(graph, protocol, DegreeMGA(), kwargs["metric"], 0.05, 0.05, trials=2, rng=9)
-        b = average_gain(graph, protocol, DegreeMGA(), kwargs["metric"], 0.05, 0.05, trials=2, rng=9)
-        assert a == b
-
-    def test_rejects_zero_trials(self, graph):
-        protocol = LFGDPRProtocol(epsilon=4.0)
-        with pytest.raises(ValueError, match="trials"):
-            average_gain(graph, protocol, DegreeMGA(), "degree_centrality", 0.05, 0.05, trials=0)
 
 
 class DropFirstFakeMGA(DegreeMGA):

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.frequency_attacks import FrequencyMGA, evaluate_frequency_attack
-from repro.defenses.frequency import (
-    OUEAnomalyDefense,
-    defended_estimate,
-    normalize_frequencies,
-)
+from repro.defenses.frequency import OUEAnomalyDefense, normalize_frequencies
 from repro.ldp.frequency_oracles import KRR, OUE
 
 
@@ -108,8 +104,8 @@ class TestDefendedEstimate:
         genuine_reports = oracle.perturb(values, rng=np.random.default_rng(1))
         crafted = FrequencyMGA().craft(oracle, 500, targets, rng=2)
         attacked = np.concatenate([genuine_reports, crafted])
-        defended = defended_estimate(oracle, attacked, normalize=True)
-        clean = defended_estimate(oracle, genuine_reports, normalize=True)
+        defended = normalize_frequencies(oracle.estimate_frequencies(attacked))
+        clean = normalize_frequencies(oracle.estimate_frequencies(genuine_reports))
         defended_gain = float((defended[targets] - clean[targets]).sum())
         assert defended_gain <= raw_gain + 1e-9
 
@@ -124,8 +120,6 @@ class TestDefendedEstimate:
 
         undefended = oracle.estimate_frequencies(attacked)[30]
         defense = OUEAnomalyDefense()
-        defended = defended_estimate(
-            oracle, attacked, normalize=False, oue_defense=defense
-        )[30]
+        defended = oracle.estimate_frequencies(defense.filter_reports(oracle, attacked))[30]
         clean = oracle.estimate_frequencies(genuine)[30]
         assert abs(defended - clean) < abs(undefended - clean)

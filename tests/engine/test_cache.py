@@ -1,15 +1,14 @@
-"""Tests for the on-disk result cache."""
-
-import json
+"""Tests for the cache constants, the cache root and the null cache."""
 
 from repro.engine import cache as cache_module
-from repro.engine.cache import CACHE_VERSION, NullCache, ResultCache
+from repro.engine.cache import NullCache
+from repro.engine.result_store import ShardedResultStore
 from tests.engine.test_tasks import make_task
 
 
-class TestResultCache:
+class TestStoreKeys:
     def test_miss_then_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultStore(tmp_path)
         task = make_task()
         assert cache.get(task) is None
         cache.put(task, 1.25)
@@ -18,55 +17,19 @@ class TestResultCache:
         assert len(cache) == 1
 
     def test_distinct_tasks_do_not_collide(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultStore(tmp_path)
         cache.put(make_task(), 1.0)
         cache.put(make_task(seed=999), 2.0)
         assert cache.get(make_task()) == 1.0
         assert cache.get(make_task(seed=999)) == 2.0
 
-    def test_version_mismatch_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = make_task()
-        cache.put(task, 3.0)
-        path = cache.path_for(task)
-        entry = json.loads(path.read_text())
-        entry["cache_version"] = CACHE_VERSION + 1
-        path.write_text(json.dumps(entry))
-        assert cache.get(task) is None
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = make_task()
-        cache.put(task, 3.0)
-        cache.path_for(task).write_text("{not json")
-        assert cache.get(task) is None
-
-    def test_identity_mismatch_is_a_miss(self, tmp_path):
-        """A stale entry whose stored identity disagrees is never returned."""
-        cache = ResultCache(tmp_path)
-        task = make_task()
-        cache.put(task, 3.0)
-        path = cache.path_for(task)
-        entry = json.loads(path.read_text())
-        entry["task"]["epsilon"] = 99.0
-        path.write_text(json.dumps(entry))
-        assert cache.get(task) is None
-
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(make_task(), 1.0)
-        cache.put(make_task(seed=5), 2.0)
-        assert cache.clear() == 2
-        assert len(cache) == 0
-        assert cache.get(make_task()) is None
-
     def test_default_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache_module.CACHE_DIR_ENV, str(tmp_path / "custom"))
-        assert ResultCache().root == tmp_path / "custom"
+        assert ShardedResultStore().root == tmp_path / "custom"
 
     def test_display_fields_share_entries(self, tmp_path):
         """Two tasks differing only in display coordinates hit the same entry."""
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultStore(tmp_path)
         cache.put(make_task(figure="Fig6", trial=0), 4.0)
         assert cache.get(make_task(figure="Fig9", trial=3)) == 4.0
 

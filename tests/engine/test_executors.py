@@ -6,21 +6,36 @@ The two load-bearing guarantees of the engine are pinned here:
 * a warm cache answers a repeated sweep with **zero** trial computations.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from repro.engine.cache import NullCache, ResultCache
+from repro.engine.cache import NullCache
 from repro.engine.executors import (
     ParallelExecutor,
     SerialExecutor,
     execute_task,
     run_tasks,
 )
-from repro.engine.tasks import TrialTask, derive_trial_seed, graph_fingerprint
+from repro.engine.result_store import ShardedResultStore
+from repro.engine.session import EngineSession
+from repro.engine.tasks import (
+    TrialTask,
+    derive_trial_seed,
+    graph_fingerprint,
+    labels_fingerprint,
+)
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_attack_sweep
 from repro.graph.generators import powerlaw_cluster_graph
+from repro.scenarios import get_scenario, run_scenario
 
-CONFIG = ExperimentConfig(trials=2, seed=3, cache=False)
+CONFIG = ExperimentConfig(trials=2, seed=3, cache=False, scale=0.03)
+
+#: Fig. 6 on a small facebook surrogate, cut to two epsilons.
+SPEC = replace(get_scenario("fig6"), values=(2.0, 4.0))
+
+CLUSTERING_ATTACKS = ("clustering/rva", "clustering/rna", "clustering/mga")
 
 
 class CountingExecutor(SerialExecutor):
@@ -39,24 +54,42 @@ def graph():
     return powerlaw_cluster_graph(120, 3, 0.4, rng=0)
 
 
-def small_sweep(graph, executor, cache):
-    return run_attack_sweep(
-        graph, "toy", "degree_centrality", "epsilon", [2.0, 4.0], CONFIG,
-        figure="EngineT", executor=executor, cache=cache,
-    )
+def small_sweep(executor, cache):
+    return run_scenario(SPEC, CONFIG, executor=executor, cache=cache).sweep()
+
+
+def point_tasks(graph, metric, tag, labels=None):
+    """One epsilon=4 point of every clustering attack, two trials each."""
+    return [
+        TrialTask(
+            graph_key=graph_fingerprint(graph), metric=metric,
+            attack=attack, protocol="lfgdpr",
+            epsilon=4.0, beta=0.05, gamma=0.05,
+            seed=derive_trial_seed(CONFIG.seed, f"{tag}|{attack}|trial={trial}"),
+            labels_key=labels_fingerprint(labels), trial=trial,
+        )
+        for attack in CLUSTERING_ATTACKS
+        for trial in range(CONFIG.trials)
+    ]
+
+
+def session_gains(graph, tasks, cache, labels=None):
+    with EngineSession(cache=cache) as session:
+        session.add_graph(graph, labels)
+        return session.run(tasks)
 
 
 class TestSerialParallelEquivalence:
-    def test_bit_identical_sweeps(self, graph):
-        serial = small_sweep(graph, SerialExecutor(), NullCache())
-        parallel = small_sweep(graph, ParallelExecutor(jobs=4), NullCache())
+    def test_bit_identical_sweeps(self):
+        serial = small_sweep(SerialExecutor(), NullCache())
+        parallel = small_sweep(ParallelExecutor(jobs=4), NullCache())
         assert serial.series == parallel.series
         assert serial.stderr == parallel.stderr
         assert serial.samples == parallel.samples
 
-    def test_jobs_one_falls_back_to_serial(self, graph):
-        assert small_sweep(graph, ParallelExecutor(jobs=1), NullCache()).series == \
-            small_sweep(graph, SerialExecutor(), NullCache()).series
+    def test_jobs_one_falls_back_to_serial(self):
+        assert small_sweep(ParallelExecutor(jobs=1), NullCache()).series == \
+            small_sweep(SerialExecutor(), NullCache()).series
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -64,20 +97,20 @@ class TestSerialParallelEquivalence:
 
 
 class TestCaching:
-    def test_warm_cache_skips_all_computation(self, graph, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_warm_cache_skips_all_computation(self, tmp_path):
+        cache = ShardedResultStore(tmp_path)
         cold_executor = CountingExecutor()
-        cold = small_sweep(graph, cold_executor, cache)
+        cold = small_sweep(cold_executor, cache)
         assert cold_executor.executed == 2 * 3 * CONFIG.trials  # values x attacks x trials
 
         warm_executor = CountingExecutor()
-        warm = small_sweep(graph, warm_executor, ResultCache(tmp_path))
+        warm = small_sweep(warm_executor, ShardedResultStore(tmp_path))
         assert warm_executor.executed == 0
         assert warm.series == cold.series
         assert warm.stderr == cold.stderr
 
     def test_partial_cache_computes_only_missing(self, graph, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultStore(tmp_path)
         graph_key = graph_fingerprint(graph)
         tasks = [
             TrialTask(
@@ -96,33 +129,30 @@ class TestCaching:
 
     def test_different_labels_never_share_entries(self, graph, tmp_path):
         """Modularity gains under labelling A must not be reused for B."""
-        import numpy as np
-
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultStore(tmp_path)
         labels_a = (np.arange(graph.num_nodes) // 30).astype(np.int64)
         labels_b = (np.arange(graph.num_nodes) % 4).astype(np.int64)
-        sweep = lambda labels: run_attack_sweep(  # noqa: E731
-            graph, "toy", "modularity", "epsilon", [4.0], CONFIG,
-            labels=labels, figure="EngineL",
-            executor=SerialExecutor(), cache=cache,
+        sweep = lambda labels: session_gains(  # noqa: E731
+            graph, point_tasks(graph, "modularity", "EngineL", labels), cache, labels
         )
         a = sweep(labels_a)
         hits_before = cache.hits
         b = sweep(labels_b)
         assert cache.hits == hits_before  # nothing reused across labelings
-        assert a.series != b.series
+        assert a != b
 
     def test_different_graphs_never_share_entries(self, tmp_path):
         graph_a = powerlaw_cluster_graph(60, 3, 0.4, rng=0)
         graph_b = powerlaw_cluster_graph(60, 3, 0.4, rng=1)
-        cache = ResultCache(tmp_path)
-        sweep = lambda g: run_attack_sweep(  # noqa: E731
-            g, "toy", "degree_centrality", "epsilon", [4.0], CONFIG,
-            figure="EngineG", executor=SerialExecutor(), cache=cache,
+        cache = ShardedResultStore(tmp_path)
+        sweep = lambda g: session_gains(  # noqa: E731
+            g, point_tasks(g, "clustering_coefficient", "EngineG"), cache
         )
         a = sweep(graph_a)
+        hits_before = cache.hits
         b = sweep(graph_b)
-        assert a.series != b.series  # same seeds, different graph -> fresh compute
+        assert cache.hits == hits_before
+        assert a != b  # same seeds, different graph -> fresh compute
 
 
 class TestExecuteTask:
@@ -141,26 +171,6 @@ class TestExecuteTask:
         )
         defended = execute_task(task, graph)
         assert defended >= 0.0 and undefended >= 0.0
-
-    def test_unregistered_factories_supported(self, graph):
-        from repro.core.degree_attacks import DegreeRVA
-        from repro.protocols.lfgdpr import LFGDPRProtocol
-
-        task = TrialTask(
-            graph_key="x", metric="degree_centrality", attack="<custom>",
-            protocol="<custom>", epsilon=4.0, beta=0.05, gamma=0.05, seed=11,
-        )
-        via_factories = execute_task(
-            task, graph, attack_factory=DegreeRVA, protocol_factory=LFGDPRProtocol
-        )
-        via_registry = execute_task(
-            TrialTask(
-                graph_key="x", metric="degree_centrality", attack="degree/rva",
-                protocol="lfgdpr", epsilon=4.0, beta=0.05, gamma=0.05, seed=11,
-            ),
-            graph,
-        )
-        assert via_factories == via_registry
 
 
 class TestOutOfBandLabelsParity:
@@ -208,9 +218,7 @@ class TestCrashRetry:
         )
         return marker
 
-    def test_sigkilled_worker_is_retried_bit_identically(
-        self, graph, monkeypatch, tmp_path
-    ):
+    def test_sigkilled_worker_is_retried_bit_identically(self, monkeypatch, tmp_path):
         from concurrent.futures.process import BrokenProcessPool  # noqa: F401
 
         from tests.engine import crashkit
@@ -219,7 +227,7 @@ class TestCrashRetry:
         marker = self._arm(monkeypatch, tmp_path, crashkit.sigkill_once_chunk)
         with use_tracer(Tracer()) as tracer:
             survived = small_sweep(
-                graph, ParallelExecutor(jobs=2, max_retries=2), NullCache()
+                ParallelExecutor(jobs=2, max_retries=2), NullCache()
             )
         assert marker.exists(), "the injected SIGKILL never fired"
         assert tracer.counters["executor.retry"] >= 1
@@ -229,11 +237,11 @@ class TestCrashRetry:
             "repro.engine.executors._run_shared_chunk",
             crashkit.REAL_RUN_SHARED_CHUNK,
         )
-        serial = small_sweep(graph, SerialExecutor(), NullCache())
+        serial = small_sweep(SerialExecutor(), NullCache())
         assert survived.series == serial.series
         assert survived.stderr == serial.stderr
 
-    def test_max_retries_zero_fails_fast(self, graph, monkeypatch, tmp_path):
+    def test_max_retries_zero_fails_fast(self, monkeypatch, tmp_path):
         from concurrent.futures.process import BrokenProcessPool
 
         from tests.engine import crashkit
@@ -241,17 +249,16 @@ class TestCrashRetry:
         self._arm(monkeypatch, tmp_path, crashkit.sigkill_once_chunk)
         with pytest.raises(BrokenProcessPool):
             small_sweep(
-                graph, ParallelExecutor(jobs=2, max_retries=0), NullCache()
+                ParallelExecutor(jobs=2, max_retries=0), NullCache()
             )
 
-    def test_hung_chunk_times_out_and_retries(self, graph, monkeypatch, tmp_path):
+    def test_hung_chunk_times_out_and_retries(self, monkeypatch, tmp_path):
         from tests.engine import crashkit
         from repro.telemetry.core import Tracer, use_tracer
 
         self._arm(monkeypatch, tmp_path, crashkit.hang_once_chunk)
         with use_tracer(Tracer()) as tracer:
             survived = small_sweep(
-                graph,
                 ParallelExecutor(jobs=2, max_retries=2, task_timeout=2.0),
                 NullCache(),
             )
@@ -262,7 +269,7 @@ class TestCrashRetry:
             "repro.engine.executors._run_shared_chunk",
             crashkit.REAL_RUN_SHARED_CHUNK,
         )
-        serial = small_sweep(graph, SerialExecutor(), NullCache())
+        serial = small_sweep(SerialExecutor(), NullCache())
         assert survived.series == serial.series
 
     def test_rejects_bad_retry_parameters(self):

@@ -11,8 +11,9 @@ Pinned here:
   shards untouched;
 * a non-finite gain raises a structured error naming the task at the
   estimator→store boundary, before it can reach disk;
-* gc prunes expired leases, stale temps and migrated legacy files — and
-  nothing live.
+* gc prunes expired leases and stale temps — and nothing live;
+* verify, repair and gc refuse a cache root that is not a directory, so a
+  mistyped root can never pass an integrity gate.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ import time
 import pytest
 
 from repro.engine import integrity
-from repro.engine.cache import CACHE_VERSION, NullCache, ResultCache
+from repro.engine.cache import CACHE_VERSION, NullCache
 from repro.engine.executors import SerialExecutor, run_tasks
 from repro.engine.integrity import (
     REASON_BAD_CHECKSUM,
@@ -232,33 +233,6 @@ class TestNonFiniteGuard:
         with pytest.raises(NonFiniteGainError):
             run_tasks([task], graph, executor=NaNExecutor(), cache=NullCache())
 
-    def test_nonfinite_legacy_entry_is_counted_corrupt(self, graph, tmp_path):
-        (task,) = make_tasks(graph, 1, "nanlegacy")
-        legacy = ResultCache(tmp_path)
-        legacy.put(task, 1.0)
-        path = tmp_path / task.content_hash()[:2] / f"{task.content_hash()}.json"
-        path.write_text(path.read_text().replace("1.0", "NaN"))
-        store = ShardedResultStore(tmp_path)
-        assert store.get(task) is None
-        assert store.legacy_corrupt == 1
-        (record,) = store.quarantine.entries()
-        assert record["reason"] == REASON_NON_FINITE
-
-
-class TestLegacyCorruptCounter:
-    def test_unparseable_legacy_file_is_counted_and_quarantined(self, graph, tmp_path):
-        (task,) = make_tasks(graph, 1, "legacycorrupt")
-        digest = task.content_hash()
-        directory = tmp_path / digest[:2]
-        directory.mkdir(parents=True)
-        (directory / f"{digest}.json").write_text("{not json")
-        store = ShardedResultStore(tmp_path)
-        assert store.get(task) is None
-        assert store.legacy_corrupt == 1
-        assert store.stats()["legacy_corrupt"] == 1
-        (record,) = store.quarantine.entries()
-        assert record["reason"] == REASON_UNPARSEABLE
-
 
 class TestVerifyRepairAcceptance:
     def test_flip_detect_repair_replay_bit_identical(self, graph, tmp_path):
@@ -361,22 +335,14 @@ class TestGc:
         live = leases / "range-80-ff.json"
         live.write_text('{"owner": "alive", "beat": 9}')
 
-        # A migrated legacy file (its hash answers from the shard) and an
-        # unmigrated one (shard knows nothing about it).
-        migrated, unmigrated = make_tasks(graph, 2, "gc")
-        legacy = ResultCache(tmp_path)
-        legacy.put(migrated, 1.0)
-        legacy.put(unmigrated, 2.0)
-        store = ShardedResultStore(tmp_path)
-        assert store.get(migrated) == 1.0  # read-through migrates forward
+        (stored,) = make_tasks(graph, 1, "gc")
+        ShardedResultStore(tmp_path).put(stored, 1.0)
 
         report = gc_store(tmp_path, lease_ttl=30.0)
         assert report.leases_pruned == 1 and report.temp_files_pruned == 1
-        assert report.legacy_pruned == 1
         assert live.is_file() and not dead.exists() and not stale_temp.exists()
         fresh = ShardedResultStore(tmp_path)
-        assert fresh.get(migrated) == 1.0, "migrated results must survive gc"
-        assert fresh.get(unmigrated) == 2.0, "unmigrated legacy files are live"
+        assert fresh.get(stored) == 1.0, "stored results must survive gc"
 
     def test_cli_gc_and_stats(self, tmp_path):
         out = io.StringIO()
@@ -385,3 +351,35 @@ class TestGc:
         out = io.StringIO()
         assert cli_run(["cache", "stats", "--dir", str(tmp_path)], out=out) == 0
         assert "store is clean" in out.getvalue()
+
+
+class TestMissingRoot:
+    """A cache root that is not a directory is an error, never a clean store."""
+
+    @pytest.fixture(params=["missing", "file"])
+    def bad_root(self, request, tmp_path):
+        root = tmp_path / "no-such-root"
+        if request.param == "file":
+            root.write_text("")
+        return root
+
+    def test_verify_store_rejects_bad_root(self, bad_root):
+        with pytest.raises(ValueError, match="no-such-root"):
+            verify_store(bad_root)
+
+    def test_repair_store_rejects_bad_root(self, bad_root):
+        with pytest.raises(ValueError, match="no-such-root"):
+            repair_store(bad_root)
+
+    def test_gc_store_rejects_bad_root(self, bad_root):
+        with pytest.raises(ValueError, match="no-such-root"):
+            gc_store(bad_root)
+
+    @pytest.mark.parametrize("action", ["verify", "repair", "gc", "stats"])
+    def test_cli_exits_2_naming_the_root(self, tmp_path, action):
+        root = tmp_path / "no-such-root"
+        out = io.StringIO()
+        assert cli_run(["cache", action, "--dir", str(root)], out=out) == 2
+        assert str(root) in out.getvalue()
+        assert "clean" not in out.getvalue()
+        assert not root.exists()

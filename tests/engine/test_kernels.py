@@ -11,7 +11,8 @@ plus the kernel's counters and errors.
 import numpy as np
 import pytest
 
-from repro.engine.cache import NullCache, ResultCache
+from repro.engine.cache import NullCache
+from repro.engine.result_store import ShardedResultStore
 from repro.engine.executors import Executor, SerialExecutor, execute_task, run_tasks
 from repro.engine.kernels import execute_tasks_grouped, group_by_point, point_key
 from repro.engine.tasks import TrialTask, derive_trial_seed, graph_fingerprint
@@ -182,9 +183,9 @@ class TestCacheInterchangeability:
     ):
         tasks = make_tasks(graph, "clustering_coefficient", "clustering/mga", 3)
         cold = run_tasks(
-            tasks, graph, executor=cold_executor(), cache=ResultCache(tmp_path)
+            tasks, graph, executor=cold_executor(), cache=ShardedResultStore(tmp_path)
         )
-        warm_cache = ResultCache(tmp_path)
+        warm_cache = ShardedResultStore(tmp_path)
         warm = run_tasks(tasks, graph, executor=warm_executor(), cache=warm_cache)
         assert warm == cold
         assert warm_cache.hits == len(tasks)

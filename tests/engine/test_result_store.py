@@ -1,10 +1,9 @@
-"""Tests for the sharded result store: migration, concurrency, validation.
+"""Tests for the sharded result store: round trips, concurrency, validation.
 
-The store replaces the legacy one-JSON-file-per-task cache with 256
-append-only shards.  Pinned here:
+The store keeps every result in 256 append-only shards.  Pinned here:
 
-* **read-through migration** — a cache written by the legacy layout keeps
-  answering (no recompute) and converges to shards;
+* **one layout** — a file of the retired one-JSON-file-per-task layout is
+  never read, counted or deleted;
 * **concurrent appenders** — two processes appending to the same shard
   files interleave whole lines, never fragments;
 * miss semantics — version bumps, identity mismatches and torn trailing
@@ -16,11 +15,17 @@ import multiprocessing
 
 import pytest
 
-from repro.engine.cache import CACHE_VERSION, NullCache, ResultCache
-from repro.engine.executors import SerialExecutor, run_batch, run_tasks
+from repro.engine.cache import CACHE_VERSION, NullCache
+from repro.engine.executors import SerialExecutor, run_batch
 from repro.engine.graph_store import GraphStore
+from repro.engine.integrity import gc_store, repair_store, verify_store
 from repro.engine.result_store import ShardedResultStore
-from repro.engine.tasks import TrialTask, derive_trial_seed, graph_fingerprint
+from repro.engine.tasks import (
+    TrialTask,
+    derive_trial_seed,
+    graph_fingerprint,
+    identity_payload,
+)
 from repro.graph.generators import powerlaw_cluster_graph
 
 
@@ -51,38 +56,32 @@ def make_tasks(graph, count, tag="store"):
     ]
 
 
-class TestLegacyReadThrough:
-    def test_legacy_entries_hit_without_recompute(self, graph, tmp_path):
-        """A cache seeded by the legacy layout answers through the store."""
-        tasks = make_tasks(graph, 6)
-        legacy = ResultCache(tmp_path)
-        gains = run_tasks(tasks, graph, executor=SerialExecutor(), cache=legacy)
+class TestRetiredLegacyLayout:
+    def test_per_task_file_is_ignored_and_kept(self, graph, tmp_path):
+        """A valid ``<hh>/<hash>.json`` file is a miss, uncounted, never deleted."""
+        task, stored = make_tasks(graph, 2)
+        digest = task.content_hash()
+        legacy = tmp_path / digest[:2] / f"{digest}.json"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(json.dumps({
+            "cache_version": CACHE_VERSION,
+            "task": identity_payload(task),
+            "gain": 4.5,
+        }))
+        ShardedResultStore(tmp_path).put(stored, 1.0)
 
         store = ShardedResultStore(tmp_path)
-        executor = CountingExecutor()
-        replay = run_tasks(tasks, graph, executor=executor, cache=store)
-        assert executor.executed == 0, "legacy entries must not recompute"
-        assert store.hits == len(tasks) and store.misses == 0
-        assert replay == gains
+        assert store.get(task) is None and store.misses == 1
+        assert len(store) == 1
+        report = verify_store(tmp_path)
+        assert report.distinct_total == 1 and report.corrupt_total == 0
+        repair_store(tmp_path)
+        gc_store(tmp_path, lease_ttl=0.0)
+        assert store.clear() == 1
+        assert json.loads(legacy.read_text())["gain"] == 4.5
 
-    def test_read_through_migrates_to_shards(self, graph, tmp_path):
-        """A legacy hit is appended to its shard; fresh stores use the shard."""
-        tasks = make_tasks(graph, 4)
-        legacy = ResultCache(tmp_path)
-        gains = run_tasks(tasks, graph, executor=SerialExecutor(), cache=legacy)
 
-        store = ShardedResultStore(tmp_path)
-        for task in tasks:
-            store.get(task)
-        assert list(tmp_path.glob("shard-*.jsonl")), "migration wrote no shards"
-
-        # Remove the legacy files: the shards alone must now answer.
-        for entry in tmp_path.glob("[0-9a-f][0-9a-f]/*.json"):
-            entry.unlink()
-        fresh = ShardedResultStore(tmp_path)
-        assert [fresh.get(task) for task in tasks] == gains
-        assert fresh.hits == len(tasks) and fresh.misses == 0
-
+class TestRoundTrip:
     def test_heterogeneous_batch_round_trip(self, tmp_path):
         """run_batch persists and replays a multi-graph batch."""
         graph_a = powerlaw_cluster_graph(60, 3, 0.4, rng=0)
@@ -179,19 +178,6 @@ class TestMissSemantics:
         fresh = ShardedResultStore(tmp_path)
         assert fresh.get(tasks[0]) == 1.5
 
-    def test_unwritable_root_still_answers_from_legacy(self, graph, tmp_path, monkeypatch):
-        """Migration is best-effort: a failed shard append must not fail the read."""
-        task = make_tasks(graph, 1)[0]
-        ResultCache(tmp_path).put(task, 4.5)
-        store = ShardedResultStore(tmp_path)
-
-        def refuse(digest, entry):
-            raise PermissionError("read-only cache root")
-
-        monkeypatch.setattr(store, "_append", refuse)
-        assert store.get(task) == 4.5
-        assert store.get(task) == 4.5  # second read answers from the index
-
     def test_put_then_get_same_instance(self, graph, tmp_path):
         task = make_tasks(graph, 1)[0]
         store = ShardedResultStore(tmp_path)
@@ -201,9 +187,8 @@ class TestMissSemantics:
 
     def test_clear_and_len(self, graph, tmp_path):
         tasks = make_tasks(graph, 3)
-        legacy = ResultCache(tmp_path)
-        legacy.put(tasks[0], 1.0)  # unmigrated legacy entry
         store = ShardedResultStore(tmp_path)
+        store.put(tasks[0], 1.0)
         store.put(tasks[1], 2.0)
         store.put(tasks[2], 3.0)
         assert len(ShardedResultStore(tmp_path)) == 3

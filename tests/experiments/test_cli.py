@@ -13,8 +13,17 @@ class TestParser:
 
     def test_parses_defaults(self):
         args = build_parser().parse_args(["fig6"])
-        assert args.dataset == "facebook"
+        assert args.dataset is None  # the scenario's own dataset
         assert args.trials == 2
+
+    def test_artifacts_parse_like_scenario_run(self):
+        argv = ["--scale", "0.04", "--trials", "1", "--trace", "t.jsonl", "--resume"]
+        alias = vars(build_parser().parse_args(["fig12a", *argv]))
+        scenario = vars(build_parser().parse_args(["scenario", "run", "fig12a", *argv]))
+        for key in ("artifact", "action", "names"):
+            alias.pop(key, None)
+            scenario.pop(key, None)
+        assert alias == scenario
 
     def test_rejects_unknown_artifact(self):
         with pytest.raises(SystemExit):
@@ -30,12 +39,22 @@ class TestRun:
         out = io.StringIO()
         assert run(["list"], out=out) == 0
         text = out.getvalue()
-        assert "table2" in text and "fig14" in text
+        for name in (*ARTIFACTS, "scenario", "worker", "cache", "dataset", "trace"):
+            assert f"  {name} " in text
 
     def test_table2(self):
         out = io.StringIO()
         assert run(["table2", "--scale", "0.05"], out=out) == 0
-        assert "facebook" in out.getvalue()
+        text = out.getvalue()
+        for dataset in ("facebook", "enron", "astroph", "gplus"):
+            assert dataset in text
+
+    def test_artifact_is_a_scenario_run_alias(self):
+        argv = ["--scale", "0.03", "--trials", "1", "--no-cache"]
+        alias, scenario = io.StringIO(), io.StringIO()
+        assert run(["fig13b", *argv], out=alias) == 0
+        assert run(["scenario", "run", "fig13b", *argv], out=scenario) == 0
+        assert alias.getvalue() == scenario.getvalue()
 
     def test_fig6_tiny(self):
         out = io.StringIO()

@@ -1,4 +1,6 @@
-"""Tests for the sweep runner and figure drivers (small scales)."""
+"""Tests for sweep results, scenario sweeps and figure drivers (small scales)."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +15,9 @@ from repro.experiments.figures import (
     fig14,
     table2_rows,
 )
-from repro.experiments.runner import (
-    CLUSTERING_ATTACKS,
-    DEGREE_ATTACKS,
-    SweepResult,
-    run_attack_sweep,
-)
+from repro.experiments.runner import SweepResult
 from repro.graph.generators import powerlaw_cluster_graph
+from repro.scenarios import get_scenario, run_scenario
 
 TINY = ExperimentConfig(trials=1, seed=0, scale=0.05)
 
@@ -29,33 +27,23 @@ def graph():
     return powerlaw_cluster_graph(200, 4, 0.5, rng=0)
 
 
-class TestRunAttackSweep:
-    def test_epsilon_sweep_structure(self, graph):
-        result = run_attack_sweep(
-            graph, "toy", "degree_centrality", "epsilon", [2.0, 4.0], TINY, figure="T"
-        )
+def sweep(name, values, config=TINY):
+    """One figure scenario cut to ``values``, run end to end."""
+    spec = replace(get_scenario(name), values=tuple(values))
+    return run_scenario(spec, config).sweep()
+
+
+class TestScenarioSweep:
+    def test_epsilon_sweep_structure(self):
+        result = sweep("fig6", [2.0, 4.0])
         assert set(result.series) == {"RVA", "RNA", "MGA"}
         assert all(len(series) == 2 for series in result.series.values())
 
-    def test_clustering_attacks_selected_by_metric(self, graph):
-        result = run_attack_sweep(
-            graph, "toy", "clustering_coefficient", "epsilon", [4.0], TINY
-        )
-        assert set(result.series) == set(CLUSTERING_ATTACKS)
+    def test_deterministic(self):
+        assert sweep("fig7", [0.05]).series == sweep("fig7", [0.05]).series
 
-    def test_invalid_parameter(self, graph):
-        with pytest.raises(ValueError, match="parameter"):
-            run_attack_sweep(graph, "toy", "degree_centrality", "delta", [1], TINY)
-
-    def test_deterministic(self, graph):
-        a = run_attack_sweep(graph, "toy", "degree_centrality", "beta", [0.05], TINY)
-        b = run_attack_sweep(graph, "toy", "degree_centrality", "beta", [0.05], TINY)
-        assert a.series == b.series
-
-    def test_gains_finite_and_nonnegative(self, graph):
-        result = run_attack_sweep(
-            graph, "toy", "degree_centrality", "gamma", [0.01, 0.05], TINY
-        )
+    def test_gains_finite_and_nonnegative(self):
+        result = sweep("fig8", [0.01, 0.05])
         for series in result.series.values():
             assert all(np.isfinite(g) and g >= 0 for g in series)
 
@@ -97,11 +85,9 @@ class TestSweepResult:
 
 
 class TestSweepStatistics:
-    def test_sweep_carries_per_trial_samples(self, graph):
-        config = ExperimentConfig(trials=3, seed=0, cache=False)
-        result = run_attack_sweep(
-            graph, "toy", "degree_centrality", "epsilon", [4.0], config, figure="S"
-        )
+    def test_sweep_carries_per_trial_samples(self):
+        config = ExperimentConfig(trials=3, seed=0, scale=0.05, cache=False)
+        result = sweep("fig6", [4.0], config)
         for name in result.series:
             assert len(result.samples[name]) == 1
             assert len(result.samples[name][0]) == 3

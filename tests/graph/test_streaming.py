@@ -22,7 +22,7 @@ from repro.graph.streaming import (
     streaming_intra_community_edges,
     streaming_triangles_per_node,
 )
-from repro.ldp.perturbation import perturb_graph, perturb_graph_stream
+from repro.ldp.perturbation import perturb_graph
 from repro.protocols.estimators import observed_intra_community_edges
 from repro.protocols.lfgdpr import LFGDPRProtocol
 
@@ -173,15 +173,18 @@ class TestDispatch:
 
 
 class TestPerturbStream:
+    """Perturbed reports served as packed row blocks."""
+
     def test_draw_for_draw_identity(self):
         graph = random_graph(120, 0.1, seed=10)
         for block_rows in (1, 17, None):
             reference = perturb_graph(graph, 1.2, rng=99)
-            perturbed, blocks = perturb_graph_stream(
-                graph, 1.2, rng=99, block_rows=block_rows
-            )
+            perturbed = perturb_graph(graph, 1.2, rng=99)
             assert np.array_equal(perturbed.edge_codes, reference.edge_codes)
-            assembled = np.concatenate([rows for _, _, rows in blocks], axis=0)
+            assembled = np.concatenate(
+                [rows for _, _, rows in iter_packed_row_blocks(perturbed, block_rows)],
+                axis=0,
+            )
             assert np.array_equal(
                 assembled, BitMatrix.from_graph(reference).rows
             )
@@ -194,12 +197,12 @@ class TestPerturbStream:
         """
         graph = random_graph(100, 0.15, seed=11)
         digest = hashlib.sha256()
-        for _, _, rows in perturb_graph_stream(graph, 2.0, rng=1234, block_rows=23)[1]:
+        for _, _, rows in iter_packed_row_blocks(perturb_graph(graph, 2.0, rng=1234), 23):
             digest.update(np.ascontiguousarray(rows, dtype="<u8").tobytes())
-        # Independent of block height: one block per call consumes the same
-        # draws, and the assembled bytes are block-size invariant.
+        # Independent of block height: block iteration draws nothing, and
+        # the assembled bytes are block-size invariant.
         other = hashlib.sha256()
-        for _, _, rows in perturb_graph_stream(graph, 2.0, rng=1234, block_rows=100)[1]:
+        for _, _, rows in iter_packed_row_blocks(perturb_graph(graph, 2.0, rng=1234), 100):
             other.update(np.ascontiguousarray(rows, dtype="<u8").tobytes())
         assert digest.hexdigest() == other.hexdigest()
         assert digest.hexdigest() == (

@@ -3,16 +3,14 @@
 The scenario compiler must emit the *historical* seed-derivation keys of the
 pre-scenario figure drivers — that equivalence is what keeps every recorded
 figure output bit-identical.  These tests pin both key shapes against
-independent constructions: the sweep style against the engine-level
-:func:`~repro.experiments.runner.build_sweep_tasks`, the defense style
-against literally-spelled key strings.
+independent constructions: both styles against literally-spelled key
+strings.
 """
 
 import pytest
 
 from repro.engine.tasks import TrialTask, derive_trial_seed, graph_fingerprint
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_sweep_tasks
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.registry import get_scenario
@@ -32,29 +30,53 @@ def graph():
     return powerlaw_cluster_graph(120, 4, 0.5, rng=0)
 
 
+def sweep_tasks(graph, figure, metric, attacks, protocol):
+    """A sweep-style panel spelled out: the historical attack-sweep keys."""
+    graph_key = graph_fingerprint(graph)
+    return [
+        TrialTask(
+            graph_key=graph_key, metric=metric,
+            attack=f"{family}/{series.lower()}", protocol=protocol,
+            epsilon=epsilon, beta=CONFIG.beta, gamma=CONFIG.gamma,
+            seed=derive_trial_seed(
+                CONFIG.seed,
+                f"{figure}|facebook|{metric}|{series}|epsilon={epsilon!r}|trial={trial}",
+            ),
+            figure=figure, series=series, parameter="epsilon",
+            value=epsilon, trial=trial,
+        )
+        for epsilon in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+        for family, series in attacks
+        for trial in range(CONFIG.trials)
+    ]
+
+
 class TestSweepStyle:
     def test_matches_legacy_sweep_builder(self, graph):
-        """fig6-shaped scenarios compile to build_sweep_tasks' exact batch."""
+        """fig6 compiles to the historical attack-sweep batch, key for key."""
         spec = get_scenario("fig6")
         compiled = compile_scenario(spec, graph, CONFIG)
-        legacy = build_sweep_tasks(
-            graph, spec.dataset, spec.metric, "epsilon", spec.values, CONFIG,
-            {"RVA": "degree/rva", "RNA": "degree/rna", "MGA": "degree/mga"},
-            "lfgdpr", "", figure="Fig6",
-        )
+        attacks = [("degree", "RVA"), ("degree", "RNA"), ("degree", "MGA")]
+        legacy = sweep_tasks(graph, "Fig6", "degree_centrality", attacks, "lfgdpr")
         assert set(compiled) == set(legacy)
         assert len(compiled) == len(legacy) == 8 * 3 * CONFIG.trials
+        mga = next(
+            task for task in compiled
+            if task.series == "MGA" and task.value == 4.0 and task.trial == 1
+        )
+        assert mga.seed == derive_trial_seed(
+            7, "Fig6|facebook|degree_centrality|MGA|epsilon=4.0|trial=1"
+        )
 
     def test_multi_panel_matches_two_legacy_batches(self, graph):
         """fig14 compiles to the union of the two historical panel batches."""
         spec = get_scenario("fig14")
         compiled = compile_scenario(spec, graph, CONFIG)
+        attacks = [("clustering", "RVA"), ("clustering", "RNA"), ("clustering", "MGA")]
         legacy = []
         for panel, protocol in (("LF-GDPR", "lfgdpr"), ("LDPGen", "ldpgen")):
-            legacy += build_sweep_tasks(
-                graph, spec.dataset, spec.metric, "epsilon", spec.values, CONFIG,
-                {"RVA": "clustering/rva", "RNA": "clustering/rna", "MGA": "clustering/mga"},
-                protocol, "", figure=f"Fig14-{panel}",
+            legacy += sweep_tasks(
+                graph, f"Fig14-{panel}", "clustering_coefficient", attacks, protocol
             )
         assert set(compiled) == set(legacy)
 

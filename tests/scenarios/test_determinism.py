@@ -12,8 +12,9 @@ import json
 
 import pytest
 
-from repro.engine.cache import NullCache, ResultCache
+from repro.engine.cache import NullCache
 from repro.engine.executors import ParallelExecutor, SerialExecutor, run_tasks
+from repro.engine.result_store import ShardedResultStore
 from repro.experiments.config import ExperimentConfig
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.registry import get_scenario
@@ -43,14 +44,14 @@ class TestParallelMatchesSerial:
         parallel = run_tasks(
             tasks, graph,
             executor=ParallelExecutor(jobs=4),
-            cache=ResultCache(tmp_path / "cold"),
+            cache=ShardedResultStore(tmp_path / "cold"),
         )
         assert _sha256_of(parallel) == _sha256_of(serial)
 
     def test_cache_hit_replay_bitwise_identical(self, batch, tmp_path):
         """A warm cache answers the whole batch with the same result vector."""
         _, graph, tasks = batch
-        cache = ResultCache(tmp_path / "warm")
+        cache = ShardedResultStore(tmp_path / "warm")
         first = run_tasks(tasks, graph, executor=SerialExecutor(), cache=cache)
         assert cache.misses == len(tasks)
         replay = run_tasks(
@@ -76,7 +77,7 @@ class TestParallelMatchesSerial:
     def test_partial_cache_mix_identical(self, batch, tmp_path):
         """Half-warm cache (hits + parallel misses) still reproduces serial."""
         _, graph, tasks = batch
-        cache = ResultCache(tmp_path / "half")
+        cache = ShardedResultStore(tmp_path / "half")
         half = tasks[: len(tasks) // 2]
         run_tasks(half, graph, executor=SerialExecutor(), cache=cache)
         mixed = run_tasks(

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine.cache import NullCache, ResultCache
+from repro.engine.cache import NullCache
 from repro.engine.executors import ParallelExecutor, SerialExecutor, run_tasks
 from repro.engine.result_store import ShardedResultStore
 from repro.engine.session import EngineSession
@@ -77,7 +77,7 @@ class TestTracingDoesNotChangeResults:
 class TestDriverCounters:
     def test_cache_hit_miss_and_batch_tasks(self, batch, tmp_path):
         graph, tasks = batch
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultStore(tmp_path)
         with use_tracer(Tracer()) as cold:
             run_tasks(tasks, graph, executor=SerialExecutor(), cache=cache)
         assert cold.counters["cache.miss"] == len(tasks)
@@ -163,10 +163,10 @@ class TestResultStoreCounters:
             store.put(task, 0.5)
             assert store.get(task) == 0.5
         assert store.stats() == {
-            "hits": 1, "misses": 1, "appends": 1, "migrated": 0,
+            "hits": 1, "misses": 1, "appends": 1,
             "shards_loaded": 0,  # the miss found no shard file to parse
             "reloads": 0,  # nobody else appended behind our back
-            "corrupt": 0, "quarantined": 0, "legacy_corrupt": 0,
+            "corrupt": 0, "quarantined": 0,
             "non_durable": 0,  # every append above reached the disk
         }
         assert tracer.counters["result_store.miss"] == 1
@@ -177,15 +177,6 @@ class TestResultStoreCounters:
         fresh = ShardedResultStore(tmp_path)
         assert fresh.get(task) == 0.5
         assert fresh.stats()["shards_loaded"] == 1
-
-    def test_legacy_migration_counts(self, tmp_path):
-        task = self._task()
-        ResultCache(tmp_path).put(task, 0.25)
-        store = ShardedResultStore(tmp_path)
-        with use_tracer(Tracer()) as tracer:
-            assert store.get(task) == 0.25
-        assert store.stats()["migrated"] == 1
-        assert tracer.counters["result_store.migrated"] == 1
 
 
 class TestDeltaCounters:

@@ -18,7 +18,6 @@ TOP_LEVEL_API = [
     "TrialTask",
     "SerialExecutor",
     "ParallelExecutor",
-    "ResultCache",
     "Attack",
     "AttackerKnowledge",
     "AttackOutcome",
@@ -32,7 +31,6 @@ TOP_LEVEL_API = [
     "FrequencyRIA",
     "FrequencyRPA",
     "ThreatModel",
-    "average_gain",
     "evaluate_attack",
     "evaluate_frequency_attack",
     "theorem1_degree_gain",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import child_rng, ensure_rng, spawn_rngs
+from repro.utils.rng import child_rng, ensure_rng
 
 
 class TestEnsureRng:
@@ -66,25 +66,3 @@ class TestChildRng:
         child = child_rng(gen, "x")
         assert isinstance(child, np.random.Generator)
 
-
-class TestSpawnRngs:
-    def test_count(self):
-        rngs = list(spawn_rngs(0, 5))
-        assert len(rngs) == 5
-
-    def test_streams_differ(self):
-        rngs = list(spawn_rngs(0, 3))
-        draws = [r.integers(0, 1_000_000, size=8).tolist() for r in rngs]
-        assert draws[0] != draws[1] and draws[1] != draws[2]
-
-    def test_deterministic(self):
-        first = [r.integers(0, 100) for r in spawn_rngs(9, 4)]
-        second = [r.integers(0, 100) for r in spawn_rngs(9, 4)]
-        assert first == second
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            list(spawn_rngs(0, -1))
-
-    def test_zero_count(self):
-        assert list(spawn_rngs(0, 0)) == []
