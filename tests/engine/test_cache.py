@@ -23,6 +23,24 @@ class TestStoreKeys:
         assert cache.get(make_task()) == 1.0
         assert cache.get(make_task(seed=999)) == 2.0
 
+    def test_corrupt_entry_is_a_miss(self, tmp_path):
+        cache = ShardedResultStore(tmp_path)
+        task = make_task()
+        cache.put(task, 3.0)
+        shard = cache.shard_path(task.content_hash()[:2])
+        shard.write_text("{not json\n")
+        fresh = ShardedResultStore(tmp_path)
+        assert fresh.get(task) is None
+        assert fresh.corrupt == 1
+
+    def test_clear(self, tmp_path):
+        cache = ShardedResultStore(tmp_path)
+        cache.put(make_task(), 1.0)
+        cache.put(make_task(seed=5), 2.0)
+        assert cache.clear() == 2
+        assert len(cache) == 0
+        assert cache.get(make_task()) is None
+
     def test_default_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache_module.CACHE_DIR_ENV, str(tmp_path / "custom"))
         assert ShardedResultStore().root == tmp_path / "custom"

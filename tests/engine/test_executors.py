@@ -172,6 +172,16 @@ class TestExecuteTask:
         defended = execute_task(task, graph)
         assert defended >= 0.0 and undefended >= 0.0
 
+    @pytest.mark.parametrize("field", ["attack", "protocol"])
+    def test_unregistered_component_rejected(self, graph, field):
+        """Tasks name registered components only; an unknown name is an error."""
+        task = TrialTask(
+            graph_key="x", metric="degree_centrality", attack="degree/rva",
+            protocol="lfgdpr", epsilon=4.0, beta=0.05, gamma=0.05, seed=11,
+        )
+        with pytest.raises(KeyError, match="<custom>"):
+            execute_task(replace(task, **{field: "<custom>"}), graph)
+
 
 class TestOutOfBandLabelsParity:
     def test_parallel_applies_labels_to_every_task(self, graph):

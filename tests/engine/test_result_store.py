@@ -80,6 +80,19 @@ class TestRetiredLegacyLayout:
         assert store.clear() == 1
         assert json.loads(legacy.read_text())["gain"] == 4.5
 
+    def test_unparseable_per_task_file_is_not_quarantined(self, graph, tmp_path):
+        """A damaged retired-layout file is not store state: no count, no record."""
+        (task,) = make_tasks(graph, 1)
+        digest = task.content_hash()
+        legacy = tmp_path / digest[:2] / f"{digest}.json"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text("{not json")
+        store = ShardedResultStore(tmp_path)
+        assert store.get(task) is None
+        assert store.corrupt == 0 and store.quarantine.entries() == []
+        assert verify_store(tmp_path).corrupt_total == 0
+        assert legacy.read_text() == "{not json"
+
 
 class TestRoundTrip:
     def test_heterogeneous_batch_round_trip(self, tmp_path):

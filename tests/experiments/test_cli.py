@@ -16,10 +16,11 @@ class TestParser:
         assert args.dataset is None  # the scenario's own dataset
         assert args.trials == 2
 
-    def test_artifacts_parse_like_scenario_run(self):
+    @pytest.mark.parametrize("artifact", ARTIFACTS)
+    def test_artifacts_parse_like_scenario_run(self, artifact):
         argv = ["--scale", "0.04", "--trials", "1", "--trace", "t.jsonl", "--resume"]
-        alias = vars(build_parser().parse_args(["fig12a", *argv]))
-        scenario = vars(build_parser().parse_args(["scenario", "run", "fig12a", *argv]))
+        alias = vars(build_parser().parse_args([artifact, *argv]))
+        scenario = vars(build_parser().parse_args(["scenario", "run", artifact, *argv]))
         for key in ("artifact", "action", "names"):
             alias.pop(key, None)
             scenario.pop(key, None)

@@ -18,6 +18,7 @@ from repro.experiments.figures import (
 from repro.experiments.runner import SweepResult
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.scenarios import get_scenario, run_scenario
+from repro.scenarios.compiler import compile_scenario
 
 TINY = ExperimentConfig(trials=1, seed=0, scale=0.05)
 
@@ -38,6 +39,15 @@ class TestScenarioSweep:
         result = sweep("fig6", [2.0, 4.0])
         assert set(result.series) == {"RVA", "RNA", "MGA"}
         assert all(len(series) == 2 for series in result.series.values())
+
+    def test_clustering_attacks_selected_by_metric(self, graph):
+        spec = get_scenario("fig9")
+        tasks = compile_scenario(spec, graph, TINY)
+        assert {task.metric for task in tasks} == {"clustering_coefficient"}
+        assert {task.attack for task in tasks} == {
+            "clustering/rva", "clustering/rna", "clustering/mga",
+        }
+        assert set(sweep("fig9", [4.0]).series) == {"RVA", "RNA", "MGA"}
 
     def test_deterministic(self):
         assert sweep("fig7", [0.05]).series == sweep("fig7", [0.05]).series

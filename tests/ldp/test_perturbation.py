@@ -30,6 +30,13 @@ class TestPerturbGraph:
         perturbed = perturb_graph(g, 40.0, rng=0)
         assert perturbed == g
 
+    def test_zero_epsilon_is_a_fair_coin(self):
+        """At epsilon = 0 every pair is an edge with probability one half."""
+        g = erdos_renyi_graph(200, 0.05, rng=0)
+        assert rr_keep_probability(0.0) == pytest.approx(0.5)
+        perturbed = perturb_graph(g, 0.0, rng=3)
+        assert perturbed.num_edges / pair_count(200) == pytest.approx(0.5, abs=0.01)
+
     def test_edge_survival_rate(self):
         g = erdos_renyi_graph(300, 0.2, rng=0)
         epsilon = 2.0

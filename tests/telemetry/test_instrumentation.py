@@ -178,6 +178,13 @@ class TestResultStoreCounters:
         assert fresh.get(task) == 0.5
         assert fresh.stats()["shards_loaded"] == 1
 
+    def test_stats_keys_are_shard_counters_only(self, tmp_path):
+        """No counter of the retired per-task layout survives in the stats."""
+        assert set(ShardedResultStore(tmp_path).stats()) == {
+            "hits", "misses", "appends", "shards_loaded", "reloads",
+            "corrupt", "quarantined", "non_durable",
+        }
+
 
 class TestDeltaCounters:
     def _run_incremental(self):

@@ -76,6 +76,12 @@ class TestTopLevel:
         assert hasattr(repro, name), f"repro.{name} missing from public API"
         assert name in repro.__all__
 
+    @pytest.mark.parametrize("name", ["ResultCache", "average_gain"])
+    def test_retired_names_absent(self, name):
+        """Names deleted with the per-task cache and the sweep runner stay gone."""
+        assert not hasattr(repro, name)
+        assert name not in repro.__all__
+
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
