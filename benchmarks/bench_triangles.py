@@ -1,11 +1,16 @@
-"""Microbenchmark — packed vs sparse triangle counting across densities.
+"""Microbenchmark — the triangle backend cost model on a crossover grid.
 
 Runs in the CI smoke job so backend perf regressions show up in the log.
-At each density both backends must agree bit-for-bit; the packed backend is
-expected to pull ahead as density grows (the dispatch threshold in
-``repro.graph.bitmatrix`` sits at 0.05 by default).
+Every grid point times the sparse and packed backends (which must agree
+bit-for-bit) and prints the cost ratio ``E ceil(n/64) / sum_i d_i^2`` that
+``repro.graph.bitmatrix.triangle_backend`` compares with
+``PACKED_WORDS_PER_WEDGE``, the backend it picks and the measured winner.
+The grid is the fit's crossover grid trimmed to a CI-sized subset: uniform
+random graphs across size and mean degree plus power-law graphs shaped like
+the paper's datasets.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -13,14 +18,51 @@ import pytest
 from conftest import emit
 
 from repro.graph import metrics
-from repro.graph.bitmatrix import should_use_packed
-from repro.graph.generators import erdos_renyi_graph
+from repro.graph.adjacency import Graph
+from repro.graph.bitmatrix import PACKED_WORDS_PER_WEDGE, packing_bytes, triangle_backend
+from repro.graph.generators import powerlaw_cluster_graph
+from repro.utils.sparse import pair_count
 
-NODES = 600
-DENSITIES = [0.01, 0.15, 0.45]
+#: ``(nodes, mean degrees)`` of the uniform random graphs.
+UNIFORM_GRID = [
+    (2000, [5, 10, 20, 40, 80, 160]),
+    (4000, [5, 10, 20, 40, 80]),
+    (10000, [5, 10, 20, 40]),
+    (20000, [5, 20]),
+]
+
+#: ``(nodes, edges per node, triangle probability)`` of the power-law graphs.
+POWERLAW_GRID = [(2000, 10, 0.3), (4039, 22, 0.5), (10000, 5, 0.5)]
 
 
-def _best_of(callable_, repeats=3):
+@functools.lru_cache(maxsize=None)
+def uniform_graph(nodes: int, mean_degree: int) -> Graph:
+    """A uniform random graph with ``nodes * mean_degree / 2`` edges."""
+    rng = np.random.default_rng(nodes + mean_degree)
+    edges = nodes * mean_degree // 2
+    codes = np.unique(rng.integers(0, pair_count(nodes), size=int(edges * 1.02)))
+    return Graph.from_codes(nodes, rng.permutation(codes)[:edges])
+
+
+@functools.lru_cache(maxsize=None)
+def powerlaw_graph(nodes: int, edges_per_node: int, triangle_p: float) -> Graph:
+    return powerlaw_cluster_graph(nodes, edges_per_node, triangle_p, rng=1)
+
+
+def grid():
+    for nodes, degrees in UNIFORM_GRID:
+        for degree in degrees:
+            yield f"uniform n={nodes} d={degree}", uniform_graph(nodes, degree)
+    for nodes, per_node, triangle_p in POWERLAW_GRID:
+        yield f"powerlaw n={nodes} m={per_node}", powerlaw_graph(nodes, per_node, triangle_p)
+
+
+def words_per_wedge(graph: Graph) -> float:
+    degrees = graph.degrees().astype(np.float64)
+    return graph.num_edges * ((graph.num_nodes + 63) >> 6) / float(degrees @ degrees)
+
+
+def _best_of(callable_, repeats):
     best, result = float("inf"), None
     for _ in range(repeats):
         start = time.perf_counter()
@@ -29,28 +71,60 @@ def _best_of(callable_, repeats=3):
     return best, result
 
 
-def test_triangle_backends_timing():
+def test_triangle_backends_timing(monkeypatch):
+    monkeypatch.delenv("REPRO_DENSE_MAX_BYTES", raising=False)
     lines = [
-        f"triangles_per_node backends, n={NODES} (best of 3)",
-        f"{'density':>8} {'sparse_s':>10} {'packed_s':>10} {'speedup':>8} {'dispatch':>9}",
+        f"triangles_per_node backends (best of 3 for n <= 4000, else 1); "
+        f"packed when words/wedge <= {PACKED_WORDS_PER_WEDGE}",
+        f"{'graph':<26} {'sparse_s':>9} {'packed_s':>9} {'words/wedge':>11} "
+        f"{'chosen':>7} {'winner':>7} {'miss':>6}",
     ]
-    for density in DENSITIES:
-        graph = erdos_renyi_graph(NODES, density, rng=int(density * 1000))
-        sparse_time, sparse_counts = _best_of(lambda: metrics._triangles_sparse(graph))
-        packed_time, packed_counts = _best_of(lambda: metrics._triangles_packed(graph))
-        assert np.array_equal(sparse_counts, packed_counts), f"backend mismatch at {density}"
-        dispatch = "packed" if should_use_packed(graph) else "sparse"
+    hits, worst = 0, 1.0
+    points = list(grid())
+    for label, graph in points:
+        repeats = 3 if graph.num_nodes <= 4000 else 1
+        sparse_time, sparse_counts = _best_of(lambda: metrics._triangles_sparse(graph), repeats)
+        packed_time, packed_counts = _best_of(lambda: metrics._triangles_packed(graph), repeats)
+        assert np.array_equal(sparse_counts, packed_counts), f"backend mismatch at {label}"
+        chosen = triangle_backend(graph)
+        winner = "packed" if packed_time < sparse_time else "sparse"
+        times = {"packed": packed_time, "sparse": sparse_time}
+        miss = times[chosen] / times[winner]
+        hits += chosen == winner
+        worst = max(worst, miss)
         lines.append(
-            f"{density:>8.2f} {sparse_time:>10.4f} {packed_time:>10.4f} "
-            f"{sparse_time / max(packed_time, 1e-9):>7.1f}x {dispatch:>9}"
+            f"{label:<26} {sparse_time:>9.4f} {packed_time:>9.4f} "
+            f"{words_per_wedge(graph):>11.2f} {chosen:>7} {winner:>7} {miss:>5.2f}x"
         )
+    lines.append(
+        f"chosen == winner on {hits}/{len(points)} points; worst miss {worst:.2f}x"
+    )
     emit("bench_triangles", "\n".join(lines))
 
 
-@pytest.mark.parametrize("density", DENSITIES)
-def test_dispatch_routes_as_documented(density, monkeypatch):
-    monkeypatch.delenv("REPRO_DENSE_THRESHOLD", raising=False)
+def _facebook_shaped():
+    return powerlaw_graph(4039, 22, 0.5)
+
+
+def _large_low_degree():
+    return uniform_graph(20000, 5)
+
+
+def _packed_cheaper_over_cap():
+    return uniform_graph(2000, 80)
+
+
+@pytest.mark.parametrize(
+    "make,cap,expected",
+    [
+        (_facebook_shaped, None, "packed"),
+        (_large_low_degree, None, "sparse"),
+        (_packed_cheaper_over_cap, packing_bytes(2000) - 1, "stream"),
+    ],
+    ids=["facebook-shaped", "n20k-mean-degree-5", "packed-cheaper-over-cap"],
+)
+def test_dispatch_routes_as_documented(make, cap, expected, monkeypatch):
     monkeypatch.delenv("REPRO_DENSE_MAX_BYTES", raising=False)
-    graph = erdos_renyi_graph(NODES, density, rng=0)
-    expected_packed = density >= 0.05
-    assert should_use_packed(graph) == expected_packed
+    if cap is not None:
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(cap))
+    assert triangle_backend(make()) == expected

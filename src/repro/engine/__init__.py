@@ -52,7 +52,6 @@ from repro.engine.executors import (
     SerialExecutor,
     cache_for,
     execute_task,
-    min_parallel_tasks,
     run_batch,
     run_tasks,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "execute_task",
     "execute_tasks_grouped",
     "point_key",
-    "min_parallel_tasks",
     "run_batch",
     "run_tasks",
     "session_scope",

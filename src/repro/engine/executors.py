@@ -68,10 +68,9 @@ from repro.utils.rng import child_rng
 #: Any cache flavour the drivers accept.
 CacheLike = Union[ShardedResultStore, NullCache]
 
-#: Env knob: smallest batch worth a process-pool fan-out.  Batches below the
-#: threshold run in-process (pool startup would dominate).  Default 2 keeps
-#: the historical behaviour of parallelising everything but singletons.
-MIN_PARALLEL_TASKS_ENV = "REPRO_MIN_PARALLEL_TASKS"
+#: Smallest batch worth a process-pool fan-out: a singleton runs in-process
+#: (pool startup would dominate), everything larger fans out.
+MIN_PARALLEL_TASKS = 2
 
 #: Re-dispatch rounds a fan-out survives before giving up: a crashed worker
 #: (``BrokenProcessPool``) or a stalled chunk (``ChunkTimeoutError``) costs
@@ -145,25 +144,6 @@ class PoolManager:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-
-def min_parallel_tasks() -> int:
-    """The smallest task count :class:`ParallelExecutor` fans out (>= 1)."""
-    raw = os.environ.get(MIN_PARALLEL_TASKS_ENV, "")
-    if not raw:
-        return 2
-    try:
-        value = int(raw)
-    except ValueError:
-        import warnings
-
-        warnings.warn(
-            f"{MIN_PARALLEL_TASKS_ENV}={raw!r} is not an integer; "
-            "using the default threshold of 2",
-            stacklevel=2,
-        )
-        return 2
-    return max(1, value)
 
 
 def execute_task(
@@ -397,8 +377,8 @@ class ParallelExecutor(Executor):
 
     Bit-identical to :class:`SerialExecutor` because tasks are self-seeded;
     the pool only changes wall-clock time.  Batches smaller than
-    :func:`min_parallel_tasks` (``REPRO_MIN_PARALLEL_TASKS``) run in-process
-    instead of paying pool startup.
+    :data:`MIN_PARALLEL_TASKS` run in-process instead of paying pool
+    startup.
 
     Fan-outs are fault-tolerant: a crashed worker (OOM kill, segfault —
     surfacing as :class:`BrokenProcessPool`) or a stalled chunk (no chunk
@@ -463,7 +443,7 @@ class ParallelExecutor(Executor):
         labels: Optional[np.ndarray] = None,
     ) -> List[float]:
         """Gains of ``tasks``, in input order (all on ``graph``)."""
-        if self.jobs == 1 or len(tasks) < min_parallel_tasks():
+        if self.jobs == 1 or len(tasks) < MIN_PARALLEL_TASKS:
             current_tracer().counter("executor.serial_fallback")
             return SerialExecutor().execute(tasks, graph, labels)
         # Transient export: the one graph (and labelling) is published once;
@@ -486,7 +466,7 @@ class ParallelExecutor(Executor):
         self, tasks: Sequence[TrialTask], store: GraphStore
     ) -> List[float]:
         """Gains of a heterogeneous batch resolved through ``store``."""
-        if self.jobs == 1 or len(tasks) < min_parallel_tasks():
+        if self.jobs == 1 or len(tasks) < MIN_PARALLEL_TASKS:
             current_tracer().counter("executor.serial_fallback")
             return super().execute_batch(tasks, store)
         graph_handles, labels_handles = store.handles_for(tasks)

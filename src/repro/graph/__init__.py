@@ -1,7 +1,7 @@
 """Graph substrate: sparse undirected graphs, metrics, generators, datasets."""
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import BitMatrix, density_threshold, should_use_packed
+from repro.graph.bitmatrix import BitMatrix, should_use_packed, triangle_backend
 from repro.graph.bittensor import BitTensor
 from repro.graph.datasets import (
     DATASETS,
@@ -22,7 +22,6 @@ from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.streaming import (
     iter_packed_row_blocks,
     rows_per_block,
-    should_stream,
     streaming_degrees,
     streaming_intra_community_edges,
     streaming_triangles_per_node,
@@ -31,7 +30,6 @@ from repro.graph.metrics import (
     average_degree,
     degree_centrality,
     delta_stats,
-    delta_threshold,
     edge_density,
     local_clustering_coefficients,
     modularity,
@@ -46,8 +44,8 @@ __all__ = [
     "Graph",
     "BitMatrix",
     "BitTensor",
-    "density_threshold",
     "should_use_packed",
+    "triangle_backend",
     "DATASETS",
     "REAL_DATASETS",
     "DatasetSpec",
@@ -63,14 +61,12 @@ __all__ = [
     "write_edge_list",
     "iter_packed_row_blocks",
     "rows_per_block",
-    "should_stream",
     "streaming_degrees",
     "streaming_intra_community_edges",
     "streaming_triangles_per_node",
     "average_degree",
     "degree_centrality",
     "delta_stats",
-    "delta_threshold",
     "edge_density",
     "local_clustering_coefficients",
     "modularity",

@@ -8,11 +8,11 @@ counts via ``diag(A @ A @ A)`` on a scipy CSR matrix cost
 
 :class:`BitMatrix` packs each adjacency row into uint64 words (64 pairs per
 word).  Triangle counts become row-AND + popcount over a node's neighbour
-rows — ``O(2 E n / 64) <= O(n^3 / 64)`` word operations — and degrees, edge
-counts and intra-community edge counts are plain popcounts.  Every quantity
-is an exact integer, so the packed path is **bit-identical** to the sparse
-path: dispatching between them (``should_use_packed``) never changes a
-result, which keeps every engine cache entry valid.
+rows — ``O(2 E n / 64) <= O(n^3 / 64)`` word operations — and degrees and
+edge counts are plain popcounts.  Every quantity is an exact integer, so the
+packed path is **bit-identical** to the sparse path: dispatching between
+them (:func:`triangle_backend`) never changes a result, which keeps every
+engine cache entry valid.
 
 Two kernels carry the in-memory packed layer (shared with
 :mod:`repro.graph.bittensor`):
@@ -29,12 +29,11 @@ Two kernels carry the in-memory packed layer (shared with
   and ``v`` rows live in two different blocks) are a ``bincount`` over its
   output.
 
-Dispatch knobs (both overridable per process):
-
-* ``REPRO_DENSE_THRESHOLD`` — edge-density threshold above which metrics
-  route through the packed backend (default ``0.05``).
-* ``REPRO_DENSE_MAX_BYTES`` — upper bound on the packed matrix size; bigger
-  graphs stay on the sparse path regardless of density (default 1 GiB).
+Dispatch: :func:`triangle_backend` picks ``"packed"``, ``"sparse"`` or
+``"stream"`` for a graph from its own ``E``, ``n`` and ``sum_i d_i^2`` (a
+cost model fit on ``benchmarks/bench_triangles.py``); packed-cheaper graphs
+whose packing would overflow ``REPRO_DENSE_MAX_BYTES`` (default 1 GiB)
+stream packed row blocks instead (:mod:`repro.graph.streaming`).
 """
 
 from __future__ import annotations
@@ -44,57 +43,84 @@ from typing import Optional
 
 import numpy as np
 
+from repro.telemetry.core import current_tracer
 from repro.utils.sparse import pair_count
 
-#: Edge density above which the packed backend beats sparse matmul.
-DEFAULT_DENSITY_THRESHOLD = 0.05
+#: Packed-vs-sparse crossover of :func:`triangle_backend`, in packed words
+#: per wedge: the packed sweep costs ``E ceil(n/64)`` word operations, the
+#: sparse matmul ``sum_i d_i^2`` (the wedge count) multiply-adds.  Fit on the
+#: ``benchmarks/bench_triangles.py`` crossover grid, where the measured
+#: crossover drifts from about 4 at n = 4,000 to about 6 at n = 20,000.
+PACKED_WORDS_PER_WEDGE = 4
 
-#: Environment variable overriding :data:`DEFAULT_DENSITY_THRESHOLD`.
-DENSITY_THRESHOLD_ENV = "REPRO_DENSE_THRESHOLD"
-
-#: Default cap on packed-matrix memory (see :func:`packed_bytes`): 1 GiB
-#: holds a 92,672-node matrix.
+#: Default cap on packing memory (see :func:`packing_bytes`): 1 GiB packs
+#: graphs of up to 30,875 nodes in memory.
 DEFAULT_MAX_PACKED_BYTES = 1 << 30
 
 #: Environment variable overriding :data:`DEFAULT_MAX_PACKED_BYTES`.
 MAX_PACKED_BYTES_ENV = "REPRO_DENSE_MAX_BYTES"
 
 
-def density_threshold() -> float:
-    """The edge-density threshold for packed dispatch (env-overridable)."""
-    return float(os.environ.get(DENSITY_THRESHOLD_ENV, DEFAULT_DENSITY_THRESHOLD))
-
-
 def max_packed_bytes() -> int:
-    """The packed-matrix memory cap in bytes (env-overridable)."""
-    return int(os.environ.get(MAX_PACKED_BYTES_ENV, DEFAULT_MAX_PACKED_BYTES))
+    """The packing memory cap in bytes (env-overridable); raises
+    :class:`ValueError` unless ``REPRO_DENSE_MAX_BYTES`` is a positive integer."""
+    raw = os.environ.get(MAX_PACKED_BYTES_ENV, str(DEFAULT_MAX_PACKED_BYTES))
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"{MAX_PACKED_BYTES_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def packed_bytes(num_nodes: int) -> int:
     """Bytes of one packed ``n x ceil(n/64)`` uint64 matrix (plane).
 
     Rows are padded to whole words, so this exceeds ``n * n // 8`` whenever
-    ``n`` is not a multiple of 64 — the size every memory-cap check must
-    compare against.
+    ``n`` is not a multiple of 64.
     """
     n = int(num_nodes)
     return n * (((n + 63) >> 6) << 3)
 
 
-def should_use_packed(graph) -> bool:
-    """Whether ``graph`` should route dense-friendly metrics through packing.
+def packing_bytes(num_nodes: int) -> int:
+    """Peak bytes of packing one matrix: the packed plane plus the
+    ``n x 64 ceil(n/64)`` byte scratch :func:`pack_symmetric_plane` zeroes
+    — the size every memory-cap check must compare against."""
+    n = int(num_nodes)
+    return packed_bytes(n) + n * (((n + 63) >> 6) << 6)
 
-    True when the graph is dense enough for word-parallel popcounting to beat
-    the sparse code paths and small enough for the n x ceil(n/64) uint64
-    matrix to fit the memory cap.  Both backends are exact, so this predicate
-    only affects speed, never results.
+
+def triangle_backend(graph) -> str:
+    """The triangle backend for ``graph``: ``"packed"``, ``"sparse"`` or
+    ``"stream"``.
+
+    Packed when its word sweep is the cheaper one,
+    ``E ceil(n/64) <= PACKED_WORDS_PER_WEDGE * sum_i d_i^2``.  Since
+    ``sum_i d_i^2 >= (2E)^2 / n``, a graph that already passes on that bound
+    is packed without reading its degrees — the dense perturbed planes of a
+    paired batch, whose degrees are not computed yet.  A packed-cheaper
+    graph whose :func:`packing_bytes` exceed the cap streams packed row
+    blocks instead; ``n < 3`` or no edges is sparse.  The choice is counted
+    as ``backend.<choice>`` on the current tracer.  All three backends count
+    the same exact integers, so it only affects speed and memory.
     """
     n = graph.num_nodes
-    if n < 3:
-        return False
-    if packed_bytes(n) > max_packed_bytes():
-        return False
-    return graph.num_edges / pair_count(n) >= density_threshold()
+    edges = graph.num_edges
+    backend = "sparse"
+    if n >= 3 and edges:
+        words = edges * ((n + 63) >> 6)
+        cheaper = words * n <= PACKED_WORDS_PER_WEDGE * 4 * edges * edges
+        if not cheaper:
+            degrees = graph.degrees().astype(np.float64)
+            cheaper = words <= PACKED_WORDS_PER_WEDGE * float(degrees @ degrees)
+        if cheaper:
+            backend = "packed" if packing_bytes(n) <= max_packed_bytes() else "stream"
+    current_tracer().counter(f"backend.{backend}")
+    return backend
+
+
+def should_use_packed(graph) -> bool:
+    """Whether ``graph``'s triangles are counted on the in-memory packed
+    backend (:func:`triangle_backend` is ``"packed"``)."""
+    return triangle_backend(graph) == "packed"
 
 
 def node_set(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
@@ -115,8 +141,8 @@ _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 #: Per-byte popcount table for numpy < 2.0 (no ``np.bitwise_count``).
 _BYTE_POPCOUNT = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
 
-#: Word budget (32 MiB) for the transient gather/AND buffers of the masked
-#: popcount passes, keeping peak memory bounded regardless of node degree.
+#: Word budget (32 MiB) for the transient unpack and gather/AND buffers of
+#: the row-block passes, keeping peak memory bounded regardless of degree.
 _CHUNK_WORDS = 1 << 22
 
 
@@ -197,10 +223,8 @@ def pack_symmetric_plane(
     exact OR.  ``scratch`` may be passed in to be reused across planes; it
     must be all zero on entry and is zero again on return.
 
-    Peak transient memory is the ``n^2``-byte scratch, the ``n^2/8`` packed
-    bytes and one E-long index array — below the ~``80 E`` bytes of
-    symmetrized index and weight arrays a per-bit accumulation needs at the
-    packed-dispatch densities (``E >= 0.025 n^2``).
+    Peak transient memory is the scratch plus the packed bytes
+    (:func:`packing_bytes`) and one E-long index array.
     """
     n = int(num_nodes)
     words = (n + 63) >> 6
@@ -335,22 +359,6 @@ def endpoint_sums(
     counts = np.bincount(edge_rows, weights=weights, minlength=num_nodes).astype(np.int64)
     counts += np.bincount(edge_cols, weights=weights, minlength=num_nodes).astype(np.int64)
     return counts
-
-
-def _masked_popcount_sum(matrix: np.ndarray, row_ids: np.ndarray, mask: np.ndarray) -> int:
-    """``sum(popcount(matrix[i] & mask) for i in row_ids)``, chunked.
-
-    The fancy-index gather and the AND result are matrix-row-sized
-    temporaries; chunking ``row_ids`` keeps them a constant ~32 MiB apiece so
-    peak memory stays within the ``REPRO_DENSE_MAX_BYTES`` promise instead of
-    tripling it on high-degree nodes.
-    """
-    chunk = max(1, _CHUNK_WORDS // max(matrix.shape[1], 1))
-    total = 0
-    for start in range(0, row_ids.size, chunk):
-        block = row_ids[start : start + chunk]
-        total += int(_row_popcounts(matrix[block] & mask).sum())
-    return total
 
 
 class BitMatrix:
@@ -580,27 +588,6 @@ class BitMatrix:
                 f"row range [{start}, {stop}) out of [0, {self.num_nodes}]"
             )
         return self.rows[start:stop]
-
-    def intra_community_edges(self, labels: np.ndarray, num_communities: int) -> np.ndarray:
-        """Number of edges with both endpoints in each community.
-
-        Exactly :func:`np.bincount` over same-label edges, computed as
-        popcounts of member rows masked by the community's packed indicator —
-        ``O(n ceil(n/64))`` words instead of touching every edge index.
-        """
-        labels = np.asarray(labels, dtype=np.int64)
-        counts = np.zeros(num_communities, dtype=np.int64)
-        one = np.uint64(1)
-        for community in range(num_communities):
-            members = np.flatnonzero(labels == community)
-            if members.size < 2:
-                continue
-            mask = np.zeros(self.num_words, dtype=np.uint64)
-            np.bitwise_or.at(
-                mask, members >> 6, one << (members & 63).astype(np.uint64)
-            )
-            counts[community] = _masked_popcount_sum(self.rows, members, mask) // 2
-        return counts
 
     def __repr__(self) -> str:
         return f"BitMatrix(num_nodes={self.num_nodes}, num_words={self.num_words})"

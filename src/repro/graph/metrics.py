@@ -8,29 +8,21 @@ and Newman modularity.  All operate on :class:`repro.graph.Graph`.
 
 from __future__ import annotations
 
-import os
 from typing import MutableMapping, Optional, Sequence
 
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import BitMatrix, node_set, should_use_packed
-from repro.graph.streaming import should_stream, streaming_triangles_per_node
+from repro.graph.bitmatrix import BitMatrix, node_set, should_use_packed, triangle_backend
+from repro.graph.streaming import streaming_triangles_per_node
 from repro.telemetry.core import current_tracer
 from repro.utils.sparse import decode_pairs, pair_count
+from repro.utils.validation import check_labels
 
 #: Touched-row fraction above which incremental before/after estimation loses
 #: to a full recompute (the delta pass costs ~4x the touched fraction of a
 #: full pass, so the theoretical crossover sits near 0.25).
-DEFAULT_DELTA_THRESHOLD = 0.25
-
-#: Environment variable overriding :data:`DEFAULT_DELTA_THRESHOLD`.
-DELTA_THRESHOLD_ENV = "REPRO_DELTA_THRESHOLD"
-
-
-def delta_threshold() -> float:
-    """The touched-row fraction crossover for incremental estimation."""
-    return float(os.environ.get(DELTA_THRESHOLD_ENV, DEFAULT_DELTA_THRESHOLD))
+DELTA_THRESHOLD = 0.25
 
 
 def should_use_incremental(num_nodes: int, touched_count: int) -> bool:
@@ -42,12 +34,12 @@ def should_use_incremental(num_nodes: int, touched_count: int) -> bool:
     """
     if num_nodes < 3 or touched_count == 0:
         return False
-    return touched_count <= delta_threshold() * num_nodes
+    return touched_count <= DELTA_THRESHOLD * num_nodes
 
 
 #: Counters tracking how paired after-run triangle estimations were served.
 #: ``incremental`` = delta path taken, ``fallback`` = full recompute because
-#: the touched fraction crossed :func:`delta_threshold`.  Used by benchmarks
+#: the touched fraction crossed :data:`DELTA_THRESHOLD`.  Used by benchmarks
 #: and the CI smoke job to assert the fast path is actually selected.
 _DELTA_STATS = {"incremental": 0, "fallback": 0}
 
@@ -79,32 +71,37 @@ def degree_centrality(graph: Graph) -> np.ndarray:
 def triangles_per_node(graph: Graph) -> np.ndarray:
     """Number of triangles incident to each node (``tau_i`` in the paper).
 
-    Density-adaptive: graphs above the packed-dispatch threshold (e.g. the
+    Cost-adaptive (:func:`repro.graph.bitmatrix.triangle_backend`): graphs
+    whose packed word sweep beats the sparse wedge count (e.g. the
     near-dense output of low-epsilon randomized response) are counted via
-    bit-packed row-AND + popcount (:class:`repro.graph.bitmatrix.BitMatrix`);
-    dense-leaning graphs whose packed matrix exceeds
-    ``REPRO_DENSE_MAX_BYTES`` stream packed row blocks instead
-    (:func:`repro.graph.streaming.streaming_triangles_per_node`); sparser
-    graphs go via ``diag(A @ A @ A) / 2`` on scipy CSR matrices.  All three
-    backends produce exact integer counts, so the dispatch never changes a
-    result.
+    bit-packed row-AND + popcount (:class:`repro.graph.bitmatrix.BitMatrix`),
+    or by streaming packed row blocks when packing would exceed
+    ``REPRO_DENSE_MAX_BYTES``
+    (:func:`repro.graph.streaming.streaming_triangles_per_node`); the rest go
+    via ``diag(A @ A @ A) / 2`` on scipy CSR matrices.  All three backends
+    produce exact integer counts, so the dispatch never changes a result.
     """
-    n = graph.num_nodes
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if should_use_packed(graph):
-        return _triangles_packed(graph)
-    if should_stream(graph):
+    return _dispatch_triangles(graph, None)
+
+
+def _dispatch_triangles(graph: Graph, cache: Optional[MutableMapping]) -> np.ndarray:
+    """Count on :func:`triangle_backend`'s choice; a packed matrix is parked
+    in ``cache`` (when given) under ``"bitmatrix"``."""
+    backend = triangle_backend(graph)
+    if backend == "packed":
+        return _triangles_packed(graph, cache)
+    if backend == "stream":
         return streaming_triangles_per_node(graph)
     return _triangles_sparse(graph)
 
 
-def _triangles_packed(graph: Graph) -> np.ndarray:
+def _triangles_packed(graph: Graph, cache: Optional[MutableMapping] = None) -> np.ndarray:
     """Packed backend: edge-gather row-AND + popcount sweep."""
     edges = graph.edge_arrays()
-    return BitMatrix.from_edge_arrays(graph.num_nodes, *edges).triangles_per_node(
-        edges=edges
-    )
+    packed = BitMatrix.from_edge_arrays(graph.num_nodes, *edges)
+    if cache is not None:
+        cache["bitmatrix"] = packed
+    return packed.triangles_per_node(edges=edges)
 
 
 def _triangles_sparse(graph: Graph) -> np.ndarray:
@@ -128,23 +125,16 @@ def triangles_per_node_cached(graph: Graph, cache: MutableMapping) -> np.ndarray
     """
     triangles = cache.get("triangles")
     if triangles is None:
-        if should_use_packed(graph):
-            edges = graph.edge_arrays()
-            packed = BitMatrix.from_edge_arrays(graph.num_nodes, *edges)
-            cache["bitmatrix"] = packed
-            triangles = packed.triangles_per_node(edges=edges)
-        else:
-            triangles = triangles_per_node(graph)
-        cache["triangles"] = triangles
+        triangles = cache["triangles"] = _dispatch_triangles(graph, cache)
     return triangles
 
 
 def triangles_touching(graph: Graph, nodes: np.ndarray) -> np.ndarray:
     """Per-node count of triangles with at least one vertex in ``nodes``.
 
-    Density-adaptive like :func:`triangles_per_node` (packed row-AND +
-    popcount vs sparse matmul restricted to the touched rows); both backends
-    return the same exact integers.  ``nodes`` is a set: repeated ids count
+    Packed row-AND + popcount when :func:`should_use_packed`, otherwise
+    sparse matmul restricted to the touched rows; both backends return the
+    same exact integers.  ``nodes`` is a set: repeated ids count
     once, and ids outside ``0..n-1`` raise :class:`ValueError`.
     """
     nodes = node_set(nodes, graph.num_nodes)
@@ -207,8 +197,7 @@ def triangles_per_node_incremental(
     with :func:`triangles_touching` restricted to the touched rows.  All
     three terms are exact integers, making the result bit-identical to a
     full recompute; when the touched fraction exceeds
-    :func:`delta_threshold` (``REPRO_DELTA_THRESHOLD``) the delta pass would
-    cost more than it saves and the function falls back to
+    :data:`DELTA_THRESHOLD` the delta pass would cost more than it saves and the function falls back to
     :func:`triangles_per_node` on ``after``.  The decision is recorded in
     :func:`delta_stats`.
 
@@ -305,10 +294,9 @@ def modularity(graph: Graph, communities: Sequence[Sequence[int]]) -> float:
 
 
 def modularity_from_labels(graph: Graph, labels: np.ndarray) -> float:
-    """Newman modularity given a per-node community label array."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (graph.num_nodes,):
-        raise ValueError("labels must have one entry per node")
+    """Newman modularity given a per-node community label array
+    (validated by :func:`repro.utils.validation.check_labels`)."""
+    labels = check_labels(labels, graph.num_nodes)
     total_edges = graph.num_edges
     if total_edges == 0:
         return 0.0

@@ -28,11 +28,13 @@ contiguous code slice (two ``searchsorted`` probes); the edges whose
 permutation built once per sweep.  A row block therefore costs
 ``O(E_block)`` — no pass over the full matrix ever happens.
 
-Dispatch: :func:`should_stream` is true for graphs dense enough for packed
-counting whose packed form exceeds ``REPRO_DENSE_MAX_BYTES`` —
-:func:`repro.graph.metrics.triangles_per_node` routes those here instead of
-falling back to the sparse matmul (whose ``A @ A`` intermediate explodes on
-near-dense million-node graphs).
+Dispatch: :func:`repro.graph.bitmatrix.triangle_backend` is ``"stream"``
+for graphs whose packed sweep beats the sparse matmul but whose packing
+exceeds ``REPRO_DENSE_MAX_BYTES`` — :func:`repro.graph.metrics.triangles_per_node`
+routes those here instead of to the sparse matmul (whose ``A @ A``
+intermediate explodes on near-dense million-node graphs).  Intra-community
+edge counts always take :func:`streaming_intra_community_edges`, the one
+implementation for unpacked graphs.
 """
 
 from __future__ import annotations
@@ -43,34 +45,17 @@ import numpy as np
 
 from repro.graph.bitmatrix import (
     accumulate_bits,
-    density_threshold,
     endpoint_sums,
     max_packed_bytes,
     packed_bytes,
     pair_popcounts,
 )
-from repro.utils.sparse import decode_pairs, pair_count
+from repro.utils.sparse import decode_pairs
+from repro.utils.validation import check_labels
 
 #: Default edge-chunk size of the chunk-accumulated estimators (codes per
 #: decode pass; 4M codes ~ 96 MB of transients).
 DEFAULT_CHUNK_EDGES = 1 << 22
-
-
-def should_stream(graph) -> bool:
-    """Whether dense-friendly metrics on ``graph`` must stream row blocks.
-
-    True for graphs that *would* dispatch to the packed backend on density
-    grounds but whose full packed matrix exceeds ``REPRO_DENSE_MAX_BYTES``.
-    The streaming path computes the same exact integers, so — like
-    :func:`~repro.graph.bitmatrix.should_use_packed` — this predicate only
-    affects speed and peak memory, never results.
-    """
-    n = graph.num_nodes
-    if n < 3:
-        return False
-    if packed_bytes(n) <= max_packed_bytes():
-        return False
-    return graph.num_edges / pair_count(n) >= density_threshold()
 
 
 def rows_per_block(num_nodes: int, max_bytes: int | None = None) -> int:
@@ -200,12 +185,13 @@ def streaming_intra_community_edges(
 ) -> np.ndarray:
     """Exact per-community intra-edge counts with O(``chunk_edges``) transients.
 
-    Same integers as both branches of
-    :func:`repro.protocols.estimators.observed_intra_community_edges` —
-    a same-label bincount over the edges, accumulated per chunk.
+    A same-label bincount over the edges, accumulated per chunk — the one
+    intra-community counter of unpacked graphs (the modularity estimator and
+    its paired baseline).  ``labels`` must hold one non-negative integer
+    community id per node (:func:`repro.utils.validation.check_labels`).
     """
     n = graph.num_nodes
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_labels(labels, n)
     if chunk_edges is None:
         chunk_edges = DEFAULT_CHUNK_EDGES
     if chunk_edges < 1:

@@ -18,11 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import BitMatrix, should_use_packed
 from repro.graph.metrics import edge_density, triangles_per_node
-from repro.graph.streaming import should_stream, streaming_intra_community_edges
+from repro.graph.streaming import streaming_intra_community_edges
 from repro.ldp.mechanisms import calibrate_bit_counts, rr_keep_probability
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_labels, check_positive
 
 
 def degrees_from_perturbed_graph(
@@ -194,26 +193,6 @@ def estimate_clustering_coefficients(
     return estimates
 
 
-def observed_intra_community_edges(
-    perturbed: Graph, labels: np.ndarray, num_communities: int
-) -> np.ndarray:
-    """Exact per-community intra-edge counts of the perturbed graph.
-
-    All branches count the same integers, so the dispatch is bit-identical;
-    the packed branch popcounts masked rows instead of decoding and
-    bucketing every edge of a near-dense perturbed graph, and graphs whose
-    packed form exceeds ``REPRO_DENSE_MAX_BYTES`` accumulate the counts in
-    bounded-memory edge chunks.
-    """
-    if should_use_packed(perturbed):
-        return BitMatrix.from_graph(perturbed).intra_community_edges(labels, num_communities)
-    if should_stream(perturbed):
-        return streaming_intra_community_edges(perturbed, labels, num_communities)
-    rows, cols = perturbed.edge_arrays()
-    same = labels[rows] == labels[cols]
-    return np.bincount(labels[rows[same]], minlength=num_communities)
-
-
 def estimate_modularity(
     perturbed: Graph,
     labels: np.ndarray,
@@ -226,17 +205,18 @@ def estimate_modularity(
     Intra-community edge counts observed in the perturbed graph are
     calibrated per community (the number of intra pairs is known from the
     partition); total edge mass comes from the fused degree estimates.
-    ``observed_intra`` optionally supplies the exact intra counts (the
-    paired incremental hook, mirroring ``observed_triangles`` above).
+    ``labels`` holds one non-negative integer community id per node
+    (:func:`repro.utils.validation.check_labels`).  ``observed_intra``
+    optionally supplies the exact intra counts (the paired incremental hook,
+    mirroring ``observed_triangles`` above); otherwise they are counted by
+    :func:`repro.graph.streaming.streaming_intra_community_edges`.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     n = perturbed.num_nodes
-    if labels.shape != (n,):
-        raise ValueError("labels must have one entry per node")
+    labels = check_labels(labels, n)
     num_communities = int(labels.max()) + 1 if n else 0
 
     if observed_intra is None:
-        observed_intra = observed_intra_community_edges(perturbed, labels, num_communities)
+        observed_intra = streaming_intra_community_edges(perturbed, labels, num_communities)
     observed_intra = np.asarray(observed_intra).astype(np.float64)
     community_sizes = np.bincount(labels, minlength=num_communities).astype(np.float64)
     intra_pairs = community_sizes * (community_sizes - 1.0) / 2.0

@@ -27,14 +27,19 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import max_packed_bytes, packed_bytes, should_use_packed
+from repro.graph.bitmatrix import (
+    max_packed_bytes,
+    packed_bytes,
+    packing_bytes,
+    should_use_packed,
+)
 from repro.graph.bittensor import BitTensor
 from repro.graph.metrics import (
     should_use_incremental,
     triangles_per_node_cached,
     triangles_per_node_incremental,
 )
-from repro.graph.streaming import iter_packed_row_blocks
+from repro.graph.streaming import iter_packed_row_blocks, streaming_intra_community_edges
 from repro.ldp.budget import BudgetAllocation, split_budget
 from repro.ldp.mechanisms import perturb_degree
 from repro.ldp.perturbation import perturb_graph, perturb_graph_batch
@@ -53,11 +58,10 @@ from repro.protocols.estimators import (
     estimate_clustering_coefficients,
     estimate_modularity,
     fuse_degree_estimates,
-    observed_intra_community_edges,
 )
 from repro.utils.rng import RngLike, child_rng
 from repro.utils.sparse import decode_pairs
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_labels, check_positive
 
 
 @dataclass(frozen=True)
@@ -251,9 +255,11 @@ class LFGDPRProtocol(GraphLDPProtocol):
 
         ``metric``/``labels`` only select which intermediates are worth
         precomputing; estimates for any metric remain correct (the caches
-        are optimisation hints).  Planes failing the packed-dispatch
-        predicate — or stacks overflowing ``REPRO_DENSE_MAX_BYTES`` across
-        trials — simply skip the tensor and estimate per trial.
+        are optimisation hints).  Unless every plane is packed
+        (:func:`~repro.graph.bitmatrix.should_use_packed`) the batch skips
+        the tensor and estimates per trial; otherwise the planes pack in
+        chunks whose stack and shared byte scratch fit
+        ``REPRO_DENSE_MAX_BYTES`` together.
         """
         seeds = [require_replayable_seed(seed) for seed in seeds]
         adjacency_rngs = [child_rng(seed, "lfgdpr-adjacency") for seed in seeds]
@@ -281,9 +287,11 @@ class LFGDPRProtocol(GraphLDPProtocol):
 
         if not all(should_use_packed(plane) for plane in perturbed):
             return runs
-        chunk = max(1, max_packed_bytes() // max(1, packed_bytes(graph.num_nodes)))
+        n = graph.num_nodes
+        scratch = packing_bytes(n) - packed_bytes(n)
+        chunk = max(1, (max_packed_bytes() - scratch) // packed_bytes(n))
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
+            labels = check_labels(labels, n)
             num_communities = int(labels.max()) + 1 if labels.size else 0
         for start in range(0, len(perturbed), chunk):
             stop = min(len(perturbed), start + chunk)
@@ -387,7 +395,8 @@ class LFGDPRProtocol(GraphLDPProtocol):
         view: the honest counts are updated over the touched rows only
         (exact integers, bit-identical to a full recount — see
         :func:`repro.graph.metrics.triangles_per_node_incremental`), falling
-        back to a full recount past ``REPRO_DELTA_THRESHOLD``.  Returns
+        back to a full recount past
+        :data:`~repro.graph.metrics.DELTA_THRESHOLD`.  Returns
         ``None`` when the reports carry no usable baseline, letting the
         caller recompute from scratch.
         """
@@ -419,12 +428,12 @@ class LFGDPRProtocol(GraphLDPProtocol):
         base = reports.baseline
         if base is None:
             return None
-        labels = np.asarray(labels, dtype=np.int64)
         n = reports.num_nodes
+        labels = check_labels(labels, n)
         num_communities = int(labels.max()) + 1 if n else 0
         cached = base.cache.get("intra")
         if cached is None or not np.array_equal(cached[0], labels):
-            honest_counts = observed_intra_community_edges(
+            honest_counts = streaming_intra_community_edges(
                 base.honest.perturbed_graph, labels, num_communities
             )
             base.cache["intra"] = (labels, honest_counts)

@@ -88,3 +88,22 @@ def check_in_range(value: Real, low: Real, high: Real, name: str) -> Real:
     if not low <= value <= high:
         raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
     return value
+
+
+def check_labels(labels, num_nodes: int) -> np.ndarray:
+    """``labels`` as int64 community ids, one non-negative integer per node.
+
+    Raises :class:`ValueError` naming ``labels`` on a wrong shape, a
+    non-integer dtype or a negative id.
+    """
+    array = np.asarray(labels)
+    if array.shape != (num_nodes,):
+        raise ValueError(
+            f"labels must have one entry per node: expected shape ({num_nodes},), "
+            f"got {array.shape}"
+        )
+    if array.size and not np.issubdtype(array.dtype, np.integer):
+        raise ValueError(f"labels must be integer community ids, got dtype {array.dtype}")
+    if array.size and array.min() < 0:
+        raise ValueError(f"labels must be non-negative community ids, got {array.min()}")
+    return array.astype(np.int64, copy=False)

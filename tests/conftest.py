@@ -11,6 +11,7 @@ cache directory.  Tests that exercise caching explicitly pass their own
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -27,3 +28,44 @@ def _isolated_result_cache(tmp_path_factory):
         os.environ.pop(CACHE_DIR_ENV, None)
     else:
         os.environ[CACHE_DIR_ENV] = previous
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """``(counts, spy)``: ``spy(owner, attr, key)`` wraps ``owner.attr`` so
+    that every call adds one to the :class:`Counter` ``counts[key]``."""
+    counts = Counter()
+
+    def spy(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    return counts, spy
+
+
+@pytest.fixture
+def force_backend(monkeypatch, call_counts):
+    """``force(name)`` pins :func:`repro.graph.bitmatrix.triangle_backend` to
+    ``name`` at every dispatch site and returns a :class:`Counter` of the
+    triangle backends that then actually ran (``"packed"``, ``"sparse"``,
+    ``"stream"``), so a test can assert the forced path was taken."""
+    from repro.graph import bitmatrix, metrics
+
+    ran, spy = call_counts
+    spy(metrics, "_triangles_packed", "packed")
+    spy(metrics, "_triangles_sparse", "sparse")
+    spy(metrics, "streaming_triangles_per_node", "stream")
+    spy(bitmatrix.BitMatrix, "triangles_touching", "packed")
+    spy(metrics, "_triangles_touching_sparse", "sparse")
+
+    def force(name):
+        for module in (bitmatrix, metrics):
+            monkeypatch.setattr(module, "triangle_backend", lambda graph: name)
+        return ran
+
+    return force

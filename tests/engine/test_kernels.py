@@ -232,7 +232,7 @@ class TestCollectPairedBatch:
     def test_tensor_chunks_sized_by_padded_plane_bytes(
         self, graph, slack, expected, monkeypatch
     ):
-        from repro.graph.bitmatrix import packed_bytes
+        from repro.graph.bitmatrix import packed_bytes, packing_bytes
         from repro.protocols import lfgdpr
 
         sizes = []
@@ -244,8 +244,9 @@ class TestCollectPairedBatch:
             return real(graphs)
 
         monkeypatch.setattr(lfgdpr.BitTensor, "from_graphs", recording)
-        # One byte under two padded planes fits one plane per tensor only.
-        cap = 2 * packed_bytes(graph.num_nodes) + slack
+        # The shared byte scratch plus one byte under two padded planes fits
+        # one plane per tensor only.
+        cap = packing_bytes(graph.num_nodes) + packed_bytes(graph.num_nodes) + slack
         monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(cap))
         LFGDPRProtocol(epsilon=2.0).collect_paired_batch(
             graph, [3, 11, 27], metric="clustering_coefficient"

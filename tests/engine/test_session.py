@@ -14,17 +14,17 @@ import pytest
 
 from repro.engine.cache import NullCache
 from repro.engine.executors import (
-    MIN_PARALLEL_TASKS_ENV,
+    MIN_PARALLEL_TASKS,
     ParallelExecutor,
     SerialExecutor,
     _chunk_indices_by_graph,
-    min_parallel_tasks,
 )
 from repro.engine.graph_store import GraphStore
 from repro.engine.result_store import ShardedResultStore
 from repro.engine.session import EngineSession
 from repro.engine.tasks import TrialTask, derive_trial_seed, graph_fingerprint
 from repro.graph.generators import powerlaw_cluster_graph
+from repro.telemetry.core import Tracer, use_tracer
 
 
 def _sha256_of(gains):
@@ -184,16 +184,12 @@ class TestChunking:
                 keys = {tasks[index].graph_key for index in chunk}
                 assert len(keys) == 1, "a chunk must map exactly one graph"
 
-    def test_min_parallel_tasks_env_knob(self, monkeypatch, hetero_batch):
+    def test_sub_threshold_batch_runs_in_process(self, monkeypatch, hetero_batch):
         import repro.engine.executors as executors_module
 
         graphs, tasks = hetero_batch
-        assert min_parallel_tasks() == 2  # default: parallelise all but singletons
-        monkeypatch.setenv(MIN_PARALLEL_TASKS_ENV, "garbage")
-        with pytest.warns(UserWarning, match="not an integer"):
-            assert min_parallel_tasks() == 2
-        monkeypatch.setenv(MIN_PARALLEL_TASKS_ENV, "1000000")
-        assert min_parallel_tasks() == 1000000
+        assert MIN_PARALLEL_TASKS == 2  # parallelise all but singletons
+        monkeypatch.setattr(executors_module, "MIN_PARALLEL_TASKS", 1000000)
 
         # Under the threshold a "parallel" batch must run in-process: creating
         # a pool at all fails the test.
@@ -205,7 +201,9 @@ class TestChunking:
         with GraphStore() as store:
             for graph in graphs:
                 store.add(graph)
-            gains = executor.execute_batch(tasks, store)
+            with use_tracer(Tracer()) as tracer:
+                gains = executor.execute_batch(tasks, store)
+            assert tracer.counters["executor.serial_fallback"] >= 1
             assert gains == SerialExecutor().execute_batch(tasks, store)
 
 

@@ -2,7 +2,7 @@
 
 The packed and sparse backends must be *bit-identical* — exact integer
 triangle counts, degrees and edge counts — across the whole density range,
-because the density-adaptive dispatch in ``repro.graph.metrics`` silently
+because the cost-adaptive dispatch in ``repro.graph.metrics`` silently
 routes between them (and engine cache entries rely on results never
 changing).
 """
@@ -13,23 +13,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import metrics
+from repro.graph import bittensor, metrics
 from repro.graph.adjacency import Graph
 from repro.graph import bitmatrix
 from repro.graph.bitmatrix import (
-    DEFAULT_DENSITY_THRESHOLD,
     BitMatrix,
     accumulate_bits,
-    density_threshold,
+    max_packed_bytes,
     pack_symmetric_plane,
     packed_bytes,
+    packing_bytes,
     pair_popcounts,
     should_use_packed,
+    triangle_backend,
 )
+from repro.graph.bittensor import BitTensor
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.graph.metrics import edge_density, triangles_per_node
-from repro.graph.streaming import rows_per_block, should_stream
+from repro.graph.streaming import rows_per_block, streaming_intra_community_edges
 from repro.ldp.perturbation import perturb_graph
+from repro.telemetry.core import Tracer, use_tracer
 from repro.utils.sparse import pair_count
 
 
@@ -149,26 +152,33 @@ def test_chunked_popcount_passes_match_single_pass(monkeypatch):
     labels = np.arange(100) % 3
     reference = BitMatrix.from_graph(g)
     expected_triangles = reference.triangles_per_node()
-    expected_intra = reference.intra_community_edges(labels, 3)
+    expected_intra = streaming_intra_community_edges(g, labels, 3)
     monkeypatch.setattr(bitmatrix, "_CHUNK_WORDS", 4)  # force many tiny chunks
+    monkeypatch.setattr(bittensor, "_CHUNK_WORDS", 4)
     assert np.array_equal(reference.triangles_per_node(), expected_triangles)
-    assert np.array_equal(reference.intra_community_edges(labels, 3), expected_intra)
+    tensor = BitTensor.from_graphs([g, g])
+    assert np.array_equal(tensor.intra_community_edges(labels, 3)[1], expected_intra)
 
 
 class TestIntraCommunityEdges:
+    """The packed intra counter (on already-packed planes) equals the
+    edge bucketing of the one unpacked counter."""
+
     def test_matches_edge_bucketing(self):
         g = erdos_renyi_graph(90, 0.4, rng=3)
         labels = np.arange(90) % 4
-        bm = BitMatrix.from_graph(g)
         rows, cols = g.edge_arrays()
         same = labels[rows] == labels[cols]
         expected = np.bincount(labels[rows[same]], minlength=4)
-        assert np.array_equal(bm.intra_community_edges(labels, 4), expected)
+        assert np.array_equal(streaming_intra_community_edges(g, labels, 4), expected)
+        packed = BitTensor.from_graphs([g]).intra_community_edges(labels, 4)[0]
+        assert np.array_equal(packed, expected)
 
     def test_singleton_and_empty_communities(self):
         g = Graph(5, [(0, 1), (1, 2)])
         labels = np.array([0, 0, 1, 2, 2])
-        counts = BitMatrix.from_graph(g).intra_community_edges(labels, 4)
+        assert streaming_intra_community_edges(g, labels, 4).tolist() == [1, 0, 0, 0]
+        counts = BitTensor.from_graphs([g]).intra_community_edges(labels, 4)[0]
         assert counts.tolist() == [1, 0, 0, 0]
 
 
@@ -177,9 +187,9 @@ class TestDispatch:
         calls = {"packed": 0, "sparse": 0}
         real_packed, real_sparse = metrics._triangles_packed, metrics._triangles_sparse
 
-        def packed(graph):
+        def packed(graph, *args):
             calls["packed"] += 1
-            return real_packed(graph)
+            return real_packed(graph, *args)
 
         def sparse(graph):
             calls["sparse"] += 1
@@ -193,16 +203,23 @@ class TestDispatch:
         calls = self._count_backends(monkeypatch)
         g = powerlaw_cluster_graph(150, 4, 0.5, rng=0)
         perturbed = perturb_graph(g, 0.5, rng=1)
-        assert edge_density(perturbed) > DEFAULT_DENSITY_THRESHOLD
         assert should_use_packed(perturbed)
         triangles_per_node(perturbed)
         assert calls == {"packed": 1, "sparse": 0}
 
-    def test_sparse_input_graph_takes_csr_path(self, monkeypatch):
+    def test_sparse_power_law_graph_takes_packed_path(self, monkeypatch):
+        # 2% density: a hub-heavy wedge count makes the word sweep cheaper.
         calls = self._count_backends(monkeypatch)
-        g = powerlaw_cluster_graph(400, 4, 0.5, rng=0)  # density ~ 2m/n = 0.02
-        assert edge_density(g) < DEFAULT_DENSITY_THRESHOLD
-        assert not should_use_packed(g)
+        g = powerlaw_cluster_graph(400, 4, 0.5, rng=0)
+        assert edge_density(g) < 0.05
+        assert should_use_packed(g)
+        triangles_per_node(g)
+        assert calls == {"packed": 1, "sparse": 0}
+
+    def test_large_low_degree_graph_takes_csr_path(self, monkeypatch):
+        calls = self._count_backends(monkeypatch)
+        g = random_code_graph(5000, 0.0004, seed=0)  # mean degree 2
+        assert triangle_backend(g) == "sparse"
         triangles_per_node(g)
         assert calls == {"packed": 0, "sparse": 1}
 
@@ -210,21 +227,69 @@ class TestDispatch:
         g = perturb_graph(powerlaw_cluster_graph(150, 4, 0.5, rng=0), 0.8, rng=2)
         assert np.array_equal(metrics._triangles_packed(g), metrics._triangles_sparse(g))
 
-    def test_threshold_env_override(self, monkeypatch):
-        dense = perturb_graph(powerlaw_cluster_graph(100, 4, 0.5, rng=0), 0.5, rng=0)
-        assert should_use_packed(dense)
-        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", "0.99")
-        assert density_threshold() == 0.99
-        assert not should_use_packed(dense)
-
     def test_memory_cap_env_override(self, monkeypatch):
         dense = perturb_graph(powerlaw_cluster_graph(100, 4, 0.5, rng=0), 0.5, rng=0)
         monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", "64")
         assert not should_use_packed(dense)
+        assert triangle_backend(dense) == "stream"
 
-    def test_tiny_graphs_stay_sparse(self):
-        assert not should_use_packed(Graph(2, [(0, 1)]))
-        assert not should_use_packed(Graph(0))
+    def test_tiny_and_edgeless_graphs_stay_sparse(self):
+        assert triangle_backend(Graph(2, [(0, 1)])) == "sparse"
+        assert triangle_backend(Graph(0)) == "sparse"
+        assert triangle_backend(Graph(50)) == "sparse"
+
+
+class TestTriangleBackend:
+    @pytest.mark.parametrize(
+        "expected,nodes,density,cap",
+        [("packed", 100, 0.5, None), ("sparse", 5000, 0.0004, None), ("stream", 100, 0.5, "64")],
+    )
+    def test_records_one_counter_per_decision(
+        self, expected, nodes, density, cap, monkeypatch
+    ):
+        graph = random_code_graph(nodes, density, seed=1)
+        if cap is not None:
+            monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", cap)
+        with use_tracer(Tracer()) as tracer:
+            assert triangle_backend(graph) == expected
+        assert tracer.counters == {f"backend.{expected}": 1}
+
+    def test_cost_model_boundary(self, monkeypatch):
+        graph = random_code_graph(3000, 0.002, seed=2)
+        degrees = graph.degrees().astype(np.float64)
+        words_per_wedge = graph.num_edges * ((3000 + 63) >> 6) / float(degrees @ degrees)
+        monkeypatch.setattr(bitmatrix, "PACKED_WORDS_PER_WEDGE", words_per_wedge * 1.01)
+        assert triangle_backend(graph) == "packed"
+        monkeypatch.setattr(bitmatrix, "PACKED_WORDS_PER_WEDGE", words_per_wedge * 0.99)
+        assert triangle_backend(graph) == "sparse"
+
+    def test_dense_graph_decided_without_reading_degrees(self, monkeypatch):
+        dense = random_code_graph(300, 0.3, seed=3)
+
+        def no_degrees(self):
+            raise AssertionError("the (2E)^2/n bound must settle a dense graph")
+
+        monkeypatch.setattr(Graph, "degrees", no_degrees)
+        assert triangle_backend(dense) == "packed"
+
+
+class TestMaxPackedBytes:
+    @pytest.mark.parametrize("bad", ["0", "-1", "garbage", "1.5", ""])
+    def test_rejects_non_positive_integer(self, bad, monkeypatch):
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", bad)
+        with pytest.raises(ValueError, match="REPRO_DENSE_MAX_BYTES"):
+            max_packed_bytes()
+
+    def test_bad_cap_rejected_at_dispatch(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", "0")
+        with pytest.raises(ValueError, match="REPRO_DENSE_MAX_BYTES"):
+            triangles_per_node(random_code_graph(50, 0.5, seed=4))
+
+    def test_default_and_override(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DENSE_MAX_BYTES", raising=False)
+        assert max_packed_bytes() == 1 << 30
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", "4096")
+        assert max_packed_bytes() == 4096
 
 
 class TestPackSymmetricPlane:
@@ -351,12 +416,24 @@ class TestPackedBytes:
         # n*n//8 undercounts every n that is not a multiple of 64.
         assert packed_bytes(92681) > 1 << 30 >= 92681 * 92681 // 8
 
-    def test_cap_boundary_for_both_predicates(self, monkeypatch):
+    def test_packing_counts_the_byte_scratch(self):
+        # The n x 64 ceil(n/64) byte scratch is 8x the packed plane.
+        assert packing_bytes(65) == packed_bytes(65) + 65 * 128 == 9 * packed_bytes(65)
+        assert packing_bytes(0) == 0
+        # Under the 1 GiB default, in-memory packing tops out at 30,875 nodes.
+        assert packing_bytes(30875) <= 1 << 30 < packing_bytes(30876)
+
+    def test_cap_boundary_packed_to_stream(self, monkeypatch):
         graph = random_code_graph(65, 0.5, seed=0)
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(packing_bytes(65)))
+        assert should_use_packed(graph) and triangle_backend(graph) == "packed"
+        # One byte short: the packed plane alone would still fit.
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(packing_bytes(65) - 1))
+        assert not should_use_packed(graph) and triangle_backend(graph) == "stream"
+
+    def test_row_block_boundary(self, monkeypatch):
         monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(packed_bytes(65)))
-        assert should_use_packed(graph) and not should_stream(graph)
         assert rows_per_block(65) == 65
         # One byte short: the n*n//8 = 528-byte estimate would still admit it.
         monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(packed_bytes(65) - 1))
-        assert not should_use_packed(graph) and should_stream(graph)
         assert rows_per_block(65) == 64

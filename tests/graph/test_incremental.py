@@ -3,7 +3,7 @@
 The paired-run contract: when an after graph differs from its before graph
 only on pairs incident to a touched node set, the incremental update must be
 *bit-identical* (exact integers) to a full recount — across backends,
-override fractions, densities and both sides of the ``REPRO_DELTA_THRESHOLD``
+override fractions, densities and both sides of the ``DELTA_THRESHOLD``
 crossover.  Ground truth is networkx.
 """
 
@@ -16,9 +16,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix, _row_popcounts
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.metrics import (
-    DEFAULT_DELTA_THRESHOLD,
     delta_stats,
-    delta_threshold,
     reset_delta_stats,
     should_use_incremental,
     triangles_per_node,
@@ -53,9 +51,9 @@ def touch_rows(graph: Graph, touched: np.ndarray, rng: np.random.Generator) -> G
 
 class TestTrianglesTouching:
     @pytest.mark.parametrize("density", [0.02, 0.15, 0.5])
-    @pytest.mark.parametrize("backend_threshold", ["0", "1.1"])
-    def test_matches_brute_force_both_backends(self, density, backend_threshold, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", backend_threshold)
+    @pytest.mark.parametrize("backend", ["packed", "sparse"])
+    def test_matches_brute_force_both_backends(self, density, backend, force_backend):
+        ran = force_backend(backend)
         rng = np.random.default_rng(7)
         graph = erdos_renyi_graph(40, density, rng=3)
         nx_graph = graph.to_networkx()
@@ -67,6 +65,7 @@ class TestTrianglesTouching:
                 for vertex in clique:
                     brute[vertex] += 1
         assert triangles_touching(graph, touched).tolist() == brute.tolist()
+        assert ran == {backend: 1}
 
     def test_full_touched_set_equals_total_counts(self):
         graph = erdos_renyi_graph(25, 0.3, rng=0)
@@ -139,21 +138,23 @@ class TestPackedTouchingKernel:
 
 
 class TestTouchingNodeSet:
-    @pytest.mark.parametrize("backend_threshold", ["0", "1.1"])
-    def test_repeated_ids_count_once(self, backend_threshold, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", backend_threshold)
+    @pytest.mark.parametrize("backend", ["packed", "sparse"])
+    def test_repeated_ids_count_once(self, backend, force_backend):
+        ran = force_backend(backend)
         graph = erdos_renyi_graph(60, 0.3, rng=4)
         once = triangles_touching(graph, np.array([3, 7, 20]))
         assert np.array_equal(triangles_touching(graph, np.array([3, 7, 7, 20])), once)
         assert np.array_equal(triangles_touching(graph, np.array([20, 3, 7, 3])), once)
+        assert ran == {backend: 3}
 
-    @pytest.mark.parametrize("backend_threshold", ["0", "1.1"])
+    @pytest.mark.parametrize("backend", ["packed", "sparse"])
     @pytest.mark.parametrize("bad", [-1, 60])
-    def test_out_of_range_ids_raise(self, backend_threshold, bad, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", backend_threshold)
+    def test_out_of_range_ids_raise(self, backend, bad, force_backend):
+        ran = force_backend(backend)
         graph = erdos_renyi_graph(60, 0.3, rng=4)
         with pytest.raises(ValueError, match="nodes"):
             triangles_touching(graph, np.array([3, bad]))
+        assert not ran  # rejected before either backend runs
 
     def test_incremental_validates_touched(self):
         graph = erdos_renyi_graph(20, 0.3, rng=4)
@@ -165,14 +166,14 @@ class TestTouchingNodeSet:
 
 class TestIncrementalEquality:
     @pytest.mark.parametrize("fraction", [0.0, 0.05, 0.1, 0.25, 0.5])
-    @pytest.mark.parametrize("backend_threshold", ["0", "1.1"])
+    @pytest.mark.parametrize("backend", ["packed", "sparse"])
     def test_incremental_equals_full_equals_networkx(
-        self, fraction, backend_threshold, monkeypatch
+        self, fraction, backend, force_backend, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", backend_threshold)
+        ran = force_backend(backend)
         # Keep the crossover out of the way: this test checks equality, the
         # threshold behaviour is covered separately below.
-        monkeypatch.setenv("REPRO_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(metrics, "DELTA_THRESHOLD", 1.0)
         rng = np.random.default_rng(int(fraction * 100))
         n = 48
         graph = erdos_renyi_graph(n, 0.25, rng=5)
@@ -184,6 +185,8 @@ class TestIncrementalEquality:
         full = triangles_per_node(after)
         assert np.array_equal(incremental, full)
         assert np.array_equal(full, networkx_triangles(after))
+        # Full counts plus, when rows were touched, the two touching passes.
+        assert ran == {backend: 2 + (2 if count else 0)}
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_degenerate_graphs(self, n):
@@ -194,10 +197,10 @@ class TestIncrementalEquality:
         )
         assert result.tolist() == [0] * n
 
-    def test_with_edits_patch_path_bit_identical(self, monkeypatch):
+    def test_with_edits_patch_path_bit_identical(self, force_backend, monkeypatch):
         """added/removed codes route through BitMatrix.with_edits."""
-        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", "0")
-        monkeypatch.setenv("REPRO_DELTA_THRESHOLD", "1.0")
+        ran = force_backend("packed")
+        monkeypatch.setattr(metrics, "DELTA_THRESHOLD", 1.0)
         rng = np.random.default_rng(11)
         graph = erdos_renyi_graph(30, 0.3, rng=2)
         touched = np.array([1, 5, 9])
@@ -211,25 +214,21 @@ class TestIncrementalEquality:
         )
         assert np.array_equal(patched, triangles_per_node(after))
         assert "bitmatrix" in cache  # packed honest matrix parked for reuse
+        # Two full packed counts and the before/after packed touching passes.
+        assert ran == {"packed": 4}
 
 
 class TestDeltaThreshold:
-    def test_default_and_env_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DELTA_THRESHOLD", raising=False)
-        assert delta_threshold() == DEFAULT_DELTA_THRESHOLD
-        monkeypatch.setenv("REPRO_DELTA_THRESHOLD", "0.4")
-        assert delta_threshold() == 0.4
-
-    def test_predicate_both_sides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_THRESHOLD", "0.25")
+    def test_predicate_both_sides(self):
+        assert metrics.DELTA_THRESHOLD == 0.25
         assert should_use_incremental(100, 25)
         assert not should_use_incremental(100, 26)
         assert not should_use_incremental(2, 1)  # too small to matter
         assert not should_use_incremental(100, 0)  # nothing changed
 
-    @pytest.mark.parametrize("threshold,expected", [("1.0", "incremental"), ("0.0", "fallback")])
+    @pytest.mark.parametrize("threshold,expected", [(1.0, "incremental"), (0.0, "fallback")])
     def test_stats_record_the_decision(self, threshold, expected, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_THRESHOLD", threshold)
+        monkeypatch.setattr(metrics, "DELTA_THRESHOLD", threshold)
         rng = np.random.default_rng(3)
         graph = erdos_renyi_graph(40, 0.3, rng=1)
         touched = np.array([0, 7])
@@ -246,14 +245,16 @@ class TestDeltaThreshold:
 
 
 class TestCachedCounts:
-    def test_cache_filled_and_reused(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", "0")
+    def test_cache_filled_and_reused(self, force_backend):
+        ran = force_backend("packed")
         graph = erdos_renyi_graph(20, 0.4, rng=4)
         cache = {}
         first = triangles_per_node_cached(graph, cache)
+        assert ran == {"packed": 1}
         assert np.array_equal(first, triangles_per_node(graph))
         assert isinstance(cache.get("bitmatrix"), BitMatrix)
         assert triangles_per_node_cached(graph, cache) is first
+        assert ran == {"packed": 2}  # the reuse counted nothing
 
 
 class TestWithEdits:

@@ -10,21 +10,20 @@ import numpy as np
 import pytest
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import BitMatrix
+from repro.graph.bitmatrix import BitMatrix, packing_bytes, triangle_backend
 from repro.graph.bittensor import BitTensor
 from repro.graph.metrics import triangles_per_node
 from repro.graph.streaming import (
     RowBlockBuilder,
     iter_packed_row_blocks,
     rows_per_block,
-    should_stream,
     streaming_degrees,
     streaming_intra_community_edges,
     streaming_triangles_per_node,
 )
 from repro.ldp.perturbation import perturb_graph
-from repro.protocols.estimators import observed_intra_community_edges
 from repro.protocols.lfgdpr import LFGDPRProtocol
+from repro.telemetry.core import Tracer, use_tracer
 
 
 def random_graph(n: int, density: float, seed: int = 0) -> Graph:
@@ -113,18 +112,20 @@ class TestRowsPerBlock:
         assert rows_per_block(64) == 1024 // 8
 
 
-class TestShouldStream:
+class TestStreamBackend:
     def test_streams_only_past_the_byte_cap(self, monkeypatch):
         dense = random_graph(64, 0.9, seed=3)
-        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(1 << 30))
-        assert not should_stream(dense)  # packed path still fits
-        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", "64")
-        assert should_stream(dense)
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(packing_bytes(64)))
+        assert triangle_backend(dense) == "packed"  # packing still fits
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(packing_bytes(64) - 1))
+        assert triangle_backend(dense) == "stream"
 
-    def test_sparse_graphs_never_stream(self, monkeypatch):
+    def test_large_low_degree_graphs_never_stream(self, monkeypatch):
         monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", "64")
-        sparse = random_graph(64, 0.01, seed=4)
-        assert not should_stream(sparse)
+        rng = np.random.default_rng(4)
+        codes = rng.choice(5000 * 4999 // 2, size=5000, replace=False)
+        sparse = Graph.from_codes(5000, codes)  # mean degree 2
+        assert triangle_backend(sparse) == "sparse"
 
 
 class TestStreamingEstimators:
@@ -139,7 +140,7 @@ class TestStreamingEstimators:
     def test_intra_community_identical(self, chunk_edges):
         graph = random_graph(80, 0.3, seed=6)
         labels = np.random.default_rng(0).integers(0, 5, graph.num_nodes)
-        packed = BitMatrix.from_graph(graph).intra_community_edges(labels, 5)
+        packed = BitTensor.from_graphs([graph]).intra_community_edges(labels, 5)[0]
         assert np.array_equal(
             streaming_intra_community_edges(graph, labels, 5, chunk_edges),
             packed,
@@ -159,16 +160,29 @@ class TestDispatch:
         graph = random_graph(70, 0.6, seed=8)
         expected = triangles_per_node(graph)
         monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", "64")
-        assert should_stream(graph)
-        assert np.array_equal(triangles_per_node(graph), expected)
+        with use_tracer(Tracer()) as tracer:
+            assert np.array_equal(triangles_per_node(graph), expected)
+        assert tracer.counters == {"backend.stream": 1}
 
-    def test_intra_dispatch_identical_past_cap(self, monkeypatch):
-        graph = random_graph(70, 0.6, seed=8)
+    def test_paired_intra_identical_past_cap(self, monkeypatch):
+        """Packed planes count intra edges on the tensor; past the cap the
+        batch skips the tensor and the estimate counts them unpacked."""
+        graph = random_graph(70, 0.3, seed=8)
         labels = np.random.default_rng(1).integers(0, 4, graph.num_nodes)
-        expected = observed_intra_community_edges(graph, labels, 4)
+        protocol = LFGDPRProtocol(epsilon=1.0)
+
+        def collect():
+            return protocol.collect_paired_batch(
+                graph, [5], metric="modularity", labels=labels
+            )[0].before
+
+        in_memory = collect()
+        assert "intra" in in_memory.baseline.cache  # counted on the tensor
         monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", "64")
-        assert np.array_equal(
-            observed_intra_community_edges(graph, labels, 4), expected
+        past_cap = collect()
+        assert "intra" not in past_cap.baseline.cache
+        assert protocol.estimate_modularity(past_cap, labels) == (
+            protocol.estimate_modularity(in_memory, labels)
         )
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graph.adjacency import Graph
+from repro.graph.bittensor import BitTensor
+from repro.graph.streaming import streaming_intra_community_edges
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.metrics import (
     local_clustering_coefficients,
@@ -20,6 +22,8 @@ from repro.protocols.estimators import (
     fuse_degree_estimates,
     triangle_calibration,
 )
+from repro.protocols import lfgdpr
+from repro.protocols.lfgdpr import LFGDPRProtocol
 
 
 class TestDegreeFromBits:
@@ -192,26 +196,71 @@ class TestModularityEstimator:
         value = estimate_modularity(g, np.zeros(4, dtype=np.int64), 2.0, np.zeros(4))
         assert value == 0.0
 
-    def test_packed_and_sparse_paths_bit_identical(self, monkeypatch):
-        """The density dispatch must never change the modularity estimate."""
+    def test_packed_and_sparse_paths_bit_identical(self, force_backend, call_counts):
+        """Intra edges counted on the batch's packed planes or unpacked give
+        the same modularity estimate."""
         g = powerlaw_cluster_graph(150, 4, 0.5, rng=5)
-        perturbed = perturb_graph(g, 0.8, rng=1)  # near-dense: takes packed path
         labels = (np.arange(150) % 6).astype(np.int64)
-        fused = perturbed.degrees().astype(np.float64)
-        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", "0.000001")
-        packed = estimate_modularity(perturbed, labels, 0.8, fused)
-        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", "1.1")
-        sparse = estimate_modularity(perturbed, labels, 0.8, fused)
-        assert packed == sparse
+        protocol = LFGDPRProtocol(epsilon=0.8)
+        ran, spy = call_counts
+        spy(BitTensor, "intra_community_edges", "packed")
+        spy(lfgdpr, "streaming_intra_community_edges", "sparse")
+        estimates = {}
+        for backend in ("packed", "sparse"):
+            force_backend(backend)
+            ran.clear()
+            run = protocol.collect_paired_batch(g, [1], metric="modularity", labels=labels)[0]
+            estimates[backend] = protocol.estimate_modularity(run.before, labels)
+            assert ran == {backend: 1}
+        assert estimates["packed"] == estimates["sparse"]
 
 
 class TestClusteringDispatchEquality:
-    def test_packed_and_sparse_paths_bit_identical(self, monkeypatch):
+    def test_every_backend_bit_identical(self, force_backend):
         """Same floats out of Eq. 15 whichever triangle backend runs."""
         g = powerlaw_cluster_graph(150, 4, 0.5, rng=6)
         perturbed = perturb_graph(g, 0.6, rng=2)
-        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", "0.000001")
-        packed = estimate_clustering_coefficients(perturbed, 0.6)
-        monkeypatch.setenv("REPRO_DENSE_THRESHOLD", "1.1")
-        sparse = estimate_clustering_coefficients(perturbed, 0.6)
-        assert np.array_equal(packed, sparse)
+        estimates = {}
+        for backend in ("packed", "sparse", "stream"):
+            ran = force_backend(backend)
+            ran.clear()
+            estimates[backend] = estimate_clustering_coefficients(perturbed, 0.6)
+            assert ran == {backend: 1}
+        assert np.array_equal(estimates["packed"], estimates["sparse"])
+        assert np.array_equal(estimates["packed"], estimates["stream"])
+
+
+def _modularity_entry_points():
+    graph = powerlaw_cluster_graph(60, 3, 0.3, rng=1)
+    protocol = LFGDPRProtocol(epsilon=2.0)
+    degrees = graph.degrees().astype(np.float64)
+    return {
+        "intra_counter": lambda labels: streaming_intra_community_edges(graph, labels, 3),
+        "modularity_from_labels": lambda labels: modularity_from_labels(graph, labels),
+        "estimate_modularity": lambda labels: estimate_modularity(graph, labels, 2.0, degrees),
+        "protocol": lambda labels: protocol.estimate_modularity(
+            protocol.collect(graph, 4), labels
+        ),
+        "protocol_paired": lambda labels: protocol.estimate_modularity(
+            protocol.collect_paired(graph, 4).before, labels
+        ),
+    }
+
+
+class TestModularityLabelsValidation:
+    BAD_LABELS = {
+        "short": (np.arange(59) % 3, "one entry per node"),
+        "negative": (np.r_[-1, np.arange(59) % 3], "non-negative"),
+        "non_integer": (np.full(60, 0.5), "integer"),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(_modularity_entry_points()))
+    @pytest.mark.parametrize("bad", sorted(BAD_LABELS))
+    def test_bad_labels_raise_naming_labels(self, entry, bad):
+        labels, message = self.BAD_LABELS[bad]
+        with pytest.raises(ValueError, match=f"labels must .*{message}"):
+            _modularity_entry_points()[entry](labels)
+
+    @pytest.mark.parametrize("entry", sorted(_modularity_entry_points()))
+    def test_valid_labels_accepted(self, entry):
+        _modularity_entry_points()[entry](np.arange(60) % 3)

@@ -15,6 +15,7 @@ from repro.core.gain import evaluate_attack
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.defenses.evaluation import evaluate_defended_attack
 from repro.defenses.naive import NaiveTopDegreeDefense
+from repro.graph import metrics
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.protocols.base import (
     FakeReport,
@@ -151,12 +152,17 @@ class TestEvaluationPipelineEquivalence:
         threat = ThreatModel.sample(graph, 0.1, 0.05, rng=2)
         protocol = LFGDPRProtocol(epsilon=2.0)
         gains = []
-        for threshold in ("0.0", "1.0"):
-            monkeypatch.setenv("REPRO_DELTA_THRESHOLD", threshold)
+        for threshold, path in ((0.0, "fallback"), (1.0, "incremental")):
+            monkeypatch.setattr(metrics, "DELTA_THRESHOLD", threshold)
+            metrics.reset_delta_stats()
             outcome = evaluate_attack(
                 graph, protocol, DegreeMGA(), threat,
                 metric="clustering_coefficient", rng=5,
             )
+            assert metrics.delta_stats() == {
+                "incremental": int(path == "incremental"),
+                "fallback": int(path == "fallback"),
+            }
             gains.append(outcome.after.tolist())
         assert gains[0] == gains[1]
 

@@ -199,14 +199,18 @@ class TestDeltaCounters:
         )
 
     def test_incremental_side_fires_counter(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_THRESHOLD", "1.0")
+        from repro.graph import metrics
+
+        monkeypatch.setattr(metrics, "DELTA_THRESHOLD", 1.0)
         with use_tracer(Tracer()) as tracer:
             self._run_incremental()
         assert tracer.counters.get("delta.incremental", 0) == 1
         assert "delta.fallback" not in tracer.counters
 
     def test_fallback_side_fires_counter(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_THRESHOLD", "0.0")
+        from repro.graph import metrics
+
+        monkeypatch.setattr(metrics, "DELTA_THRESHOLD", 0.0)
         with use_tracer(Tracer()) as tracer:
             self._run_incremental()
         assert tracer.counters.get("delta.fallback", 0) == 1
