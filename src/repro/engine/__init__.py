@@ -17,9 +17,9 @@ store in front:
   the one place a cached result lives;
 * :mod:`repro.engine.graph_store` — graphs registered by content key and
   exported once into shared memory for zero-copy worker attach;
-* :mod:`repro.engine.executors` — serial and process-pool execution plus
-  :func:`~repro.engine.executors.run_tasks` /
-  :func:`~repro.engine.executors.run_batch`, the cache-aware orchestrators;
+* :mod:`repro.engine.executors` — serial and process-pool execution of
+  store-keyed batches plus :func:`~repro.engine.executors.run_batch`, the
+  cache-aware driver every batch goes through;
 * :mod:`repro.engine.kernels` — the one evaluation path: cache-miss tasks
   group by figure-point identity and every group, defended or singleton,
   runs through one batched collection (stacked bit-planes for LF-GDPR);
@@ -53,7 +53,6 @@ from repro.engine.executors import (
     cache_for,
     execute_task,
     run_batch,
-    run_tasks,
 )
 from repro.engine.graph_store import GraphStore
 from repro.engine.kernels import execute_tasks_grouped, point_key
@@ -96,6 +95,5 @@ __all__ = [
     "execute_tasks_grouped",
     "point_key",
     "run_batch",
-    "run_tasks",
     "session_scope",
 ]

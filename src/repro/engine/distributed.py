@@ -58,8 +58,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.engine.executors import (
     Executor,
     ParallelExecutor,
@@ -71,7 +69,6 @@ from repro.engine.graph_store import GraphStore
 from repro.engine.integrity import is_disk_fault, write_all
 from repro.engine.result_store import SHARD_PREFIX_LEN, ShardedResultStore
 from repro.engine.tasks import TrialTask
-from repro.graph.adjacency import Graph
 from repro.telemetry.core import current_tracer
 
 #: Seconds a lease's beat may stand still before any observer may reclaim it.
@@ -427,21 +424,6 @@ class DistributedExecutor(Executor):
     # ------------------------------------------------------------------
     # Executor surface
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        tasks: Sequence[TrialTask],
-        graph: Graph,
-        labels: Optional[np.ndarray] = None,
-    ) -> List[float]:
-        """Homogeneous surface: wrap the one graph in a transient store."""
-        with GraphStore() as graphs:
-            graphs.add(graph, labels)
-            for graph_key in {task.graph_key for task in tasks}:
-                graphs.alias_graph(graph_key, graph)
-            for labels_key in {task.labels_key for task in tasks}:
-                graphs.alias_labels(labels_key, labels)
-            return self.execute_batch(tasks, graphs)
-
     def execute_batch(
         self, tasks: Sequence[TrialTask], store: GraphStore
     ) -> List[float]:
@@ -478,8 +460,7 @@ class DistributedExecutor(Executor):
             return SerialExecutor()
         return ParallelExecutor(
             jobs=self.jobs,
-            pool_factory=pools.acquire,
-            pool_reset=pools.discard,
+            pools=pools,
             max_retries=self.max_retries,
             task_timeout=self.task_timeout,
         )

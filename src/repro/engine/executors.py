@@ -1,27 +1,26 @@
-"""Task executors: serial, process-pool parallel, and the cache-aware drivers.
+"""Task executors: serial, process-pool parallel, and the cache-aware driver.
 
-:func:`execute_task` is the single definition of what running a task means;
-both executors (and any test stub) go through it, so the only difference
+Both executors compute through one function,
+:func:`~repro.engine.kernels.execute_tasks_grouped`, whose gains equal the
+single-task reference :func:`execute_task` bit for bit; the only difference
 between backends is *where* tasks run.  Because every task carries its own
 derived seed, results are bit-identical across executors, worker counts and
 scheduling orders.
 
-Two batch shapes exist:
+Every batch is store-keyed: tasks may reference different graphs (several
+panels, figures or datasets in one fan-out) and resolve them by the
+``graph_key``/``labels_key`` they carry through a
+:class:`~repro.engine.graph_store.GraphStore`.  :meth:`Executor.execute_batch`
+and :func:`run_batch` are that one surface;
+:class:`~repro.engine.session.EngineSession` and the distributed drive both
+go through it.
 
-* **homogeneous** — every task runs on one graph; this is the historical
-  :meth:`Executor.execute` / :func:`run_tasks` surface;
-* **heterogeneous** — tasks reference different graphs (several panels,
-  figures or datasets in one fan-out) and resolve them through a
-  :class:`~repro.engine.graph_store.GraphStore`; this is the
-  :meth:`Executor.execute_batch` / :func:`run_batch` surface that
-  :class:`~repro.engine.session.EngineSession` drives.
-
-Parallel fan-out ships graphs through POSIX shared memory: the store (or a
-transient export for the homogeneous path) publishes each graph once, chunks
-are grouped by ``graph_key`` so a worker chunk maps exactly one graph, and a
-per-worker attach cache makes repeated chunks on the same graph free.
-Workers therefore never unpickle an edge-array copy — they zero-copy map the
-exporter's segment (create → attach → unlink; the exporter unlinks).
+Parallel fan-out ships graphs through POSIX shared memory: the store
+publishes each graph once, chunks are grouped by ``graph_key`` so a worker
+chunk maps exactly one graph, and a per-worker attach cache makes repeated
+chunks on the same graph free.  Workers therefore never unpickle an
+edge-array copy — they zero-copy map the exporter's segment (create →
+attach → unlink; the exporter unlinks).
 
 Telemetry: everything reports through :func:`repro.telemetry.core
 .current_tracer` — per-task ``task.execute`` spans (recorded worker-side for
@@ -184,61 +183,48 @@ class Executor(abc.ABC):
     """Strategy for running a batch of tasks."""
 
     @abc.abstractmethod
-    def execute(
-        self,
-        tasks: Sequence[TrialTask],
-        graph: Graph,
-        labels: Optional[np.ndarray] = None,
+    def execute_batch(
+        self, tasks: Sequence[TrialTask], store: GraphStore
     ) -> List[float]:
-        """Gains of a homogeneous (single-graph) batch, in input order."""
+        """Gains of ``tasks`` resolved through ``store``, in input order."""
+
+
+def _execute_by_graph(
+    tasks: Sequence[TrialTask],
+    graph_of: Callable[[str], Graph],
+    labels_of: Callable[[str], Optional[np.ndarray]],
+) -> List[float]:
+    """Gains of a multi-graph task list, in input order.
+
+    Tasks group by ``(graph_key, labels_key)`` and each group runs through
+    :func:`~repro.engine.kernels.execute_tasks_grouped` on the graph and
+    labels its keys resolve to: ``graph_of``/``labels_of`` are the store's
+    lookups in process and the shared-memory attach caches in a worker.
+    """
+    groups: "OrderedDict[Tuple[str, str], List[int]]" = OrderedDict()
+    for index, task in enumerate(tasks):
+        groups.setdefault((task.graph_key, task.labels_key), []).append(index)
+    gains: List[float] = [0.0] * len(tasks)
+    for (graph_key, labels_key), indices in groups.items():
+        computed = execute_tasks_grouped(
+            [tasks[index] for index in indices],
+            graph_of(graph_key),
+            labels_of(labels_key),
+        )
+        for index, gain in zip(indices, computed):
+            gains[index] = gain
+    return gains
+
+
+class SerialExecutor(Executor):
+    """Run tasks in the calling process, one kernel pass per figure point."""
 
     def execute_batch(
         self, tasks: Sequence[TrialTask], store: GraphStore
     ) -> List[float]:
-        """Gains of a heterogeneous batch, in input order.
-
-        The default groups tasks by ``(graph_key, labels_key)`` and runs
-        each group through :meth:`execute`, so any single-graph executor —
-        including test stubs that count or stub :meth:`execute` — handles
-        multi-graph batches unchanged.
-        """
-        groups: "OrderedDict[Tuple[str, str], List[int]]" = OrderedDict()
-        for index, task in enumerate(tasks):
-            groups.setdefault((task.graph_key, task.labels_key), []).append(index)
-        gains: List[float] = [0.0] * len(tasks)
-        for (graph_key, labels_key), indices in groups.items():
-            computed = self.execute(
-                [tasks[index] for index in indices],
-                store.graph(graph_key),
-                store.labels(labels_key),
-            )
-            if len(computed) != len(indices):
-                raise RuntimeError(
-                    f"{type(self).__name__}.execute returned {len(computed)} "
-                    f"gains for {len(indices)} tasks"
-                )
-            for index, gain in zip(indices, computed):
-                gains[index] = gain
-        return gains
-
-
-class SerialExecutor(Executor):
-    """Run tasks in the calling process, one kernel pass per figure point.
-
-    Every task — whatever its point group's size, defense or protocol —
-    runs through :func:`repro.engine.kernels.execute_tasks_grouped`, whose
-    gains equal :func:`execute_task` bit for bit, in input order.
-    """
-
-    def execute(
-        self,
-        tasks: Sequence[TrialTask],
-        graph: Graph,
-        labels: Optional[np.ndarray] = None,
-    ) -> List[float]:
-        """Gains of ``tasks``, in input order."""
+        """Gains of ``tasks`` resolved through ``store``, in input order."""
         tracer = current_tracer()
-        gains = execute_tasks_grouped(tasks, graph, labels)
+        gains = _execute_by_graph(tasks, store.graph, store.labels)
         for task, gain in zip(tasks, gains):
             tracer.task_done(task, gain)
         return gains
@@ -284,27 +270,22 @@ def _run_chunk_tasks(
     labels_handles: Dict[str, SharedLabelsHandle],
     indexed_tasks: List[Tuple[int, TrialTask]],
 ) -> List[Tuple[int, float]]:
-    """One chunk's gains, same-point trials batched through the kernels.
+    """One chunk's ``(index, gain)`` pairs, computed on attached graphs.
 
     Chunks are built to keep each point's trials co-located
     (:func:`_chunk_indices_by_graph`), so grouping inside the chunk sees
-    whole points; results keep the historical per-task ``(index, gain)``
-    shape and order.
+    whole points.
     """
-    groups: "OrderedDict[Tuple[str, str], List[int]]" = OrderedDict()
-    for position, (_, task) in enumerate(indexed_tasks):
-        groups.setdefault((task.graph_key, task.labels_key), []).append(position)
-    results: List[Optional[Tuple[int, float]]] = [None] * len(indexed_tasks)
-    for (graph_key, labels_key), positions in groups.items():
-        graph = _attached_graph(graph_handles[graph_key])
-        labels_handle = labels_handles.get(labels_key)
-        labels = _attached_labels(labels_handle) if labels_handle is not None else None
-        gains = execute_tasks_grouped(
-            [indexed_tasks[position][1] for position in positions], graph, labels
-        )
-        for position, gain in zip(positions, gains):
-            results[position] = (indexed_tasks[position][0], gain)
-    return results
+    def labels_of(labels_key: str) -> Optional[np.ndarray]:
+        handle = labels_handles.get(labels_key)
+        return _attached_labels(handle) if handle is not None else None
+
+    gains = _execute_by_graph(
+        [task for _, task in indexed_tasks],
+        lambda graph_key: _attached_graph(graph_handles[graph_key]),
+        labels_of,
+    )
+    return [(index, gain) for (index, _), gain in zip(indexed_tasks, gains)]
 
 
 def _run_shared_chunk(
@@ -312,18 +293,18 @@ def _run_shared_chunk(
     labels_handles: Dict[str, SharedLabelsHandle],
     indexed_tasks: List[Tuple[int, TrialTask]],
     trace: bool = False,
-):
+) -> Tuple[List[Tuple[int, float]], Optional[dict]]:
     """Worker entry point: run one chunk against shared-memory graphs.
 
-    With ``trace`` the chunk runs under a fresh worker-local tracer whose
-    spans (one ``executor.chunk`` root, one ``task.execute`` per task) and
-    counters travel back with the results as ``(results, payload)``; the
+    Returns ``(results, payload)``.  With ``trace`` the chunk runs under a
+    fresh worker-local tracer whose spans (one ``executor.chunk`` root, one
+    ``task.execute`` per task) and counters travel back as ``payload``; the
     parent re-parents them under its fan-out span via
-    :meth:`~repro.telemetry.core.Tracer.adopt`.  Without it the return
-    shape stays the historical plain results list.
+    :meth:`~repro.telemetry.core.Tracer.adopt`.  Untraced, ``payload`` is
+    None.
     """
     if not trace:
-        return _run_chunk_tasks(graph_handles, labels_handles, indexed_tasks)
+        return _run_chunk_tasks(graph_handles, labels_handles, indexed_tasks), None
     chunk_tracer = Tracer()
     previous = set_tracer(chunk_tracer)
     try:
@@ -392,18 +373,15 @@ class ParallelExecutor(Executor):
     ----------
     jobs:
         Worker processes; defaults to the machine's CPU count.
-    pool_factory:
-        Zero-argument callable returning a *borrowed* live pool (from
-        :class:`~repro.engine.session.EngineSession`) reused across calls
-        instead of spinning one up per batch.  Called only when a batch
-        actually fans out — cache-warm and sub-threshold batches never
-        touch it.  The owner shuts the pool down; this executor never does.
-    pool_reset:
-        Companion of ``pool_factory``: zero-argument callable that discards
-        the borrowed pool after a crash/stall so the next ``pool_factory``
-        call hands back a fresh one.  Without it a broken borrowed pool can
-        only be retried if the factory itself detects breakage
-        (:meth:`PoolManager.acquire` does).
+    pools:
+        A *borrowed* :class:`PoolManager` (an
+        :class:`~repro.engine.session.EngineSession`'s, or a distributed
+        drive's) whose pool is reused across calls instead of spinning one
+        up per batch.  Acquired only when a batch actually fans out —
+        cache-warm and sub-threshold batches never touch it — and discarded
+        after a crash or stall so the retry round gets a fresh pool.  The
+        owner shuts it down; this executor never does.  ``None`` (default)
+        creates a pool per fan-out and shuts it down afterwards.
     max_retries:
         Re-dispatch rounds to attempt after worker failures before raising
         (default :data:`DEFAULT_MAX_RETRIES`); ``0`` fails fast.
@@ -417,8 +395,7 @@ class ParallelExecutor(Executor):
     def __init__(
         self,
         jobs: Optional[int] = None,
-        pool_factory: Optional[Callable[[], _ProcessPool]] = None,
-        pool_reset: Optional[Callable[[], None]] = None,
+        pools: Optional[PoolManager] = None,
         max_retries: Optional[int] = None,
         task_timeout: Optional[float] = None,
     ):
@@ -433,60 +410,21 @@ class ParallelExecutor(Executor):
         self.task_timeout = float(task_timeout) if task_timeout is not None else None
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError(f"task_timeout must be positive, got {task_timeout}")
-        self._pool_factory = pool_factory
-        self._pool_reset = pool_reset
-
-    def execute(
-        self,
-        tasks: Sequence[TrialTask],
-        graph: Graph,
-        labels: Optional[np.ndarray] = None,
-    ) -> List[float]:
-        """Gains of ``tasks``, in input order (all on ``graph``)."""
-        if self.jobs == 1 or len(tasks) < MIN_PARALLEL_TASKS:
-            current_tracer().counter("executor.serial_fallback")
-            return SerialExecutor().execute(tasks, graph, labels)
-        # Transient export: the one graph (and labelling) is published once;
-        # every distinct key in the batch aliases it, matching the serial
-        # contract that the *given* graph/labels win, whatever keys the
-        # tasks carry.
-        with GraphStore() as store:
-            handle, segment = graph.to_shared()
-            store.adopt_segment(segment)
-            graph_handles = {key: handle for key in {task.graph_key for task in tasks}}
-            labels_handles: Dict[str, SharedLabelsHandle] = {}
-            if labels is not None:
-                labels_handle = store.export_labels(store.add_labels(labels))
-                labels_handles = {
-                    key: labels_handle for key in {task.labels_key for task in tasks}
-                }
-            return self._fan_out(tasks, graph_handles, labels_handles)
+        self._pools = pools
 
     def execute_batch(
         self, tasks: Sequence[TrialTask], store: GraphStore
     ) -> List[float]:
-        """Gains of a heterogeneous batch resolved through ``store``."""
+        """Gains of ``tasks`` resolved through ``store``, in input order."""
         if self.jobs == 1 or len(tasks) < MIN_PARALLEL_TASKS:
             current_tracer().counter("executor.serial_fallback")
-            return super().execute_batch(tasks, store)
-        graph_handles, labels_handles = store.handles_for(tasks)
-        return self._fan_out(tasks, graph_handles, labels_handles)
-
-    def _fan_out(
-        self,
-        tasks: Sequence[TrialTask],
-        graph_handles: Mapping[str, SharedGraphHandle],
-        labels_handles: Mapping[str, SharedLabelsHandle],
-    ) -> List[float]:
+            return SerialExecutor().execute_batch(tasks, store)
         tracer = current_tracer()
+        graph_handles, labels_handles = store.handles_for(tasks)
         chunks = _chunk_indices_by_graph(tasks, self.jobs * 4)
-        manager: Optional[PoolManager] = None
-        if self._pool_factory is not None:
-            factory = self._pool_factory
-            reset = self._pool_reset if self._pool_reset is not None else lambda: None
-        else:
-            manager = PoolManager(min(self.jobs, len(chunks)))
-            factory, reset = manager.acquire, manager.discard
+        pools = self._pools
+        if pools is None:
+            pools = PoolManager(min(self.jobs, len(chunks)))
         try:
             with tracer.span(
                 "executor.fan_out",
@@ -501,7 +439,7 @@ class ParallelExecutor(Executor):
                 while unfinished:
                     try:
                         self._dispatch_round(
-                            factory(), tasks, unfinished,
+                            pools.acquire(), tasks, unfinished,
                             graph_handles, labels_handles, gains,
                             fan_span, tracer,
                         )
@@ -520,14 +458,14 @@ class ParallelExecutor(Executor):
                             chunks=len(unfinished),
                             cause=type(exc).__name__,
                         )
-                        reset()
+                        pools.discard()
                         time.sleep(RETRY_BACKOFF_SECONDS * attempt)
             if any(gain is None for gain in gains):
                 raise RuntimeError("worker chunks did not cover every task")
             return gains
         finally:
-            if manager is not None:
-                manager.shutdown()
+            if self._pools is None:
+                pools.shutdown()
 
     def _dispatch_round(
         self,
@@ -584,16 +522,13 @@ class ParallelExecutor(Executor):
                     f"({len(pending)} chunks outstanding)"
                 )
             for future in done:
-                outcome = future.result()
-                if tracer.enabled:
-                    pairs, payload = outcome
+                pairs, payload = future.result()
+                if payload is not None:
                     tracer.adopt(
                         payload["spans"],
                         parent_id=fan_span.span_id,
                         counters=payload["counters"],
                     )
-                else:
-                    pairs = outcome
                 for index, gain in pairs:
                     gains[index] = gain
                     tracer.task_done(tasks[index], gain)
@@ -605,21 +540,28 @@ def cache_for(config) -> CacheLike:
     return ShardedResultStore() if getattr(config, "cache", False) else NullCache()
 
 
-def _run_through_cache(
-    span_name: str,
+def run_batch(
     tasks: Sequence[TrialTask],
-    cache: CacheLike,
-    compute: Callable[[List[TrialTask]], List[float]],
+    store: GraphStore,
+    executor: Optional[Executor] = None,
+    cache: Optional[CacheLike] = None,
 ) -> List[float]:
-    """The shared cache-front driver: hits short-circuit, misses compute.
+    """Execute a task batch through the cache: hits short-circuit, misses compute.
 
-    All telemetry the drivers emit lives here: the batch span,
-    ``cache.hit``/``cache.miss``/``batch.tasks`` counters, and the
+    Every task resolves its graph and labels from ``store`` by the keys it
+    carries, so one call can fan out an entire scenario — or several
+    scenarios — at once.  Computed gains are persisted before returning;
+    the output is aligned with ``tasks`` however many entries were cached.
+
+    All telemetry the driver emits lives here: the ``engine.run_batch``
+    span, ``cache.hit``/``cache.miss``/``batch.tasks`` counters, and the
     ``batch_start``/``task_done`` (cache hits only — executors report
     computed tasks themselves)/``batch_done`` callback dispatch.
     """
+    executor = executor if executor is not None else SerialExecutor()
+    cache = cache if cache is not None else NullCache()
     tracer = current_tracer()
-    with tracer.span(span_name, tasks=len(tasks)):
+    with tracer.span("engine.run_batch", tasks=len(tasks)):
         tracer.counter("batch.tasks", len(tasks))
         tracer.batch_start(len(tasks))
         gains: List[Optional[float]] = [cache.get(task) for task in tasks]
@@ -632,7 +574,14 @@ def _run_through_cache(
                 if gain is not None:
                     tracer.task_done(tasks[index], gain)
         if missing:
-            computed = compute([tasks[index] for index in missing])
+            computed = executor.execute_batch(
+                [tasks[index] for index in missing], store
+            )
+            if len(computed) != len(missing):
+                raise RuntimeError(
+                    f"{type(executor).__name__}.execute_batch returned "
+                    f"{len(computed)} gains for {len(missing)} tasks"
+                )
             for index, gain in zip(missing, computed):
                 # Estimator->store boundary: a NaN/inf gain raises here —
                 # naming the task and seed — before it can reach a shard,
@@ -644,44 +593,3 @@ def _run_through_cache(
             {"tasks": len(tasks), "cache_hits": hits, "cache_misses": len(missing)}
         )
         return [float(gain) for gain in gains]
-
-
-def run_tasks(
-    tasks: Sequence[TrialTask],
-    graph: Graph,
-    labels: Optional[np.ndarray] = None,
-    executor: Optional[Executor] = None,
-    cache: Optional[CacheLike] = None,
-) -> List[float]:
-    """Execute a homogeneous (single-graph) task batch through the cache.
-
-    Cache hits are returned as-is; only misses reach the executor, and their
-    results are persisted before returning.  The output is aligned with
-    ``tasks`` regardless of how many entries were cached.
-    """
-    executor = executor if executor is not None else SerialExecutor()
-    cache = cache if cache is not None else NullCache()
-    return _run_through_cache(
-        "engine.run_tasks", tasks, cache,
-        lambda missing: executor.execute(missing, graph, labels),
-    )
-
-
-def run_batch(
-    tasks: Sequence[TrialTask],
-    store: GraphStore,
-    executor: Optional[Executor] = None,
-    cache: Optional[CacheLike] = None,
-) -> List[float]:
-    """Execute a heterogeneous task batch through the cache.
-
-    The multi-graph counterpart of :func:`run_tasks`: every task resolves
-    its graph and labels from ``store`` by the keys it carries, so one call
-    can fan out an entire scenario — or several scenarios — at once.
-    """
-    executor = executor if executor is not None else SerialExecutor()
-    cache = cache if cache is not None else NullCache()
-    return _run_through_cache(
-        "engine.run_batch", tasks, cache,
-        lambda missing: executor.execute_batch(missing, store),
-    )

@@ -187,25 +187,6 @@ class GraphStore:
         self._labels.setdefault(key, np.ascontiguousarray(labels, dtype=np.int64))
         return key
 
-    def alias_graph(self, graph_key: str, graph: Graph) -> None:
-        """Also answer ``graph_key`` with ``graph`` (existing entries win).
-
-        The homogeneous executor surface promises that the *given* graph
-        serves whatever ``graph_key`` the tasks carry (test stubs use
-        synthetic keys); aliasing preserves that contract when such a batch
-        is lowered onto the store-resolved heterogeneous path.
-        """
-        self._graphs.setdefault(graph_key, graph)
-
-    def alias_labels(self, labels_key: str, labels: Optional[np.ndarray]) -> None:
-        """Also answer ``labels_key`` with ``labels`` (existing entries win)."""
-        if labels_key:
-            self._labels.setdefault(
-                labels_key,
-                None if labels is None
-                else np.ascontiguousarray(labels, dtype=np.int64),
-            )
-
     def graph(self, graph_key: str) -> Graph:
         """The registered graph for ``graph_key``; KeyError with context."""
         try:
@@ -261,11 +242,6 @@ class GraphStore:
             self._labels_handles[labels_key] = handle
             self._segments.append(segment)
         return handle
-
-    def adopt_segment(self, segment) -> None:
-        """Take ownership of an externally created segment (unlinked on close)."""
-        self._check_open()
-        self._segments.append(segment)
 
     def handles_for(
         self, tasks: Iterable[TrialTask]

@@ -84,7 +84,13 @@ def is_disk_fault(exc: OSError) -> bool:
 
 
 def write_all(descriptor: int, data: bytes) -> None:
-    """Write every byte of ``data`` to ``descriptor``, looping on short writes."""
+    """Write every byte of ``data`` to ``descriptor``, looping on short writes.
+
+    ``os.write`` may legitimately write fewer bytes than asked (signals,
+    quotas, pipes/FUSE backends); a naive single call would then leave a
+    torn line *mid-file*, where the store's torn-line tolerance — built for
+    an interrupted trailing append — cannot help.
+    """
     view = memoryview(data)
     while view:
         written = os.write(descriptor, view)

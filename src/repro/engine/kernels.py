@@ -70,9 +70,10 @@ def execute_tasks_grouped(
 ) -> List[float]:
     """Gains of a single-graph task list, one kernel pass per point group.
 
-    The body of ``SerialExecutor.execute`` and the worker chunk runner:
-    output order matches input order, and every task is reported under its
-    own ``task.execute`` span.
+    What every executor computes with, once per ``(graph_key,
+    labels_key)`` group of a batch, in process or in a pool worker: output
+    order matches input order, and every task is reported under its own
+    ``task.execute`` span.
     """
     tracer = current_tracer()
     gains: List[float] = [0.0] * len(tasks)

@@ -43,26 +43,13 @@ from repro.engine.integrity import (
     is_disk_fault,
     salvage_line,
     stamp_checksum,
+    write_all,
 )
 from repro.engine.tasks import TrialTask, identity_payload
 from repro.telemetry.core import current_tracer
 
 #: Hex digits of the content hash selecting a shard (256 shards).
 SHARD_PREFIX_LEN = 2
-
-
-def _write_all(descriptor: int, data: bytes) -> None:
-    """Write every byte of ``data`` to ``descriptor``, looping on short writes.
-
-    ``os.write`` may legitimately write fewer bytes than asked (signals,
-    quotas, pipes/FUSE backends); a naive single call would then leave a
-    torn line *mid-file*, where the store's torn-line tolerance — built for
-    an interrupted trailing append — cannot help.
-    """
-    view = memoryview(data)
-    while view:
-        written = os.write(descriptor, view)
-        view = view[written:]
 
 
 class ShardedResultStore:
@@ -358,7 +345,7 @@ class ShardedResultStore:
         # writes — rare but legal — loop until the full line landed).
         descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            _write_all(descriptor, line.encode("utf-8"))
+            write_all(descriptor, line.encode("utf-8"))
             # Remember our own append's stat so the next staleness probe
             # does not mistake it for a foreign write and re-parse for
             # nothing (fstat on the open descriptor is race-free enough:

@@ -1,23 +1,20 @@
 """The persistent execution session: one pool, one graph store, one cache.
 
-Before this module, every ``run_tasks`` call was an island: it received one
-graph, spun up (and tore down) its own process pool, and shipped the graph
-to every worker by pickle.  A multi-panel scenario therefore paid pool
-startup and graph serialisation once *per panel*, and panels serialised
-against each other even at ``--jobs N``.
+:class:`EngineSession` holds, at session scope, everything a batch needs
+beyond its tasks:
 
-:class:`EngineSession` hoists all of that to session scope:
-
-* a :class:`~repro.engine.graph_store.GraphStore` holds every registered
+* a :class:`~repro.engine.graph_store.GraphStore` of every registered
   graph/labelling, exported **once** into shared memory, attached zero-copy
   by workers;
-* one :class:`~concurrent.futures.ProcessPoolExecutor` persists across
-  :meth:`run` calls (created lazily on the first batch big enough to fan
-  out);
+* one :class:`~concurrent.futures.ProcessPoolExecutor`, owned by a
+  :class:`~repro.engine.executors.PoolManager`, persists across :meth:`run`
+  calls (created lazily on the first batch big enough to fan out);
 * one cache — the sharded result store by default — fronts every batch.
 
+A multi-panel scenario therefore pays pool startup and graph export once,
+not once per panel, and its panels run in one fan-out even at ``--jobs N``.
 Batches are heterogeneous: tasks from different figures, panels and
-datasets execute in a single fan-out, resolved to their graphs by the
+datasets execute together, resolved to their graphs by the
 ``graph_key``/``labels_key`` they carry.  Because tasks are self-seeded,
 results stay bit-identical to per-panel serial execution — the session only
 changes wall-clock time.
@@ -147,14 +144,13 @@ class EngineSession:
     def _executor(self):
         if self.jobs == 1:
             return SerialExecutor()
-        # The pool is created by the factory only when a batch actually fans
-        # out: empty, cache-warm and sub-threshold runs never fork a worker.
-        # The reset hook lets the executor replace a pool whose workers died
-        # mid-batch, so one crash never poisons later run() calls.
+        # The pool manager creates the pool only when a batch actually fans
+        # out — empty, cache-warm and sub-threshold runs never fork a worker
+        # — and replaces a pool whose workers died mid-batch, so one crash
+        # never poisons later run() calls.
         return ParallelExecutor(
             jobs=self.jobs,
-            pool_factory=self._ensure_pool,
-            pool_reset=self._discard_pool,
+            pools=self._pools,
             max_retries=self.max_retries,
             task_timeout=self.task_timeout,
         )
@@ -163,12 +159,6 @@ class EngineSession:
     def _pool(self) -> Optional[_ProcessPool]:
         """The live persistent pool, if one was ever created (tests peek)."""
         return self._pools._pool
-
-    def _ensure_pool(self) -> _ProcessPool:
-        return self._pools.acquire()
-
-    def _discard_pool(self) -> None:
-        self._pools.discard()
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -22,8 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.executors import CacheLike, Executor, cache_for, run_batch
-from repro.engine.graph_store import GraphStore
+from repro.engine.executors import CacheLike
 from repro.engine.session import EngineSession, session_scope
 from repro.engine.tasks import TrialTask
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
@@ -192,7 +191,6 @@ def _aggregate(
 def run_scenario(
     spec: ScenarioSpec,
     config: ExperimentConfig = DEFAULT_CONFIG,
-    executor: Optional[Executor] = None,
     cache: Optional[CacheLike] = None,
     prepared: Optional[PreparedScenario] = None,
     session: Optional[EngineSession] = None,
@@ -202,10 +200,9 @@ def run_scenario(
     By default the batch runs in an (ephemeral) engine session sized by
     ``config.jobs`` with ``config.cache`` semantics; pass ``session`` to
     share one pool, graph store and cache across many runs.  ``cache``
-    overrides the cache either way; ``executor`` bypasses the session and
-    drives the batch directly (test instrumentation).  Results are
-    bit-identical for any executor, session, worker count or cache state
-    because every compiled task derives its own seed.  ``prepared`` (from
+    overrides the cache either way.  Results are bit-identical for any
+    session, worker count or cache state because every compiled task
+    derives its own seed.  ``prepared`` (from
     :func:`prepare_scenario` with the same spec and config) skips the
     load/compile step.
     """
@@ -217,16 +214,6 @@ def run_scenario(
             prepared if prepared is not None else prepare_scenario(spec, config)
         )
         run_span.set(panels=len(spec.panels), tasks=len(tasks))
-
-        if executor is not None:
-            with GraphStore() as store:
-                for key, graph in graphs.items():
-                    store.add(graph, labels.get(key))
-                gains = run_batch(
-                    tasks, store, executor=executor,
-                    cache=cache if cache is not None else cache_for(config),
-                )
-            return _aggregate(spec, tasks, gains)
 
         with session_scope(config, session, cache) as (live_session, batch_cache):
             for key, graph in graphs.items():

@@ -16,6 +16,26 @@ from collections import Counter
 import pytest
 
 from repro.engine.cache import CACHE_DIR_ENV
+from repro.engine.executors import SerialExecutor, run_batch
+from repro.engine.graph_store import GraphStore
+
+
+class CountingExecutor(SerialExecutor):
+    """Serial executor that records how many tasks it actually computed."""
+
+    def __init__(self):
+        self.executed = 0
+
+    def execute_batch(self, tasks, store):
+        self.executed += len(tasks)
+        return super().execute_batch(tasks, store)
+
+
+def run_on_graph(tasks, graph, labels=None, executor=None, cache=None):
+    """:func:`run_batch` over a store holding just ``graph`` (and ``labels``)."""
+    with GraphStore() as store:
+        store.add(graph, labels)
+        return run_batch(tasks, store, executor=executor, cache=cache)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -280,12 +280,6 @@ class TestDistributedExecution:
         assert _sha256_of(gains) == serial_sha
         assert store.appends == len(batch)
 
-    def test_homogeneous_execute_surface(self, graph, batch, serial_sha, tmp_path):
-        gains = DistributedExecutor(
-            ShardedResultStore(tmp_path), worker_id="homo"
-        ).execute(batch, graph)
-        assert _sha256_of(gains) == serial_sha
-
     def test_parallel_inner_executor_matches_serial(
         self, graph, batch, serial_sha, tmp_path
     ):

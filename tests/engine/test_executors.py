@@ -4,6 +4,9 @@ The two load-bearing guarantees of the engine are pinned here:
 
 * serial and process-pool execution produce **bit-identical** sweeps;
 * a warm cache answers a repeated sweep with **zero** trial computations.
+
+Sweeps run through an :class:`EngineSession`; the ``kernel.batched``
+counter of a :class:`Tracer` counts the tasks a run actually computed.
 """
 
 from dataclasses import replace
@@ -16,8 +19,9 @@ from repro.engine.executors import (
     ParallelExecutor,
     SerialExecutor,
     execute_task,
-    run_tasks,
+    run_batch,
 )
+from repro.engine.graph_store import GraphStore
 from repro.engine.result_store import ShardedResultStore
 from repro.engine.session import EngineSession
 from repro.engine.tasks import (
@@ -29,6 +33,8 @@ from repro.engine.tasks import (
 from repro.experiments.config import ExperimentConfig
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.scenarios import get_scenario, run_scenario
+from repro.telemetry.core import Tracer, use_tracer
+from tests.conftest import CountingExecutor, run_on_graph
 
 CONFIG = ExperimentConfig(trials=2, seed=3, cache=False, scale=0.03)
 
@@ -38,24 +44,22 @@ SPEC = replace(get_scenario("fig6"), values=(2.0, 4.0))
 CLUSTERING_ATTACKS = ("clustering/rva", "clustering/rna", "clustering/mga")
 
 
-class CountingExecutor(SerialExecutor):
-    """Serial executor that records how many tasks actually computed."""
-
-    def __init__(self):
-        self.executed = 0
-
-    def execute(self, tasks, graph, labels=None):
-        self.executed += len(tasks)
-        return super().execute(tasks, graph, labels)
-
-
 @pytest.fixture(scope="module")
 def graph():
     return powerlaw_cluster_graph(120, 3, 0.4, rng=0)
 
 
-def small_sweep(executor, cache):
-    return run_scenario(SPEC, CONFIG, executor=executor, cache=cache).sweep()
+def small_sweep(cache, **session_args):
+    """The small Fig. 6 sweep in a session built from ``session_args``."""
+    with EngineSession(cache=cache, **session_args) as session:
+        return run_scenario(SPEC, CONFIG, session=session).sweep()
+
+
+def computed_tasks(run):
+    """``(result, tasks computed)`` of ``run()``, read from ``kernel.batched``."""
+    with use_tracer(Tracer()) as tracer:
+        result = run()
+    return result, tracer.counters.get("kernel.batched", 0)
 
 
 def point_tasks(graph, metric, tag, labels=None):
@@ -81,15 +85,19 @@ def session_gains(graph, tasks, cache, labels=None):
 
 class TestSerialParallelEquivalence:
     def test_bit_identical_sweeps(self):
-        serial = small_sweep(SerialExecutor(), NullCache())
-        parallel = small_sweep(ParallelExecutor(jobs=4), NullCache())
+        serial = small_sweep(NullCache())
+        parallel = small_sweep(NullCache(), jobs=4)
         assert serial.series == parallel.series
         assert serial.stderr == parallel.stderr
         assert serial.samples == parallel.samples
 
-    def test_jobs_one_falls_back_to_serial(self):
-        assert small_sweep(ParallelExecutor(jobs=1), NullCache()).series == \
-            small_sweep(SerialExecutor(), NullCache()).series
+    def test_jobs_one_falls_back_to_serial(self, graph):
+        tasks = point_tasks(graph, "clustering_coefficient", "jobs-one")
+        with use_tracer(Tracer()) as tracer:
+            fallback = run_on_graph(tasks, graph, executor=ParallelExecutor(jobs=1))
+        assert tracer.counters["executor.serial_fallback"] == 1
+        assert "executor.fan_out" not in tracer.counters
+        assert fallback == run_on_graph(tasks, graph, executor=SerialExecutor())
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -98,14 +106,15 @@ class TestSerialParallelEquivalence:
 
 class TestCaching:
     def test_warm_cache_skips_all_computation(self, tmp_path):
-        cache = ShardedResultStore(tmp_path)
-        cold_executor = CountingExecutor()
-        cold = small_sweep(cold_executor, cache)
-        assert cold_executor.executed == 2 * 3 * CONFIG.trials  # values x attacks x trials
+        cold, cold_computed = computed_tasks(
+            lambda: small_sweep(ShardedResultStore(tmp_path))
+        )
+        assert cold_computed == 2 * 3 * CONFIG.trials  # values x attacks x trials
 
-        warm_executor = CountingExecutor()
-        warm = small_sweep(warm_executor, ShardedResultStore(tmp_path))
-        assert warm_executor.executed == 0
+        warm, warm_computed = computed_tasks(
+            lambda: small_sweep(ShardedResultStore(tmp_path))
+        )
+        assert warm_computed == 0
         assert warm.series == cold.series
         assert warm.stderr == cold.stderr
 
@@ -121,9 +130,9 @@ class TestCaching:
             )
             for trial in range(3)
         ]
-        first = run_tasks(tasks[:1], graph, executor=SerialExecutor(), cache=cache)
+        first = run_on_graph(tasks[:1], graph, cache=cache)
         executor = CountingExecutor()
-        all_gains = run_tasks(tasks, graph, executor=executor, cache=cache)
+        all_gains = run_on_graph(tasks, graph, executor=executor, cache=cache)
         assert executor.executed == 2
         assert all_gains[0] == first[0]
 
@@ -183,30 +192,52 @@ class TestExecuteTask:
             execute_task(replace(task, **{field: "<custom>"}), graph)
 
 
-class TestOutOfBandLabelsParity:
-    def test_parallel_applies_labels_to_every_task(self, graph):
-        """Out-of-band labels reach all tasks, whatever labels_key they carry.
+class TestLabelsReachPoolWorkers:
+    def test_two_labellings_cross_shared_memory(self, graph):
+        """Each labelling is exported once and reaches the tasks keyed to it.
 
-        SerialExecutor hands the given labels to every task; the shared-memory
-        fan-out must do the same even for tasks whose labels_key is empty, or
-        serial and parallel modularity gains would diverge.
+        Modularity labels travel to pool workers through ``export_labels``,
+        a ``SharedLabelsHandle`` and the worker's attach cache; the pooled
+        gains must equal the in-process ones for both labellings.
         """
-        import numpy as np
-
-        labels = (np.arange(graph.num_nodes) // 25).astype(np.int64)
-        tasks = [
-            TrialTask(
-                graph_key=graph_fingerprint(graph), metric="modularity",
-                attack="clustering/mga", protocol="lfgdpr",
-                epsilon=4.0, beta=0.05, gamma=0.05,
-                seed=derive_trial_seed(0, f"labels-parity|{trial}"),
-                labels_key="", trial=trial,
-            )
-            for trial in range(3)
-        ]
-        serial = SerialExecutor().execute(tasks, graph, labels)
-        parallel = ParallelExecutor(jobs=3).execute(tasks, graph, labels)
+        labels_a = (np.arange(graph.num_nodes) // 25).astype(np.int64)
+        labels_b = (np.arange(graph.num_nodes) % 5).astype(np.int64)
+        tasks = (
+            point_tasks(graph, "modularity", "pool-labels", labels_a)
+            + point_tasks(graph, "modularity", "pool-labels", labels_b)
+        )
+        with GraphStore() as store:
+            store.add(graph, labels_a)
+            store.add(graph, labels_b)
+            serial = SerialExecutor().execute_batch(tasks, store)
+            with use_tracer(Tracer()) as tracer:
+                parallel = ParallelExecutor(jobs=3).execute_batch(tasks, store)
         assert parallel == serial
+        assert serial[: len(serial) // 2] != serial[len(serial) // 2 :]
+        assert tracer.counters["shm.labels_export"] == 2
+        assert tracer.counters["shm.labels_attach"] >= 2
+
+
+class TestRunBatchChecksGainCount:
+    """An executor returning the wrong number of gains fails before any put."""
+
+    @pytest.mark.parametrize("skew", [1, -1], ids=["too-long", "too-short"])
+    def test_wrong_gain_count_raises(self, graph, tmp_path, skew):
+        class SkewedExecutor(SerialExecutor):
+            def execute_batch(self, tasks, store):
+                gains = super().execute_batch(tasks, store)
+                return gains + [0.0] if skew > 0 else gains[:-1]
+
+        tasks = point_tasks(graph, "clustering_coefficient", "skew")[:3]
+        cache = ShardedResultStore(tmp_path)
+        with GraphStore() as store:
+            store.add(graph)
+            with pytest.raises(RuntimeError) as excinfo:
+                run_batch(tasks, store, executor=SkewedExecutor(), cache=cache)
+        message = str(excinfo.value)
+        assert "SkewedExecutor" in message
+        assert f"{len(tasks) + skew} gains for {len(tasks)} tasks" in message
+        assert cache.appends == 0
 
 
 class TestCrashRetry:
@@ -236,9 +267,7 @@ class TestCrashRetry:
 
         marker = self._arm(monkeypatch, tmp_path, crashkit.sigkill_once_chunk)
         with use_tracer(Tracer()) as tracer:
-            survived = small_sweep(
-                ParallelExecutor(jobs=2, max_retries=2), NullCache()
-            )
+            survived = small_sweep(NullCache(), jobs=2, max_retries=2)
         assert marker.exists(), "the injected SIGKILL never fired"
         assert tracer.counters["executor.retry"] >= 1
         assert tracer.counters["executor.pool_recreate"] >= 1
@@ -247,7 +276,7 @@ class TestCrashRetry:
             "repro.engine.executors._run_shared_chunk",
             crashkit.REAL_RUN_SHARED_CHUNK,
         )
-        serial = small_sweep(SerialExecutor(), NullCache())
+        serial = small_sweep(NullCache())
         assert survived.series == serial.series
         assert survived.stderr == serial.stderr
 
@@ -258,9 +287,7 @@ class TestCrashRetry:
 
         self._arm(monkeypatch, tmp_path, crashkit.sigkill_once_chunk)
         with pytest.raises(BrokenProcessPool):
-            small_sweep(
-                ParallelExecutor(jobs=2, max_retries=0), NullCache()
-            )
+            small_sweep(NullCache(), jobs=2, max_retries=0)
 
     def test_hung_chunk_times_out_and_retries(self, monkeypatch, tmp_path):
         from tests.engine import crashkit
@@ -269,8 +296,7 @@ class TestCrashRetry:
         self._arm(monkeypatch, tmp_path, crashkit.hang_once_chunk)
         with use_tracer(Tracer()) as tracer:
             survived = small_sweep(
-                ParallelExecutor(jobs=2, max_retries=2, task_timeout=2.0),
-                NullCache(),
+                NullCache(), jobs=2, max_retries=2, task_timeout=2.0
             )
         assert tracer.counters["executor.chunk_timeout"] >= 1
         assert tracer.counters["executor.retry"] >= 1
@@ -279,7 +305,7 @@ class TestCrashRetry:
             "repro.engine.executors._run_shared_chunk",
             crashkit.REAL_RUN_SHARED_CHUNK,
         )
-        serial = small_sweep(SerialExecutor(), NullCache())
+        serial = small_sweep(NullCache())
         assert survived.series == serial.series
 
     def test_rejects_bad_retry_parameters(self):

@@ -31,7 +31,6 @@ import pytest
 
 from repro.engine.cache import CACHE_VERSION, NullCache
 from repro.engine.distributed import DistributedExecutor, LeaseDirectory
-from repro.engine.executors import SerialExecutor, run_tasks
 from repro.engine.graph_store import GraphStore
 from repro.engine.integrity import (
     REASON_TORN_LINE,
@@ -48,21 +47,13 @@ from repro.engine.tasks import (
 )
 from repro.graph.adjacency import Graph
 from repro.graph.generators import powerlaw_cluster_graph
+from tests.conftest import CountingExecutor, run_on_graph
 from tests.engine import faultkit
 
 #: REPRO_CHAOS=1 (the CI chaos matrix) sweeps many torn positions.
 TORN_POSITIONS = (
     (3, 10, 25, 60, 120) if os.environ.get("REPRO_CHAOS") == "1" else (25,)
 )
-
-
-class CountingExecutor(SerialExecutor):
-    def __init__(self):
-        self.executed = 0
-
-    def execute(self, tasks, graph, labels=None):
-        self.executed += len(tasks)
-        return super().execute(tasks, graph, labels)
 
 
 @pytest.fixture(scope="module")
@@ -218,9 +209,7 @@ class TestEnospcDegradation:
         self, graph, tmp_path, monkeypatch
     ):
         tasks = make_tasks(graph, 10, "enospc")
-        expected = run_tasks(
-            tasks, graph, executor=SerialExecutor(), cache=NullCache()
-        )
+        expected = run_on_graph(tasks, graph, cache=NullCache())
         durable = 3
         budget = sum(self._line_sizes(tasks, expected)[:durable])
 
@@ -230,9 +219,7 @@ class TestEnospcDegradation:
         )
         store = ShardedResultStore(root)
         with pytest.warns(RuntimeWarning, match="NOT durable"):
-            gains = run_tasks(
-                tasks, graph, executor=SerialExecutor(), cache=store
-            )
+            gains = run_on_graph(tasks, graph, cache=store)
         assert gains == expected, "the sweep must finish despite the full disk"
         assert store.degraded
         assert store.appends == durable
@@ -244,7 +231,7 @@ class TestEnospcDegradation:
         # Resume against the same root: only the non-durable tasks miss.
         injector.disarm()
         executor = CountingExecutor()
-        replay = run_tasks(
+        replay = run_on_graph(
             tasks, graph, executor=executor, cache=ShardedResultStore(root)
         )
         assert executor.executed == len(tasks) - durable
@@ -339,17 +326,16 @@ class TestLeaseFaults:
 class TestDistributedUnderDiskFaults:
     def test_drive_completes_with_non_durable_results(self, graph, tmp_path, monkeypatch):
         tasks = make_tasks(graph, 8, "distfault")
-        expected = run_tasks(
-            tasks, graph, executor=SerialExecutor(), cache=NullCache()
-        )
+        expected = run_on_graph(tasks, graph, cache=NullCache())
         root = tmp_path / "cache"
         faultkit.FaultInjector(root).enospc_after(0).install(monkeypatch)
         store = ShardedResultStore(root)
         executor = DistributedExecutor(
             store, worker_id="faulty", lease_ttl=60, poll_interval=0.05
         )
-        with pytest.warns(RuntimeWarning, match="NOT durable"):
-            gains = executor.execute(tasks, graph)
+        with pytest.warns(RuntimeWarning, match="NOT durable"), GraphStore() as graphs:
+            graphs.add(graph)
+            gains = executor.execute_batch(tasks, graphs)
         assert gains == expected
         assert store.non_durable_count == len(tasks)
         assert store.appends == 0

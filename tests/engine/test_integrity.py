@@ -27,7 +27,7 @@ import pytest
 
 from repro.engine import integrity
 from repro.engine.cache import CACHE_VERSION, NullCache
-from repro.engine.executors import SerialExecutor, run_tasks
+from repro.engine.executors import SerialExecutor
 from repro.engine.integrity import (
     REASON_BAD_CHECKSUM,
     REASON_NON_FINITE,
@@ -55,21 +55,13 @@ from repro.engine.tasks import (
 )
 from repro.experiments.cli import run as cli_run
 from repro.graph.generators import powerlaw_cluster_graph
-
-
-class CountingExecutor(SerialExecutor):
-    def __init__(self):
-        self.executed = 0
-
-    def execute(self, tasks, graph, labels=None):
-        self.executed += len(tasks)
-        return super().execute(tasks, graph, labels)
+from tests.conftest import CountingExecutor, run_on_graph
 
 
 class NaNExecutor(SerialExecutor):
     """An estimator gone wrong: returns NaN for every task."""
 
-    def execute(self, tasks, graph, labels=None):
+    def execute_batch(self, tasks, store):
         return [float("nan")] * len(tasks)
 
 
@@ -231,7 +223,7 @@ class TestNonFiniteGuard:
     def test_estimator_boundary_guard_fires_even_uncached(self, graph):
         (task,) = make_tasks(graph, 1, "nanexec")
         with pytest.raises(NonFiniteGainError):
-            run_tasks([task], graph, executor=NaNExecutor(), cache=NullCache())
+            run_on_graph([task], graph, executor=NaNExecutor(), cache=NullCache())
 
 
 class TestVerifyRepairAcceptance:
@@ -239,7 +231,7 @@ class TestVerifyRepairAcceptance:
         """The ISSUE's acceptance flow, end to end."""
         tasks = make_tasks(graph, 8, "accept")
         store = ShardedResultStore(tmp_path)
-        original = run_tasks(tasks, graph, executor=SerialExecutor(), cache=store)
+        original = run_on_graph(tasks, graph, cache=store)
         clean_sha = _sha256_of(original)
 
         # Flip one byte in a warm shard.
@@ -264,7 +256,7 @@ class TestVerifyRepairAcceptance:
         # ...and the replay recomputes exactly the quarantined task,
         # landing bit-identical to the clean run.
         executor = CountingExecutor()
-        replay = run_tasks(
+        replay = run_on_graph(
             tasks, graph, executor=executor, cache=ShardedResultStore(tmp_path)
         )
         assert executor.executed == 1

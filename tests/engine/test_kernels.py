@@ -13,12 +13,13 @@ import pytest
 
 from repro.engine.cache import NullCache
 from repro.engine.result_store import ShardedResultStore
-from repro.engine.executors import Executor, SerialExecutor, execute_task, run_tasks
+from repro.engine.executors import Executor, SerialExecutor, execute_task
 from repro.engine.kernels import execute_tasks_grouped, group_by_point, point_key
 from repro.engine.tasks import TrialTask, derive_trial_seed, graph_fingerprint
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.protocols.lfgdpr import LFGDPRProtocol
 from repro.telemetry.core import Tracer, use_tracer
+from tests.conftest import run_on_graph
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +49,11 @@ def make_tasks(
 class ReferenceExecutor(Executor):
     """Runs every task through the single-task reference, one at a time."""
 
-    def execute(self, tasks, graph, labels=None):
-        return [execute_task(task, graph, labels) for task in tasks]
+    def execute_batch(self, tasks, store):
+        return [
+            execute_task(task, store.graph(task.graph_key), store.labels(task.labels_key))
+            for task in tasks
+        ]
 
 
 class TestPointGrouping:
@@ -182,14 +186,14 @@ class TestCacheInterchangeability:
         self, graph, tmp_path, cold_executor, warm_executor
     ):
         tasks = make_tasks(graph, "clustering_coefficient", "clustering/mga", 3)
-        cold = run_tasks(
+        cold = run_on_graph(
             tasks, graph, executor=cold_executor(), cache=ShardedResultStore(tmp_path)
         )
         warm_cache = ShardedResultStore(tmp_path)
-        warm = run_tasks(tasks, graph, executor=warm_executor(), cache=warm_cache)
+        warm = run_on_graph(tasks, graph, executor=warm_executor(), cache=warm_cache)
         assert warm == cold
         assert warm_cache.hits == len(tasks)
-        fresh = run_tasks(tasks, graph, executor=warm_executor(), cache=NullCache())
+        fresh = run_on_graph(tasks, graph, executor=warm_executor(), cache=NullCache())
         assert fresh == cold
 
 

@@ -16,7 +16,7 @@ import multiprocessing
 import pytest
 
 from repro.engine.cache import CACHE_VERSION, NullCache
-from repro.engine.executors import SerialExecutor, run_batch
+from repro.engine.executors import run_batch
 from repro.engine.graph_store import GraphStore
 from repro.engine.integrity import gc_store, repair_store, verify_store
 from repro.engine.result_store import ShardedResultStore
@@ -27,15 +27,7 @@ from repro.engine.tasks import (
     identity_payload,
 )
 from repro.graph.generators import powerlaw_cluster_graph
-
-
-class CountingExecutor(SerialExecutor):
-    def __init__(self):
-        self.executed = 0
-
-    def execute(self, tasks, graph, labels=None):
-        self.executed += len(tasks)
-        return super().execute(tasks, graph, labels)
+from tests.conftest import CountingExecutor
 
 
 @pytest.fixture(scope="module")
@@ -103,11 +95,16 @@ class TestRoundTrip:
         with GraphStore() as store:
             store.add(graph_a)
             store.add(graph_b)
-            cache = ShardedResultStore(tmp_path)
-            first = run_batch(tasks, store, cache=cache)
-            executor = CountingExecutor()
-            replay = run_batch(tasks, store, executor=executor, cache=ShardedResultStore(tmp_path))
-        assert executor.executed == 0
+            cold = CountingExecutor()
+            first = run_batch(
+                tasks, store, executor=cold, cache=ShardedResultStore(tmp_path)
+            )
+            warm = CountingExecutor()
+            replay = run_batch(
+                tasks, store, executor=warm, cache=ShardedResultStore(tmp_path)
+            )
+        assert cold.executed == len(tasks)
+        assert warm.executed == 0
         assert replay == first
 
 

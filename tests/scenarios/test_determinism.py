@@ -13,12 +13,13 @@ import json
 import pytest
 
 from repro.engine.cache import NullCache
-from repro.engine.executors import ParallelExecutor, SerialExecutor, run_tasks
+from repro.engine.executors import ParallelExecutor, SerialExecutor
 from repro.engine.result_store import ShardedResultStore
 from repro.experiments.config import ExperimentConfig
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.run import load_scenario_graph, run_scenario
+from tests.conftest import run_on_graph
 
 CONFIG = ExperimentConfig(trials=2, scale=0.02, seed=0, cache=False)
 
@@ -40,8 +41,8 @@ class TestParallelMatchesSerial:
     def test_cold_cache_bitwise_identical(self, batch, tmp_path):
         """jobs=4 over a cold on-disk cache == serial without any cache."""
         _, graph, tasks = batch
-        serial = run_tasks(tasks, graph, executor=SerialExecutor(), cache=NullCache())
-        parallel = run_tasks(
+        serial = run_on_graph(tasks, graph, executor=SerialExecutor(), cache=NullCache())
+        parallel = run_on_graph(
             tasks, graph,
             executor=ParallelExecutor(jobs=4),
             cache=ShardedResultStore(tmp_path / "cold"),
@@ -52,9 +53,9 @@ class TestParallelMatchesSerial:
         """A warm cache answers the whole batch with the same result vector."""
         _, graph, tasks = batch
         cache = ShardedResultStore(tmp_path / "warm")
-        first = run_tasks(tasks, graph, executor=SerialExecutor(), cache=cache)
+        first = run_on_graph(tasks, graph, executor=SerialExecutor(), cache=cache)
         assert cache.misses == len(tasks)
-        replay = run_tasks(
+        replay = run_on_graph(
             tasks, graph, executor=ParallelExecutor(jobs=4), cache=cache
         )
         assert cache.hits == len(tasks)
@@ -79,9 +80,9 @@ class TestParallelMatchesSerial:
         _, graph, tasks = batch
         cache = ShardedResultStore(tmp_path / "half")
         half = tasks[: len(tasks) // 2]
-        run_tasks(half, graph, executor=SerialExecutor(), cache=cache)
-        mixed = run_tasks(
+        run_on_graph(half, graph, executor=SerialExecutor(), cache=cache)
+        mixed = run_on_graph(
             tasks, graph, executor=ParallelExecutor(jobs=4), cache=cache
         )
-        serial = run_tasks(tasks, graph, executor=SerialExecutor(), cache=NullCache())
+        serial = run_on_graph(tasks, graph, executor=SerialExecutor(), cache=NullCache())
         assert _sha256_of(mixed) == _sha256_of(serial)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.engine.cache import NullCache
-from repro.engine.executors import ParallelExecutor, SerialExecutor, run_tasks
+from repro.engine.executors import ParallelExecutor, SerialExecutor
 from repro.engine.result_store import ShardedResultStore
 from repro.engine.session import EngineSession
 from repro.engine.tasks import TrialTask
@@ -26,6 +26,7 @@ from repro.scenarios.run import load_scenario_graph, run_scenario
 from repro.scenarios.compiler import compile_scenario
 from repro.telemetry.core import NULL_TRACER, Tracer, current_tracer, use_tracer
 from repro.telemetry.progress import ProgressPrinter
+from tests.conftest import run_on_graph
 
 CONFIG = ExperimentConfig(trials=2, scale=0.02, seed=0, cache=False)
 
@@ -46,18 +47,18 @@ def batch():
 class TestTracingDoesNotChangeResults:
     def test_serial_traced_equals_untraced(self, batch):
         graph, tasks = batch
-        untraced = run_tasks(tasks, graph, executor=SerialExecutor(), cache=NullCache())
+        untraced = run_on_graph(tasks, graph, executor=SerialExecutor(), cache=NullCache())
         with use_tracer(Tracer()):
-            traced = run_tasks(tasks, graph, executor=SerialExecutor(), cache=NullCache())
+            traced = run_on_graph(tasks, graph, executor=SerialExecutor(), cache=NullCache())
         assert _sha256_of(traced) == _sha256_of(untraced)
 
     def test_parallel_traced_equals_serial_traced(self, batch):
         """sha256(Serial) == sha256(Parallel jobs=4) with tracing active."""
         graph, tasks = batch
         with use_tracer(Tracer()):
-            serial = run_tasks(tasks, graph, executor=SerialExecutor(), cache=NullCache())
+            serial = run_on_graph(tasks, graph, executor=SerialExecutor(), cache=NullCache())
         with use_tracer(Tracer()) as tracer:
-            parallel = run_tasks(
+            parallel = run_on_graph(
                 tasks, graph, executor=ParallelExecutor(jobs=4), cache=NullCache()
             )
             # Worker spans actually travelled back and were re-parented.
@@ -79,13 +80,13 @@ class TestDriverCounters:
         graph, tasks = batch
         cache = ShardedResultStore(tmp_path)
         with use_tracer(Tracer()) as cold:
-            run_tasks(tasks, graph, executor=SerialExecutor(), cache=cache)
+            run_on_graph(tasks, graph, executor=SerialExecutor(), cache=cache)
         assert cold.counters["cache.miss"] == len(tasks)
         assert cold.counters["cache.hit"] == 0
         assert cold.counters["batch.tasks"] == len(tasks)
 
         with use_tracer(Tracer()) as warm:
-            run_tasks(tasks, graph, executor=SerialExecutor(), cache=cache)
+            run_on_graph(tasks, graph, executor=SerialExecutor(), cache=cache)
         assert warm.counters["cache.hit"] == len(tasks)
         assert warm.counters["cache.miss"] == 0
         # Warm replay computes nothing, so no task spans exist.
@@ -94,7 +95,7 @@ class TestDriverCounters:
     def test_serial_fallback_counter(self, batch):
         graph, tasks = batch
         with use_tracer(Tracer()) as tracer:
-            run_tasks(tasks[:1], graph, executor=ParallelExecutor(jobs=4), cache=NullCache())
+            run_on_graph(tasks[:1], graph, executor=ParallelExecutor(jobs=4), cache=NullCache())
         assert tracer.counters["executor.serial_fallback"] == 1
 
 
@@ -104,7 +105,7 @@ class TestNoOpPath:
         counters, no allocations attributable to telemetry."""
         graph, tasks = batch
         assert current_tracer() is NULL_TRACER
-        run_tasks(tasks[:4], graph, executor=SerialExecutor(), cache=NullCache())
+        run_on_graph(tasks[:4], graph, executor=SerialExecutor(), cache=NullCache())
         assert current_tracer() is NULL_TRACER
         assert NULL_TRACER.spans == ()
         assert NULL_TRACER.counters == {}
@@ -268,7 +269,7 @@ class TestProgressPrinter:
         tracer = Tracer()
         tracer.add_callback(ProgressPrinter(stream=stream))
         with use_tracer(tracer):
-            run_tasks(tasks[:6], graph, executor=SerialExecutor(), cache=NullCache())
+            run_on_graph(tasks[:6], graph, executor=SerialExecutor(), cache=NullCache())
         text = stream.getvalue()
         assert "[6/6]" in text
         assert "batch done: 6 tasks (0 from cache)" in text
