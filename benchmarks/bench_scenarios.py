@@ -41,21 +41,24 @@ def test_fig9_selects_incremental_path():
     Runs the fig9 scenario through the shared-collection pipeline and
     asserts the incremental triangle path was actually selected (never
     silently falling back) on every after-run; the wall clock is recorded.
-    Forces ``jobs=1``: the delta-stats counters are process-local and would
-    stay zero if trials ran in pool workers.
+    Forces ``jobs=1``: the tracer's ``delta.*`` counters are process-local
+    and would stay zero if trials ran in pool workers.
     """
     import time
 
-    from repro.graph.metrics import delta_stats, reset_delta_stats
+    from repro.telemetry.core import Tracer, use_tracer
 
     spec = get_scenario("fig9")
     config = bench_config(spec.dataset, jobs=1)
 
-    reset_delta_stats()
-    start = time.perf_counter()
-    run_scenario(spec, config)
-    seconds = time.perf_counter() - start
-    stats = delta_stats()
+    with use_tracer(Tracer()) as tracer:
+        start = time.perf_counter()
+        run_scenario(spec, config)
+        seconds = time.perf_counter() - start
+    stats = {
+        key: tracer.counters.get(f"delta.{key}", 0)
+        for key in ("incremental", "fallback")
+    }
 
     record_timing("bench_scenarios/paired", seconds)
     emit(

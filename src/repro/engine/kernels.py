@@ -5,16 +5,16 @@ tasks an executor receives arrive as runs of trials that differ *only* in
 their derived seed.  :func:`execute_tasks_grouped` splits a single-graph
 task list into those point groups and runs every group — singletons,
 defended points and LDPGen included — through one
-:meth:`~repro.protocols.base.GraphLDPProtocol.collect_paired_batch` call
-(for LF-GDPR, over the stacked bit-planes of
-:class:`~repro.graph.bittensor.BitTensor`).
+:meth:`~repro.protocols.base.GraphLDPProtocol.collect_paired_batch` call;
+each run's honest intermediates are then computed lazily in its own paired
+cache as the estimators ask for them.
 
 Bit-identity contract: per task, the kernel runs the same prologue
 (:func:`~repro.core.gain.craft_trial`) and estimator dispatch
 (:func:`~repro.core.gain.metric_estimates`) as the single-task reference
 :func:`repro.engine.executors.execute_task`; batching only reorders draws
-*across* independent streams and amortizes exact-integer kernel passes, so
-gains, goldens and cache entries are unchanged.  Each task keeps its own
+*across* independent streams and shares the perturbation setup, so gains,
+goldens and cache entries are unchanged.  Each task keeps its own
 ``task.execute`` span; the ``kernel.batched`` counter counts tasks served.
 """
 
@@ -123,9 +123,7 @@ def _execute_point_batched(
             overrides, protocol_seed = craft_trial(graph, protocol, attack, threat, task.seed)
             crafted.append((threat, overrides, protocol_seed, defense))
 
-    runs = protocol.collect_paired_batch(
-        graph, [seed for _, _, seed, _ in crafted], metric=metric, labels=labels
-    )
+    runs = protocol.collect_paired_batch(graph, [seed for _, _, seed, _ in crafted])
     gains = []
     for (threat, overrides, _, defense), run in zip(crafted, runs):
         after_reports = run.after(overrides)

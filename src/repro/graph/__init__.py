@@ -2,7 +2,6 @@
 
 from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix, should_use_packed, triangle_backend
-from repro.graph.bittensor import BitTensor
 from repro.graph.datasets import (
     DATASETS,
     REAL_DATASETS,
@@ -29,11 +28,9 @@ from repro.graph.streaming import (
 from repro.graph.metrics import (
     average_degree,
     degree_centrality,
-    delta_stats,
     edge_density,
     local_clustering_coefficients,
     modularity,
-    reset_delta_stats,
     should_use_incremental,
     triangles_per_node,
     triangles_per_node_incremental,
@@ -43,7 +40,6 @@ from repro.graph.metrics import (
 __all__ = [
     "Graph",
     "BitMatrix",
-    "BitTensor",
     "should_use_packed",
     "triangle_backend",
     "DATASETS",
@@ -66,11 +62,9 @@ __all__ = [
     "streaming_triangles_per_node",
     "average_degree",
     "degree_centrality",
-    "delta_stats",
     "edge_density",
     "local_clustering_coefficients",
     "modularity",
-    "reset_delta_stats",
     "should_use_incremental",
     "triangles_per_node",
     "triangles_per_node_incremental",

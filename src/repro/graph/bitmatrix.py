@@ -14,8 +14,7 @@ packed path is **bit-identical** to the sparse path: dispatching between
 them (:func:`triangle_backend`) never changes a result, which keeps every
 engine cache entry valid.
 
-Two kernels carry the in-memory packed layer (shared with
-:mod:`repro.graph.bittensor`):
+Two kernels carry the in-memory packed layer:
 
 * :func:`pack_symmetric_plane` — scatter both orientations of every edge
   as bytes into an ``n x 64 ceil(n/64)`` scratch and fold it with
@@ -44,7 +43,6 @@ from typing import Optional
 import numpy as np
 
 from repro.telemetry.core import current_tracer
-from repro.utils.sparse import pair_count
 
 #: Packed-vs-sparse crossover of :func:`triangle_backend`, in packed words
 #: per wedge: the packed sweep costs ``E ceil(n/64)`` word operations, the
@@ -329,8 +327,7 @@ def _gather_triangles(
     """Per-node triangle counts from one edge-gather/AND/popcount sweep.
 
     ``flat_rows`` is a ``(rows, words)`` packed matrix and the edge arrays
-    index into its first axis (for the trial-stacked tensor the node ids
-    carry a per-trial row offset).  Each edge contributes
+    index into its first axis.  Each edge contributes
     ``popcount(row_u & row_v)`` — its common-neighbour count — to both
     endpoints; every incident triangle of a node is hit exactly twice, once
     per far endpoint of its opposite edge, so a halving yields exact counts.
@@ -414,13 +411,6 @@ class BitMatrix:
     def num_edges(self) -> int:
         """Number of undirected edges."""
         return int(self.degrees().sum()) // 2
-
-    def edge_density(self) -> float:
-        """Fraction of node pairs that are edges."""
-        pairs = pair_count(self.num_nodes)
-        if pairs == 0:
-            return 0.0
-        return self.num_edges / pairs
 
     def edge_endpoints(self) -> tuple:
         """Edges as aligned ``(rows, cols)`` arrays with ``rows < cols``.
@@ -572,22 +562,6 @@ class BitMatrix:
         outside[nodes] = False
         counts[outside] = term[outside] // 2
         return counts
-
-    def row_range(self, start: int, stop: int) -> np.ndarray:
-        """Zero-copy packed view of rows ``[start, stop)``.
-
-        The unit of out-of-core transport: a block of per-user adjacency
-        bit rows, ``(stop - start) x num_words`` uint64, sized by callers to
-        honour ``REPRO_DENSE_MAX_BYTES`` (see
-        :func:`repro.graph.streaming.rows_per_block`).  Identical bits to
-        the blocks :func:`repro.graph.streaming.iter_packed_row_blocks`
-        builds without ever materializing this matrix.
-        """
-        if not 0 <= start <= stop <= self.num_nodes:
-            raise ValueError(
-                f"row range [{start}, {stop}) out of [0, {self.num_nodes}]"
-            )
-        return self.rows[start:stop]
 
     def __repr__(self) -> str:
         return f"BitMatrix(num_nodes={self.num_nodes}, num_words={self.num_words})"

@@ -37,24 +37,6 @@ def should_use_incremental(num_nodes: int, touched_count: int) -> bool:
     return touched_count <= DELTA_THRESHOLD * num_nodes
 
 
-#: Counters tracking how paired after-run triangle estimations were served.
-#: ``incremental`` = delta path taken, ``fallback`` = full recompute because
-#: the touched fraction crossed :data:`DELTA_THRESHOLD`.  Used by benchmarks
-#: and the CI smoke job to assert the fast path is actually selected.
-_DELTA_STATS = {"incremental": 0, "fallback": 0}
-
-
-def delta_stats() -> dict:
-    """A snapshot of the incremental-vs-fallback decision counters."""
-    return dict(_DELTA_STATS)
-
-
-def reset_delta_stats() -> None:
-    """Zero the decision counters (call before a measured workload)."""
-    for key in _DELTA_STATS:
-        _DELTA_STATS[key] = 0
-
-
 def degree_centrality(graph: Graph) -> np.ndarray:
     """Normalized degree centrality ``c_i = d_i / (N - 1)`` for every node.
 
@@ -198,8 +180,8 @@ def triangles_per_node_incremental(
     three terms are exact integers, making the result bit-identical to a
     full recompute; when the touched fraction exceeds
     :data:`DELTA_THRESHOLD` the delta pass would cost more than it saves and the function falls back to
-    :func:`triangles_per_node` on ``after``.  The decision is recorded in
-    :func:`delta_stats`.
+    :func:`triangles_per_node` on ``after``.  The decision is counted on the
+    current tracer as ``delta.incremental`` or ``delta.fallback``.
 
     ``cache`` (optional) carries the honest graph's packed matrix across
     calls; ``added_codes``/``removed_codes`` (optional, net sorted pair
@@ -213,10 +195,8 @@ def triangles_per_node_incremental(
     if touched.size == 0:
         return before_triangles
     if not should_use_incremental(n, touched.size):
-        _DELTA_STATS["fallback"] += 1
         current_tracer().counter("delta.fallback")
         return triangles_per_node(after)
-    _DELTA_STATS["incremental"] += 1
     current_tracer().counter("delta.incremental")
     if should_use_packed(before):
         packed_before = cache.get("bitmatrix") if cache is not None else None

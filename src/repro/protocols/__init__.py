@@ -8,7 +8,6 @@ from repro.protocols.base import (
     PairedBaseline,
     PairedCollection,
     SharedGraphPairedCollection,
-    TwoRunPairedCollection,
     apply_degree_overrides,
     apply_overrides,
     apply_overrides_tracked,
@@ -39,7 +38,6 @@ __all__ = [
     "PairedBaseline",
     "PairedCollection",
     "SharedGraphPairedCollection",
-    "TwoRunPairedCollection",
     "apply_degree_overrides",
     "apply_overrides",
     "apply_overrides_tracked",

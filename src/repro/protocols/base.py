@@ -21,7 +21,10 @@ seed by construction.  After-views of pair-level protocols additionally carry
 a :class:`PairedBaseline` naming the honest reports, the touched rows and the
 net edge changes, which lets estimators update the honest estimates
 incrementally instead of recomputing from scratch (see
-``repro.graph.metrics.triangles_per_node_incremental``).
+``repro.graph.metrics.triangles_per_node_incremental``).  The honest
+intermediates those updates start from (packed matrix, triangle and
+intra-community counts) are computed lazily, once per run, into the
+baseline's shared ``cache`` — the only place they are computed.
 """
 
 from __future__ import annotations
@@ -196,29 +199,25 @@ class GraphLDPProtocol(abc.ABC):
         ``repro.core.gain`` build on).
         """
 
+    @abc.abstractmethod
     def collect_paired(self, graph: Graph, rng: RngLike) -> "PairedCollection":
         """One honest collection shared across before/after views.
 
         ``rng`` must be replayable (an ``int`` or ``SeedSequence``), because
         the paired contract is defined against re-running :meth:`collect`
-        with the same seed.  The default implementation literally re-runs
-        :meth:`collect` per view; protocols override it to materialise the
-        honest randomness once and derive after-views by applying overrides
-        to the shared state — bit-identical by construction, collected once.
+        with the same seed.  Implementations materialise the honest
+        randomness once and derive after-views by applying overrides to the
+        shared state — bit-identical to two ``collect`` calls by
+        construction, collected once.
         """
-        return TwoRunPairedCollection(self, graph, rng)
 
     def collect_paired_batch(
-        self,
-        graph: Graph,
-        seeds: Sequence[RngLike],
-        metric: Optional[str] = None,
-        labels: Optional[np.ndarray] = None,
+        self, graph: Graph, seeds: Sequence[RngLike]
     ) -> List["PairedCollection"]:
-        """:meth:`collect_paired` per seed; ``metric``/``labels`` are hints.
+        """:meth:`collect_paired` per seed: the trials of one figure point.
 
-        Protocols with a stackable collection override this to amortize
-        work across the trials of one figure point.
+        Protocols with a stackable collection override this to share the
+        perturbation setup across trials.
         """
         return [self.collect_paired(graph, seed) for seed in seeds]
 
@@ -393,30 +392,6 @@ class PairedCollection(abc.ABC):
     @abc.abstractmethod
     def after(self, overrides: Overrides | None) -> CollectedReports:
         """An attacked after-view under the shared randomness."""
-
-
-class TwoRunPairedCollection(PairedCollection):
-    """Fallback pairing that re-runs ``collect`` per view.
-
-    Used by protocols without a shared-state implementation; views are
-    paired through seed replay, so results equal two ``collect`` calls with
-    the shared seed — only the redundant honest computation remains.
-    """
-
-    def __init__(self, protocol: GraphLDPProtocol, graph: Graph, rng: RngLike):
-        self._protocol = protocol
-        self._graph = graph
-        self._seed = require_replayable_seed(rng)
-        self._before = protocol.collect(graph, rng)
-
-    @property
-    def before(self) -> CollectedReports:
-        return self._before
-
-    def after(self, overrides: Overrides | None) -> CollectedReports:
-        if not overrides:
-            return self._before
-        return self._protocol.collect(self._graph, self._seed, overrides=overrides)
 
 
 class SharedGraphPairedCollection(PairedCollection):

@@ -22,18 +22,13 @@ only by the attacker's action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import (
-    max_packed_bytes,
-    packed_bytes,
-    packing_bytes,
-    should_use_packed,
-)
-from repro.graph.bittensor import BitTensor
+# Unused here: perfbench/layers.py patches ``lfgdpr.should_use_packed`` by name.
+from repro.graph.bitmatrix import should_use_packed  # noqa: F401
 from repro.graph.metrics import (
     should_use_incremental,
     triangles_per_node_cached,
@@ -228,38 +223,17 @@ class LFGDPRProtocol(GraphLDPProtocol):
         return self.collect_paired_batch(graph, [rng])[0]
 
     def collect_paired_batch(
-        self,
-        graph: Graph,
-        seeds: Sequence[RngLike],
-        metric: Optional[str] = None,
-        labels: Optional[np.ndarray] = None,
+        self, graph: Graph, seeds: Sequence[RngLike]
     ) -> List[SharedGraphPairedCollection]:
-        """All trials of one figure point collected through batched kernels.
+        """All trials of one figure point collected as paired runs.
 
         Entry ``t`` of the result is bit-identical to two seed-replayed
         :meth:`collect` calls with ``seeds[t]``: every per-trial RNG stream
         is derived with the same ``child_rng`` keys and consumed in the same
-        order, and every batched metric below is an exact-integer reordering
-        of the per-trial computation.  The batching buys three amortizations:
-
-        * :func:`perturb_graph_batch` hoists the shared perturbation setup;
-        * all planes pack into one :class:`BitTensor` accumulation, whose
-          zero-copy :meth:`~BitTensor.plane` views pre-seed each run's
-          paired cache (``"bitmatrix"``) so after-view row patches skip
-          re-packing;
-        * the honest metric intermediates the estimators would compute per
-          trial — degrees always, triangle counts for
-          ``clustering_coefficient``, intra-community counts for
-          ``modularity`` — are swept across the whole stack at once and
-          parked in the caches (``"triangles"``, ``"intra"``).
-
-        ``metric``/``labels`` only select which intermediates are worth
-        precomputing; estimates for any metric remain correct (the caches
-        are optimisation hints).  Unless every plane is packed
-        (:func:`~repro.graph.bitmatrix.should_use_packed`) the batch skips
-        the tensor and estimates per trial; otherwise the planes pack in
-        chunks whose stack and shared byte scratch fit
-        ``REPRO_DENSE_MAX_BYTES`` together.
+        order.  :func:`perturb_graph_batch` hoists the perturbation setup
+        shared by the trials; everything the estimators derive from a
+        run's honest view (packed matrix, triangle and intra-community
+        counts) is computed lazily, once, in that run's paired cache.
         """
         seeds = [require_replayable_seed(seed) for seed in seeds]
         adjacency_rngs = [child_rng(seed, "lfgdpr-adjacency") for seed in seeds]
@@ -268,7 +242,6 @@ class LFGDPRProtocol(GraphLDPProtocol):
         )
         honest_degrees = graph.degrees()
         runs: List[SharedGraphPairedCollection] = []
-        caches: List[dict] = []
         for seed, plane_graph in zip(seeds, perturbed):
             noisy_degrees = perturb_degree(
                 honest_degrees,
@@ -281,41 +254,7 @@ class LFGDPRProtocol(GraphLDPProtocol):
                 adjacency_epsilon=self.budget.adjacency_epsilon,
                 degree_epsilon=self.budget.degree_epsilon,
             )
-            run = SharedGraphPairedCollection(honest)
-            runs.append(run)
-            caches.append(run.before.baseline.cache)
-
-        if not all(should_use_packed(plane) for plane in perturbed):
-            return runs
-        n = graph.num_nodes
-        scratch = packing_bytes(n) - packed_bytes(n)
-        chunk = max(1, (max_packed_bytes() - scratch) // packed_bytes(n))
-        if labels is not None:
-            labels = check_labels(labels, n)
-            num_communities = int(labels.max()) + 1 if labels.size else 0
-        for start in range(0, len(perturbed), chunk):
-            stop = min(len(perturbed), start + chunk)
-            tensor = BitTensor.from_graphs(perturbed[start:stop])
-            degrees = tensor.degrees()
-            triangles = (
-                tensor.triangles_per_node()
-                if metric == "clustering_coefficient"
-                else None
-            )
-            intra = (
-                tensor.intra_community_edges(labels, num_communities)
-                if metric == "modularity" and labels is not None
-                else None
-            )
-            for offset in range(stop - start):
-                trial = start + offset
-                perturbed[trial]._seed_degrees(degrees[offset])
-                cache = caches[trial]
-                cache["bitmatrix"] = tensor.plane(offset)
-                if triangles is not None:
-                    cache["triangles"] = triangles[offset]
-                if intra is not None:
-                    cache["intra"] = (labels, intra[offset])
+            runs.append(SharedGraphPairedCollection(honest))
         return runs
 
     # ------------------------------------------------------------------

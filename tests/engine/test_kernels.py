@@ -210,49 +210,81 @@ class TestCollectPairedBatch:
         None, "degree_centrality", "clustering_coefficient", "modularity",
     ])
     def test_runs_match_seed_replayed_collects(self, graph, labels, metric):
+        """Each run's views and estimates equal two seed-replayed collects;
+        ``None`` estimates every metric off one shared run cache."""
         from repro.core.degree_attacks import DegreeMGA
-        from repro.core.gain import craft_trial
+        from repro.core.gain import METRICS, craft_trial, metric_estimates
         from repro.core.threat_model import ThreatModel
 
         protocol = LFGDPRProtocol(epsilon=2.0)
         seeds = [3, 11, 27]
-        batch_labels = labels if metric == "modularity" else None
-        runs = protocol.collect_paired_batch(
-            graph, seeds, metric=metric, labels=batch_labels
-        )
+        runs = protocol.collect_paired_batch(graph, seeds)
         threat = ThreatModel.sample(graph, 0.05, 0.05, rng=1)
         overrides, _ = craft_trial(graph, protocol, DegreeMGA(), threat, 5)
         assert len(runs) == len(seeds)
         for seed, run in zip(seeds, runs):
-            assert_reports_identical(run.before, protocol.collect(graph, seed))
-            assert_reports_identical(
-                run.after(overrides), protocol.collect(graph, seed, overrides=overrides)
-            )
+            before = protocol.collect(graph, seed)
+            after = protocol.collect(graph, seed, overrides=overrides)
+            assert_reports_identical(run.before, before)
+            assert_reports_identical(run.after(overrides), after)
+            for name in METRICS if metric is None else (metric,):
+                batched = metric_estimates(
+                    protocol, name, run.before, run.after(overrides),
+                    threat.targets, labels,
+                )
+                replayed = metric_estimates(
+                    protocol, name, before, after, threat.targets, labels
+                )
+                for got, expected in zip(batched, replayed):
+                    assert np.array_equal(got, expected)
 
     def test_empty_seed_list(self, graph):
         assert LFGDPRProtocol(epsilon=2.0).collect_paired_batch(graph, []) == []
 
-    @pytest.mark.parametrize("slack,expected", [(-1, [1, 1, 1]), (0, [2, 1])])
-    def test_tensor_chunks_sized_by_padded_plane_bytes(
-        self, graph, slack, expected, monkeypatch
-    ):
-        from repro.graph.bitmatrix import packed_bytes, packing_bytes
-        from repro.protocols import lfgdpr
 
-        sizes = []
-        real = lfgdpr.BitTensor.from_graphs
+class TestHonestPlanePackedOnce:
+    """A paired run's honest plane is packed at most once, by whichever
+    estimator first needs it, and never for metrics that read no plane."""
 
-        def recording(graphs):
-            graphs = list(graphs)
-            sizes.append(len(graphs))
-            return real(graphs)
+    @pytest.fixture
+    def packs(self, call_counts):
+        from repro.graph import bitmatrix, bittensor
 
-        monkeypatch.setattr(lfgdpr.BitTensor, "from_graphs", recording)
-        # The shared byte scratch plus one byte under two padded planes fits
-        # one plane per tensor only.
-        cap = packing_bytes(graph.num_nodes) + packed_bytes(graph.num_nodes) + slack
-        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(cap))
-        LFGDPRProtocol(epsilon=2.0).collect_paired_batch(
-            graph, [3, 11, 27], metric="clustering_coefficient"
-        )
-        assert sizes == expected
+        counts, spy = call_counts
+        for module in (bitmatrix, bittensor):
+            spy(module, "pack_symmetric_plane", "pack")
+        return counts
+
+    def test_clustering_evaluate_attack_packs_one_plane(self, graph, packs):
+        from repro.core.clustering_attacks import ClusteringMGA
+        from repro.core.gain import evaluate_attack
+        from repro.core.threat_model import ThreatModel
+
+        threat = ThreatModel.sample(graph, 0.05, 0.05, rng=1)
+        with use_tracer(Tracer()) as tracer:
+            evaluate_attack(
+                graph, LFGDPRProtocol(epsilon=2.0), ClusteringMGA(), threat,
+                metric="clustering_coefficient", rng=5,
+            )
+        # The after-view patches the honest plane's rows instead of packing.
+        assert tracer.counters.get("delta.incremental") == 1
+        assert packs["pack"] == 1
+
+    @pytest.mark.parametrize("trials", [3, 1])
+    def test_degree_point_packs_no_plane(self, graph, packs, trials):
+        tasks = make_tasks(graph, "degree_centrality", "degree/mga", trials)
+        execute_tasks_grouped(tasks, graph)
+        assert packs["pack"] == 0
+
+    def test_modularity_point_packs_no_plane(self, graph, labels, packs):
+        # Intra-community counts bucket edges; no estimator reads a plane.
+        tasks = make_tasks(graph, "modularity", "clustering/mga", 3)
+        execute_tasks_grouped(tasks, graph, labels)
+        assert packs["pack"] == 0
+
+    def test_clustering_point_packs_one_plane_per_trial(self, graph, packs):
+        tasks = make_tasks(graph, "clustering_coefficient", "clustering/mga", 3)
+        with use_tracer(Tracer()) as tracer:
+            execute_tasks_grouped(tasks, graph)
+        assert tracer.counters.get("delta.incremental") == 3
+        assert packs["pack"] == 3

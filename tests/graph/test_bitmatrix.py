@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import bittensor, metrics
+from repro.graph import metrics
 from repro.graph.adjacency import Graph
 from repro.graph import bitmatrix
 from repro.graph.bitmatrix import (
@@ -27,7 +27,6 @@ from repro.graph.bitmatrix import (
     should_use_packed,
     triangle_backend,
 )
-from repro.graph.bittensor import BitTensor
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.graph.metrics import edge_density, triangles_per_node
 from repro.graph.streaming import rows_per_block, streaming_intra_community_edges
@@ -72,20 +71,18 @@ class TestPacking:
         assert bm.degrees().size == 0
         assert bm.triangles_per_node().size == 0
         assert bm.num_edges == 0
-        assert bm.edge_density() == 0.0
 
     def test_single_node(self):
         bm = BitMatrix.from_graph(Graph(1))
         assert bm.degrees().tolist() == [0]
         assert bm.triangles_per_node().tolist() == [0]
-        assert bm.edge_density() == 0.0
+        assert bm.num_edges == 0
 
     def test_two_nodes(self):
         bm = BitMatrix.from_graph(Graph(2, [(0, 1)]))
         assert bm.degrees().tolist() == [1, 1]
         assert bm.triangles_per_node().tolist() == [0, 0]
         assert bm.num_edges == 1
-        assert bm.edge_density() == 1.0
 
     def test_word_boundary_nodes(self):
         # Nodes 63/64/65 straddle the uint64 word boundary.
@@ -97,7 +94,7 @@ class TestPacking:
     def test_complete_graph(self):
         k8 = Graph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
         bm = BitMatrix.from_graph(k8)
-        assert bm.edge_density() == 1.0
+        assert bm.num_edges == 28
         # Each node of K8 is in C(7, 2) = 21 triangles.
         assert bm.triangles_per_node().tolist() == [21] * 8
 
@@ -121,7 +118,6 @@ def test_backends_bit_identical_across_densities(density):
     bm = BitMatrix.from_graph(g)
     assert np.array_equal(bm.degrees(), g.degrees())
     assert bm.num_edges == g.num_edges
-    assert bm.edge_density() == edge_density(g)
 
 
 @given(
@@ -149,20 +145,14 @@ def test_chunked_popcount_passes_match_single_pass(monkeypatch):
     from repro.graph import bitmatrix
 
     g = erdos_renyi_graph(100, 0.5, rng=9)
-    labels = np.arange(100) % 3
     reference = BitMatrix.from_graph(g)
     expected_triangles = reference.triangles_per_node()
-    expected_intra = streaming_intra_community_edges(g, labels, 3)
     monkeypatch.setattr(bitmatrix, "_CHUNK_WORDS", 4)  # force many tiny chunks
-    monkeypatch.setattr(bittensor, "_CHUNK_WORDS", 4)
     assert np.array_equal(reference.triangles_per_node(), expected_triangles)
-    tensor = BitTensor.from_graphs([g, g])
-    assert np.array_equal(tensor.intra_community_edges(labels, 3)[1], expected_intra)
 
 
 class TestIntraCommunityEdges:
-    """The packed intra counter (on already-packed planes) equals the
-    edge bucketing of the one unpacked counter."""
+    """The one intra-community counter equals direct edge bucketing."""
 
     def test_matches_edge_bucketing(self):
         g = erdos_renyi_graph(90, 0.4, rng=3)
@@ -171,15 +161,11 @@ class TestIntraCommunityEdges:
         same = labels[rows] == labels[cols]
         expected = np.bincount(labels[rows[same]], minlength=4)
         assert np.array_equal(streaming_intra_community_edges(g, labels, 4), expected)
-        packed = BitTensor.from_graphs([g]).intra_community_edges(labels, 4)[0]
-        assert np.array_equal(packed, expected)
 
     def test_singleton_and_empty_communities(self):
         g = Graph(5, [(0, 1), (1, 2)])
         labels = np.array([0, 0, 1, 2, 2])
         assert streaming_intra_community_edges(g, labels, 4).tolist() == [1, 0, 0, 0]
-        counts = BitTensor.from_graphs([g]).intra_community_edges(labels, 4)[0]
-        assert counts.tolist() == [1, 0, 0, 0]
 
 
 class TestDispatch:

@@ -1,10 +1,8 @@
-"""Tests for the trial-stacked bit-plane tensor behind the batched kernels.
+"""Tests for the trial-stacked bit-plane tensor.
 
-Every batched quantity must be an *exact integer* equal to what the
-per-trial :class:`~repro.graph.bitmatrix.BitMatrix` computes plane by plane
-(and what networkx computes from scratch) — the engine's batched execution
-path substitutes these kernels for the scalar ones without a cache-version
-bump, so any discrepancy would silently corrupt recorded results.
+Every stacked count must be an *exact integer* equal to what the per-trial
+:class:`~repro.graph.bitmatrix.BitMatrix` computes plane by plane (and what
+networkx computes from scratch).
 """
 
 import networkx as nx
@@ -39,18 +37,18 @@ def nx_triangles(graph):
 
 @pytest.mark.parametrize("trials", [1, 2, 7])
 @pytest.mark.parametrize("n", [0, 1, 2, 64, 65])
-def test_degrees_match_per_plane_bitmatrix(trials, n):
-    # Per-plane triangle identity lives in tests/graph/test_triangle_identity.py.
+def test_triangles_match_per_plane_bitmatrix(trials, n):
     for density in (0.0, 0.1, 0.5, 0.9):
         graphs = random_graphs(n, trials, density, seed=n * 31 + trials)
         tensor = BitTensor.from_graphs(graphs)
         assert tensor.num_trials == trials
         assert tensor.num_nodes == n
-        degrees = tensor.degrees()
-        assert degrees.shape == (trials, n)
-        assert tensor.triangles_per_node().shape == (trials, n)
+        triangles = tensor.triangles_per_node()
+        assert triangles.shape == (trials, n)
         for trial, graph in enumerate(graphs):
-            assert np.array_equal(degrees[trial], BitMatrix.from_graph(graph).degrees())
+            assert np.array_equal(
+                triangles[trial], BitMatrix.from_graph(graph).triangles_per_node()
+            )
 
 
 @pytest.mark.parametrize("n", PACK_SIZES)
@@ -80,19 +78,6 @@ def test_triangles_without_stored_edges_rederives_from_planes():
     assert np.array_equal(bare.triangles_per_node(), packed.triangles_per_node())
 
 
-def test_trial_edges_stored_and_derived_agree():
-    graphs = random_graphs(70, 2, 0.3, seed=9)
-    packed = BitTensor.from_graphs(graphs)
-    bare = BitTensor(70, packed.planes.copy())
-    for trial, graph in enumerate(graphs):
-        rows, cols = packed.trial_edges(trial)
-        drows, dcols = bare.trial_edges(trial)
-        grows, gcols = graph.edge_arrays()
-        assert np.array_equal(np.sort(rows), np.sort(drows))
-        assert np.array_equal(rows, grows) and np.array_equal(cols, gcols)
-        assert np.array_equal(np.sort(cols), np.sort(dcols))
-
-
 def test_edge_endpoints_roundtrip():
     (graph,) = random_graphs(130, 1, 0.25, seed=3)
     plane = BitMatrix.from_graph(graph)
@@ -112,64 +97,7 @@ def test_plane_views_are_zero_copy():
     assert view.rows.base is tensor.planes or np.shares_memory(
         view.rows, tensor.planes
     )
-    assert np.array_equal(view.degrees(), tensor.degrees()[1])
-
-
-def test_intra_community_edges_matches_per_plane():
-    graphs = random_graphs(90, 3, 0.4, seed=11)
-    tensor = BitTensor.from_graphs(graphs)
-    labels = np.arange(90, dtype=np.int64) % 4
-    batched = tensor.intra_community_edges(labels, 4)
-    assert batched.shape == (3, 4)
-    for trial, graph in enumerate(graphs):
-        rows, cols = graph.edge_arrays()
-        same = labels[rows] == labels[cols]
-        expected = np.bincount(labels[rows[same]], minlength=4)
-        assert np.array_equal(batched[trial], expected)
-
-
-def test_with_edits_matches_per_plane_bitmatrix():
-    graphs = random_graphs(80, 3, 0.3, seed=21)
-    tensor = BitTensor.from_graphs(graphs)
-    rng = np.random.default_rng(4)
-    edits = []
-    expected = []
-    for trial, graph in enumerate(graphs):
-        if trial == 1:
-            edits.append(None)
-            expected.append(BitMatrix.from_graph(graph))
-            continue
-        rows, cols = graph.edge_arrays()
-        drop = rng.choice(rows.size, size=min(5, rows.size), replace=False)
-        drop_rows, drop_cols = rows[drop], cols[drop]
-        add_rows = np.array([0, 2, 4], dtype=np.int64)
-        add_cols = np.array([79, 77, 75], dtype=np.int64)
-        present = set(zip(rows.tolist(), cols.tolist()))
-        keep = [
-            (r, c)
-            for r, c in zip(add_rows.tolist(), add_cols.tolist())
-            if (min(r, c), max(r, c)) not in present
-        ]
-        add_rows = np.array([r for r, _ in keep], dtype=np.int64)
-        add_cols = np.array([c for _, c in keep], dtype=np.int64)
-        edits.append((add_rows, add_cols, drop_rows, drop_cols))
-        expected.append(
-            BitMatrix.from_graph(graph).with_edits(
-                add_rows, add_cols, drop_rows, drop_cols
-            )
-        )
-    edited = tensor.with_edits(edits)
-    for trial in range(3):
-        assert np.array_equal(edited.planes[trial], expected[trial].rows)
-    # the original tensor is untouched
-    for trial, graph in enumerate(graphs):
-        assert np.array_equal(tensor.planes[trial], BitMatrix.from_graph(graph).rows)
-
-
-def test_with_edits_validates_length():
-    tensor = BitTensor.from_graphs(random_graphs(10, 2, 0.3, seed=2))
-    with pytest.raises(ValueError, match="edit sets"):
-        tensor.with_edits([None])
+    assert np.array_equal(view.degrees(), BitMatrix.from_graph(graphs[1]).degrees())
 
 
 def test_from_graphs_validates_node_counts():

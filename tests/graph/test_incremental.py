@@ -16,14 +16,13 @@ from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix, _row_popcounts
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.metrics import (
-    delta_stats,
-    reset_delta_stats,
     should_use_incremental,
     triangles_per_node,
     triangles_per_node_cached,
     triangles_per_node_incremental,
     triangles_touching,
 )
+from repro.telemetry.core import Tracer, use_tracer
 
 
 def networkx_triangles(graph: Graph) -> np.ndarray:
@@ -233,13 +232,13 @@ class TestDeltaThreshold:
         graph = erdos_renyi_graph(40, 0.3, rng=1)
         touched = np.array([0, 7])
         after = touch_rows(graph, touched, rng)
-        reset_delta_stats()
-        result = triangles_per_node_incremental(
-            graph, after, touched, triangles_per_node(graph)
-        )
-        stats = delta_stats()
-        assert stats[expected] == 1
-        assert stats["incremental" if expected == "fallback" else "fallback"] == 0
+        with use_tracer(Tracer()) as tracer:
+            result = triangles_per_node_incremental(
+                graph, after, touched, triangles_per_node(graph)
+            )
+        other = "incremental" if expected == "fallback" else "fallback"
+        assert tracer.counters.get(f"delta.{expected}", 0) == 1
+        assert tracer.counters.get(f"delta.{other}", 0) == 0
         # Both sides of the crossover return the exact same integers.
         assert np.array_equal(result, triangles_per_node(after))
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix, packing_bytes, triangle_backend
-from repro.graph.bittensor import BitTensor
 from repro.graph.metrics import triangles_per_node
 from repro.graph.streaming import (
     RowBlockBuilder,
@@ -140,10 +139,11 @@ class TestStreamingEstimators:
     def test_intra_community_identical(self, chunk_edges):
         graph = random_graph(80, 0.3, seed=6)
         labels = np.random.default_rng(0).integers(0, 5, graph.num_nodes)
-        packed = BitTensor.from_graphs([graph]).intra_community_edges(labels, 5)[0]
+        rows, cols = graph.edge_arrays()
+        same = labels[rows] == labels[cols]
         assert np.array_equal(
             streaming_intra_community_edges(graph, labels, 5, chunk_edges),
-            packed,
+            np.bincount(labels[rows[same]], minlength=5),
         )
 
     # Triangle identity per block height lives in
@@ -165,25 +165,27 @@ class TestDispatch:
         assert tracer.counters == {"backend.stream": 1}
 
     def test_paired_intra_identical_past_cap(self, monkeypatch):
-        """Packed planes count intra edges on the tensor; past the cap the
-        batch skips the tensor and the estimate counts them unpacked."""
+        """A paired run counts its honest intra edges lazily, once, into its
+        cache by edge bucketing — the same bits in memory and past the cap."""
         graph = random_graph(70, 0.3, seed=8)
         labels = np.random.default_rng(1).integers(0, 4, graph.num_nodes)
         protocol = LFGDPRProtocol(epsilon=1.0)
 
-        def collect():
-            return protocol.collect_paired_batch(
-                graph, [5], metric="modularity", labels=labels
-            )[0].before
+        def estimate():
+            before = protocol.collect_paired_batch(graph, [5])[0].before
+            assert "intra" not in before.baseline.cache  # nothing eager
+            value = protocol.estimate_modularity(before, labels)
+            rows, cols = before.perturbed_graph.edge_arrays()
+            same = labels[rows] == labels[cols]
+            assert np.array_equal(
+                before.baseline.cache["intra"][1],
+                np.bincount(labels[rows[same]], minlength=4),
+            )
+            return value
 
-        in_memory = collect()
-        assert "intra" in in_memory.baseline.cache  # counted on the tensor
+        in_memory = estimate()
         monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", "64")
-        past_cap = collect()
-        assert "intra" not in past_cap.baseline.cache
-        assert protocol.estimate_modularity(past_cap, labels) == (
-            protocol.estimate_modularity(in_memory, labels)
-        )
+        assert estimate() == in_memory
 
 
 class TestPerturbStream:
@@ -245,23 +247,3 @@ class TestCollectBlocks:
     def test_empty_graph_yields_nothing(self):
         protocol = LFGDPRProtocol(epsilon=1.0)
         assert list(protocol.collect_blocks(Graph(0, []), rng=0)) == []
-
-
-class TestRowRangeViews:
-    def test_bitmatrix_row_range(self):
-        graph = random_graph(70, 0.4, seed=13)
-        matrix = BitMatrix.from_graph(graph)
-        view = matrix.row_range(10, 30)
-        assert view.base is matrix.rows or view.base is matrix.rows.base
-        assert np.array_equal(view, matrix.rows[10:30])
-        with pytest.raises(ValueError, match="row range"):
-            matrix.row_range(5, 71)
-
-    def test_bittensor_row_range(self):
-        graphs = [random_graph(40, 0.3, seed=s) for s in (1, 2)]
-        tensor = BitTensor.from_graphs(graphs)
-        view = tensor.row_range(4, 20)
-        assert view.shape == (2, 16, tensor.num_words)
-        assert np.array_equal(view, tensor.planes[:, 4:20, :])
-        with pytest.raises(ValueError, match="row range"):
-            tensor.row_range(-1, 5)

@@ -6,6 +6,7 @@ import pytest
 from repro.graph.adjacency import Graph
 from repro.protocols.base import (
     FakeReport,
+    GraphLDPProtocol,
     apply_degree_overrides,
     apply_overrides,
 )
@@ -97,3 +98,25 @@ class TestApplyDegreeOverrides:
     def test_no_overrides(self):
         degrees = np.array([1.0, 2.0])
         assert apply_degree_overrides(degrees, None).tolist() == [1.0, 2.0]
+
+
+class TestProtocolInterface:
+    def test_collect_paired_has_no_default(self):
+        """A protocol must pair its own views; there is no re-collecting
+        fallback."""
+
+        class CollectOnly(GraphLDPProtocol):
+            def collect(self, graph, rng, overrides=None):
+                raise NotImplementedError
+
+            def estimate_degree_centrality(self, reports):
+                raise NotImplementedError
+
+            def estimate_clustering_coefficient(self, reports):
+                raise NotImplementedError
+
+            def estimate_modularity(self, reports, labels):
+                raise NotImplementedError
+
+        with pytest.raises(TypeError, match="collect_paired"):
+            CollectOnly()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.graph.adjacency import Graph
-from repro.graph.bittensor import BitTensor
 from repro.graph.streaming import streaming_intra_community_edges
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.metrics import (
@@ -23,6 +22,7 @@ from repro.protocols.estimators import (
     triangle_calibration,
 )
 from repro.protocols import lfgdpr
+from repro.protocols.base import FakeReport
 from repro.protocols.lfgdpr import LFGDPRProtocol
 
 
@@ -196,23 +196,31 @@ class TestModularityEstimator:
         value = estimate_modularity(g, np.zeros(4, dtype=np.int64), 2.0, np.zeros(4))
         assert value == 0.0
 
-    def test_packed_and_sparse_paths_bit_identical(self, force_backend, call_counts):
-        """Intra edges counted on the batch's packed planes or unpacked give
-        the same modularity estimate."""
+
+    def test_paired_intra_counted_once_per_run(self, call_counts):
+        """The before and after views of one paired run share a single
+        honest intra count; the after view only adjusts it, to the bits a
+        seed-replayed collect gives."""
         g = powerlaw_cluster_graph(150, 4, 0.5, rng=5)
         labels = (np.arange(150) % 6).astype(np.int64)
         protocol = LFGDPRProtocol(epsilon=0.8)
-        ran, spy = call_counts
-        spy(BitTensor, "intra_community_edges", "packed")
-        spy(lfgdpr, "streaming_intra_community_edges", "sparse")
-        estimates = {}
-        for backend in ("packed", "sparse"):
-            force_backend(backend)
-            ran.clear()
-            run = protocol.collect_paired_batch(g, [1], metric="modularity", labels=labels)[0]
-            estimates[backend] = protocol.estimate_modularity(run.before, labels)
-            assert ran == {backend: 1}
-        assert estimates["packed"] == estimates["sparse"]
+        overrides = {
+            3: FakeReport(claimed_neighbors=[7, 40, 99], reported_degree=3.0),
+            8: FakeReport(claimed_neighbors=[2, 41], reported_degree=2.0),
+        }
+        counts, spy = call_counts
+        spy(lfgdpr, "streaming_intra_community_edges", "intra")
+        run = protocol.collect_paired(g, 1)
+        paired = [
+            protocol.estimate_modularity(view, labels)
+            for view in (run.before, run.after(overrides), run.before)
+        ]
+        assert counts == {"intra": 1}
+        replayed = [
+            protocol.estimate_modularity(protocol.collect(g, 1, overrides=o), labels)
+            for o in (None, overrides, None)
+        ]
+        assert paired == replayed
 
 
 class TestClusteringDispatchEquality:

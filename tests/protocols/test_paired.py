@@ -19,13 +19,13 @@ from repro.graph import metrics
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.protocols.base import (
     FakeReport,
-    TwoRunPairedCollection,
     apply_degree_overrides,
     apply_overrides,
     apply_overrides_tracked,
 )
 from repro.protocols.ldpgen import LDPGenProtocol
 from repro.protocols.lfgdpr import LFGDPRProtocol
+from repro.telemetry.core import Tracer, use_tracer
 from repro.utils.rng import child_rng
 
 
@@ -96,8 +96,35 @@ class TestSharedCollectionBitIdentity:
             protocol.collect_paired(graph, np.random.default_rng(0))
         with pytest.raises(TypeError, match="replayable seed"):
             LDPGenProtocol(epsilon=4.0).collect_paired(graph, np.random.default_rng(0))
-        with pytest.raises(TypeError, match="replayable seed"):
-            TwoRunPairedCollection(protocol, graph, np.random.default_rng(0))
+
+
+class TestPairedBatch:
+    """The trials of one point, collected as one batch of paired runs."""
+
+    @pytest.mark.parametrize("num_communities", [1, 4, 9])
+    def test_intra_counts_match_per_run_bucketing(self, graph, num_communities):
+        """Each run's cached honest count and its after view's adjusted
+        count equal bucketing that run's own edges."""
+        protocol = LFGDPRProtocol(epsilon=2.0)
+        labels = np.arange(graph.num_nodes, dtype=np.int64) % num_communities
+        overrides = replace_overrides(graph.num_nodes)
+        for run in protocol.collect_paired_batch(graph, [3, 11, 27]):
+            for view in (run.before, run.after(overrides)):
+                rows, cols = view.perturbed_graph.edge_arrays()
+                same = labels[rows] == labels[cols]
+                expected = np.bincount(labels[rows[same]], minlength=num_communities)
+                assert np.array_equal(protocol._paired_intra(view, labels), expected)
+
+    def test_ldpgen_batch_is_collect_paired_per_seed(self, graph):
+        protocol = LDPGenProtocol(epsilon=4.0, refined_groups=4)
+        overrides = replace_overrides(graph.num_nodes)
+        seeds = [5, 6]
+        runs = protocol.collect_paired_batch(graph, seeds)
+        assert len(runs) == len(seeds)
+        for seed, run in zip(seeds, runs):
+            single = protocol.collect_paired(graph, seed)
+            assert_reports_identical(run.before, single.before)
+            assert_reports_identical(run.after(overrides), single.after(overrides))
 
 
 def seed_replay_reference(graph, protocol, attack, threat, metric, seed, labels=None,
@@ -154,12 +181,15 @@ class TestEvaluationPipelineEquivalence:
         gains = []
         for threshold, path in ((0.0, "fallback"), (1.0, "incremental")):
             monkeypatch.setattr(metrics, "DELTA_THRESHOLD", threshold)
-            metrics.reset_delta_stats()
-            outcome = evaluate_attack(
-                graph, protocol, DegreeMGA(), threat,
-                metric="clustering_coefficient", rng=5,
-            )
-            assert metrics.delta_stats() == {
+            with use_tracer(Tracer()) as tracer:
+                outcome = evaluate_attack(
+                    graph, protocol, DegreeMGA(), threat,
+                    metric="clustering_coefficient", rng=5,
+                )
+            assert {
+                key: tracer.counters.get(f"delta.{key}", 0)
+                for key in ("incremental", "fallback")
+            } == {
                 "incremental": int(path == "incremental"),
                 "fallback": int(path == "fallback"),
             }
