@@ -22,7 +22,6 @@ frequent pair, so co-occurrence is computed on the candidate columns only.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.defenses.base import Defense, resample_flagged_rows
 from repro.protocols.base import CollectedReports
@@ -66,6 +65,8 @@ class FrequentItemsetDefense(Defense):
     # ------------------------------------------------------------------
     def frequent_pair_counts(self, reports: CollectedReports) -> np.ndarray:
         """Per-user count of frequent pairs contained in their bit vector."""
+        import scipy.sparse as sp
+
         adjacency = reports.perturbed_graph.csr().astype(np.int64)
         n = adjacency.shape[0]
         column_counts = np.asarray(adjacency.sum(axis=0)).ravel()

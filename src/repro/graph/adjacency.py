@@ -18,13 +18,15 @@ keeps before/after attack comparisons safe by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.utils.sparse import decode_pairs, encode_pairs, pair_count
 from repro.utils.validation import check_non_negative
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Codes decoded per chunk when counting degrees (4M codes ~ 96 MB of
 #: endpoint temporaries — bounded regardless of graph size).
@@ -317,6 +319,8 @@ class Graph:
 
     def csr(self) -> sp.csr_matrix:
         """Symmetric adjacency matrix in CSR form (0/1, int8)."""
+        import scipy.sparse as sp
+
         rows, cols = self.edge_arrays()
         data = np.ones(2 * rows.size, dtype=np.int8)
         all_rows = np.concatenate([rows, cols])

@@ -39,7 +39,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.generators import surrogate_social_graph
 from repro.graph.io import read_edge_list
 from repro.utils.rng import RngLike, child_rng
-from repro.utils.validation import check_in_range
+from repro.utils.validation import check_scale
 
 #: Per-process surrogate memo size.  Multi-panel/multi-scenario batches ask
 #: for the same ``(name, scale, seed)`` surrogate once per panel; generation
@@ -67,7 +67,7 @@ class DatasetSpec:
 
     def nodes_at_scale(self, scale: float) -> int:
         """Surrogate node count at a given scale factor."""
-        check_in_range(scale, 0.0, 1.0, "scale")
+        check_scale(scale, "scale")
         return max(64, round(self.paper_nodes * scale))
 
 
@@ -205,6 +205,7 @@ def load_dataset(name: str, scale: float | None = None, rng: RngLike = 0) -> Gra
     spec = _lookup(name)
     if scale is None:
         scale = spec.default_scale
+    check_scale(scale, "scale")
     if isinstance(rng, (int, np.integer)):
         return _load_dataset_memo(spec.name, float(scale), int(rng))
     return _generate(spec, float(scale), rng)
@@ -442,7 +443,7 @@ def load_real_dataset(name: str, scale: float | None = None) -> Graph:
             "--source <local file>)"
         )
     if scale is not None:
-        check_in_range(scale, 0.0, 1.0, "scale")
+        check_scale(scale, "scale")
     return _load_real_memo(spec.name, scale, str(path))
 
 

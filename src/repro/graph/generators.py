@@ -1,15 +1,16 @@
 """Random-graph generators used to build the dataset surrogates.
 
-Thin, seed-disciplined wrappers over networkx generators plus a tuned
-power-law-cluster generator that targets a requested average degree.  All
-generators return :class:`repro.graph.Graph` with integer node labels.
+The surrogates come from a pure-Python, draw-for-draw replica of networkx's
+Holme–Kim power-law-cluster generator, tuned to a requested average degree.
+The Erdős–Rényi and Barabási–Albert generators are seed-disciplined wrappers
+over networkx, which they import on first call.  All generators return
+:class:`repro.graph.Graph` with integer node labels.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-
-import networkx as nx
 
 from repro.graph.adjacency import Graph
 from repro.utils.rng import RngLike, ensure_rng
@@ -31,7 +32,9 @@ def _holme_kim_edges(n: int, m: int, p: float, rand: random.Random) -> list:
     set is identical for any seed.  Inlining the membership tests removes
     the per-edge ``Graph.has_edge`` method dispatch that dominates
     surrogate generation for high-degree datasets (~6M calls for the
-    G+ surrogate) — generation only, results unchanged.
+    G+ surrogate) — generation only, results unchanged.  The triangle
+    step's candidate list is filtered in C against ``excluded`` (the source
+    and its neighbours so far), keeping ``adjacency[target]`` order.
     """
     adjacency: dict = {node: {} for node in range(m)}
     edges: list = []
@@ -45,25 +48,26 @@ def _holme_kim_edges(n: int, m: int, p: float, rand: random.Random) -> list:
         while len(targets) < m:
             targets.add(rand.choice(repeated_nodes))
         source_adjacency = adjacency.setdefault(source, {})
+        excluded = {source}
         target = targets.pop()
         if target not in source_adjacency:
             source_adjacency[target] = None
             adjacency.setdefault(target, {})[source] = None
             edges.append((source, target))
+            excluded.add(target)
         repeated_nodes.append(target)
         count = 1
         while count < m:
             if rand.random() < p:  # clustering step: try to close a triangle
-                neighborhood = [
-                    nbr
-                    for nbr in adjacency[target]
-                    if nbr not in source_adjacency and nbr != source
-                ]
+                neighborhood = list(
+                    itertools.filterfalse(excluded.__contains__, adjacency[target])
+                )
                 if neighborhood:
                     nbr = rand.choice(neighborhood)
                     source_adjacency[nbr] = None
                     adjacency[nbr][source] = None
                     edges.append((source, nbr))
+                    excluded.add(nbr)
                     repeated_nodes.append(nbr)
                     count += 1
                     continue
@@ -74,6 +78,7 @@ def _holme_kim_edges(n: int, m: int, p: float, rand: random.Random) -> list:
                 source_adjacency[target] = None
                 adjacency.setdefault(target, {})[source] = None
                 edges.append((source, target))
+                excluded.add(target)
             repeated_nodes.append(target)
             count += 1
         repeated_nodes.extend([source] * m)
@@ -89,6 +94,8 @@ def erdos_renyi_graph(num_nodes: int, edge_probability: float, rng: RngLike = No
     """
     check_positive(num_nodes, "num_nodes")
     check_probability(edge_probability, "edge_probability")
+    import networkx as nx
+
     nx_graph = nx.fast_gnp_random_graph(num_nodes, edge_probability, seed=_nx_seed(rng))
     return Graph.from_networkx(nx_graph)
 
@@ -97,6 +104,8 @@ def barabasi_albert_graph(num_nodes: int, edges_per_node: int, rng: RngLike = No
     """Preferential-attachment graph (power-law degrees, low clustering)."""
     check_positive(num_nodes, "num_nodes")
     check_positive(edges_per_node, "edges_per_node")
+    import networkx as nx
+
     nx_graph = nx.barabasi_albert_graph(num_nodes, edges_per_node, seed=_nx_seed(rng))
     return Graph.from_networkx(nx_graph)
 

@@ -21,7 +21,6 @@ matching the threat model where fake users send arbitrary crafted data.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.graph.adjacency import Graph
 from repro.graph.metrics import local_clustering_coefficients, modularity_from_labels
@@ -204,6 +203,8 @@ class LDPGenProtocol(GraphLDPProtocol):
         self, state: "_LDPGenSharedState", overrides: Overrides | None
     ) -> CollectedReports:
         """The override-dependent tail of the pipeline, given shared state."""
+        from scipy.cluster.vq import kmeans2
+
         clusters = state.clusters
         noisy1 = _apply_vector_overrides(
             state.noisy1, state.initial_labels, self.initial_groups, overrides

@@ -7,8 +7,9 @@ A traced run leaves two artifacts next to whatever it produced:
   ``{"type": "counter", ...}`` totals.  Append-friendly, greppable and
   cheap to stream-parse at any size;
 * ``<trace>.manifest.json`` — the :class:`RunManifest`: what ran (scenario
-  names, config, git describe), how much (task counts, wall clock) and how
-  well (cache hit/miss totals), as one self-contained JSON document.
+  names, config, ``REPRO_*`` environment, git describe), how much (task
+  counts, wall clock) and how well (cache hit/miss totals), as one
+  self-contained JSON document.
 
 ``python -m repro trace summarize PATH`` renders the top-spans/counters
 table via :func:`summarize_trace`.
@@ -17,6 +18,7 @@ table via :func:`summarize_trace`.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import time
 from collections import OrderedDict
@@ -55,6 +57,9 @@ class RunManifest:
     ``cache.miss`` totals live there, which is what the CI warm-run check
     reads.  ``config`` is a plain dict so the manifest stays loadable even
     if :class:`~repro.experiments.config.ExperimentConfig` grows fields.
+    ``env`` holds the ``REPRO_*`` environment variables in effect (cache
+    root, dense-byte cap, trace switch, ...); manifests written before it
+    existed load with an empty mapping.
     """
 
     scenarios: List[str] = field(default_factory=list)
@@ -65,6 +70,7 @@ class RunManifest:
     task_count: int = 0
     span_count: int = 0
     counters: Dict[str, float] = field(default_factory=dict)
+    env: Dict[str, str] = field(default_factory=dict)
     format: int = MANIFEST_FORMAT
 
     @classmethod
@@ -86,6 +92,11 @@ class RunManifest:
             task_count=int(counters.get("batch.tasks", 0)),
             span_count=len(tracer.spans),
             counters=counters,
+            env={
+                name: value
+                for name, value in sorted(os.environ.items())
+                if name.startswith("REPRO_")
+            },
         )
 
     def to_dict(self) -> dict:

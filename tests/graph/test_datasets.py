@@ -1,5 +1,8 @@
 """Tests for repro.graph.datasets (Table II surrogates)."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.graph.datasets import DATASETS, dataset_statistics, load_dataset
@@ -27,9 +30,16 @@ class TestRegistry:
         assert spec.nodes_at_scale(0.1) == 3669
         assert spec.nodes_at_scale(0.0001) == 64  # floor
 
-    def test_scale_out_of_range(self):
-        with pytest.raises(ValueError):
-            DATASETS["enron"].nodes_at_scale(1.5)
+    @pytest.mark.parametrize(
+        "scale", [1.5, 0, 0.0, -0.0, -0.25, True, False, float("nan")]
+    )
+    def test_scale_out_of_range(self, scale):
+        """(0, 1] is the contract: zero, negative zero and booleans must not
+        fall through to the 64-node floor or to the full graph."""
+        with pytest.raises(ValueError, match="scale"):
+            DATASETS["enron"].nodes_at_scale(scale)
+        with pytest.raises(ValueError, match="scale"):
+            load_dataset("facebook", scale=scale)
 
 
 class TestLoadDataset:
@@ -61,6 +71,19 @@ class TestLoadDataset:
 
     def test_case_insensitive(self):
         assert load_dataset("Facebook", scale=0.02).num_nodes > 0
+
+    @pytest.mark.parametrize("name,scale,digest", [
+        ("gplus", 0.0078,
+         "e7e1e72a6130773b10e8c3b0f088ecb5460f21a19ca1f48dca4f5dcebfd0a1f9"),
+        ("facebook", 0.2,
+         "883868e0550ef6748ae584fad8e8d3397a41b7fa7ae68dc95997e4a7472e0bc5"),
+    ])
+    def test_surrogate_edge_codes_are_pinned(self, name, scale, digest):
+        """Surrogate generation is output-frozen: any change to the
+        Holme–Kim replica that moves one edge moves this digest."""
+        codes = np.ascontiguousarray(load_dataset(name, scale=scale).edge_codes)
+        assert codes.dtype == np.int64
+        assert hashlib.sha256(codes.tobytes()).hexdigest() == digest
 
     def test_statistics_helper(self):
         nodes, edges = dataset_statistics("facebook", scale=0.05)

@@ -125,6 +125,14 @@ class TestLoad:
         with pytest.raises(ValueError):
             load_real_dataset("snap-fake", scale=1.5)
 
+    @pytest.mark.parametrize("scale", [0, 0.0, -0.0, -0.5, True, float("nan")])
+    def test_scale_outside_unit_interval_is_rejected(self, fake_dataset, scale):
+        fetch_dataset("snap-fake", source=fake_dataset)
+        with pytest.raises(ValueError, match="scale"):
+            load_real_dataset("snap-fake", scale=scale)
+        with pytest.raises(ValueError, match="scale"):
+            load_dataset("snap-fake", scale=scale)
+
     def test_refetch_invalidates_memo(self, fake_dataset, tmp_path):
         fetch_dataset("snap-fake", source=fake_dataset)
         before = load_real_dataset("snap-fake")

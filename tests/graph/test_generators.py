@@ -62,6 +62,7 @@ class TestPowerlawCluster:
 
     @pytest.mark.parametrize("n,m,p", [
         (10, 1, 0.0), (30, 2, 0.3), (100, 3, 0.5), (80, 10, 0.9), (50, 49, 0.5),
+        (300, 100, 0.4),
     ])
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     def test_replica_matches_networkx_exactly(self, n, m, p, seed):

@@ -67,6 +67,31 @@ class TestManifest:
         path = manifest.write(tmp_path / "run.manifest.json")
         assert RunManifest.load(path) == manifest
 
+    def test_records_repro_environment(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", "4096")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("UNRELATED_SETTING", "x")
+        manifest = RunManifest.from_tracer(_traced_tracer(), scenarios=["fig6"])
+        assert manifest.env["REPRO_DENSE_MAX_BYTES"] == "4096"
+        assert manifest.env["REPRO_CACHE_DIR"] == str(tmp_path)
+        assert all(name.startswith("REPRO_") for name in manifest.env)
+        path = manifest.write(tmp_path / "run.manifest.json")
+        loaded = RunManifest.load(path)
+        assert loaded.env == manifest.env
+        assert RunManifest.from_dict(manifest.to_dict()) == manifest
+
+    def test_manifest_without_env_still_loads(self, tmp_path):
+        payload = RunManifest.from_tracer(
+            _traced_tracer(), scenarios=["fig6"]
+        ).to_dict()
+        del payload["env"]
+        path = tmp_path / "old.manifest.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = RunManifest.load(path)
+        assert loaded.env == {}
+        assert loaded.scenarios == ["fig6"]
+        assert loaded.counters["cache.hit"] == 3
+
     def test_from_dict_ignores_unknown_keys(self):
         loaded = RunManifest.from_dict({"scenarios": ["x"], "future_field": 1})
         assert loaded.scenarios == ["x"]
