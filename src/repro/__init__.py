@@ -2,9 +2,8 @@
 
 A full reproduction of the ICDE 2025 paper: graph-LDP protocols (LF-GDPR,
 LDPGen), the RVA/RNA/MGA poisoning attacks on degree centrality and
-clustering coefficient, the frequency-oracle attack family they generalise,
-two countermeasures, and a benchmark harness regenerating every table and
-figure of the paper's evaluation.
+clustering coefficient, two countermeasures, and a benchmark harness
+regenerating every table and figure of the paper's evaluation.
 
 Quickstart::
 
@@ -30,12 +29,8 @@ from repro.core import (
     DegreeMGA,
     DegreeRNA,
     DegreeRVA,
-    FrequencyMGA,
-    FrequencyRIA,
-    FrequencyRPA,
     ThreatModel,
     evaluate_attack,
-    evaluate_frequency_attack,
     theorem1_degree_gain,
     theorem2_clustering_gain,
 )
@@ -51,7 +46,6 @@ from repro.engine import (
     TrialTask,
 )
 from repro.graph import Graph, load_dataset
-from repro.ldp import KRR, OLH, OUE
 from repro.protocols import FakeReport, LDPGenProtocol, LFGDPRProtocol
 from repro.scenarios import (
     SCENARIOS,
@@ -101,19 +95,12 @@ __all__ = [
     "DegreeMGA",
     "DegreeRNA",
     "DegreeRVA",
-    "FrequencyMGA",
-    "FrequencyRIA",
-    "FrequencyRPA",
     "ThreatModel",
     "evaluate_attack",
-    "evaluate_frequency_attack",
     "theorem1_degree_gain",
     "theorem2_clustering_gain",
     "Graph",
     "load_dataset",
-    "KRR",
-    "OLH",
-    "OUE",
     "FakeReport",
     "LDPGenProtocol",
     "LFGDPRProtocol",

@@ -3,14 +3,6 @@
 from repro.core.base import Attack, random_new_neighbors
 from repro.core.clustering_attacks import ClusteringMGA, ClusteringRNA, ClusteringRVA
 from repro.core.degree_attacks import DegreeMGA, DegreeRNA, DegreeRVA
-from repro.core.frequency_attacks import (
-    FrequencyAttack,
-    FrequencyAttackOutcome,
-    FrequencyMGA,
-    FrequencyRIA,
-    FrequencyRPA,
-    evaluate_frequency_attack,
-)
 from repro.core.gain import METRICS, AttackOutcome, evaluate_attack
 from repro.core.theory import theorem1_degree_gain, theorem2_clustering_gain
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
@@ -36,12 +28,6 @@ __all__ = [
     "DegreeMGA",
     "DegreeRNA",
     "DegreeRVA",
-    "FrequencyAttack",
-    "FrequencyAttackOutcome",
-    "FrequencyMGA",
-    "FrequencyRIA",
-    "FrequencyRPA",
-    "evaluate_frequency_attack",
     "METRICS",
     "AttackOutcome",
     "evaluate_attack",

@@ -1,6 +1,6 @@
 """Countermeasures against the poisoning attacks (§VII) and their baselines."""
 
-from repro.defenses.apriori import apriori, count_contained_itemsets
+from repro.defenses.apriori import apriori
 from repro.defenses.base import (
     Defense,
     DetectionQuality,
@@ -10,17 +10,13 @@ from repro.defenses.base import (
 )
 from repro.defenses.degree_consistency import DegreeConsistencyDefense
 from repro.defenses.evaluation import DefendedOutcome, evaluate_defended_attack
-from repro.defenses.frequency import OUEAnomalyDefense, normalize_frequencies
 from repro.defenses.frequent_itemset import FrequentItemsetDefense
 from repro.defenses.hybrid import HybridDefense
 from repro.defenses.naive import NaiveDegreeTailsDefense, NaiveTopDegreeDefense
 
 __all__ = [
-    "OUEAnomalyDefense",
-    "normalize_frequencies",
     "HybridDefense",
     "apriori",
-    "count_contained_itemsets",
     "Defense",
     "DetectionQuality",
     "detection_quality",

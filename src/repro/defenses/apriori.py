@@ -103,13 +103,3 @@ def _generate_candidates(previous: List[Itemset], size: int) -> List[Itemset]:
                 candidates.add(candidate)
     return list(candidates)
 
-
-def count_contained_itemsets(
-    transaction: Iterable[int], itemsets: Iterable[Itemset]
-) -> int:
-    """How many of ``itemsets`` are contained in ``transaction``.
-
-    The per-node statistic of the frequent-itemsets countermeasure.
-    """
-    transaction_set = frozenset(transaction)
-    return sum(1 for itemset in itemsets if itemset <= transaction_set)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.utils.validation import (
+    check_epsilon,
     check_fraction,
     check_positive,
     check_positive_int,
@@ -72,7 +73,7 @@ class ExperimentConfig:
     def __post_init__(self):
         check_fraction(self.beta, "beta")
         check_fraction(self.gamma, "gamma")
-        check_positive(self.epsilon, "epsilon")
+        check_epsilon(self.epsilon)
         check_positive_int(self.trials, "trials")
         check_positive_int(self.jobs, "jobs")
         if self.scale is not None:

@@ -17,7 +17,7 @@ from repro.graph.generators import (
     erdos_renyi_graph,
     powerlaw_cluster_graph,
 )
-from repro.graph.io import read_edge_list, write_edge_list
+from repro.graph.io import read_edge_list
 from repro.graph.streaming import (
     iter_packed_row_blocks,
     rows_per_block,
@@ -54,7 +54,6 @@ __all__ = [
     "erdos_renyi_graph",
     "powerlaw_cluster_graph",
     "read_edge_list",
-    "write_edge_list",
     "iter_packed_row_blocks",
     "rows_per_block",
     "streaming_degrees",

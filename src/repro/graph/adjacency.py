@@ -251,18 +251,6 @@ class Graph:
         position = int(np.searchsorted(self._codes, code))
         return position < self._codes.size and int(self._codes[position]) == code
 
-    def adjacency_bit_vector(self, node: int) -> np.ndarray:
-        """Dense 0/1 adjacency row of ``node`` (the user's local view).
-
-        This is exactly what a user submits to an LDP protocol before
-        perturbation.  O(num_nodes) memory per call; fine for the per-user
-        report granularity the protocols need.
-        """
-        self._check_node(node)
-        row = np.zeros(self._num_nodes, dtype=np.uint8)
-        row[self.neighbors(node)] = 1
-        return row
-
     # ------------------------------------------------------------------
     # Shared-memory export / attach
     # ------------------------------------------------------------------
@@ -349,21 +337,6 @@ class Graph:
         codes = encode_pairs(drop[:, 0], drop[:, 1], self._num_nodes)
         kept = np.setdiff1d(self._codes, codes)
         return Graph.from_codes(self._num_nodes, kept, assume_sorted_unique=True)
-
-    def with_nodes(self, extra_nodes: int) -> "Graph":
-        """A new graph with ``extra_nodes`` appended as isolated nodes.
-
-        Edge codes depend on ``num_nodes``, so they are re-encoded.
-        """
-        check_non_negative(extra_nodes, "extra_nodes")
-        if extra_nodes == 0:
-            return self
-        rows, cols = self.edge_arrays()
-        new_n = self._num_nodes + int(extra_nodes)
-        # Re-encoding with a larger n preserves the (row, col) lex order, so
-        # the new codes are still sorted and unique.
-        codes = encode_pairs(rows, cols, new_n) if rows.size else np.empty(0, dtype=np.int64)
-        return Graph.from_codes(new_n, codes, assume_sorted_unique=True)
 
     def subgraph(self, nodes: Sequence[int]) -> "Graph":
         """Induced subgraph on ``nodes`` (relabelled to 0..len(nodes)-1)."""

@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.utils.sparse import decode_pairs, encode_pairs
+from repro.utils.sparse import encode_pairs
 
 PathLike = Union[str, os.PathLike]
 
@@ -285,48 +285,3 @@ def _read_edge_list_wide(
     edges = [(mapping[u], mapping[v]) for u, v in raw_edges]
     return Graph(len(mapping), edges)
 
-
-def write_edge_list(
-    graph: Graph,
-    path: PathLike,
-    *,
-    header: str = "counts",
-    chunk_edges: int = DEFAULT_CHUNK_LINES,
-) -> None:
-    """Write the graph as a canonical whitespace-separated edge list.
-
-    Edges are emitted sorted lexicographically with ``u < v`` (the graph's
-    canonical pair-code order), so equal graphs always serialize to equal
-    bytes and the output round-trips through the *strict*
-    :func:`read_edge_list` (``num_nodes=graph.num_nodes``) unchanged.
-    Writes stream ``chunk_edges`` lines at a time — large graphs serialize
-    without an all-lines string in memory.
-
-    ``header`` selects the comment preamble:
-
-    * ``"counts"`` (default) — the library's own ``# nodes=N edges=E`` line;
-    * ``"snap"`` — a SNAP-download-style preamble (``# Nodes: N Edges: E``);
-    * ``"none"`` — no header at all.
-    """
-    if header not in ("counts", "snap", "none"):
-        raise ValueError(
-            f"header must be 'counts', 'snap' or 'none', got {header!r}"
-        )
-    codes = graph.edge_codes
-    n = graph.num_nodes
-    with open(path, "w", encoding="utf-8") as handle:
-        if header == "counts":
-            handle.write(f"# nodes={graph.num_nodes} edges={graph.num_edges}\n")
-        elif header == "snap":
-            handle.write(
-                "# Undirected graph: each unordered pair of nodes is saved once\n"
-                f"# Nodes: {graph.num_nodes} Edges: {graph.num_edges}\n"
-                "# FromNodeId\tToNodeId\n"
-            )
-        for start in range(0, codes.size, max(1, int(chunk_edges))):
-            rows, cols = decode_pairs(codes[start : start + max(1, int(chunk_edges))], n)
-            lines = "\n".join(
-                f"{a} {b}" for a, b in zip(rows.tolist(), cols.tolist())
-            )
-            handle.write(lines)
-            handle.write("\n")

@@ -1,7 +1,6 @@
-"""LDP substrate: mechanisms, sparse RR simulation, frequency oracles, budget."""
+"""LDP substrate: mechanisms, sparse RR simulation, budget."""
 
 from repro.ldp.budget import BudgetAllocation, split_budget
-from repro.ldp.frequency_oracles import KRR, OLH, OUE, FrequencyOracle
 from repro.ldp.mechanisms import (
     calibrate_bit_counts,
     laplace_noise,
@@ -18,10 +17,6 @@ from repro.ldp.perturbation import (
 __all__ = [
     "BudgetAllocation",
     "split_budget",
-    "KRR",
-    "OLH",
-    "OUE",
-    "FrequencyOracle",
     "calibrate_bit_counts",
     "laplace_noise",
     "perturb_bits",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import check_epsilon, check_fraction
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class BudgetAllocation:
     degree_epsilon: float
 
     def __post_init__(self):
-        check_positive(self.adjacency_epsilon, "adjacency_epsilon")
-        check_positive(self.degree_epsilon, "degree_epsilon")
+        check_epsilon(self.adjacency_epsilon, "adjacency_epsilon")
+        check_epsilon(self.degree_epsilon, "degree_epsilon")
 
     @property
     def total(self) -> float:
@@ -46,7 +46,7 @@ def split_budget(epsilon: float, adjacency_fraction: float = 0.5) -> BudgetAlloc
     in the paper an even split is the reference point, and the fraction is a
     knob so experiments can sweep it.
     """
-    check_positive(epsilon, "epsilon")
+    check_epsilon(epsilon)
     check_fraction(adjacency_fraction, "adjacency_fraction")
     return BudgetAllocation(
         adjacency_epsilon=epsilon * adjacency_fraction,

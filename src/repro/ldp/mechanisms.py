@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_epsilon, check_positive
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -33,11 +33,15 @@ def rr_keep_probability(epsilon: float) -> float:
 
     >>> round(rr_keep_probability(0.0), 3)
     0.5
+    >>> rr_keep_probability(2000.0)
+    1.0
     """
-    check_positive(epsilon + 1.0, "epsilon + 1")  # allow epsilon == 0
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    return math.exp(epsilon) / (1.0 + math.exp(epsilon))
+    check_epsilon(epsilon, allow_zero=True)
+    # The ratio rounds to exactly 1.0 from eps ~ 36.7 on, long before
+    # math.exp overflows (eps > 709.78), so capping the exponent keeps every
+    # value the uncapped formula can produce bit-identical.
+    odds = math.exp(min(epsilon, 709.0))
+    return odds / (1.0 + odds)
 
 
 def perturb_bits(bits: np.ndarray, epsilon: float, rng: RngLike = None) -> np.ndarray:
@@ -73,17 +77,11 @@ def perturb_degree(
     Returns real-valued noisy degrees; the protocols keep them unrounded so
     that calibration stays unbiased.
     """
-    check_positive(epsilon, "epsilon")
+    check_epsilon(epsilon)
     check_positive(sensitivity, "sensitivity")
     degrees = np.atleast_1d(np.asarray(degrees, dtype=np.float64))
     noise = laplace_noise(sensitivity / epsilon, size=degrees.shape, rng=rng)
     return degrees + noise
-
-
-def degree_noise_scale(epsilon: float, sensitivity: float = 1.0) -> float:
-    """Laplace scale ``b = sensitivity / epsilon`` used for degree reports."""
-    check_positive(epsilon, "epsilon")
-    return sensitivity / epsilon
 
 
 def calibrate_bit_counts(observed_ones: ArrayLike, total_bits: ArrayLike, epsilon: float) -> np.ndarray:

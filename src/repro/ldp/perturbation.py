@@ -116,11 +116,3 @@ def expected_perturbed_average_degree(graph: Graph, epsilon: float) -> float:
     average = graph.degrees().mean()
     return expected_perturbed_degree(float(average), graph.num_nodes, epsilon)
 
-
-def attacker_connection_budget(graph: Graph, epsilon: float) -> int:
-    """Number of crafted connections a fake node may claim without standing out.
-
-    ``floor`` of :func:`expected_perturbed_average_degree`, but at least 1 so
-    every attack can act even at extreme privacy settings.
-    """
-    return max(1, int(expected_perturbed_average_degree(graph, epsilon)))

@@ -120,11 +120,19 @@ def triangle_calibration(
     perturbed_density:
         ``theta~`` — edge density of the perturbed graph (Eq. 17).
 
-    Returns unbiased estimates of the true triangle counts ``tau_i``:
+    Returns the paper's estimates of the true triangle counts ``tau_i``:
 
     ``R(tau~) = (tau~ - 1/2 d~(d~-1) p^2 (1-p)
                 - d~(N-d~-1) p (1-p) theta~
                 - 1/2 (N-d~-1)(N-d~-2) (1-p)^2 theta~) / (p^2 (2p-1))``
+
+    The estimate is unbiased only when ``perturbed_degrees`` carries the true
+    degrees and a node's neighbour pairs are independent edges at the global
+    density ``theta~`` — the Erdős–Rényi case, checked with calibrated degree
+    plug-ins by ``test_low_bias_with_calibrated_degrees``.  With the
+    perturbed-degree plug-in of Eq. (16), which
+    :func:`estimate_clustering_coefficients` uses, it is biased at low
+    epsilon, where the perturbed degree over-counts.
     """
     keep = rr_keep_probability(epsilon)
     if keep == 0.5:
@@ -143,24 +151,17 @@ def estimate_clustering_coefficients(
     perturbed: Graph,
     epsilon: float,
     clip: bool = True,
-    degree_plugin: str = "perturbed",
     observed_triangles: np.ndarray | None = None,
 ) -> np.ndarray:
     """Clustering-coefficient estimates from the perturbed graph (Eq. 15).
 
-    ``cc_i = 2 R(tau~_i) / (d_i (d_i - 1))``.  Nodes whose plug-in degree is
-    below 2 get 0.  With ``clip`` (the default) estimates are clamped to
-    [0, 1]; raw values are useful when validating estimator bias.
-
-    ``degree_plugin`` selects the degree fed into ``R`` and the denominator:
-
-    * ``"perturbed"`` (default) — the node's degree in the perturbed graph,
-      exactly as Eq. (15)/(16) are written in the paper.  Biased, because the
-      perturbed degree over-counts at low epsilon, but it is the estimator
-      the paper's attack analysis (and Theorem 2) is built on.
-    * ``"calibrated"`` — unbiased true-degree estimates from the perturbed
-      rows; a strictly better estimator, kept as an ablation (the paper's
-      Eq. 15/16 and Theorem 2 assume the perturbed degree).
+    ``cc_i = 2 R(tau~_i) / (d~_i (d~_i - 1))`` with ``d~_i`` the node's
+    degree in the perturbed graph, exactly as Eq. (15)/(16) are written in
+    the paper.  Biased, because the perturbed degree over-counts at low
+    epsilon, but it is the estimator the paper's attack analysis (and
+    Theorem 2) is built on.  Nodes whose perturbed degree is below 2 get 0.
+    With ``clip`` (the default) estimates are clamped to [0, 1]; raw values
+    are useful when validating estimator bias.
 
     ``observed_triangles`` optionally supplies the per-node triangle counts
     of ``perturbed`` (exact integers), skipping the dominant
@@ -168,18 +169,10 @@ def estimate_clustering_coefficients(
     evaluation uses.  The counts must equal what a recount would produce;
     every downstream float operation is then identical.
     """
-    if degree_plugin not in ("perturbed", "calibrated"):
-        raise ValueError(
-            f"degree_plugin must be 'perturbed' or 'calibrated', got {degree_plugin!r}"
-        )
     if observed_triangles is None:
         observed_triangles = triangles_per_node(perturbed)
     observed = np.asarray(observed_triangles).astype(np.float64)
-    if degree_plugin == "perturbed":
-        degrees = perturbed.degrees().astype(np.float64)
-    else:
-        degrees = degrees_from_perturbed_graph(perturbed, epsilon)
-        degrees = np.clip(degrees, 0.0, perturbed.num_nodes - 1.0)
+    degrees = perturbed.degrees().astype(np.float64)
     density = edge_density(perturbed)
     corrected = triangle_calibration(
         observed, degrees, perturbed.num_nodes, epsilon, density

@@ -20,6 +20,8 @@ matching the threat model where fake users send arbitrary crafted data.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from repro.graph.adjacency import Graph
@@ -33,7 +35,7 @@ from repro.protocols.base import (
 )
 from repro.utils.rng import RngLike, child_rng
 from repro.utils.sparse import decode_pairs, pairs_between, sample_pairs_excluding
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_epsilon, check_positive
 
 
 def _group_count_vectors(graph: Graph, labels: np.ndarray, num_groups: int) -> np.ndarray:
@@ -160,7 +162,7 @@ class LDPGenProtocol(GraphLDPProtocol):
     """
 
     def __init__(self, epsilon: float, initial_groups: int = 2, refined_groups: int = 8):
-        check_positive(epsilon, "epsilon")
+        check_epsilon(epsilon)
         check_positive(initial_groups, "initial_groups")
         check_positive(refined_groups, "refined_groups")
         self.epsilon = float(epsilon)
@@ -209,9 +211,17 @@ class LDPGenProtocol(GraphLDPProtocol):
         noisy1 = _apply_vector_overrides(
             state.noisy1, state.initial_labels, self.initial_groups, overrides
         )
-        _, refined_labels = kmeans2(
-            noisy1, clusters, minit="points", seed=state.kmeans_seed
-        )
+        with warnings.catch_warnings():
+            # An empty refined group is a normal outcome on small or noisy
+            # inputs: ``_generate`` gives it zero pair capacity.  scipy's
+            # ``missing="warn"`` labels are what every recorded result holds,
+            # so only its warning is silenced.
+            warnings.filterwarnings(
+                "ignore", message="One of the clusters is empty", category=UserWarning
+            )
+            _, refined_labels = kmeans2(
+                noisy1, clusters, minit="points", seed=state.kmeans_seed
+            )
         refined_labels = refined_labels.astype(np.int64)
 
         vectors2 = _group_count_vectors(state.graph, refined_labels, clusters)

@@ -56,7 +56,7 @@ from repro.protocols.estimators import (
 )
 from repro.utils.rng import RngLike, child_rng
 from repro.utils.sparse import decode_pairs
-from repro.utils.validation import check_labels, check_positive
+from repro.utils.validation import check_epsilon, check_labels
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,6 @@ class LFGDPRProtocol(GraphLDPProtocol):
           variance does not grow with N, it almost ignores the bit channel
           and therefore largely resists the paper's attacks — an ablation,
           not the estimator the paper's attack analysis assumes.
-    clustering_degree_plugin:
-        Degree plug-in for the clustering estimator: ``"perturbed"``
-        (paper-faithful Eq. 15/16 default) or ``"calibrated"`` (lower-bias
-        ablation).  See ``estimate_clustering_coefficients``.
     clip_clustering:
         Clamp clustering estimates to [0, 1].  Off by default: the paper's
         gain analysis (Eq. 22) works with the raw calibrated values, and
@@ -116,17 +112,15 @@ class LFGDPRProtocol(GraphLDPProtocol):
         epsilon: float,
         adjacency_fraction: float = 0.5,
         degree_mode: str = "bits",
-        clustering_degree_plugin: str = "perturbed",
         clip_clustering: bool = False,
     ):
-        check_positive(epsilon, "epsilon")
+        check_epsilon(epsilon)
         if degree_mode not in ("bits", "reported", "fused"):
             raise ValueError(
                 f"degree_mode must be 'bits', 'reported' or 'fused', got {degree_mode!r}"
             )
         self.budget: BudgetAllocation = split_budget(epsilon, adjacency_fraction)
         self.degree_mode = degree_mode
-        self.clustering_degree_plugin = clustering_degree_plugin
         self.clip_clustering = bool(clip_clustering)
 
     @property
@@ -298,7 +292,6 @@ class LFGDPRProtocol(GraphLDPProtocol):
                 reports.perturbed_graph,
                 reports.adjacency_epsilon,
                 clip=self.clip_clustering,
-                degree_plugin=self.clustering_degree_plugin,
                 observed_triangles=self._paired_triangles(reports),
             )
         n = reports.num_nodes
@@ -308,7 +301,6 @@ class LFGDPRProtocol(GraphLDPProtocol):
             subgraph,
             reports.adjacency_epsilon,
             clip=self.clip_clustering,
-            degree_plugin=self.clustering_degree_plugin,
         )
         estimates = np.zeros(n, dtype=np.float64)
         estimates[kept] = sub_estimates

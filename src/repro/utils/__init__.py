@@ -3,7 +3,6 @@
 from repro.utils.rng import RngLike, child_rng, ensure_rng
 from repro.utils.validation import (
     check_fraction,
-    check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
@@ -15,7 +14,6 @@ __all__ = [
     "child_rng",
     "ensure_rng",
     "check_fraction",
-    "check_in_range",
     "check_non_negative",
     "check_positive",
     "check_probability",

@@ -172,14 +172,16 @@ def reject_members(draws: np.ndarray, reference: np.ndarray) -> np.ndarray:
 #: search instead.  Speed dispatch only — accepted codes are identical.
 _MEMBER_TABLE_MAX_CODES = 1 << 24
 
+#: Rejection rounds :func:`sample_pairs_excluding` runs before it draws the
+#: still-missing codes directly from the free ones.
+_MAX_REJECTION_ROUNDS = 64
+
 
 def sample_pairs_excluding(
     n: int,
     count: int,
     forbidden_codes: np.ndarray,
     rng: np.random.Generator,
-    max_rounds: int = 64,
-    oversample: float | None = None,
 ) -> np.ndarray:
     """Sample ``count`` distinct unordered-pair codes uniformly, avoiding a set.
 
@@ -194,21 +196,18 @@ def sample_pairs_excluding(
     per round with E ~ n^2/4 in the dense-flip regime of low-epsilon randomized
     response — which made sampling quadratic-ish in the flip count.
 
-    ``oversample`` selects the batch-sizing policy:
+    Batches are the flat ``1.1 * remaining + 16`` of the original
+    implementation, which keeps the generator stream *draw-for-draw
+    identical* to every previously recorded run: batch sizes determine what
+    ``rng`` emits, what ``rng`` emits determines the sampled pairs, and the
+    sampled pairs flow into ``perturb_graph`` and therefore into every
+    cached engine result (``repro.engine.cache.CACHE_VERSION`` stays valid).
 
-    * ``None`` (default) — the flat ``1.1 * remaining + 16`` of the original
-      implementation.  This keeps the generator stream *draw-for-draw
-      identical* to every previously recorded run: batch sizes determine what
-      ``rng`` emits, what ``rng`` emits determines the sampled pairs, and the
-      sampled pairs flow into ``perturb_graph`` and therefore into every
-      cached engine result (``repro.engine.cache.CACHE_VERSION`` stays valid).
-      In dense regimes this takes O(log) rounds, but each round is now cheap.
-    * a float ``f`` — density-proportional batches
-      ``f * remaining / (1 - rho)`` where ``rho`` is the current density of
-      forbidden plus already-accepted codes, converging in ~1 round even when
-      half of all pairs are excluded.  This consumes a *different* stream from
-      the same ``rng`` (still deterministic), so it must not be used where
-      bit-compatibility with previously recorded results matters.
+    When nearly every code is taken (LDPGen asks for almost all of a dense
+    group's pairs), rejection stalls on the last few codes.  Codes still
+    missing after :data:`_MAX_REJECTION_ROUNDS` rounds are drawn with one
+    ``rng.choice`` over the codes not yet taken, so the result stays a
+    uniform sample.
     """
     total = pair_count(n)
     forbidden = np.asarray(forbidden_codes, dtype=np.int64)
@@ -230,18 +229,11 @@ def sample_pairs_excluding(
         member[forbidden] = True
 
     chosen: list[np.ndarray] = []
-    excluded_size = forbidden.size
     remaining = count
-    for _ in range(max_rounds):
-        if oversample is None:
-            # Flat factor plus a small floor: expected round count ~1 for
-            # sparse forbidden sets, and stream-compatible with history.
-            batch = max(int(remaining * 1.1) + 16, remaining)
-        else:
-            density = excluded_size / total if total else 0.0
-            batch = max(
-                int(remaining * oversample / max(1.0 - density, 1e-9)) + 16, remaining
-            )
+    for _ in range(_MAX_REJECTION_ROUNDS):
+        # Flat factor plus a small floor: expected round count ~1 for
+        # sparse forbidden sets, and stream-compatible with history.
+        batch = max(int(remaining * 1.1) + 16, remaining)
         draws = rng.integers(0, total, size=batch, dtype=np.int64)
         draws = sorted_unique(draws)
         if member is not None:
@@ -258,11 +250,18 @@ def sample_pairs_excluding(
             if member is not None:
                 member[draws] = True
             chosen.append(draws)
-            excluded_size += draws.size
             remaining -= draws.size
         if remaining == 0:
             return np.concatenate(chosen)
-    raise RuntimeError(
-        f"pair sampling failed to converge after {max_rounds} rounds "
-        f"({remaining}/{count} still missing)"
-    )
+
+    # A stall means almost every code is forbidden or accepted, so the
+    # forbidden and accepted arrays already hold ~8 bytes per code and a
+    # one-byte table of the whole space is the smaller allocation.
+    if member is None:
+        member = np.zeros(total, dtype=bool)
+        member[forbidden] = True
+        for block in chosen:
+            member[block] = True
+    free = np.flatnonzero(~member)
+    chosen.append(rng.choice(free, size=remaining, replace=False))
+    return np.concatenate(chosen)

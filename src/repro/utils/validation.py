@@ -7,6 +7,7 @@ raises early with the offending name and value, following the
 
 from __future__ import annotations
 
+import math
 from numbers import Real
 from typing import Any, Tuple, Type, Union
 
@@ -82,11 +83,17 @@ def check_scale(value: Any, name: str) -> Real:
     return value
 
 
-def check_in_range(value: Real, low: Real, high: Real, name: str) -> Real:
-    """Raise :class:`ValueError` unless ``low <= value <= high``."""
+def check_epsilon(value: Any, name: str = "epsilon", *, allow_zero: bool = False) -> Real:
+    """Raise unless ``value`` is a finite privacy budget: > 0, or >= 0 with ``allow_zero``.
+
+    Booleans, NaN and infinities raise :class:`ValueError` naming ``name``:
+    ``True`` is not a budget, and an infinite one has no keep probability.
+    """
     check_type(value, Real, name)
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+    in_range = value >= 0 if allow_zero else value > 0
+    if isinstance(value, bool) or not (in_range and math.isfinite(value)):
+        bound = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be a finite {bound} number, got {value!r}")
     return value
 
 

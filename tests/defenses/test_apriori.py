@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.defenses.apriori import apriori, count_contained_itemsets
+from repro.defenses.apriori import apriori
 
 
 def brute_force(transactions, min_support, max_size):
@@ -75,12 +75,3 @@ class TestApriori:
         assert apriori(data, min_support, max_size) == brute_force(
             data, min_support, max_size
         )
-
-
-class TestCountContainedItemsets:
-    def test_counting(self):
-        itemsets = [frozenset({1, 2}), frozenset({2, 3}), frozenset({4})]
-        assert count_contained_itemsets({1, 2, 3}, itemsets) == 2
-
-    def test_empty(self):
-        assert count_contained_itemsets({1, 2}, []) == 0

@@ -113,11 +113,6 @@ class TestQueries:
         with pytest.raises(IndexError):
             triangle_plus_isolated.degree(-1)
 
-    def test_adjacency_bit_vector(self, triangle_plus_isolated):
-        row = triangle_plus_isolated.adjacency_bit_vector(0)
-        assert row.tolist() == [0, 1, 1, 0]
-        assert row.dtype == np.uint8
-
     def test_edges_iteration(self, triangle_plus_isolated):
         assert sorted(triangle_plus_isolated.edges()) == [(0, 1), (0, 2), (1, 2)]
 
@@ -157,16 +152,6 @@ class TestEdits:
     def test_without_missing_edge_ignored(self, triangle_plus_isolated):
         g2 = triangle_plus_isolated.without_edges([(0, 3)])
         assert g2.num_edges == 3
-
-    def test_with_nodes(self, triangle_plus_isolated):
-        g2 = triangle_plus_isolated.with_nodes(2)
-        assert g2.num_nodes == 6
-        assert g2.num_edges == 3
-        assert g2.has_edge(0, 1) and g2.has_edge(1, 2) and g2.has_edge(0, 2)
-        assert g2.degree(4) == 0 and g2.degree(5) == 0
-
-    def test_with_nodes_zero(self, triangle_plus_isolated):
-        assert triangle_plus_isolated.with_nodes(0) is triangle_plus_isolated
 
     def test_subgraph(self, triangle_plus_isolated):
         sub = triangle_plus_isolated.subgraph([0, 1, 3])

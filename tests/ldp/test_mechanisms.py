@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.ldp.mechanisms import (
     calibrate_bit_counts,
-    degree_noise_scale,
     laplace_noise,
     perturb_bits,
     perturb_degree,
@@ -31,6 +30,20 @@ class TestKeepProbability:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             rr_keep_probability(-0.1)
+
+    @pytest.mark.parametrize("epsilon", [710.0, 2000.0, 1e300, np.float64(800.0)])
+    def test_large_epsilon_keeps_every_bit(self, epsilon):
+        assert rr_keep_probability(epsilon) == 1.0
+
+    def test_bit_identical_to_uncapped_formula(self):
+        for epsilon in np.concatenate([np.linspace(0.0, 50.0, 501), [100.0, 709.0, 709.78]]):
+            odds = math.exp(epsilon)
+            assert rr_keep_probability(float(epsilon)) == odds / (1.0 + odds)
+
+    @pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan, True, False])
+    def test_non_finite_or_boolean_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            rr_keep_probability(epsilon)
 
     @given(eps=st.floats(min_value=0.0, max_value=15.0, allow_nan=False))
     def test_privacy_ratio_bounded(self, eps):
@@ -86,10 +99,6 @@ class TestLaplace:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             laplace_noise(0.0)
-
-    def test_degree_noise_scale(self):
-        assert degree_noise_scale(2.0) == 0.5
-        assert degree_noise_scale(2.0, sensitivity=2.0) == 1.0
 
 
 class TestPerturbDegree:

@@ -7,7 +7,6 @@ from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.ldp.mechanisms import rr_keep_probability
 from repro.ldp.perturbation import (
-    attacker_connection_budget,
     expected_perturbed_average_degree,
     expected_perturbed_degree,
     perturb_graph,
@@ -156,18 +155,3 @@ class TestExpectedDegrees:
     def test_average_empty_graph(self):
         assert expected_perturbed_average_degree(Graph(0), 1.0) == 0.0
 
-    def test_budget_at_least_one(self):
-        g = Graph(10, [(0, 1)])
-        assert attacker_connection_budget(g, 50.0) >= 1
-
-    def test_budget_floor_of_expectation(self):
-        g = erdos_renyi_graph(200, 0.3, rng=0)
-        expected = expected_perturbed_average_degree(g, 3.0)
-        assert attacker_connection_budget(g, 3.0) == int(expected)
-
-    def test_budget_decreases_with_epsilon_sparse_graph(self):
-        """For sparse graphs, higher eps -> fewer flipped edges -> smaller budget."""
-        g = powerlaw_cluster_graph(1000, 5, 0.5, rng=0)
-        budgets = [attacker_connection_budget(g, eps) for eps in (1, 2, 4, 8)]
-        assert budgets == sorted(budgets, reverse=True)
-        assert budgets[0] > budgets[-1]

@@ -1,8 +1,11 @@
 """Tests for the LDPGen protocol."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.metrics import average_degree
 from repro.protocols.base import FakeReport
@@ -66,6 +69,27 @@ class TestCollection:
         clean = protocol.collect(graph, rng=0)
         # A fake user claiming 30 edges must change the synthetic graph.
         assert reports.perturbed_graph != clean.perturbed_graph
+
+    def test_dense_refined_group_collects(self):
+        """gplus at scale 0.01 (n = 1076), eps 1, seed 0: one refined group
+        of 45 users asks for all 990 of its intra pairs, and rejection
+        sampling still misses 5 of them after its rounds."""
+        graph = load_dataset("gplus", scale=0.01)
+        reports = LDPGenProtocol(epsilon=1.0).collect(graph, rng=0)
+        assert reports.perturbed_graph.num_nodes == graph.num_nodes == 1076
+
+    def test_empty_refined_group_collects_without_warning(self):
+        """Twenty fake users with one identical claim leave k-means groups
+        empty; that is a normal outcome, not a warning."""
+        graph = powerlaw_cluster_graph(40, 2, 0.3, rng=0)
+        overrides = {
+            user: FakeReport(claimed_neighbors=np.array([0, 1, 2]), reported_degree=3.0)
+            for user in range(20, 40)
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = LDPGenProtocol(epsilon=4.0).collect(graph, rng=0, overrides=overrides)
+        assert reports.overridden.tolist() == list(range(20, 40))
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,110 @@
+"""Degenerate-input grid for the compute plane.
+
+Every registered protocol, attack, metric and defense runs on tiny and
+extreme graphs (no edges, complete, a star) at a vanishing, a typical and a
+huge privacy budget.  Each evaluation must return finite before/after values
+and gain, or raise a :class:`ValueError` that names the offending argument.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro import ATTACKS, DEFENSES, PROTOCOLS, Graph, ThreatModel, evaluate_attack
+from repro.core.gain import METRICS
+from repro.defenses import evaluate_defended_attack
+from repro.experiments.config import ExperimentConfig
+
+
+def _complete(n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+GRAPHS = {
+    "empty3": Graph(3, []),
+    "K3": _complete(3),
+    "empty10": Graph(10, []),
+    "K10": _complete(10),
+    "star10": Graph(10, [(0, leaf) for leaf in range(1, 10)]),
+}
+EPSILONS = (1e-3, 4.0, 2000.0)
+ARGUMENTS = ("epsilon", "beta", "gamma", "labels", "graph")
+#: The paper's attacks on each metric a defense is evaluated against.
+METRIC_ATTACKS = {
+    "degree_centrality": ("degree/rva", "degree/rna", "degree/mga"),
+    "clustering_coefficient": ("clustering/rva", "clustering/rna", "clustering/mga"),
+}
+
+
+def _assert_finite_or_named_error(evaluate):
+    try:
+        outcome = evaluate()
+    except ValueError as error:
+        assert any(name in str(error) for name in ARGUMENTS), error
+        return
+    after = getattr(outcome, "after", None)
+    if after is None:
+        after = outcome.after_defended
+    assert np.isfinite(outcome.before).all()
+    assert np.isfinite(after).all()
+    assert math.isfinite(outcome.total_gain)
+
+
+def _labels(graph, metric):
+    return np.arange(graph.num_nodes) % 2 if metric == "modularity" else None
+
+
+@pytest.mark.parametrize("graph_name", GRAPHS)
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("attack", ATTACKS.names())
+@pytest.mark.parametrize("protocol", PROTOCOLS.names())
+def test_undefended_cell(protocol, attack, metric, graph_name):
+    graph = GRAPHS[graph_name]
+    labels = _labels(graph, metric)
+    for epsilon in EPSILONS:
+        _assert_finite_or_named_error(
+            lambda: evaluate_attack(
+                graph,
+                PROTOCOLS.create(protocol, epsilon=epsilon),
+                ATTACKS.create(attack),
+                ThreatModel.sample(graph, beta=0.05, gamma=0.05, rng=0),
+                metric=metric,
+                rng=0,
+                labels=labels,
+            )
+        )
+
+
+@pytest.mark.parametrize("graph_name", GRAPHS)
+@pytest.mark.parametrize("metric", METRIC_ATTACKS)
+@pytest.mark.parametrize("protocol", PROTOCOLS.names())
+@pytest.mark.parametrize("defense", DEFENSES.names())
+def test_defended_cell(defense, protocol, metric, graph_name):
+    graph = GRAPHS[graph_name]
+    for epsilon in EPSILONS:
+        for attack in METRIC_ATTACKS[metric]:
+            _assert_finite_or_named_error(
+                lambda: evaluate_defended_attack(
+                    graph,
+                    PROTOCOLS.create(protocol, epsilon=epsilon),
+                    ATTACKS.create(attack),
+                    DEFENSES.create(defense),
+                    ThreatModel.sample(graph, beta=0.05, gamma=0.05, rng=0),
+                    metric=metric,
+                    rng=0,
+                )
+            )
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, True])
+@pytest.mark.parametrize("protocol", PROTOCOLS.names())
+def test_protocol_rejects_non_finite_or_boolean_epsilon(protocol, epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        PROTOCOLS.create(protocol, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, True])
+def test_config_rejects_non_finite_or_boolean_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        ExperimentConfig(epsilon=epsilon)

@@ -206,43 +206,6 @@ class TestSamplePairsExcluding:
         out = sample_pairs_excluding(n, count, np.array(forbidden, dtype=np.int64), rng)
         assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == digest
 
-    def test_adaptive_oversample_correct(self):
-        rng = np.random.default_rng(6)
-        forbidden = np.arange(0, 4000, 2, dtype=np.int64)
-        out = sample_pairs_excluding(200, 9000, forbidden, rng, oversample=1.1)
-        assert out.size == 9000
-        assert np.unique(out).size == 9000
-        assert np.intersect1d(out, forbidden).size == 0
-
-    def test_adaptive_oversample_converges_in_few_rounds(self):
-        class CountingRng:
-            """Duck-typed generator recording how many batches were drawn."""
-
-            def __init__(self, seed):
-                self.rng = np.random.default_rng(seed)
-                self.integer_calls = 0
-
-            def integers(self, *args, **kwargs):
-                self.integer_calls += 1
-                return self.rng.integers(*args, **kwargs)
-
-            def choice(self, *args, **kwargs):
-                return self.rng.choice(*args, **kwargs)
-
-        # Half of all pairs forbidden, a third of the remainder requested: the
-        # flat 1.1 factor needs a geometric tail of rounds, the
-        # density-proportional batch should land in at most a few.
-        n = 300
-        total = pair_count(n)
-        forbidden = np.arange(0, total, 2, dtype=np.int64)
-        flat = CountingRng(7)
-        sample_pairs_excluding(n, total // 6, forbidden, flat)
-        adaptive = CountingRng(7)
-        out = sample_pairs_excluding(n, total // 6, forbidden, adaptive, oversample=1.1)
-        assert out.size == total // 6
-        assert adaptive.integer_calls <= 3
-        assert adaptive.integer_calls < flat.integer_calls
-
 
 class TestMemberTableDispatch:
     def test_both_rejection_paths_sample_identically(self):
@@ -252,6 +215,8 @@ class TestMemberTableDispatch:
             (60, 300, np.arange(0, 800, 3, dtype=np.int64), 0),
             (200, 9000, np.empty(0, dtype=np.int64), 2),
             (120, 5000, np.arange(0, 2000, 2, dtype=np.int64), 3),
+            # Stalls with 6 codes missing, drawn from the free ones.
+            (45, 985, np.empty(0, dtype=np.int64), 0),
         ]
         for n, count, forbidden, seed in cases:
             with_table = sample_pairs_excluding(
@@ -267,6 +232,56 @@ class TestMemberTableDispatch:
                 sparse._MEMBER_TABLE_MAX_CODES = original
             assert np.array_equal(with_table, without_table)
 
+
+
+class TestStalledRejection:
+    """Requests for nearly every free pair stall rejection on the last few
+    codes; those are drawn with one ``rng.choice`` over the free codes."""
+
+    @pytest.fixture(params=["table", "binary_search"])
+    def rejection_path(self, request, monkeypatch):
+        if request.param == "binary_search":
+            monkeypatch.setattr(sparse, "_MEMBER_TABLE_MAX_CODES", 0)
+        return request.param
+
+    def test_every_pair_requested(self, rejection_path):
+        # Seed 0 still misses 9 of the 990 codes after the rejection rounds.
+        out = sample_pairs_excluding(
+            45, 990, np.empty(0, dtype=np.int64), np.random.default_rng(0)
+        )
+        assert np.array_equal(np.sort(out), np.arange(990))
+
+    def test_forbidden_codes_stay_excluded(self, rejection_path):
+        forbidden = np.arange(0, 990, 3, dtype=np.int64)
+        count = 990 - forbidden.size - 3
+        for seed in range(5):
+            out = sample_pairs_excluding(45, count, forbidden, np.random.default_rng(seed))
+            assert out.size == count
+            assert np.unique(out).size == count
+            assert np.intersect1d(out, forbidden).size == 0
+
+    def test_inclusion_frequency_is_count_over_total(self):
+        """Each code is included with probability ``count / total``.
+
+        Most of these runs stall (seeds 0-4 all do), so the direct draw
+        decides which codes are left out.  Bounds are 6 CLT standard errors
+        per code and 4 for the mean index of the left-out codes, which a
+        draw favouring low or high codes would shift.
+        """
+        n, count, runs = 45, 985, 1000
+        total = pair_count(n)
+        hits = np.zeros(total)
+        for seed in range(runs):
+            out = sample_pairs_excluding(
+                n, count, np.empty(0, dtype=np.int64), np.random.default_rng(seed)
+            )
+            hits[out] += 1
+        p = count / total
+        assert np.abs(hits / runs - p).max() < 6 * np.sqrt(p * (1 - p) / runs)
+        missed = runs - hits
+        mean_index = (missed * np.arange(total)).sum() / missed.sum()
+        index_se = np.sqrt((total**2 - 1) / 12 / missed.sum())
+        assert abs(mean_index - (total - 1) / 2) < 4 * index_se
 
 class TestSortedUnique:
     def test_matches_np_unique(self):

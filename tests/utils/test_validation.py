@@ -1,10 +1,13 @@
 """Tests for repro.utils.validation."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.utils.validation import (
+    check_epsilon,
     check_fraction,
-    check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
@@ -72,11 +75,21 @@ class TestCheckFraction:
             check_fraction(value, "beta")
 
 
-class TestCheckInRange:
-    def test_accepts_bounds(self):
-        assert check_in_range(1, 1, 8, "eps") == 1
-        assert check_in_range(8, 1, 8, "eps") == 8
+class TestCheckEpsilon:
+    @pytest.mark.parametrize("value", [1e-3, 4, 2000.0, np.float64(8.0)])
+    def test_accepts_finite_positive(self, value):
+        assert check_epsilon(value) == value
 
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError, match=r"in \[1, 8\]"):
-            check_in_range(9, 1, 8, "eps")
+    def test_zero_only_when_allowed(self):
+        assert check_epsilon(0.0, allow_zero=True) == 0.0
+        with pytest.raises(ValueError, match="finite positive"):
+            check_epsilon(0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, True, False])
+    def test_rejects_non_finite_negative_and_boolean(self, value):
+        with pytest.raises(ValueError, match="adjacency_epsilon"):
+            check_epsilon(value, "adjacency_epsilon", allow_zero=True)
+
+    def test_rejects_non_numeric(self):
+        with pytest.raises(TypeError, match="epsilon"):
+            check_epsilon("4")
