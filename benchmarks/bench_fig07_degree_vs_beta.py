@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 from conftest import bench_config, emit
 
-from repro.experiments.figures import fig7
+from repro.scenarios import get_scenario, run_scenario
 
 
 @pytest.mark.parametrize("dataset", ["facebook", "enron", "astroph", "gplus"])
 def test_fig7_degree_vs_beta(benchmark, dataset):
     config = bench_config(dataset)
 
-    result = benchmark.pedantic(fig7, args=(dataset, config), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_scenario, args=(get_scenario("fig7", dataset=dataset), config),
+        rounds=1, iterations=1,
+    ).sweep()
 
     emit("fig07_degree_vs_beta", result.format())
     mga = np.array(result.gains_of("MGA"))

@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 from conftest import bench_config, emit
 
-from repro.experiments.figures import fig9
+from repro.scenarios import get_scenario, run_scenario
 
 
 @pytest.mark.parametrize("dataset", ["facebook", "enron", "astroph", "gplus"])
 def test_fig9_cc_vs_epsilon(benchmark, dataset):
     config = bench_config(dataset)
 
-    result = benchmark.pedantic(fig9, args=(dataset, config), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_scenario, args=(get_scenario("fig9", dataset=dataset), config),
+        rounds=1, iterations=1,
+    ).sweep()
 
     emit("fig09_cc_vs_epsilon", result.format())
     mga = np.array(result.gains_of("MGA"))

@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 from conftest import bench_config, emit
 
-from repro.experiments.figures import fig10
+from repro.scenarios import get_scenario, run_scenario
 
 
 @pytest.mark.parametrize("dataset", ["facebook", "enron", "astroph", "gplus"])
 def test_fig10_cc_vs_beta(benchmark, dataset):
     config = bench_config(dataset)
 
-    result = benchmark.pedantic(fig10, args=(dataset, config), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_scenario, args=(get_scenario("fig10", dataset=dataset), config),
+        rounds=1, iterations=1,
+    ).sweep()
 
     emit("fig10_cc_vs_beta", result.format())
     mga = np.array(result.gains_of("MGA"))

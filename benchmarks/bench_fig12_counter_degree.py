@@ -13,13 +13,15 @@ exceed NoDefense because it flags genuine hubs/leaves.
 import numpy as np
 from conftest import bench_config, emit
 
-from repro.experiments.figures import fig12a, fig12b
+from repro.scenarios import get_scenario, run_scenario
 
 
 def test_fig12a_detect1_vs_mga(benchmark):
     config = bench_config("facebook")
 
-    result = benchmark.pedantic(fig12a, args=(config,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_scenario, args=(get_scenario("fig12a"), config), rounds=1, iterations=1
+    ).sweep()
 
     emit("fig12_counter_degree", result.format())
     detect1 = np.array(result.gains_of("Detect1"))
@@ -34,7 +36,9 @@ def test_fig12a_detect1_vs_mga(benchmark):
 def test_fig12b_detect2_vs_rva(benchmark):
     config = bench_config("facebook")
 
-    result = benchmark.pedantic(fig12b, args=(config,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_scenario, args=(get_scenario("fig12b"), config), rounds=1, iterations=1
+    ).sweep()
 
     emit("fig12_counter_degree", result.format())
     detect2 = np.array(result.gains_of("Detect2"))

@@ -9,13 +9,15 @@ gain below the undefended attack, roughly insensitive to beta.
 import numpy as np
 from conftest import bench_config, emit
 
-from repro.experiments.figures import fig13a, fig13b
+from repro.scenarios import get_scenario, run_scenario
 
 
 def test_fig13a_detect1_vs_mga(benchmark):
     config = bench_config("facebook")
 
-    result = benchmark.pedantic(fig13a, args=(config,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_scenario, args=(get_scenario("fig13a"), config), rounds=1, iterations=1
+    ).sweep()
 
     emit("fig13_counter_cc", result.format())
     detect1 = np.array(result.gains_of("Detect1"))
@@ -35,7 +37,9 @@ def test_fig13b_detect2_vs_rva(benchmark):
     that the countermeasures are insufficient."""
     config = bench_config("facebook")
 
-    result = benchmark.pedantic(fig13b, args=(config,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_scenario, args=(get_scenario("fig13b"), config), rounds=1, iterations=1
+    ).sweep()
 
     emit("fig13_counter_cc", result.format())
     detect2 = np.array(result.gains_of("Detect2"))

@@ -8,13 +8,15 @@ followed by RVA and RNA.
 import numpy as np
 from conftest import bench_config, emit
 
-from repro.experiments.figures import fig14
+from repro.scenarios import get_scenario, run_scenario
 
 
 def test_fig14_protocol_comparison(benchmark):
     config = bench_config("facebook")
 
-    results = benchmark.pedantic(fig14, args=(config,), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        run_scenario, args=(get_scenario("fig14"), config), rounds=1, iterations=1
+    ).panels
 
     for name, sweep in results.items():
         emit("fig14_protocols_cc", sweep.format())

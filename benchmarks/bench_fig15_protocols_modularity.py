@@ -7,13 +7,15 @@ protocols across epsilon, MGA generally strongest.
 import numpy as np
 from conftest import bench_config, emit
 
-from repro.experiments.figures import fig15
+from repro.scenarios import get_scenario, run_scenario
 
 
 def test_fig15_protocol_comparison(benchmark):
     config = bench_config("facebook")
 
-    results = benchmark.pedantic(fig15, args=(config,), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        run_scenario, args=(get_scenario("fig15"), config), rounds=1, iterations=1
+    ).panels
 
     for name, sweep in results.items():
         emit("fig15_protocols_modularity", sweep.format())

@@ -117,12 +117,13 @@ def test_jobs_scaling():
     jobs = _bench_jobs()
     repeats = _repeats()
 
+    # Every arm prepares (loads, labels, compiles) inside its timed loop, so
+    # the three arms compare at equal settings.
     # -- session engine, jobs=1 (serial reference) ----------------------
     serial_config = _config(1)
-    prepared = prepare_scenario(spec, serial_config)
     start = time.perf_counter()
     for _ in range(repeats):
-        serial = run_scenario(spec, serial_config, cache=NullCache(), prepared=prepared)
+        serial = run_scenario(spec, serial_config, cache=NullCache())
     serial_seconds = time.perf_counter() - start
 
     # -- session engine, jobs=N: one persistent pool, shared memory -----
@@ -130,14 +131,14 @@ def test_jobs_scaling():
     with EngineSession(jobs=jobs, cache=NullCache()) as session:
         for _ in range(repeats):
             session_result = run_scenario(
-                spec, _config(jobs), cache=NullCache(),
-                prepared=prepared, session=session,
+                spec, _config(jobs), cache=NullCache(), session=session
             )
     session_seconds = time.perf_counter() - start
 
     # -- per-panel-pool baseline, jobs=N --------------------------------
     start = time.perf_counter()
     for _ in range(repeats):
+        prepared = prepare_scenario(spec, _config(jobs))
         baseline_gains = _run_per_panel_pools(spec, prepared, jobs)
     baseline_seconds = time.perf_counter() - start
 

@@ -3,8 +3,8 @@
 from conftest import bench_trials, emit
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import table2_rows
 from repro.experiments.reporting import format_table
+from repro.scenarios import get_scenario, run_scenario
 
 
 def test_table2_datasets(benchmark):
@@ -12,7 +12,9 @@ def test_table2_datasets(benchmark):
     # driver only generates the four graphs, so no bench downscaling needed.
     config = ExperimentConfig(trials=bench_trials(), seed=0, scale=None)
 
-    rows = benchmark.pedantic(table2_rows, args=(config,), rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        run_scenario, args=(get_scenario("table2"), config), rounds=1, iterations=1
+    ).table
 
     table = format_table(
         ["dataset", "paper nodes", "paper edges", "surrogate nodes", "surrogate edges"],

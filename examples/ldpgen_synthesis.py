@@ -20,7 +20,7 @@ from repro import (
     evaluate_attack,
     load_dataset,
 )
-from repro.experiments.figures import community_labels
+from repro.scenarios import community_labels
 from repro.graph.metrics import average_degree
 
 

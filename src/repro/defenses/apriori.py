@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence
 
 from repro.utils.validation import check_positive
 

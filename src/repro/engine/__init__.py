@@ -58,7 +58,7 @@ from repro.engine.graph_store import GraphStore
 from repro.engine.kernels import execute_tasks_grouped, point_key
 from repro.engine.registry import ATTACKS, DEFENSES, PROTOCOLS, Registry
 from repro.engine.result_store import ShardedResultStore
-from repro.engine.session import EngineSession, session_scope
+from repro.engine.session import EngineSession
 from repro.engine.tasks import (
     TrialTask,
     derive_trial_seed,
@@ -95,5 +95,4 @@ __all__ = [
     "execute_tasks_grouped",
     "point_key",
     "run_batch",
-    "session_scope",
 ]

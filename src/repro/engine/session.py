@@ -31,8 +31,7 @@ Usage::
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -202,25 +201,3 @@ class EngineSession:
         except Exception:
             pass
 
-
-@contextmanager
-def session_scope(
-    config, session: Optional[EngineSession] = None, cache: Optional[CacheLike] = None
-) -> Iterator[Tuple[EngineSession, Optional[CacheLike]]]:
-    """Yield ``(session, batch_cache)`` for one caller-facing run.
-
-    A provided ``session`` is borrowed untouched — ``cache`` is handed back
-    as a per-batch override for :meth:`EngineSession.run`.  Otherwise an
-    ephemeral session is created from ``config`` with ``cache`` installed
-    as its default (so the override slot comes back None) and closed when
-    the block exits.  This is the single definition of the session
-    acquisition dance the scenario runners share.
-    """
-    if session is not None:
-        yield session, cache
-        return
-    session = EngineSession.from_config(config, cache=cache)
-    try:
-        yield session, None
-    finally:
-        session.close()

@@ -1,4 +1,10 @@
-"""Experiment harness: Table III defaults, sweep results, per-figure drivers."""
+"""Experiment harness: Table III defaults, sweep results, the CLI.
+
+Every paper artifact (Table II, Figs. 6-15) is a registered scenario in
+:mod:`repro.scenarios.catalog`; :func:`repro.scenarios.run_scenarios` is
+the one runner that executes them, and ``python -m repro <artifact>`` is its
+command-line front end.
+"""
 
 from repro.experiments.config import (
     BETAS,
@@ -10,22 +16,6 @@ from repro.experiments.config import (
     EPSILONS,
     GAMMAS,
     ExperimentConfig,
-)
-from repro.experiments.figures import (
-    community_labels,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12a,
-    fig12b,
-    fig13a,
-    fig13b,
-    fig14,
-    fig15,
-    table2_rows,
 )
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import SweepResult
@@ -40,20 +30,6 @@ __all__ = [
     "EPSILONS",
     "GAMMAS",
     "ExperimentConfig",
-    "community_labels",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12a",
-    "fig12b",
-    "fig13a",
-    "fig13b",
-    "fig14",
-    "fig15",
-    "table2_rows",
     "format_table",
     "SweepResult",
 ]

@@ -36,7 +36,6 @@ from repro.engine import integrity
 from repro.engine.distributed import DEFAULT_LEASE_TTL, DistributedExecutor
 from repro.engine.graph_store import GraphStore
 from repro.engine.result_store import ShardedResultStore
-from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.graph.datasets import (
     DATASETS,
@@ -49,14 +48,17 @@ from repro.graph.datasets import (
 from repro.experiments.reporting import format_table
 from repro.scenarios import golden as golden_store
 from repro.scenarios.registry import SCENARIOS, get_scenario, scenario_names
-from repro.scenarios.run import prepare_scenario, run_scenario, run_scenarios
+from repro.scenarios.run import compile_batch, run_scenarios
 from repro.telemetry import ProgressPrinter, RunManifest, Tracer
 from repro.telemetry.core import current_tracer, use_tracer
 from repro.telemetry.export import summarize_trace, write_trace
 
 #: Paper artifacts.  Each is an alias: ``repro fig6 ...`` runs exactly
 #: ``repro scenario run fig6 ...``.
-ARTIFACTS = ("table2", *figures.FIGURE_SCENARIOS)
+ARTIFACTS = (
+    "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+    "fig12a", "fig12b", "fig13a", "fig13b", "fig14", "fig15",
+)
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -472,14 +474,13 @@ def _scenario_run(args, out) -> int:
 
     started = time.perf_counter()
     with use_tracer(tracer) if tracer is not None else _current_tracer_scope():
-        if len(specs) == 1:
-            blocks = [run_scenario(specs[0], config, cache=store).format()]
-        else:
-            results = run_scenarios(specs, config, cache=store)
-            blocks = [
-                f"=== {name} ===\n{result.format()}"
-                for name, result in results.items()
-            ]
+        results = run_scenarios(specs, config, cache=store)
+    if len(specs) == 1:
+        blocks = [result.format() for result in results.values()]
+    else:
+        blocks = [
+            f"=== {name} ===\n{result.format()}" for name, result in results.items()
+        ]
     print("\n\n".join(blocks), file=out)
     if args.resume and store is not None:
         stats = store.stats()
@@ -522,14 +523,8 @@ def _worker_run(args, out) -> int:
         task_timeout=config.task_timeout,
     )
     with GraphStore() as graphs:
-        batch = []
-        for spec in specs:
-            if spec.kind != "sweep":
-                continue
-            prepared = prepare_scenario(spec, config)
-            for key, graph in prepared.graphs.items():
-                graphs.add(graph, prepared.labels.get(key))
-            batch.extend(prepared.tasks)
+        tasks_by_name = compile_batch(specs, config, graphs.add)
+        batch = [task for tasks in tasks_by_name.values() for task in tasks]
         appended = executor.work(batch, graphs)
     stats = store.stats()
     print(

@@ -4,8 +4,9 @@ One experiment point = the mean overall gain of one series over
 ``config.trials`` independent threat-model draws; a *sweep* varies one
 parameter (epsilon, beta, gamma or a defense argument) while the rest stay
 at Table III defaults, producing one series per attack — exactly the curves
-the paper's figures plot.  :func:`repro.scenarios.run_scenario` executes a
-sweep and aggregates its per-trial gains into a :class:`SweepResult`.
+the paper's figures plot.  :func:`repro.scenarios.run_scenarios`, the one
+scenario runner, aggregates each panel's per-trial gains into a
+:class:`SweepResult`.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class SweepResult:
             known = ", ".join(self.series)
             raise KeyError(f"no series {attack_name!r}; have: {known}")
         return self.series[attack_name]
-
-    def stderr_of(self, attack_name: str) -> List[float]:
-        """Standard errors of one attack's series (empty if not recorded)."""
-        return self.stderr.get(attack_name, [])
 
     def add_point(self, name: str, gains: Sequence[float]) -> None:
         """Append one point (per-trial gains) to series ``name``."""

@@ -35,7 +35,7 @@ from repro.protocols.base import (
 )
 from repro.utils.rng import RngLike, child_rng
 from repro.utils.sparse import decode_pairs, pairs_between, sample_pairs_excluding
-from repro.utils.validation import check_epsilon, check_positive
+from repro.utils.validation import check_epsilon, check_labels, check_positive_int
 
 
 def _group_count_vectors(graph: Graph, labels: np.ndarray, num_groups: int) -> np.ndarray:
@@ -163,11 +163,9 @@ class LDPGenProtocol(GraphLDPProtocol):
 
     def __init__(self, epsilon: float, initial_groups: int = 2, refined_groups: int = 8):
         check_epsilon(epsilon)
-        check_positive(initial_groups, "initial_groups")
-        check_positive(refined_groups, "refined_groups")
         self.epsilon = float(epsilon)
-        self.initial_groups = int(initial_groups)
-        self.refined_groups = int(refined_groups)
+        self.initial_groups = check_positive_int(initial_groups, "initial_groups")
+        self.refined_groups = check_positive_int(refined_groups, "refined_groups")
 
     @property
     def phase_epsilon(self) -> float:
@@ -324,4 +322,5 @@ class LDPGenProtocol(GraphLDPProtocol):
 
     def estimate_modularity(self, reports: CollectedReports, labels: np.ndarray) -> float:
         """Exact modularity of the synthetic graph under ``labels``."""
-        return modularity_from_labels(reports.perturbed_graph, np.asarray(labels, dtype=np.int64))
+        labels = check_labels(labels, reports.num_nodes)
+        return modularity_from_labels(reports.perturbed_graph, labels)

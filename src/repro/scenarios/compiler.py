@@ -45,7 +45,6 @@ from repro.graph.adjacency import Graph
 from repro.scenarios.spec import (
     SWEEP_DEFENSE_ARG,
     SWEEP_FLAT,
-    SWEEP_POINT,
     PanelSpec,
     ScenarioSpec,
     SeriesSpec,

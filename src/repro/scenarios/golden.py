@@ -34,12 +34,7 @@ from typing import Dict, List, Optional
 
 from repro.engine.cache import NullCache
 from repro.experiments.config import ExperimentConfig
-from repro.scenarios.run import (
-    PreparedScenario,
-    ScenarioResult,
-    prepare_scenario,
-    run_scenario,
-)
+from repro.scenarios.run import ScenarioResult, prepare_scenario, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
 #: Environment variable overriding the default fixture directory.
@@ -67,17 +62,9 @@ def golden_path(spec_name: str, directory: Optional[Path] = None) -> Path:
     return Path(directory) / f"{spec_name.replace('/', '__')}.json"
 
 
-def batch_hash(spec: ScenarioSpec, config: ExperimentConfig,
-               prepared: Optional[PreparedScenario] = None) -> str:
-    """Order-independent SHA-256 over the compiled batch's task identities.
-
-    ``prepared`` (from :func:`~repro.scenarios.run.prepare_scenario`) avoids
-    re-loading the dataset and re-compiling the batch when the caller also
-    runs the scenario.
-    """
-    if prepared is None:
-        prepared = prepare_scenario(spec, config)
-    _, _, tasks = prepared
+def batch_hash(spec: ScenarioSpec, config: ExperimentConfig) -> str:
+    """Order-independent SHA-256 over the compiled batch's task identities."""
+    tasks = prepare_scenario(spec, config).tasks
     digest = hashlib.sha256()
     for task_hash in sorted(task.content_hash() for task in tasks):
         digest.update(task_hash.encode("ascii"))
@@ -109,8 +96,7 @@ def record_golden(
     directory: Optional[Path] = None,
 ) -> Path:
     """Run ``spec`` at the golden configuration and write its fixture."""
-    prepared = prepare_scenario(spec, config) if spec.kind == "sweep" else None
-    result = run_scenario(spec, config, cache=NullCache(), prepared=prepared)
+    result = run_scenario(spec, config, cache=NullCache())
     payload = {
         "format": GOLDEN_FORMAT,
         "scenario": spec.name,
@@ -128,7 +114,7 @@ def record_golden(
         "atol": spec.golden_atol,
     }
     if spec.kind == "sweep":
-        payload["batch_hash"] = batch_hash(spec, config, prepared=prepared)
+        payload["batch_hash"] = batch_hash(spec, config)
     payload.update(_result_payload(result))
     path = golden_path(spec.name, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -243,15 +229,14 @@ def check_golden(
     golden = load_golden(spec.name, directory)
     config = golden_config(golden)
     problems: List[str] = []
-    prepared = prepare_scenario(spec, config) if spec.kind == "sweep" else None
     if spec.kind == "sweep":
         recorded_hash = golden.get("batch_hash", "")
-        current_hash = batch_hash(spec, config, prepared=prepared)
+        current_hash = batch_hash(spec, config)
         if recorded_hash != current_hash:
             problems.append(
                 "compiled task batch changed (seed keys, grids or component "
                 f"names): {recorded_hash} -> {current_hash}"
             )
-    result = run_scenario(spec, config, cache=NullCache(), prepared=prepared)
+    result = run_scenario(spec, config, cache=NullCache())
     problems.extend(compare_golden(golden, result, spec))
     return problems

@@ -1,29 +1,28 @@
 """Running scenarios end to end: load, compile, execute, aggregate.
 
-:func:`run_scenario` is the single entry point every consumer shares — the
-figure drivers in :mod:`repro.experiments.figures`, the ``scenario`` CLI
-subcommands, the golden-result harness and the benchmarks.  Execution goes
-through an :class:`~repro.engine.session.EngineSession`: all panels of a
+:func:`run_scenarios` is the one runner every consumer shares — the
+``repro`` CLI (each paper artifact command included), the golden-result
+harness, the benchmarks and :mod:`perfbench`.  It compiles any number of
+scenarios into a single heterogeneous engine batch over one
+:class:`~repro.engine.session.EngineSession`: every panel of every
 scenario — including panels pinned to *different* dataset surrogates —
-flatten into **one** heterogeneous engine batch resolved against the
-session's shared-memory graph store.
-
-:func:`run_scenarios` goes one level further: it compiles any number of
-scenarios into a single batch over one session, so a whole evaluation
-suite shares one persistent worker pool and ships every distinct graph
-exactly once.
+runs in one fan-out against the session's shared-memory graph store, so a
+whole evaluation suite shares one worker pool and ships every distinct
+graph exactly once.  :func:`run_scenario` is the same call on a batch of
+one, and :func:`compile_batch` is the specs-to-batch step it shares with
+the distributed ``repro worker``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.executors import CacheLike
-from repro.engine.session import EngineSession, session_scope
+from repro.engine.session import EngineSession
 from repro.engine.tasks import TrialTask
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.reporting import format_table
@@ -108,8 +107,7 @@ class PreparedScenario(NamedTuple):
 
     ``graphs``/``labels`` are keyed by panel key (single-dataset scenarios
     map every panel to the same graph object); ``tasks`` is the flat engine
-    batch.  Unpacks as the historical ``(graphs, labels, tasks)`` triple —
-    the golden store only touches ``tasks``.
+    batch.  Unpacks as a ``(graphs, labels, tasks)`` triple.
     """
 
     graphs: "OrderedDict[str, Graph]"
@@ -120,10 +118,9 @@ class PreparedScenario(NamedTuple):
 def prepare_scenario(spec: ScenarioSpec, config: ExperimentConfig) -> PreparedScenario:
     """Load every panel's graph, derive labels if needed, compile the batch.
 
-    Exposed so callers that need the compiled batch *and* the run (the
-    golden store hashes task identities) prepare once instead of twice —
-    dataset loading and greedy-modularity labelling are the expensive parts.
     Distinct panels sharing a dataset share one graph load and labelling.
+    :func:`compile_batch` calls it per scenario; the golden store and the
+    benchmarks call it for the batch alone (its task identities and size).
     """
     graphs: "OrderedDict[str, Graph]" = OrderedDict()
     labels: "OrderedDict[str, Optional[np.ndarray]]" = OrderedDict()
@@ -188,38 +185,32 @@ def _aggregate(
     return result
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    cache: Optional[CacheLike] = None,
-    prepared: Optional[PreparedScenario] = None,
-    session: Optional[EngineSession] = None,
-) -> ScenarioResult:
-    """Execute ``spec`` through the engine and aggregate its result curves.
+def compile_batch(
+    specs: Sequence[ScenarioSpec],
+    config: ExperimentConfig,
+    add_graph: Callable[[Graph, Optional[np.ndarray]], object],
+) -> "OrderedDict[str, List[TrialTask]]":
+    """Prepare every sweep scenario of ``specs`` into one engine batch.
 
-    By default the batch runs in an (ephemeral) engine session sized by
-    ``config.jobs`` with ``config.cache`` semantics; pass ``session`` to
-    share one pool, graph store and cache across many runs.  ``cache``
-    overrides the cache either way.  Results are bit-identical for any
-    session, worker count or cache state because every compiled task
-    derives its own seed.  ``prepared`` (from
-    :func:`prepare_scenario` with the same spec and config) skips the
-    load/compile step.
+    Each scenario's graphs (and labels) are handed to ``add_graph`` — a
+    session's :meth:`~repro.engine.session.EngineSession.add_graph` or a
+    worker's :meth:`~repro.engine.graph_store.GraphStore.add` — and its
+    compiled tasks are returned keyed by scenario name, in input order;
+    concatenated they are the batch.  ``stats`` scenarios carry no tasks
+    and are skipped.  Names must be unique.
     """
-    if spec.kind == "stats":
-        return ScenarioResult(spec=spec, table=_dataset_stats(spec, config))
-
-    with current_tracer().span("scenario.run", scenario=spec.name) as run_span:
-        graphs, labels, tasks = (
-            prepared if prepared is not None else prepare_scenario(spec, config)
-        )
-        run_span.set(panels=len(spec.panels), tasks=len(tasks))
-
-        with session_scope(config, session, cache) as (live_session, batch_cache):
-            for key, graph in graphs.items():
-                live_session.add_graph(graph, labels.get(key))
-            gains = live_session.run(tasks, cache=batch_cache)
-        return _aggregate(spec, tasks, gains)
+    names = [spec.name for spec in specs]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate scenario names in batch: {names}")
+    tasks_by_name: "OrderedDict[str, List[TrialTask]]" = OrderedDict()
+    for spec in specs:
+        if spec.kind != "sweep":
+            continue
+        graphs, labels, tasks = prepare_scenario(spec, config)
+        for key, graph in graphs.items():
+            add_graph(graph, labels.get(key))
+        tasks_by_name[spec.name] = tasks
+    return tasks_by_name
 
 
 def run_scenarios(
@@ -228,49 +219,57 @@ def run_scenarios(
     session: Optional[EngineSession] = None,
     cache: Optional[CacheLike] = None,
 ) -> "OrderedDict[str, ScenarioResult]":
-    """Execute several scenarios as **one** heterogeneous engine batch.
+    """Execute scenarios as **one** heterogeneous engine batch.
 
     Every sweep scenario is compiled up front, every distinct graph is
     registered (and shared-memory exported) once, and all tasks fan out in
     a single :meth:`~repro.engine.session.EngineSession.run` — so panels
     and scenarios parallelise against each other instead of running back to
     back.  Results are keyed by scenario name, in input order, and are
-    bit-identical to running each scenario alone (tasks are self-seeded).
-    ``cache`` overrides the config-derived cache, exactly as in
-    :func:`run_scenario` — the resume path passes a refreshed
+    bit-identical for any grouping of scenarios, session, worker count or
+    cache state, because every compiled task derives its own seed.
+
+    Without ``session`` the batch runs in an ephemeral session sized by
+    ``config.jobs`` with ``config.cache`` semantics, closed on return; pass
+    one to share a pool, graph store and cache across calls.  ``cache``
+    overrides the cache either way — the resume path passes a refreshed
     :class:`~repro.engine.result_store.ShardedResultStore` here so an
     interrupted sweep's surviving results answer as hits.
     """
     specs = list(specs)
-    names = [spec.name for spec in specs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate scenario names in batch: {names}")
+    with current_tracer().span(
+        "scenario.run", scenarios=[spec.name for spec in specs]
+    ) as run_span:
+        owned = EngineSession.from_config(config, cache=cache) if session is None else None
+        live_session = owned or session
+        try:
+            tasks_by_name = compile_batch(specs, config, live_session.add_graph)
+            batch = [task for tasks in tasks_by_name.values() for task in tasks]
+            run_span.set(tasks=len(batch))
+            gains = live_session.run(batch, cache=cache) if batch else []
+        finally:
+            if owned is not None:
+                owned.close()
 
-    prepared: Dict[str, PreparedScenario] = {
-        spec.name: prepare_scenario(spec, config)
-        for spec in specs
-        if spec.kind == "sweep"
-    }
-    with session_scope(config, session, cache) as (live_session, batch_cache):
-        batch: List[TrialTask] = []
+        results: "OrderedDict[str, ScenarioResult]" = OrderedDict()
+        offset = 0
         for spec in specs:
-            if spec.kind != "sweep":
+            if spec.kind == "stats":
+                results[spec.name] = ScenarioResult(
+                    spec=spec, table=_dataset_stats(spec, config)
+                )
                 continue
-            graphs, labels, tasks = prepared[spec.name]
-            for key, graph in graphs.items():
-                live_session.add_graph(graph, labels.get(key))
-            batch.extend(tasks)
-        gains = live_session.run(batch, cache=batch_cache) if batch else []
-
-    results: "OrderedDict[str, ScenarioResult]" = OrderedDict()
-    offset = 0
-    for spec in specs:
-        if spec.kind == "stats":
-            results[spec.name] = ScenarioResult(
-                spec=spec, table=_dataset_stats(spec, config)
-            )
-            continue
-        tasks = prepared[spec.name].tasks
-        results[spec.name] = _aggregate(spec, tasks, gains[offset : offset + len(tasks)])
-        offset += len(tasks)
+            tasks = tasks_by_name[spec.name]
+            results[spec.name] = _aggregate(spec, tasks, gains[offset : offset + len(tasks)])
+            offset += len(tasks)
     return results
+
+
+def run_scenario(
+    spec: ScenarioSpec,
+    config: ExperimentConfig = DEFAULT_CONFIG,
+    cache: Optional[CacheLike] = None,
+    session: Optional[EngineSession] = None,
+) -> ScenarioResult:
+    """Execute one scenario: :func:`run_scenarios` on a batch of one."""
+    return run_scenarios([spec], config, session=session, cache=cache)[spec.name]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 #: Environment variable promoting the process-default tracer to a live one.
 TRACE_ENV = "REPRO_TRACE"

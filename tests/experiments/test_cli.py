@@ -11,6 +11,12 @@ class TestParser:
     def test_artifact_choices(self):
         assert "fig6" in ARTIFACTS and "table2" in ARTIFACTS and "fig15" in ARTIFACTS
 
+    def test_every_artifact_is_a_registered_paper_scenario(self):
+        from repro.scenarios import get_scenario
+
+        for name in ARTIFACTS:
+            assert get_scenario(name).paper
+
     def test_parses_defaults(self):
         args = build_parser().parse_args(["fig6"])
         assert args.dataset is None  # the scenario's own dataset

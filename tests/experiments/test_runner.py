@@ -1,4 +1,4 @@
-"""Tests for sweep results, scenario sweeps and figure drivers (small scales)."""
+"""Tests for sweep results and scenario sweeps of paper figures (small scales)."""
 
 from dataclasses import replace
 
@@ -6,18 +6,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import (
-    community_labels,
-    fig6,
-    fig9,
-    fig12a,
-    fig12b,
-    fig14,
-    table2_rows,
-)
 from repro.experiments.runner import SweepResult
 from repro.graph.generators import powerlaw_cluster_graph
-from repro.scenarios import get_scenario, run_scenario
+from repro.scenarios import community_labels, get_scenario, run_scenario
 from repro.scenarios.compiler import compile_scenario
 
 TINY = ExperimentConfig(trials=1, seed=0, scale=0.05)
@@ -109,35 +100,40 @@ class TestSweepStatistics:
 
 
 class TestFigureDrivers:
+    """Each paper artifact runs as its registered scenario."""
+
     def test_table2_rows(self):
-        rows = table2_rows(TINY)
+        rows = run_scenario(get_scenario("table2"), TINY).table
         assert len(rows) == 4
         assert rows[0][0] == "facebook"
         assert rows[0][1] == 4039 and rows[0][2] == 88234
 
     def test_fig6_small(self):
-        config = TINY.with_overrides(scale=0.04)
-        result = fig6("facebook", config.with_overrides())
-        # Restrict to a tiny sweep by slicing is not possible; just check shape.
+        result = run_scenario(
+            get_scenario("fig6", dataset="facebook"), TINY.with_overrides(scale=0.04)
+        ).sweep()
         assert result.metric == "degree_centrality"
         assert len(result.values) == 8
 
     def test_fig9_small(self):
-        result = fig9("facebook", TINY.with_overrides(scale=0.04))
+        result = run_scenario(
+            get_scenario("fig9", dataset="facebook"), TINY.with_overrides(scale=0.04)
+        ).sweep()
         assert result.metric == "clustering_coefficient"
         assert set(result.series) == {"RVA", "RNA", "MGA"}
 
     def test_fig12a_series(self):
-        result = fig12a(TINY.with_overrides(scale=0.04))
+        result = run_scenario(get_scenario("fig12a"), TINY.with_overrides(scale=0.04)).sweep()
         assert set(result.series) == {"NoDefense", "Detect1", "Naive1"}
         assert len(result.values) == 6
 
     def test_fig12b_series(self):
-        result = fig12b(TINY.with_overrides(scale=0.04))
+        result = run_scenario(get_scenario("fig12b"), TINY.with_overrides(scale=0.04)).sweep()
         assert set(result.series) == {"NoDefense", "Detect2", "Naive2"}
 
     def test_fig14_two_protocols(self):
-        results = fig14(TINY.with_overrides(scale=0.03), epsilons=[4.0])
+        spec = replace(get_scenario("fig14"), values=(4.0,))
+        results = run_scenario(spec, TINY.with_overrides(scale=0.03)).panels
         assert set(results) == {"LF-GDPR", "LDPGen"}
         for sweep in results.values():
             assert len(sweep.values) == 1

@@ -27,7 +27,7 @@ from repro.defenses import (
     NaiveTopDegreeDefense,
     evaluate_defended_attack,
 )
-from repro.experiments.figures import community_labels
+from repro.scenarios import community_labels
 from repro.graph.generators import powerlaw_cluster_graph
 
 ALL_ATTACKS = [

@@ -97,6 +97,13 @@ class TestCollection:
         with pytest.raises(ValueError):
             LDPGenProtocol(epsilon=1.0, initial_groups=0)
 
+    @pytest.mark.parametrize("argument", ["initial_groups", "refined_groups"])
+    @pytest.mark.parametrize("count", [True, 2.7, 0])
+    def test_group_counts_must_be_positive_integers(self, argument, count):
+        """A boolean or fractional group count is rejected, not truncated."""
+        with pytest.raises((TypeError, ValueError), match=argument):
+            LDPGenProtocol(epsilon=1.0, **{argument: count})
+
 
 class TestEstimation:
     def test_degree_centrality_shape_and_range(self, graph):

@@ -7,6 +7,7 @@ from repro.engine.session import EngineSession
 from repro.experiments.config import ExperimentConfig
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.run import prepare_scenario, run_scenario, run_scenarios
+from repro.telemetry.core import Tracer, use_tracer
 
 TINY = ExperimentConfig(trials=1, scale=0.02, seed=0, cache=False)
 
@@ -100,7 +101,7 @@ class TestRunScenarios:
     """Several scenarios batch into one session and stay bit-identical."""
 
     def test_matches_individual_runs(self):
-        names = ["fig6", "xprod/cross-dataset-mga", "table2"]
+        names = ["fig6", "fig12a", "xprod/cross-dataset-mga", "table2"]
         specs = [get_scenario(name) for name in names]
         batched = run_scenarios(specs, TINY)
         assert list(batched) == names
@@ -113,6 +114,26 @@ class TestRunScenarios:
             for key, sweep in alone.panels.items():
                 assert together.panels[key].series == sweep.series
                 assert together.panels[key].stderr == sweep.stderr
+
+    def test_dataset_override_retargets_every_scenario(self):
+        names = ("fig6", "fig12a")
+        batched = run_scenarios(
+            [get_scenario(name, dataset="enron") for name in names], TINY
+        )
+        for name in names:
+            assert batched[name].sweep().dataset == "enron"
+        alone = run_scenario(get_scenario("fig6", dataset="enron"), TINY)
+        assert batched["fig6"].sweep().series == alone.sweep().series
+
+    def test_one_run_span_names_every_scenario(self):
+        specs = [get_scenario("fig6"), get_scenario("fig12a")]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            run_scenarios(specs, TINY)
+        run_spans = [span for span in tracer.spans if span.name == "scenario.run"]
+        assert len(run_spans) == 1
+        assert run_spans[0].attributes["scenarios"] == ["fig6", "fig12a"]
+        assert run_spans[0].attributes["tasks"] == tracer.counters["batch.tasks"]
 
     def test_shared_session_registers_each_graph_once(self):
         specs = [get_scenario("fig6"), get_scenario("fig7")]  # same dataset

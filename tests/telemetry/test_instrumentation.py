@@ -243,7 +243,7 @@ class TestScenarioTelemetry:
         sweep = result.sweep()
         run_spans = [s for s in tracer.spans if s.name == "scenario.run"]
         assert len(run_spans) == 1
-        assert run_spans[0].attributes["scenario"] == "fig6"
+        assert run_spans[0].attributes["scenarios"] == ["fig6"]
         assert run_spans[0].attributes["tasks"] == tracer.counters["batch.tasks"]
         panel_spans = [s for s in tracer.spans if s.name == "scenario.panel"]
         assert len(panel_spans) == len(spec.panels)

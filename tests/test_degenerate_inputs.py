@@ -108,3 +108,26 @@ def test_protocol_rejects_non_finite_or_boolean_epsilon(protocol, epsilon):
 def test_config_rejects_non_finite_or_boolean_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon"):
         ExperimentConfig(epsilon=epsilon)
+
+
+@pytest.mark.parametrize("labels", [None, "float"])
+@pytest.mark.parametrize("graph_name", GRAPHS)
+@pytest.mark.parametrize("protocol", PROTOCOLS.names())
+def test_modularity_without_integer_labels_names_labels(protocol, graph_name, labels):
+    graph = GRAPHS[graph_name]
+    if labels == "float":
+        labels = np.arange(graph.num_nodes) % 2 + 0.5
+    instance = PROTOCOLS.create(protocol, epsilon=4.0)
+    reports = instance.collect(graph, rng=0)
+    with pytest.raises(ValueError, match="labels"):
+        instance.estimate_modularity(reports, labels)
+
+
+@pytest.mark.parametrize("graph_name", GRAPHS)
+@pytest.mark.parametrize(
+    "beta, gamma", [(0.0, 0.05), (1.0, 0.05), (0.05, 0.0), (0.05, 1.0)]
+)
+def test_threat_model_rejects_degenerate_fractions(beta, gamma, graph_name):
+    argument = "beta" if beta in (0.0, 1.0) else "gamma"
+    with pytest.raises(ValueError, match=argument):
+        ThreatModel.sample(GRAPHS[graph_name], beta=beta, gamma=gamma, rng=0)

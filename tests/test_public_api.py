@@ -89,6 +89,32 @@ class TestTopLevel:
         assert not hasattr(repro, name)
         assert name not in repro.__all__
 
+    @pytest.mark.parametrize(
+        "module_name, name",
+        [
+            ("repro.experiments", "community_labels"),
+            ("repro.experiments", "fig6"),
+            ("repro.experiments", "table2_rows"),
+            ("repro.engine", "session_scope"),
+        ],
+    )
+    def test_retired_subpackage_names_absent(self, module_name, name):
+        """The figure facade and the session-scope helper stay gone: every
+        artifact runs through ``repro.scenarios.run_scenarios``."""
+        module = importlib.import_module(module_name)
+        assert not hasattr(module, name)
+        assert name not in module.__all__
+
+    def test_one_scenario_runner(self):
+        """No figure-facade module, no ``prepared=`` shortcut, no unused
+        ``SweepResult.stderr_of``."""
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.experiments.figures")
+        assert "prepared" not in inspect.signature(repro.run_scenario).parameters
+        from repro.experiments import SweepResult
+
+        assert not hasattr(SweepResult, "stderr_of")
+
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
