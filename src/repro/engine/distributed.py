@@ -66,7 +66,7 @@ from repro.engine.executors import (
     run_batch,
 )
 from repro.engine.graph_store import GraphStore
-from repro.engine.integrity import is_disk_fault, write_all
+from repro.engine.integrity import check_lease_ttl, is_disk_fault, write_all
 from repro.engine.result_store import SHARD_PREFIX_LEN, ShardedResultStore
 from repro.engine.tasks import TrialTask
 from repro.telemetry.core import current_tracer
@@ -123,9 +123,7 @@ class LeaseDirectory:
     ):
         self.root = Path(root) / "leases"
         self.owner = owner if owner is not None else default_worker_id()
-        self.ttl = float(ttl)
-        if self.ttl <= 0:
-            raise ValueError(f"lease ttl must be positive, got {ttl}")
+        self.ttl = check_lease_ttl(ttl)
         self.beats = 0
         self.lost = 0
         #: Heartbeats skipped over transient I/O trouble (lease kept).
@@ -414,7 +412,7 @@ class DistributedExecutor(Executor):
         self.worker_id = worker_id if worker_id is not None else default_worker_id()
         self.jobs = int(jobs)
         self.range_count = int(range_count)
-        self.lease_ttl = float(lease_ttl)
+        self.lease_ttl = check_lease_ttl(lease_ttl)
         self.poll_interval = float(poll_interval)
         if self.poll_interval <= 0:
             raise ValueError(f"poll_interval must be positive, got {poll_interval}")

@@ -519,6 +519,21 @@ class GcReport:
         )
 
 
+def check_lease_ttl(lease_ttl: float) -> float:
+    """``lease_ttl`` as a float; ``ValueError`` unless finite and positive.
+
+    A zero, negative or NaN horizon makes a lease expire the moment it is
+    claimed (gc prunes live leases); NaN and infinity also make a dead
+    worker's lease never expire (its range is never reclaimed).
+    """
+    ttl = float(lease_ttl)
+    if not (math.isfinite(ttl) and ttl > 0):
+        raise ValueError(
+            f"lease_ttl must be a finite positive number of seconds, got {lease_ttl!r}"
+        )
+    return ttl
+
+
 def gc_store(
     root: Union[str, Path, None] = None, lease_ttl: float = 30.0
 ) -> GcReport:
@@ -531,6 +546,7 @@ def gc_store(
     """
     import time
 
+    lease_ttl = check_lease_ttl(lease_ttl)
     root = _store_root(root)
     report = GcReport(root=root)
     now = time.time()

@@ -364,9 +364,9 @@ class ShardedResultStore:
 
         The staleness probe in :meth:`get` already catches foreign appends
         to *grown* shard files; an explicit refresh additionally drops any
-        in-memory-only state and is what the resume path
-        (``scenario run --resume``) calls before replaying a batch.
-        Non-durable overlay entries survive — they exist nowhere else.
+        in-memory-only state (:meth:`clear` calls it after deleting the
+        shards).  Non-durable overlay entries survive — they exist nowhere
+        else.
         """
         self._index.clear()
         self._loaded.clear()

@@ -118,10 +118,11 @@ def _add_scenario_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="finish an interrupted sweep: refresh the shared result store "
-        "so everything any worker appended before dying answers as a cache "
-        "hit, recompute only what is missing, and print the reuse summary "
-        "(results are bit-identical to an uninterrupted run)",
+        help="finish an interrupted sweep and print the reuse summary; "
+        "every cached run already answers what any worker appended before "
+        "dying as a cache hit and recomputes only what is missing, so the "
+        "flag only adds the summary and rejects --no-cache (results are "
+        "bit-identical to an uninterrupted run)",
     )
 
 
@@ -450,9 +451,9 @@ def _scenario_run(args, out) -> int:
     # An explicit store instance (rather than letting the session build
     # one) so this function can report on it afterwards: resume reuse
     # counts, and — after a disk fault — exactly which results are
-    # non-durable.  --resume additionally refreshes it so every result a
-    # crashed worker appended before dying answers as a hit and only the
-    # genuinely missing tasks recompute.
+    # non-durable.  Every cached run answers stored results as hits, so
+    # --resume changes no computation: it only rejects --no-cache and
+    # prints the reuse line.
     if args.resume and args.no_cache:
         print("--resume replays the shared result store; it cannot be "
               "combined with --no-cache", file=out)
@@ -460,8 +461,6 @@ def _scenario_run(args, out) -> int:
     store: Optional[ShardedResultStore] = None
     if not args.no_cache:
         store = ShardedResultStore()
-        if args.resume:
-            store.refresh()
 
     # --trace/--progress install an explicit tracer for this run only;
     # without them the current tracer stays in charge (REPRO_TRACE still

@@ -9,7 +9,6 @@ from repro.ldp.mechanisms import (
     rr_keep_probability,
 )
 from repro.ldp.perturbation import (
-    expected_perturbed_average_degree,
     expected_perturbed_degree,
     perturb_graph,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "perturb_bits",
     "perturb_degree",
     "rr_keep_probability",
-    "expected_perturbed_average_degree",
     "expected_perturbed_degree",
     "perturb_graph",
 ]

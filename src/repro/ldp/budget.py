@@ -1,17 +1,17 @@
 """Privacy-budget allocation between the two atomic graph metrics.
 
 LF-GDPR splits the total budget ``eps`` into ``eps1`` for the adjacency bit
-vector (randomized response) and ``eps2`` for the degree (Laplace mechanism),
-choosing the split to minimise the estimation error of the target metric.
-The paper's attacks assume the attacker knows both sub-budgets, so the split
-is an explicit, inspectable object here.
+vector (randomized response) and ``eps2`` for the degree (Laplace mechanism).
+The paper mounts every attack on an even split, and its attacks assume the
+attacker knows both sub-budgets, so the split is an explicit, inspectable
+object here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import check_epsilon, check_fraction
+from repro.utils.validation import check_epsilon
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,8 @@ class BudgetAllocation:
         return self.adjacency_epsilon + self.degree_epsilon
 
 
-def split_budget(epsilon: float, adjacency_fraction: float = 0.5) -> BudgetAllocation:
-    """Split ``epsilon`` into (eps1, eps2) by a fixed fraction.
-
-    LF-GDPR derives task-specific optimal fractions; for the metrics studied
-    in the paper an even split is the reference point, and the fraction is a
-    knob so experiments can sweep it.
-    """
+def split_budget(epsilon: float) -> BudgetAllocation:
+    """Split ``epsilon`` evenly into (eps1, eps2), the split the paper uses."""
     check_epsilon(epsilon)
-    check_fraction(adjacency_fraction, "adjacency_fraction")
-    return BudgetAllocation(
-        adjacency_epsilon=epsilon * adjacency_fraction,
-        degree_epsilon=epsilon * (1.0 - adjacency_fraction),
-    )
+    half = epsilon * 0.5
+    return BudgetAllocation(adjacency_epsilon=half, degree_epsilon=half)

@@ -69,18 +69,15 @@ def laplace_noise(
     return ensure_rng(rng).laplace(loc=0.0, scale=scale, size=size)
 
 
-def perturb_degree(
-    degrees: ArrayLike, epsilon: float, rng: RngLike = None, sensitivity: float = 1.0
-) -> np.ndarray:
+def perturb_degree(degrees: ArrayLike, epsilon: float, rng: RngLike = None) -> np.ndarray:
     """Laplace mechanism on node degrees (edge-LDP sensitivity 1).
 
     Returns real-valued noisy degrees; the protocols keep them unrounded so
     that calibration stays unbiased.
     """
     check_epsilon(epsilon)
-    check_positive(sensitivity, "sensitivity")
     degrees = np.atleast_1d(np.asarray(degrees, dtype=np.float64))
-    noise = laplace_noise(sensitivity / epsilon, size=degrees.shape, rng=rng)
+    noise = laplace_noise(1.0 / epsilon, size=degrees.shape, rng=rng)
     return degrees + noise
 
 

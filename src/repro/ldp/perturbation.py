@@ -102,17 +102,3 @@ def expected_perturbed_degree(degree: float, num_nodes: int, epsilon: float) -> 
     check_non_negative(degree, "degree")
     keep = rr_keep_probability(epsilon)
     return degree * keep + (num_nodes - 1 - degree) * (1.0 - keep)
-
-
-def expected_perturbed_average_degree(graph: Graph, epsilon: float) -> float:
-    """Expected *average* degree of the perturbed graph.
-
-    The paper's attacks cap each fake node's crafted connection count at this
-    value (``d~`` in Theorems 1 and 2) so that fake reports blend in with the
-    degree distribution genuine perturbed reports exhibit.
-    """
-    if graph.num_nodes == 0:
-        return 0.0
-    average = graph.degrees().mean()
-    return expected_perturbed_degree(float(average), graph.num_nodes, epsilon)
-

@@ -16,21 +16,12 @@ from repro.protocols.estimators import (
     degrees_from_perturbed_graph,
     estimate_clustering_coefficients,
     estimate_modularity,
-    fuse_degree_estimates,
     triangle_calibration,
-)
-from repro.protocols.degree_distribution import (
-    degree_histogram,
-    estimate_degree_distribution,
-    histogram_distance,
 )
 from repro.protocols.ldpgen import LDPGenProtocol
 from repro.protocols.lfgdpr import LFGDPRProtocol
 
 __all__ = [
-    "degree_histogram",
-    "estimate_degree_distribution",
-    "histogram_distance",
     "CollectedReports",
     "FakeReport",
     "GraphLDPProtocol",
@@ -44,7 +35,6 @@ __all__ = [
     "degrees_from_perturbed_graph",
     "estimate_clustering_coefficients",
     "estimate_modularity",
-    "fuse_degree_estimates",
     "triangle_calibration",
     "LDPGenProtocol",
     "LFGDPRProtocol",

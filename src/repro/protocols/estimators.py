@@ -4,7 +4,7 @@ Implements, verbatim, the correction formulas the paper builds its clustering
 attacks around:
 
 * degree estimation from the perturbed adjacency matrix (randomized-response
-  count calibration) and its fusion with the Laplace-perturbed self-report;
+  count calibration);
 * the triangle calibration ``R(.)`` of Eq. (16): the observed triangle count
   around a node in the perturbed graph is a mixture of surviving true
   triangles (Case 1), half-true triangles (Case 2), and pure noise triangles
@@ -75,29 +75,6 @@ def degree_estimate_variance_laplace(epsilon: float) -> float:
     return 2.0 / epsilon**2
 
 
-def fuse_degree_estimates(
-    reported: np.ndarray,
-    from_bits: np.ndarray,
-    num_nodes: int,
-    adjacency_epsilon: float,
-    degree_epsilon: float,
-) -> np.ndarray:
-    """Inverse-variance fusion of the two degree estimates.
-
-    LF-GDPR refines the degree using both atomic metrics; weighting each
-    unbiased estimate by its inverse variance is the minimum-variance linear
-    combination.  The bit-vector estimate carries the attacker's influence
-    (fake users set bits in targets' columns), the self-report does not —
-    fusing is what makes degree centrality attackable at all.
-    """
-    reported = np.asarray(reported, dtype=np.float64)
-    from_bits = np.asarray(from_bits, dtype=np.float64)
-    weight_bits = 1.0 / degree_estimate_variance_bits(num_nodes, adjacency_epsilon)
-    weight_reported = 1.0 / degree_estimate_variance_laplace(degree_epsilon)
-    total = weight_bits + weight_reported
-    return (weight_bits * from_bits + weight_reported * reported) / total
-
-
 def triangle_calibration(
     observed_triangles: np.ndarray,
     perturbed_degrees: np.ndarray,
@@ -150,7 +127,6 @@ def triangle_calibration(
 def estimate_clustering_coefficients(
     perturbed: Graph,
     epsilon: float,
-    clip: bool = True,
     observed_triangles: np.ndarray | None = None,
 ) -> np.ndarray:
     """Clustering-coefficient estimates from the perturbed graph (Eq. 15).
@@ -160,8 +136,8 @@ def estimate_clustering_coefficients(
     the paper.  Biased, because the perturbed degree over-counts at low
     epsilon, but it is the estimator the paper's attack analysis (and
     Theorem 2) is built on.  Nodes whose perturbed degree is below 2 get 0.
-    With ``clip`` (the default) estimates are clamped to [0, 1]; raw values
-    are useful when validating estimator bias.
+    Estimates are not clamped to [0, 1]; at low epsilon they leave the unit
+    interval.
 
     ``observed_triangles`` optionally supplies the per-node triangle counts
     of ``perturbed`` (exact integers), skipping the dominant
@@ -181,8 +157,6 @@ def estimate_clustering_coefficients(
     estimates = np.zeros(perturbed.num_nodes, dtype=np.float64)
     valid = denominator > 0
     estimates[valid] = 2.0 * corrected[valid] / denominator[valid]
-    if clip:
-        estimates = np.clip(estimates, 0.0, 1.0)
     return estimates
 
 
@@ -190,14 +164,16 @@ def estimate_modularity(
     perturbed: Graph,
     labels: np.ndarray,
     epsilon: float,
-    fused_degrees: np.ndarray,
+    degree_estimates: np.ndarray,
     observed_intra: np.ndarray | None = None,
 ) -> float:
     """Modularity estimate for a server-held partition.
 
     Intra-community edge counts observed in the perturbed graph are
     calibrated per community (the number of intra pairs is known from the
-    partition); total edge mass comes from the fused degree estimates.
+    partition); total edge mass comes from ``degree_estimates``, the
+    calibrated bit-channel degrees of
+    :func:`degrees_from_perturbed_graph`.
     ``labels`` holds one non-negative integer community id per node
     (:func:`repro.utils.validation.check_labels`).  ``observed_intra``
     optionally supplies the exact intra counts (the paired incremental hook,
@@ -218,7 +194,7 @@ def estimate_modularity(
     )
 
     community_degrees = np.bincount(
-        labels, weights=np.maximum(np.asarray(fused_degrees, dtype=np.float64), 0.0),
+        labels, weights=np.maximum(np.asarray(degree_estimates, dtype=np.float64), 0.0),
         minlength=num_communities,
     )
     total_edges = community_degrees.sum() / 2.0

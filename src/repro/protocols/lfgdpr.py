@@ -52,7 +52,6 @@ from repro.protocols.estimators import (
     degrees_from_perturbed_graph,
     estimate_clustering_coefficients,
     estimate_modularity,
-    fuse_degree_estimates,
 )
 from repro.utils.rng import RngLike, child_rng
 from repro.utils.sparse import decode_pairs
@@ -76,52 +75,26 @@ class ReportBlock:
 
 
 class LFGDPRProtocol(GraphLDPProtocol):
-    """LF-GDPR with an explicit budget split and pluggable degree fusion.
+    """LF-GDPR as the paper attacks it: an even budget split, degrees from
+    the bit channel and raw Eq. 15 clustering values.
 
     Parameters
     ----------
     epsilon:
-        Total privacy budget ``eps = eps1 + eps2``.
-    adjacency_fraction:
-        Fraction of ``epsilon`` spent on the adjacency bit vector.
-    degree_mode:
-        Where degree estimates come from:
+        Total privacy budget ``eps = eps1 + eps2``, split evenly between the
+        adjacency bit vector and the Laplace degree report.
 
-        * ``"bits"`` (default) — calibrated row counts of the collected
-          adjacency matrix.  This is the estimator the paper's attack model
-          implies: fake users influence a target's degree only through the
-          bits they claim, and all three degree-centrality attacks in §V act
-          through this channel.
-        * ``"reported"`` — the Laplace self-report only.  An ablation that
-          is immune to bit poisoning (but trivially attackable by the fake
-          users' own reports and blind to report/bit inconsistencies).
-        * ``"fused"`` — inverse-variance combination of both.  The
-          minimum-variance honest-world estimator; because the self-report
-          variance does not grow with N, it almost ignores the bit channel
-          and therefore largely resists the paper's attacks — an ablation,
-          not the estimator the paper's attack analysis assumes.
-    clip_clustering:
-        Clamp clustering estimates to [0, 1].  Off by default: the paper's
-        gain analysis (Eq. 22) works with the raw calibrated values, and
-        clamping saturates at low epsilon where the raw estimates leave the
-        unit interval, hiding attack effects entirely.
+    Degree estimates are calibrated row counts of the collected adjacency
+    matrix: fake users influence a target's degree only through the bits
+    they claim, and all three degree-centrality attacks in §V act through
+    this channel.  Clustering estimates are not clamped to [0, 1]: the
+    paper's gain analysis (Eq. 22) works with the raw calibrated values,
+    which leave the unit interval at low epsilon.
     """
 
-    def __init__(
-        self,
-        epsilon: float,
-        adjacency_fraction: float = 0.5,
-        degree_mode: str = "bits",
-        clip_clustering: bool = False,
-    ):
+    def __init__(self, epsilon: float):
         check_epsilon(epsilon)
-        if degree_mode not in ("bits", "reported", "fused"):
-            raise ValueError(
-                f"degree_mode must be 'bits', 'reported' or 'fused', got {degree_mode!r}"
-            )
-        self.budget: BudgetAllocation = split_budget(epsilon, adjacency_fraction)
-        self.degree_mode = degree_mode
-        self.clip_clustering = bool(clip_clustering)
+        self.budget: BudgetAllocation = split_budget(epsilon)
 
     @property
     def epsilon(self) -> float:
@@ -255,20 +228,9 @@ class LFGDPRProtocol(GraphLDPProtocol):
     # Estimation
     # ------------------------------------------------------------------
     def estimate_degrees(self, reports: CollectedReports) -> np.ndarray:
-        """Per-node degree estimates under the configured ``degree_mode``."""
-        if self.degree_mode == "reported":
-            return np.asarray(reports.reported_degrees, dtype=np.float64)
-        from_bits = degrees_from_perturbed_graph(
+        """Per-node degree estimates from the collected adjacency bits."""
+        return degrees_from_perturbed_graph(
             reports.perturbed_graph, reports.adjacency_epsilon, excluded=reports.excluded
-        )
-        if self.degree_mode == "bits":
-            return from_bits
-        return fuse_degree_estimates(
-            reports.reported_degrees,
-            from_bits,
-            reports.num_nodes,
-            reports.adjacency_epsilon,
-            reports.degree_epsilon,
         )
 
     def estimate_degree_centrality(self, reports: CollectedReports) -> np.ndarray:
@@ -291,16 +253,13 @@ class LFGDPRProtocol(GraphLDPProtocol):
             return estimate_clustering_coefficients(
                 reports.perturbed_graph,
                 reports.adjacency_epsilon,
-                clip=self.clip_clustering,
                 observed_triangles=self._paired_triangles(reports),
             )
         n = reports.num_nodes
         kept = np.setdiff1d(np.arange(n), excluded)
         subgraph = reports.perturbed_graph.subgraph(kept)
         sub_estimates = estimate_clustering_coefficients(
-            subgraph,
-            reports.adjacency_epsilon,
-            clip=self.clip_clustering,
+            subgraph, reports.adjacency_epsilon
         )
         estimates = np.zeros(n, dtype=np.float64)
         estimates[kept] = sub_estimates

@@ -232,9 +232,9 @@ def run_scenarios(
     Without ``session`` the batch runs in an ephemeral session sized by
     ``config.jobs`` with ``config.cache`` semantics, closed on return; pass
     one to share a pool, graph store and cache across calls.  ``cache``
-    overrides the cache either way — the resume path passes a refreshed
-    :class:`~repro.engine.result_store.ShardedResultStore` here so an
-    interrupted sweep's surviving results answer as hits.
+    overrides the cache either way — ``scenario run`` passes its own
+    :class:`~repro.engine.result_store.ShardedResultStore` here so it can
+    report reuse counts and non-durable results afterwards.
     """
     specs = list(specs)
     with current_tracer().span(

@@ -28,6 +28,7 @@ from repro.engine.distributed import (
 )
 from repro.engine.executors import SerialExecutor, run_batch
 from repro.engine.graph_store import GraphStore
+from repro.engine.integrity import gc_store
 from repro.engine.result_store import ShardedResultStore
 from repro.engine.tasks import TrialTask, derive_trial_seed, graph_fingerprint
 from repro.graph.generators import powerlaw_cluster_graph
@@ -153,6 +154,22 @@ class TestLeaseDirectory:
     def test_rejects_bad_ttl(self, tmp_path):
         with pytest.raises(ValueError, match="ttl"):
             LeaseDirectory(tmp_path, "w", ttl=0)
+
+    @pytest.mark.parametrize("ttl", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda root, ttl: LeaseDirectory(root, "w", ttl=ttl),
+            lambda root, ttl: DistributedExecutor(ShardedResultStore(root), lease_ttl=ttl),
+            lambda root, ttl: gc_store(root, lease_ttl=ttl),
+        ],
+        ids=["LeaseDirectory", "DistributedExecutor", "gc_store"],
+    )
+    def test_every_entry_rejects_non_finite_or_non_positive_ttl(self, tmp_path, entry, ttl):
+        """A TTL of 0 or below expires live leases at once; NaN and inf
+        never expire a dead worker's lease."""
+        with pytest.raises(ValueError, match="lease_ttl"):
+            entry(tmp_path, ttl)
 
 
 class TestDistributedExecution:

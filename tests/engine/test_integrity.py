@@ -16,6 +16,7 @@ Pinned here:
   mistyped root can never pass an integrity gate.
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -27,6 +28,7 @@ import pytest
 
 from repro.engine import integrity
 from repro.engine.cache import CACHE_VERSION, NullCache
+from repro.engine.distributed import LeaseDirectory
 from repro.engine.executors import SerialExecutor
 from repro.engine.integrity import (
     REASON_BAD_CHECKSUM,
@@ -335,6 +337,22 @@ class TestGc:
         assert live.is_file() and not dead.exists() and not stale_temp.exists()
         fresh = ShardedResultStore(tmp_path)
         assert fresh.get(stored) == 1.0, "stored results must survive gc"
+
+    @pytest.mark.parametrize("lease_ttl", [30.0, 0.0, -1.0, float("nan")])
+    def test_fresh_lease_survives_gc(self, tmp_path, lease_ttl):
+        """Whatever TTL gc is given, it never prunes a lease just claimed:
+        a valid one leaves it alone, an invalid one is refused."""
+        leases = LeaseDirectory(tmp_path, "alive", ttl=30)
+        assert leases.try_claim((0, 255))
+        with contextlib.suppress(ValueError):
+            assert gc_store(tmp_path, lease_ttl=lease_ttl).leases_pruned == 0
+        assert leases.lease_path((0, 255)).is_file()
+
+    def test_cli_gc_rejects_zero_lease_ttl(self, tmp_path):
+        out = io.StringIO()
+        args = ["cache", "gc", "--dir", str(tmp_path), "--lease-ttl", "0"]
+        assert cli_run(args, out=out) == 2
+        assert "lease_ttl" in out.getvalue()
 
     def test_cli_gc_and_stats(self, tmp_path):
         out = io.StringIO()

@@ -68,7 +68,7 @@ class TestRetiredLegacyLayout:
         report = verify_store(tmp_path)
         assert report.distinct_total == 1 and report.corrupt_total == 0
         repair_store(tmp_path)
-        gc_store(tmp_path, lease_ttl=0.0)
+        gc_store(tmp_path, lease_ttl=1e-9)
         assert store.clear() == 1
         assert json.loads(legacy.read_text())["gain"] == 4.5
 

@@ -28,18 +28,10 @@ class TestSplitBudget:
         assert allocation.adjacency_epsilon == pytest.approx(2.0)
         assert allocation.degree_epsilon == pytest.approx(2.0)
 
-    def test_custom_fraction(self):
-        allocation = split_budget(4.0, adjacency_fraction=0.75)
-        assert allocation.adjacency_epsilon == pytest.approx(3.0)
-        assert allocation.degree_epsilon == pytest.approx(1.0)
-
     def test_total_preserved(self):
-        allocation = split_budget(3.7, adjacency_fraction=0.3)
-        assert allocation.total == pytest.approx(3.7)
-
-    def test_rejects_degenerate_fraction(self):
-        with pytest.raises(ValueError):
-            split_budget(4.0, adjacency_fraction=1.0)
+        allocation = split_budget(3.7)
+        assert allocation.adjacency_epsilon == allocation.degree_epsilon
+        assert allocation.total == 3.7
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):

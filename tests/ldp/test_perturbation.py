@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.threat_model import AttackerKnowledge
 from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.ldp.mechanisms import rr_keep_probability
 from repro.ldp.perturbation import (
-    expected_perturbed_average_degree,
     expected_perturbed_degree,
     perturb_graph,
     perturb_graph_batch,
 )
+from repro.protocols.lfgdpr import LFGDPRProtocol
 from repro.utils.sparse import pair_count
 
 
@@ -68,7 +69,8 @@ class TestPerturbGraph:
         simulated = np.mean(
             [perturb_graph(g, epsilon, rng=rng).degrees().mean() for _ in range(5)]
         )
-        predicted = expected_perturbed_average_degree(g, epsilon)
+        knowledge = AttackerKnowledge.from_protocol(LFGDPRProtocol(2 * epsilon), g)
+        predicted = knowledge.perturbed_average_degree
         assert simulated == pytest.approx(predicted, rel=0.02)
 
     def test_empty_graph(self):
@@ -151,7 +153,4 @@ class TestExpectedDegrees:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             expected_perturbed_degree(-1.0, 10, 1.0)
-
-    def test_average_empty_graph(self):
-        assert expected_perturbed_average_degree(Graph(0), 1.0) == 0.0
 

@@ -18,7 +18,6 @@ from repro.protocols.estimators import (
     degrees_from_perturbed_graph,
     estimate_clustering_coefficients,
     estimate_modularity,
-    fuse_degree_estimates,
     triangle_calibration,
 )
 from repro.protocols import lfgdpr
@@ -48,7 +47,7 @@ class TestDegreeFromBits:
         assert np.allclose(estimates, g.degrees(), atol=1e-6)
 
 
-class TestVariancesAndFusion:
+class TestVariances:
     def test_bits_variance_positive_and_decreasing_in_eps(self):
         variances = [degree_estimate_variance_bits(1000, eps) for eps in (1, 2, 4)]
         assert all(v > 0 for v in variances)
@@ -56,33 +55,6 @@ class TestVariancesAndFusion:
 
     def test_laplace_variance(self):
         assert degree_estimate_variance_laplace(2.0) == pytest.approx(0.5)
-
-    def test_fusion_between_inputs(self):
-        fused = fuse_degree_estimates(
-            reported=np.array([10.0]),
-            from_bits=np.array([20.0]),
-            num_nodes=1000,
-            adjacency_epsilon=2.0,
-            degree_epsilon=2.0,
-        )
-        assert 10.0 < fused[0] < 20.0
-
-    def test_fusion_weights_favor_laplace_for_large_n(self):
-        # Bit-vector variance grows with N, so the self-report dominates.
-        fused = fuse_degree_estimates(
-            reported=np.array([10.0]),
-            from_bits=np.array([20.0]),
-            num_nodes=100_000,
-            adjacency_epsilon=2.0,
-            degree_epsilon=2.0,
-        )
-        assert fused[0] < 11.0
-
-    def test_fusion_identical_inputs_fixed_point(self):
-        fused = fuse_degree_estimates(
-            np.array([7.0]), np.array([7.0]), 100, 2.0, 2.0
-        )
-        assert fused[0] == pytest.approx(7.0)
 
 
 class TestTriangleCalibration:
@@ -156,12 +128,6 @@ class TestTriangleCalibration:
 
 
 class TestClusteringEstimator:
-    def test_range_clipped(self):
-        g = powerlaw_cluster_graph(200, 4, 0.6, rng=0)
-        perturbed = perturb_graph(g, 2.0, rng=0)
-        estimates = estimate_clustering_coefficients(perturbed, 2.0)
-        assert np.all(estimates >= 0.0) and np.all(estimates <= 1.0)
-
     def test_tracks_truth_at_high_epsilon(self):
         g = powerlaw_cluster_graph(200, 4, 0.6, rng=1)
         perturbed = perturb_graph(g, 40.0, rng=0)

@@ -86,38 +86,6 @@ class TestDegreeEstimation:
         truth = degree_centrality(graph)
         assert np.abs(estimates - truth).mean() < 0.02
 
-    def test_degree_modes_differ(self, graph):
-        bits = LFGDPRProtocol(epsilon=4.0, degree_mode="bits")
-        reported = LFGDPRProtocol(epsilon=4.0, degree_mode="reported")
-        fused = LFGDPRProtocol(epsilon=4.0, degree_mode="fused")
-        reports = bits.collect(graph, rng=3)
-        estimates = {
-            mode: protocol.estimate_degree_centrality(reports)
-            for mode, protocol in [("bits", bits), ("reported", reported), ("fused", fused)]
-        }
-        assert not np.allclose(estimates["bits"], estimates["reported"])
-        assert not np.allclose(estimates["bits"], estimates["fused"])
-
-    def test_reported_mode_ignores_bits(self, graph):
-        protocol = LFGDPRProtocol(epsilon=4.0, degree_mode="reported")
-        reports = protocol.collect(graph, rng=3)
-        expected = reports.reported_degrees / (graph.num_nodes - 1)
-        assert np.allclose(protocol.estimate_degree_centrality(reports), expected)
-
-    def test_invalid_degree_mode_rejected(self):
-        with pytest.raises(ValueError, match="degree_mode"):
-            LFGDPRProtocol(epsilon=4.0, degree_mode="magic")
-
-    def test_fused_mode_between_components(self, graph):
-        protocol = LFGDPRProtocol(epsilon=4.0, degree_mode="fused")
-        reports = protocol.collect(graph, rng=3)
-        fused = protocol.estimate_degrees(reports)
-        bits = LFGDPRProtocol(epsilon=4.0, degree_mode="bits").estimate_degrees(reports)
-        reported = reports.reported_degrees
-        low = np.minimum(bits, reported) - 1e-9
-        high = np.maximum(bits, reported) + 1e-9
-        assert np.all((fused >= low) & (fused <= high))
-
 
 class TestClusteringEstimation:
     def test_estimates_finite(self, graph):
@@ -125,12 +93,6 @@ class TestClusteringEstimation:
         reports = protocol.collect(graph, rng=0)
         estimates = protocol.estimate_clustering_coefficient(reports)
         assert np.all(np.isfinite(estimates))
-
-    def test_clipped_variant_in_unit_interval(self, graph):
-        protocol = LFGDPRProtocol(epsilon=4.0, clip_clustering=True)
-        reports = protocol.collect(graph, rng=0)
-        estimates = protocol.estimate_clustering_coefficient(reports)
-        assert np.all((estimates >= 0) & (estimates <= 1))
 
     def test_high_epsilon_accuracy(self, graph):
         protocol = LFGDPRProtocol(epsilon=40.0)

@@ -96,11 +96,17 @@ class TestTopLevel:
             ("repro.experiments", "fig6"),
             ("repro.experiments", "table2_rows"),
             ("repro.engine", "session_scope"),
+            ("repro.protocols", "fuse_degree_estimates"),
+            ("repro.protocols", "degree_histogram"),
+            ("repro.protocols", "estimate_degree_distribution"),
+            ("repro.protocols", "histogram_distance"),
+            ("repro.ldp", "expected_perturbed_average_degree"),
         ],
     )
     def test_retired_subpackage_names_absent(self, module_name, name):
-        """The figure facade and the session-scope helper stay gone: every
-        artifact runs through ``repro.scenarios.run_scenarios``."""
+        """The figure facade and the session-scope helper stay gone (every
+        artifact runs through ``repro.scenarios.run_scenarios``), and so do
+        LF-GDPR's degree fusion and degree-distribution estimator."""
         module = importlib.import_module(module_name)
         assert not hasattr(module, name)
         assert name not in module.__all__
