@@ -35,18 +35,38 @@ def test_scenario_sweep(benchmark, name):
         assert all(np.isfinite(g) for g in curve), series
 
 
-def test_fig9_selects_incremental_path():
-    """The fig09 workload takes the incremental after-view estimator.
+def test_fig9_counts_triangles_at_targets(monkeypatch):
+    """The fig09 workload counts clustering triangles at the targets only.
 
     Runs the fig9 scenario through the shared-collection pipeline and
-    asserts the incremental triangle path was actually selected (never
-    silently falling back) on every after-run; the wall clock is recorded.
-    Forces ``jobs=1``: the tracer's ``delta.*`` counters are process-local
-    and would stay zero if trials ran in pool workers.
+    asserts that both views of every task took the target-restricted count
+    (``triangles.at_nodes`` on the trace), that no full triangle sweep ran
+    on any backend and that no incremental after-view (``delta.*``) fired;
+    the wall clock is recorded.  Forces ``jobs=1``: the tracer's counters
+    and the sweep spies are process-local and would stay zero if trials ran
+    in pool workers.
     """
     import time
+    from collections import Counter
 
+    from repro.graph import bitmatrix, metrics
     from repro.telemetry.core import Tracer, use_tracer
+
+    full_sweeps = Counter()
+
+    def spy(owner, name, is_full):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            full_sweeps[name] += is_full(*args, **kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(bitmatrix, "_gather_triangles", lambda *args: True)
+    spy(metrics, "_triangles_sparse", lambda graph, nodes=None: nodes is None)
+    spy(metrics, "streaming_triangles_per_node",
+        lambda graph, *args, nodes=None, **kwargs: nodes is None)
 
     spec = get_scenario("fig9")
     config = bench_config(spec.dataset, jobs=1)
@@ -55,19 +75,20 @@ def test_fig9_selects_incremental_path():
         start = time.perf_counter()
         run_scenario(spec, config)
         seconds = time.perf_counter() - start
-    stats = {
-        key: tracer.counters.get(f"delta.{key}", 0)
-        for key in ("incremental", "fallback")
-    }
+    tasks = tracer.counters.get("kernel.batched", 0)
+    at_nodes = tracer.counters.get("triangles.at_nodes", 0)
+    delta = {name: count for name, count in tracer.counters.items() if name.startswith("delta.")}
 
     record_timing("bench_scenarios/paired", seconds)
     emit(
-        "fig9_incremental_path",
+        "fig9_target_counts",
         f"fig09 workload ({spec.dataset}): {seconds:.2f}s\n"
-        f"delta stats: {stats}",
+        f"target counts: {at_nodes} for {tasks} tasks; full sweeps: {dict(full_sweeps)}; "
+        f"delta counters: {delta}",
     )
-    assert stats["incremental"] > 0, "incremental estimator was never selected"
-    assert stats["fallback"] == 0, "incremental estimator silently fell back"
+    assert tasks > 0 and at_nodes == 2 * tasks, "a view skipped the target-restricted count"
+    assert sum(full_sweeps.values()) == 0, f"full triangle sweeps ran: {dict(full_sweeps)}"
+    assert not delta, f"the incremental after-view ran: {delta}"
 
 
 def test_scenario_compile_overhead(benchmark):

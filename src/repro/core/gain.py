@@ -16,8 +16,8 @@ the engine's point kernel — shares :func:`craft_trial` (the per-trial
 prologue) and :func:`metric_estimates` (the estimator dispatch).  Paired
 runs flow through :meth:`GraphLDPProtocol.collect_paired`: the honest world
 is collected once and the after-world derived from the shared state —
-bit-identical to two seed-replayed ``collect`` calls, and the estimators can
-update honest estimates incrementally over the attacker-touched rows.
+bit-identical to two seed-replayed ``collect`` calls.  Clustering gains
+count the targets' triangles only, in both views.
 """
 
 from __future__ import annotations
@@ -112,16 +112,16 @@ def metric_estimates(
     The single definition of how a metric name maps onto the protocol's
     estimator surface, shared by :func:`evaluate_attack`, the defended
     evaluation and the engine's point kernel (``repro.engine.kernels``) so
-    every path produces identical floats by construction.  Modularity is a
-    global metric: its estimates are length-1 arrays regardless of
-    ``targets``.
+    every path produces identical floats by construction.  Clustering is
+    estimated at ``targets`` only.  Modularity is a global metric: its
+    estimates are length-1 arrays regardless of ``targets``.
     """
     if metric == "degree_centrality":
         before = protocol.estimate_degree_centrality(before_reports)[targets]
         after = protocol.estimate_degree_centrality(after_reports)[targets]
     elif metric == "clustering_coefficient":
-        before = protocol.estimate_clustering_coefficient(before_reports)[targets]
-        after = protocol.estimate_clustering_coefficient(after_reports)[targets]
+        before = protocol.estimate_clustering_coefficient(before_reports, targets)
+        after = protocol.estimate_clustering_coefficient(after_reports, targets)
     else:
         before = np.array([protocol.estimate_modularity(before_reports, labels)])
         after = np.array([protocol.estimate_modularity(after_reports, labels)])

@@ -7,7 +7,8 @@ task list into those point groups and runs every group — singletons,
 defended points and LDPGen included — through one
 :meth:`~repro.protocols.base.GraphLDPProtocol.collect_paired_batch` call;
 each run's honest intermediates are then computed lazily in its own paired
-cache as the estimators ask for them.
+cache as the estimators ask for them; clustering counts triangles at the
+targets only, on the honest plane and on its copy patched with the edits.
 
 Bit-identity contract: per task, the kernel runs the same prologue
 (:func:`~repro.core.gain.craft_trial`) and estimator dispatch

@@ -22,8 +22,8 @@ Two kernels carry the in-memory packed layer:
   codes (:func:`repro.utils.sparse.decode_pairs` decodes them by row runs).
 * :func:`pair_popcounts` — ``popcount(row_u & row_v)`` (optionally also
   ``& mask``) for a list of pairs, one buffered column-major sweep; the
-  full triangle count, the incremental :meth:`BitMatrix.triangles_touching`
-  and the out-of-core block-pair sweep
+  full triangle count, the count at target nodes, the incremental
+  :meth:`BitMatrix.triangles_touching` and the out-of-core block-pair sweep
   (:func:`repro.graph.streaming.streaming_triangles_per_node`, whose ``u``
   and ``v`` rows live in two different blocks) are a ``bincount`` over its
   output.
@@ -121,18 +121,20 @@ def should_use_packed(graph) -> bool:
     return triangle_backend(graph) == "packed"
 
 
-def node_set(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
-    """``nodes`` as sorted distinct int64 ids, validated against ``0..n-1``.
-
-    The one validator of every node-set argument (``nodes``, ``touched``)
-    of the packed and sparse triangle-touching paths; the error names
-    ``name``.
-    """
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    if nodes.size and (nodes[0] < 0 or nodes[-1] >= num_nodes):
-        bad = int(nodes[0]) if nodes[0] < 0 else int(nodes[-1])
-        raise ValueError(f"{name} must be node ids in 0..{num_nodes - 1}; got {bad}")
+def node_ids(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
+    """``nodes`` as flat int64 ids in the given order, repeats kept — the one
+    validator of node-id arguments; an id outside ``0..n-1`` raises
+    :class:`ValueError` naming ``name``."""
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    out = (nodes < 0) | (nodes >= num_nodes)
+    if out.any():
+        raise ValueError(f"{name} must be node ids in 0..{num_nodes - 1}; got {int(nodes[out][0])}")
     return nodes
+
+
+def node_set(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
+    """``nodes`` as sorted distinct int64 ids (:func:`node_ids`)."""
+    return np.unique(node_ids(nodes, num_nodes, name))
 
 
 _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
@@ -435,8 +437,10 @@ class BitMatrix:
             return empty, empty
         return np.concatenate(us), np.concatenate(vs)
 
-    def triangles_per_node(self, edges: tuple | None = None) -> np.ndarray:
-        """Number of triangles incident to each node.
+    def triangles_per_node(
+        self, edges: tuple | None = None, nodes: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Number of triangles incident to each node, or to each of ``nodes``.
 
         Edge-gather formulation: for every edge ``{u, v}``,
         ``popcount(row_u & row_v)`` is the number of common neighbours —
@@ -447,8 +451,26 @@ class BitMatrix:
         per-node Python loop.  ``edges`` lets callers that already hold the
         decoded ``(rows, cols)`` arrays skip re-extracting them from the
         packed bits.
+
+        ``nodes`` (ids in any order, repeats kept) returns the counts at
+        ``nodes`` from their rows alone, ``tau_t = 1/2 sum_{j in N(t)}
+        popcount(row_t & row_j)``: one :func:`pair_popcounts` sweep over the
+        (target, neighbour) pairs of each block of target rows.
         """
         n = self.num_nodes
+        if nodes is not None:
+            nodes = node_ids(nodes, n)
+            counts = np.zeros(nodes.size, dtype=np.int64)
+            columns = np.ascontiguousarray(self.rows.T)
+            block = max(1, _CHUNK_WORDS // max(1, n))
+            for start in range(0, nodes.size, block):
+                ids = nodes[start : start + block]
+                local, neighbors = np.divmod(np.flatnonzero(_unpack_rows(self.rows[ids], n)), n)
+                pops = pair_popcounts(columns, ids[local], neighbors)
+                counts[start : start + ids.size] = np.bincount(
+                    local, weights=pops, minlength=ids.size
+                ).astype(np.int64) // 2
+            return counts
         if n == 0:
             return np.zeros(n, dtype=np.int64)
         if edges is None:
@@ -471,41 +493,21 @@ class BitMatrix:
         attack override: instead of re-packing all ``E`` edges, the before
         matrix's rows are copied once (a flat memcpy) and only the changed
         pairs — a ``~beta`` fraction under the paper's threat model — are
-        toggled, in both orientations.  Each edit set must be duplicate-free
-        (the callers pass decoded *net* added/removed pair codes, which are
-        sorted and unique by construction): the toggles accumulate through
-        :func:`accumulate_bits`, where a repeated pair would carry into the
-        neighbouring bit.
+        toggled, in both orientations.  Repeated edits are harmless.
         """
         flat_rows = self.rows.copy().reshape(-1)
-        drop_rows = np.asarray(drop_rows, dtype=np.int64)
-        add_rows = np.asarray(add_rows, dtype=np.int64)
-        if drop_rows.size:
-            self._toggle_bits(flat_rows, drop_rows, drop_cols, clear=True)
-        if add_rows.size:
-            self._toggle_bits(flat_rows, add_rows, add_cols, clear=False)
+        for rows, cols, clear in ((drop_rows, drop_cols, True), (add_rows, add_cols, False)):
+            rows = np.asarray(rows, dtype=np.int64)
+            cols = np.asarray(cols, dtype=np.int64)
+            # Both orientations, toggled by one unbuffered ufunc.at apiece.
+            sym_rows, sym_cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+            flat = sym_rows * self.num_words + (sym_cols >> 6)
+            bits = np.left_shift(np.uint64(1), (sym_cols & 63).astype(np.uint64))
+            if clear:
+                np.bitwise_and.at(flat_rows, flat, ~bits)
+            else:
+                np.bitwise_or.at(flat_rows, flat, bits)
         return BitMatrix(self.num_nodes, flat_rows.reshape(self.rows.shape))
-
-    def _toggle_bits(
-        self, flat_rows: np.ndarray, edit_rows: np.ndarray, edit_cols: np.ndarray,
-        clear: bool,
-    ) -> None:
-        """Set or clear the bits of duplicate-free edits, both orientations.
-
-        The touched flat word positions are compacted with ``np.unique`` so
-        the split-bincount accumulator builds an edit-sized mask instead of a
-        matrix-sized one, then applied with one fancy OR / AND-NOT store.
-        """
-        edit_cols = np.asarray(edit_cols, dtype=np.int64)
-        sym_r = np.concatenate([edit_rows, edit_cols])
-        sym_c = np.concatenate([edit_cols, edit_rows])
-        flat = sym_r * self.num_words + (sym_c >> 6)
-        unique, inverse = np.unique(flat, return_inverse=True)
-        mask = accumulate_bits(inverse, sym_c & 63, unique.size)
-        if clear:
-            flat_rows[unique] &= ~mask
-        else:
-            flat_rows[unique] |= mask
 
     def triangles_touching(self, nodes: np.ndarray) -> np.ndarray:
         """Per-node count of triangles with at least one vertex in ``nodes``.

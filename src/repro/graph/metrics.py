@@ -8,12 +8,12 @@ and Newman modularity.  All operate on :class:`repro.graph.Graph`.
 
 from __future__ import annotations
 
-from typing import MutableMapping, Optional, Sequence
+from typing import MutableMapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import BitMatrix, node_set, should_use_packed, triangle_backend
+from repro.graph.bitmatrix import BitMatrix, node_ids, node_set, should_use_packed, triangle_backend
 from repro.graph.streaming import streaming_triangles_per_node
 from repro.telemetry.core import current_tracer
 from repro.utils.sparse import decode_pairs, pair_count
@@ -50,7 +50,7 @@ def degree_centrality(graph: Graph) -> np.ndarray:
     return graph.degrees().astype(np.float64) / (n - 1)
 
 
-def triangles_per_node(graph: Graph) -> np.ndarray:
+def triangles_per_node(graph: Graph, nodes: Optional[np.ndarray] = None) -> np.ndarray:
     """Number of triangles incident to each node (``tau_i`` in the paper).
 
     Cost-adaptive (:func:`repro.graph.bitmatrix.triangle_backend`): graphs
@@ -62,53 +62,72 @@ def triangles_per_node(graph: Graph) -> np.ndarray:
     (:func:`repro.graph.streaming.streaming_triangles_per_node`); the rest go
     via ``diag(A @ A @ A) / 2`` on scipy CSR matrices.  All three backends
     produce exact integer counts, so the dispatch never changes a result.
+
+    ``nodes`` (ids in any order, repeats kept) returns the counts at
+    ``nodes`` from their rows alone, traced as ``triangles.at_nodes``.
     """
-    return _dispatch_triangles(graph, None)
+    return triangles_per_node_cached(graph, {}, nodes)
 
 
-def _dispatch_triangles(graph: Graph, cache: Optional[MutableMapping]) -> np.ndarray:
+def _dispatch_triangles(
+    graph: Graph, cache: Optional[MutableMapping], nodes: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Count on :func:`triangle_backend`'s choice; a packed matrix is parked
     in ``cache`` (when given) under ``"bitmatrix"``."""
     backend = triangle_backend(graph)
     if backend == "packed":
-        return _triangles_packed(graph, cache)
-    if backend == "stream":
-        return streaming_triangles_per_node(graph)
-    return _triangles_sparse(graph)
+        return _triangles_packed(graph, cache, nodes)
+    if backend == "stream":  # no target restriction: sweep everything, then index
+        counts = streaming_triangles_per_node(graph)
+        return counts if nodes is None else counts[nodes]
+    return _triangles_sparse(graph, nodes)
 
 
-def _triangles_packed(graph: Graph, cache: Optional[MutableMapping] = None) -> np.ndarray:
+def _triangles_packed(
+    graph: Graph, cache: Optional[MutableMapping] = None, nodes: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Packed backend: edge-gather row-AND + popcount sweep."""
     edges = graph.edge_arrays()
     packed = BitMatrix.from_edge_arrays(graph.num_nodes, *edges)
     if cache is not None:
         cache["bitmatrix"] = packed
-    return packed.triangles_per_node(edges=edges)
+    return packed.triangles_per_node(edges=edges, nodes=nodes)
 
 
-def _triangles_sparse(graph: Graph) -> np.ndarray:
+def _triangles_sparse(graph: Graph, nodes: Optional[np.ndarray] = None) -> np.ndarray:
     """Sparse backend: each triangle at node *i* corresponds to two closed
     walks of length 3 (one per orientation)."""
     adjacency = graph.csr().astype(np.int64)
-    squared = adjacency @ adjacency
-    # diag(A @ A @ A)[i] = sum_j A[i, j] * (A @ A)[j, i]
-    closed_walks = np.asarray(adjacency.multiply(squared.T).sum(axis=1)).ravel()
+    rows = adjacency if nodes is None else adjacency[nodes]
+    # diag(A @ A @ A)[i] = sum_j A[i, j] * (A @ A)[i, j], A being symmetric
+    closed_walks = np.asarray(rows.multiply(rows @ adjacency).sum(axis=1)).ravel()
     return closed_walks // 2
 
 
-def triangles_per_node_cached(graph: Graph, cache: MutableMapping) -> np.ndarray:
-    """:func:`triangles_per_node` that parks its intermediates in ``cache``.
+def triangles_per_node_cached(
+    graph: Graph,
+    cache: MutableMapping,
+    nodes: Optional[np.ndarray] = None,
+    edits: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
+    """:func:`triangles_per_node` over the views of one paired run.
 
-    Paired before/after evaluation calls this on the shared honest graph:
-    the counts land under ``"triangles"`` and, on the packed path, the
-    :class:`BitMatrix` under ``"bitmatrix"`` — both reused verbatim by
-    :func:`triangles_per_node_incremental` so the honest graph is packed and
-    counted exactly once per paired run.
+    Every view passes the run's shared ``cache``.  The honest view
+    (``edits=None``) parks its packed :class:`BitMatrix` there under
+    ``"bitmatrix"``, so the plane is packed once per run.  An after view
+    passes its net ``edits = (added_codes, removed_codes)`` and is counted
+    on the parked plane patched by :meth:`BitMatrix.with_edits`.
     """
-    triangles = cache.get("triangles")
-    if triangles is None:
-        triangles = cache["triangles"] = _dispatch_triangles(graph, cache)
-    return triangles
+    if nodes is not None:
+        nodes = node_ids(nodes, graph.num_nodes)
+        current_tracer().counter("triangles.at_nodes")
+    packed = cache.get("bitmatrix")
+    if packed is None:
+        return _dispatch_triangles(graph, cache if edits is None else None, nodes)
+    if edits is not None:
+        n = graph.num_nodes
+        packed = packed.with_edits(*decode_pairs(edits[0], n), *decode_pairs(edits[1], n))
+    return packed.triangles_per_node(nodes=nodes)
 
 
 def triangles_touching(graph: Graph, nodes: np.ndarray) -> np.ndarray:
@@ -222,15 +241,18 @@ def triangles_per_node_incremental(
     )
 
 
-def local_clustering_coefficients(graph: Graph) -> np.ndarray:
-    """Local clustering coefficient ``cc_i = 2 tau_i / (d_i (d_i - 1))``.
+def local_clustering_coefficients(graph: Graph, nodes: Optional[np.ndarray] = None) -> np.ndarray:
+    """Local clustering coefficient ``cc_i = 2 tau_i / (d_i (d_i - 1))``, at
+    ``nodes`` as in :func:`triangles_per_node`.
 
     Nodes with degree < 2 have coefficient 0 by convention.
     """
+    triangles = triangles_per_node(graph, nodes).astype(np.float64)
     degrees = graph.degrees().astype(np.float64)
-    triangles = triangles_per_node(graph).astype(np.float64)
+    if nodes is not None:
+        degrees = degrees[nodes]
     denominator = degrees * (degrees - 1.0)
-    coefficients = np.zeros(graph.num_nodes, dtype=np.float64)
+    coefficients = np.zeros(triangles.size, dtype=np.float64)
     valid = denominator > 0
     coefficients[valid] = 2.0 * triangles[valid] / denominator[valid]
     return coefficients

@@ -19,12 +19,12 @@ state once and manufactures after-views by applying overrides to that shared
 state; the result is bit-identical to two ``collect`` calls with the same
 seed by construction.  After-views of pair-level protocols additionally carry
 a :class:`PairedBaseline` naming the honest reports, the touched rows and the
-net edge changes, which lets estimators update the honest estimates
-incrementally instead of recomputing from scratch (see
-``repro.graph.metrics.triangles_per_node_incremental``).  The honest
-intermediates those updates start from (packed matrix, triangle and
-intra-community counts) are computed lazily, once per run, into the
-baseline's shared ``cache`` — the only place they are computed.
+net edge changes, from which estimators derive the after-view's packed
+plane and intra-community counts instead of recomputing them (see
+``repro.graph.metrics.triangles_per_node_cached``).  The honest
+intermediates (packed matrix, intra-community counts) are computed lazily,
+once per run, into the baseline's shared ``cache`` — the only place they
+are computed.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.graph.adjacency import Graph
+from repro.graph.bitmatrix import node_set
 from repro.utils.rng import RngLike
 from repro.utils.sparse import (
     decode_pairs,
@@ -151,13 +152,14 @@ class CollectedReports:
         gone from ``perturbed_graph``).  Unlike ``overridden`` this is
         server-side knowledge: estimators must shrink the per-row bit count
         from ``N - 1`` to ``N - 1 - |excluded|`` and extrapolate, otherwise
-        every removal shifts all degree estimates downward.
+        every removal shifts all degree estimates downward.  Stored as
+        sorted distinct ids, validated against ``0..N-1``.
     baseline:
         Present only on the views of a paired run
         (:meth:`GraphLDPProtocol.collect_paired`): the shared honest state
-        and the localisation of this view's changes, enabling incremental
-        estimation.  Never part of equality or the server's knowledge model;
-        defenses drop it when they rebuild reports.
+        and the localisation of this view's changes, from which estimators
+        derive this view's intermediates.  Never part of equality or the
+        server's knowledge model; defenses drop it when they rebuild reports.
     """
 
     perturbed_graph: Graph
@@ -176,6 +178,7 @@ class CollectedReports:
                 f"({self.perturbed_graph.num_nodes},) — one report per user"
             )
         self.reported_degrees = degrees
+        self.excluded = node_set(self.excluded, self.perturbed_graph.num_nodes, "excluded")
 
     @property
     def num_nodes(self) -> int:
@@ -226,8 +229,10 @@ class GraphLDPProtocol(abc.ABC):
         """Per-node degree-centrality estimates (Eq. 8 on estimated degrees)."""
 
     @abc.abstractmethod
-    def estimate_clustering_coefficient(self, reports: CollectedReports) -> np.ndarray:
-        """Per-node clustering-coefficient estimates (Eqs. 15–17)."""
+    def estimate_clustering_coefficient(
+        self, reports: CollectedReports, nodes: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Clustering-coefficient estimates (Eqs. 15–17) at ``nodes`` (all: ``None``)."""
 
     @abc.abstractmethod
     def estimate_modularity(self, reports: CollectedReports, labels: np.ndarray) -> float:
@@ -270,7 +275,7 @@ def apply_overrides_tracked(
     Returns ``(graph, overridden, added_codes, removed_codes)`` where the
     code arrays are the sorted pair codes present only in the result /
     only in ``perturbed``.  Both are incident to ``overridden`` by
-    construction — the localisation guarantee incremental estimators need.
+    construction — the localisation guarantee paired estimators need.
     """
     if not overrides:
         empty = np.empty(0, dtype=np.int64)
@@ -403,10 +408,10 @@ class SharedGraphPairedCollection(PairedCollection):
     that state and the overrides (:func:`apply_overrides` +
     :func:`apply_degree_overrides`).  Every view carries a
     :class:`PairedBaseline`, so estimators can reuse honest intermediates
-    and update them incrementally; the after-graph's degree array is seeded
-    from the honest degrees plus the net edge changes (exact integers, so
-    downstream estimates stay bit-identical while skipping the O(E)
-    recount).
+    and patch them with the view's net edits; the after-graph's degree
+    array is seeded from the honest degrees plus the net edge changes
+    (exact integers, so downstream estimates stay bit-identical while
+    skipping the O(E) recount).
     """
 
     def __init__(self, honest: CollectedReports):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
+from repro.graph.bitmatrix import node_ids
 from repro.graph.metrics import edge_density, triangles_per_node
 from repro.graph.streaming import streaming_intra_community_edges
 from repro.ldp.mechanisms import calibrate_bit_counts, rr_keep_probability
@@ -128,6 +129,7 @@ def estimate_clustering_coefficients(
     perturbed: Graph,
     epsilon: float,
     observed_triangles: np.ndarray | None = None,
+    nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Clustering-coefficient estimates from the perturbed graph (Eq. 15).
 
@@ -139,22 +141,24 @@ def estimate_clustering_coefficients(
     Estimates are not clamped to [0, 1]; at low epsilon they leave the unit
     interval.
 
-    ``observed_triangles`` optionally supplies the per-node triangle counts
-    of ``perturbed`` (exact integers), skipping the dominant
-    :func:`triangles_per_node` pass — the hook paired incremental
-    evaluation uses.  The counts must equal what a recount would produce;
-    every downstream float operation is then identical.
+    ``nodes`` (ids in any order, repeats kept; ``None`` = every node)
+    returns the full vector's floats at ``nodes``, counting only their
+    triangles: Eq. (16) reads a node's own ``tau~`` and ``d~`` and the
+    global ``theta~``.  ``observed_triangles`` optionally supplies those
+    counts (exact integers), skipping the dominant
+    :func:`triangles_per_node` pass — the paired-run hook.
     """
-    if observed_triangles is None:
-        observed_triangles = triangles_per_node(perturbed)
-    observed = np.asarray(observed_triangles).astype(np.float64)
     degrees = perturbed.degrees().astype(np.float64)
+    degrees = degrees if nodes is None else degrees[node_ids(nodes, perturbed.num_nodes)]
+    if observed_triangles is None:
+        observed_triangles = triangles_per_node(perturbed, nodes)
+    observed = np.asarray(observed_triangles).astype(np.float64)
     density = edge_density(perturbed)
     corrected = triangle_calibration(
         observed, degrees, perturbed.num_nodes, epsilon, density
     )
     denominator = degrees * (degrees - 1.0)
-    estimates = np.zeros(perturbed.num_nodes, dtype=np.float64)
+    estimates = np.zeros(degrees.size, dtype=np.float64)
     valid = denominator > 0
     estimates[valid] = 2.0 * corrected[valid] / denominator[valid]
     return estimates
@@ -176,7 +180,7 @@ def estimate_modularity(
     :func:`degrees_from_perturbed_graph`.
     ``labels`` holds one non-negative integer community id per node
     (:func:`repro.utils.validation.check_labels`).  ``observed_intra``
-    optionally supplies the exact intra counts (the paired incremental hook,
+    optionally supplies the exact intra counts (the paired-run hook,
     mirroring ``observed_triangles`` above); otherwise they are counted by
     :func:`repro.graph.streaming.streaming_intra_community_edges`.
     """

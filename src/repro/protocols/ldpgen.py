@@ -195,7 +195,7 @@ class LDPGenProtocol(GraphLDPProtocol):
         overridden phase-1 vectors, phase-2 counting, synthetic generation)
         still reruns per view, because overrides can re-cluster users and
         thereby change the synthetic graph globally: after-views are
-        therefore *not* localisable and carry no incremental baseline.
+        therefore *not* localisable and carry no paired baseline.
         """
         return _LDPGenPairedCollection(self, graph, rng)
 
@@ -316,9 +316,12 @@ class LDPGenProtocol(GraphLDPProtocol):
             return np.zeros(n, dtype=np.float64)
         return reports.perturbed_graph.degrees().astype(np.float64) / (n - 1)
 
-    def estimate_clustering_coefficient(self, reports: CollectedReports) -> np.ndarray:
-        """Exact local clustering coefficients of the synthetic graph."""
-        return local_clustering_coefficients(reports.perturbed_graph)
+    def estimate_clustering_coefficient(
+        self, reports: CollectedReports, nodes: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Exact local clustering coefficients of the synthetic graph, of
+        every node or of each of ``nodes``."""
+        return local_clustering_coefficients(reports.perturbed_graph, nodes)
 
     def estimate_modularity(self, reports: CollectedReports, labels: np.ndarray) -> float:
         """Exact modularity of the synthetic graph under ``labels``."""

@@ -27,13 +27,12 @@ from typing import Iterator, List, Sequence
 import numpy as np
 
 from repro.graph.adjacency import Graph
-# Unused here: perfbench/layers.py patches ``lfgdpr.should_use_packed`` by name.
+from repro.graph.bitmatrix import node_ids
+# Unused here: perfbench/layers.py patches ``lfgdpr.should_use_packed`` and
+# ``lfgdpr.triangles_per_node_incremental`` by name.
 from repro.graph.bitmatrix import should_use_packed  # noqa: F401
-from repro.graph.metrics import (
-    should_use_incremental,
-    triangles_per_node_cached,
-    triangles_per_node_incremental,
-)
+from repro.graph.metrics import should_use_incremental, triangles_per_node_cached
+from repro.graph.metrics import triangles_per_node_incremental  # noqa: F401
 from repro.graph.streaming import iter_packed_row_blocks, streaming_intra_community_edges
 from repro.ldp.budget import BudgetAllocation, split_budget
 from repro.ldp.mechanisms import perturb_degree
@@ -240,29 +239,34 @@ class LFGDPRProtocol(GraphLDPProtocol):
             return np.zeros(n, dtype=np.float64)
         return self.estimate_degrees(reports) / (n - 1)
 
-    def estimate_clustering_coefficient(self, reports: CollectedReports) -> np.ndarray:
-        """Clustering-coefficient estimates via the triangle calibration.
+    def estimate_clustering_coefficient(
+        self, reports: CollectedReports, nodes: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Clustering-coefficient estimates via the triangle calibration, at
+        ``nodes`` or at every node (``None``).
 
         When a defense excluded users, estimation runs on the induced
         subgraph of the remaining users (with its own N and edge density) —
         treating removed rows as all-zero bits of the full graph would bias
         every correction term of Eq. 16.  Excluded users estimate to 0.
         """
-        excluded = np.asarray(reports.excluded, dtype=np.int64)
-        if excluded.size == 0:
+        if reports.excluded.size == 0:
             return estimate_clustering_coefficients(
                 reports.perturbed_graph,
                 reports.adjacency_epsilon,
-                observed_triangles=self._paired_triangles(reports),
+                observed_triangles=self._paired_triangles(reports, nodes),
+                nodes=nodes,
             )
         n = reports.num_nodes
-        kept = np.setdiff1d(np.arange(n), excluded)
-        subgraph = reports.perturbed_graph.subgraph(kept)
-        sub_estimates = estimate_clustering_coefficients(
-            subgraph, reports.adjacency_epsilon
+        kept = np.setdiff1d(np.arange(n), reports.excluded)
+        local = np.full(n, -1, dtype=np.int64)  # subgraph id; -1 = excluded
+        local[kept] = np.arange(kept.size)
+        at = local if nodes is None else local[node_ids(nodes, n)]
+        estimates = np.zeros(at.size, dtype=np.float64)
+        estimates[at >= 0] = estimate_clustering_coefficients(
+            reports.perturbed_graph.subgraph(kept), reports.adjacency_epsilon,
+            nodes=None if nodes is None else at[at >= 0],
         )
-        estimates = np.zeros(n, dtype=np.float64)
-        estimates[kept] = sub_estimates
         return estimates
 
     def estimate_modularity(self, reports: CollectedReports, labels: np.ndarray) -> float:
@@ -276,37 +280,26 @@ class LFGDPRProtocol(GraphLDPProtocol):
         )
 
     # ------------------------------------------------------------------
-    # Incremental paired-run estimation
+    # Paired-run estimation
     # ------------------------------------------------------------------
-    def _paired_triangles(self, reports: CollectedReports) -> np.ndarray | None:
-        """Perturbed-graph triangle counts via the paired baseline, if any.
-
-        Honest view: computed once and cached on the shared run.  After
-        view: the honest counts are updated over the touched rows only
-        (exact integers, bit-identical to a full recount — see
-        :func:`repro.graph.metrics.triangles_per_node_incremental`), falling
-        back to a full recount past
-        :data:`~repro.graph.metrics.DELTA_THRESHOLD`.  Returns
-        ``None`` when the reports carry no usable baseline, letting the
-        caller recompute from scratch.
+    def _paired_triangles(
+        self, reports: CollectedReports, nodes: np.ndarray | None
+    ) -> np.ndarray | None:
+        """Perturbed-graph triangle counts at ``nodes`` (all when ``None``)
+        through the paired run's cache: the honest plane is packed once and
+        an after-view counted on it patched with the view's net edits
+        (:func:`repro.graph.metrics.triangles_per_node_cached`).  ``None``
+        when the reports carry no usable baseline.
         """
         base = reports.baseline
         if base is None:
             return None
-        honest_graph = base.honest.perturbed_graph
-        if reports is base.honest:
-            return triangles_per_node_cached(honest_graph, base.cache)
-        if base.touched is None:
-            return None
-        return triangles_per_node_incremental(
-            honest_graph,
-            reports.perturbed_graph,
-            base.touched,
-            triangles_per_node_cached(honest_graph, base.cache),
-            cache=base.cache,
-            added_codes=base.added_codes,
-            removed_codes=base.removed_codes,
-        )
+        edits = None
+        if reports is not base.honest:
+            if base.added_codes is None or base.removed_codes is None:
+                return None
+            edits = (base.added_codes, base.removed_codes)
+        return triangles_per_node_cached(reports.perturbed_graph, base.cache, nodes, edits)
 
     def _paired_intra(self, reports: CollectedReports, labels: np.ndarray) -> np.ndarray | None:
         """Observed intra-community edge counts via the paired baseline.

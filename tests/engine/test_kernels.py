@@ -266,8 +266,11 @@ class TestHonestPlanePackedOnce:
                 graph, LFGDPRProtocol(epsilon=2.0), ClusteringMGA(), threat,
                 metric="clustering_coefficient", rng=5,
             )
-        # The after-view patches the honest plane's rows instead of packing.
-        assert tracer.counters.get("delta.incremental") == 1
+        # Both views count at the targets only; the after-view patches the
+        # honest plane's rows instead of packing, and no delta path runs.
+        assert tracer.counters.get("triangles.at_nodes") == 2
+        assert tracer.counters.get("backend.packed") == 1
+        assert not any(name.startswith("delta.") for name in tracer.counters)
         assert packs["pack"] == 1
 
     @pytest.mark.parametrize("trials", [3, 1])
@@ -286,5 +289,6 @@ class TestHonestPlanePackedOnce:
         tasks = make_tasks(graph, "clustering_coefficient", "clustering/mga", 3)
         with use_tracer(Tracer()) as tracer:
             execute_tasks_grouped(tasks, graph)
-        assert tracer.counters.get("delta.incremental") == 3
+        assert tracer.counters.get("triangles.at_nodes") == 6
+        assert not any(name.startswith("delta.") for name in tracer.counters)
         assert packs["pack"] == 3

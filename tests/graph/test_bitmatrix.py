@@ -177,9 +177,9 @@ class TestDispatch:
             calls["packed"] += 1
             return real_packed(graph, *args)
 
-        def sparse(graph):
+        def sparse(graph, *args):
             calls["sparse"] += 1
-            return real_sparse(graph)
+            return real_sparse(graph, *args)
 
         monkeypatch.setattr(metrics, "_triangles_packed", packed)
         monkeypatch.setattr(metrics, "_triangles_sparse", sparse)

@@ -252,8 +252,9 @@ class TestCachedCounts:
         assert ran == {"packed": 1}
         assert np.array_equal(first, triangles_per_node(graph))
         assert isinstance(cache.get("bitmatrix"), BitMatrix)
-        assert triangles_per_node_cached(graph, cache) is first
-        assert ran == {"packed": 2}  # the reuse counted nothing
+        # The reuse counts on the parked plane: no new pack or dispatch.
+        assert np.array_equal(triangles_per_node_cached(graph, cache), first)
+        assert ran == {"packed": 2}
 
 
 class TestWithEdits:
@@ -278,3 +279,13 @@ class TestWithEdits:
         packed = BitMatrix.from_graph(graph)
         empty = np.empty(0, dtype=np.int64)
         assert np.array_equal(packed.with_edits(empty, empty, empty, empty).rows, packed.rows)
+
+    def test_repeated_edits_apply_once(self):
+        """A pair listed twice toggles its bit once; the neighbouring bits of
+        the same word are untouched."""
+        graph = Graph(70, [(0, 1), (0, 3), (2, 65)])
+        packed = BitMatrix.from_graph(graph)
+        twice = np.array([0, 0])
+        patched = packed.with_edits(twice, np.array([2, 2]), twice, np.array([1, 1]))
+        expected = BitMatrix.from_graph(Graph(70, [(0, 2), (0, 3), (2, 65)]))
+        assert np.array_equal(patched.rows, expected.rows)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph.adjacency import Graph
 from repro.protocols.base import (
+    CollectedReports,
     FakeReport,
     GraphLDPProtocol,
     apply_degree_overrides,
@@ -120,3 +121,37 @@ class TestProtocolInterface:
 
         with pytest.raises(TypeError, match="collect_paired"):
             CollectOnly()
+
+
+class TestExcludedValidation:
+    """``CollectedReports.excluded`` is a validated set of node ids, so every
+    estimator reads the same removed users."""
+
+    @staticmethod
+    def reports(perturbed, excluded):
+        return CollectedReports(
+            perturbed_graph=perturbed,
+            reported_degrees=np.zeros(perturbed.num_nodes),
+            adjacency_epsilon=2.0,
+            degree_epsilon=2.0,
+            excluded=excluded,
+        )
+
+    @pytest.mark.parametrize("bad", [6, 7, -1])
+    def test_out_of_range_ids_raise_naming_excluded(self, perturbed, bad):
+        with pytest.raises(ValueError, match="excluded must be node ids in 0..5"):
+            self.reports(perturbed, [1, bad])
+
+    def test_normalised_to_sorted_distinct_ids(self, perturbed):
+        reports = self.reports(perturbed, [4, 1, 4, 1])
+        assert reports.excluded.dtype == np.int64
+        assert reports.excluded.tolist() == [1, 4]
+        assert self.reports(perturbed, []).excluded.tolist() == []
+
+    def test_repeated_ids_do_not_change_degree_estimates(self, perturbed):
+        from repro.protocols.lfgdpr import LFGDPRProtocol
+
+        protocol = LFGDPRProtocol(epsilon=4.0)
+        once = protocol.estimate_degrees(self.reports(perturbed, [1]))
+        twice = protocol.estimate_degrees(self.reports(perturbed, [1, 1]))
+        assert np.array_equal(twice, once)

@@ -9,6 +9,7 @@ from repro.graph.metrics import (
     local_clustering_coefficients,
     modularity_from_labels,
 )
+from repro.defenses.base import remove_flagged_pairs
 from repro.protocols.base import FakeReport
 from repro.protocols.lfgdpr import LFGDPRProtocol
 
@@ -100,6 +101,50 @@ class TestClusteringEstimation:
         estimates = protocol.estimate_clustering_coefficient(reports)
         truth = local_clustering_coefficients(graph)
         assert np.abs(estimates - truth).mean() < 0.02
+
+
+class TestClusteringAtNodes:
+    """``estimate_clustering_coefficient(reports, nodes)`` is the full vector
+    indexed by ``nodes``, float for float, on every kind of view."""
+
+    NODES = np.array([17, 3, 17, 299, 0, 3])
+
+    def views(self, graph):
+        protocol = LFGDPRProtocol(epsilon=2.0)
+        overrides = {
+            5: FakeReport(claimed_neighbors=[3, 17, 40, 41], reported_degree=4.0),
+            9: FakeReport(claimed_neighbors=[0, 1], reported_degree=2.0),
+        }
+        run = protocol.collect_paired(graph, 7)
+        after = run.after(overrides)
+        return protocol, {
+            "collect": protocol.collect(graph, 7),
+            "paired-before": run.before,
+            "paired-after": after,
+            "defended": remove_flagged_pairs(after, np.array([3, 5])),
+        }
+
+    @pytest.mark.parametrize(
+        "view", ["collect", "paired-before", "paired-after", "defended"]
+    )
+    def test_equals_full_vector_indexed(self, graph, view):
+        protocol, views = self.views(graph)
+        reports = views[view]
+        at_nodes = protocol.estimate_clustering_coefficient(reports, self.NODES)
+        full = protocol.estimate_clustering_coefficient(reports)
+        assert np.array_equal(at_nodes, full[self.NODES])
+
+    def test_excluded_targets_estimate_to_zero(self, graph):
+        protocol, views = self.views(graph)
+        estimates = protocol.estimate_clustering_coefficient(views["defended"], self.NODES)
+        assert estimates[self.NODES == 3].tolist() == [0.0, 0.0]
+
+    def test_empty_and_out_of_range_nodes(self, graph):
+        protocol, views = self.views(graph)
+        for reports in views.values():
+            assert protocol.estimate_clustering_coefficient(reports, []).shape == (0,)
+            with pytest.raises(ValueError, match="nodes"):
+                protocol.estimate_clustering_coefficient(reports, [graph.num_nodes])
 
 
 class TestModularityEstimation:
