@@ -36,20 +36,26 @@ def test_scenario_sweep(benchmark, name):
 
 
 def test_fig9_counts_triangles_at_targets(monkeypatch):
-    """The fig09 workload counts clustering triangles at the targets only.
+    """The fig09 workload counts clustering triangles at the targets only,
+    and each paired run holds only the honest plane and the attacker's edit.
 
     Runs the fig9 scenario through the shared-collection pipeline and
     asserts that both views of every task took the target-restricted count
     (``triangles.at_nodes`` on the trace), that no full triangle sweep ran
-    on any backend and that no incremental after-view (``delta.*``) fired;
-    the wall clock is recorded.  Forces ``jobs=1``: the tracer's counters
-    and the sweep spies are process-local and would stay zero if trials ran
-    in pool workers.
+    on any backend, that no incremental after-view (``delta.*``) fired and
+    that no after-view graph was built (``overrides.materialized``); the
+    wall clock is recorded.  The run goes under ``gc.DEBUG_SAVEALL``, so a
+    reference cycle through a run's reports would stay in ``gc.garbage``
+    after the final collection instead of being freed.  Forces ``jobs=1``:
+    the tracer's counters and the sweep spies are process-local and would
+    stay zero if trials ran in pool workers.
     """
+    import gc
     import time
     from collections import Counter
 
     from repro.graph import bitmatrix, metrics
+    from repro.protocols.base import CollectedReports, SharedGraphPairedCollection
     from repro.telemetry.core import Tracer, use_tracer
 
     full_sweeps = Counter()
@@ -71,11 +77,24 @@ def test_fig9_counts_triangles_at_targets(monkeypatch):
     spec = get_scenario("fig9")
     config = bench_config(spec.dataset, jobs=1)
 
-    with use_tracer(Tracer()) as tracer:
-        start = time.perf_counter()
-        run_scenario(spec, config)
-        seconds = time.perf_counter() - start
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with use_tracer(Tracer()) as tracer:
+            start = time.perf_counter()
+            run_scenario(spec, config)
+            seconds = time.perf_counter() - start
+        gc.collect()
+        cyclic = [
+            type(item).__name__
+            for item in gc.garbage
+            if isinstance(item, (CollectedReports, SharedGraphPairedCollection))
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
     tasks = tracer.counters.get("kernel.batched", 0)
+    materialized = tracer.counters.get("overrides.materialized", 0)
     at_nodes = tracer.counters.get("triangles.at_nodes", 0)
     delta = {name: count for name, count in tracer.counters.items() if name.startswith("delta.")}
 
@@ -84,11 +103,14 @@ def test_fig9_counts_triangles_at_targets(monkeypatch):
         "fig9_target_counts",
         f"fig09 workload ({spec.dataset}): {seconds:.2f}s\n"
         f"target counts: {at_nodes} for {tasks} tasks; full sweeps: {dict(full_sweeps)}; "
-        f"delta counters: {delta}",
+        f"delta counters: {delta}; after-views built: {materialized}; "
+        f"runs left to the cyclic collector: {len(cyclic)}",
     )
     assert tasks > 0 and at_nodes == 2 * tasks, "a view skipped the target-restricted count"
     assert sum(full_sweeps.values()) == 0, f"full triangle sweeps ran: {dict(full_sweeps)}"
     assert not delta, f"the incremental after-view ran: {delta}"
+    assert materialized == 0, f"{materialized} after-view graphs were built"
+    assert not cyclic, f"paired runs in reference cycles: {sorted(set(cyclic))}"
 
 
 def test_scenario_compile_overhead(benchmark):

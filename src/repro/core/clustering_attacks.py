@@ -21,6 +21,7 @@ from repro.graph.adjacency import Graph
 from repro.ldp.mechanisms import perturb_degree
 from repro.protocols.base import FakeReport
 from repro.utils.rng import RngLike
+from repro.utils.sparse import sorted_union
 
 
 class ClusteringRVA(DegreeRVA):
@@ -99,8 +100,8 @@ class ClusteringMGA(Attack):
                     if shared_count >= threat.num_targets
                     else generator.choice(threat.targets, size=shared_count, replace=False)
                 )
-                claims[first] = np.union1d([second], shared)
-                claims[second] = np.union1d([first], shared)
+                claims[first] = sorted_union([second], shared)
+                claims[second] = sorted_union([first], shared)
             for fake in leftover.tolist():
                 claims[fake] = self._targets_only(threat, budget, generator)
         else:

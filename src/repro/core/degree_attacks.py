@@ -25,6 +25,7 @@ from repro.graph.adjacency import Graph
 from repro.ldp.mechanisms import rr_keep_probability
 from repro.protocols.base import FakeReport
 from repro.utils.rng import RngLike
+from repro.utils.sparse import merge_sorted_disjoint, sorted_union
 
 
 class DegreeRVA(Attack):
@@ -52,7 +53,8 @@ class DegreeRVA(Attack):
             organic = graph.neighbors(fake)
             extra = max(0, budget - organic.size)
             new = random_new_neighbors(fake, organic, extra, threat.num_nodes, generator)
-            claimed = np.union1d(organic, new)
+            # ``new`` excludes the organic neighbours: a disjoint merge.
+            claimed = merge_sorted_disjoint(organic, new)
             reported = float(generator.integers(0, knowledge.degree_domain))
             overrides[fake] = FakeReport(claimed_neighbors=claimed, reported_degree=reported)
         return overrides
@@ -155,7 +157,7 @@ class DegreeMGA(Attack):
             else:
                 chosen = generator.choice(threat.targets, size=per_fake, replace=False)
             claimed = (
-                np.union1d(graph.neighbors(fake), chosen)
+                sorted_union(graph.neighbors(fake), chosen)
                 if self.keep_organic_edges
                 else np.sort(np.asarray(chosen, dtype=np.int64))
             )
@@ -167,7 +169,8 @@ class DegreeMGA(Attack):
                     threat.num_nodes,
                     generator,
                 )
-                claimed = np.union1d(claimed, padding)
+                # ``padding`` excludes the claims already made: a disjoint merge.
+                claimed = merge_sorted_disjoint(claimed, padding)
             overrides[fake] = FakeReport(
                 claimed_neighbors=claimed,
                 reported_degree=self._degree_report(claimed.size, knowledge),

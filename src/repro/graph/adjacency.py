@@ -12,18 +12,21 @@ sort; dense perturbed graphs route their triangle counting through the
 bit-packed backend in :mod:`repro.graph.bitmatrix`.
 
 Graphs are value-style objects: mutating operations return new graphs.  This
-keeps before/after attack comparisons safe by construction.
+keeps before/after attack comparisons safe by construction.  A graph may also
+be *deferred* (:meth:`Graph._deferred`): it knows its edge count up front and
+builds its codes on the first read, so an attacked after-view that no reader
+opens costs only its net edits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from repro.utils.sparse import decode_pairs, encode_pairs, pair_count
-from repro.utils.validation import check_non_negative
+from repro.utils.validation import check_non_negative, node_ids
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -93,7 +96,7 @@ class Graph:
     False
     """
 
-    __slots__ = ("_num_nodes", "_codes", "_indptr", "_indices", "_degrees")
+    __slots__ = ("_num_nodes", "_stored_codes", "_pending", "_indptr", "_indices", "_degrees")
 
     def __init__(self, num_nodes: int, edges: Iterable[Tuple[int, int]] = ()):
         check_non_negative(num_nodes, "num_nodes")
@@ -107,8 +110,8 @@ class Graph:
             if edge_array.ndim != 2 or edge_array.shape[1] != 2:
                 raise ValueError("edges must be an iterable of (u, v) pairs")
             codes = np.unique(encode_pairs(edge_array[:, 0], edge_array[:, 1], self._num_nodes))
-        self._codes = codes
-        self._indptr = self._indices = self._degrees = None
+        self._stored_codes = codes
+        self._pending = self._indptr = self._indices = self._degrees = None
 
     @classmethod
     def from_codes(
@@ -139,7 +142,28 @@ class Graph:
                 codes.flags.writeable = False
             if codes[0] < 0 or codes[-1] >= pair_count(num_nodes):
                 raise ValueError("edge code out of range for num_nodes")
-        graph._codes = codes
+        graph._stored_codes = codes
+        graph._pending = graph._indptr = graph._indices = graph._degrees = None
+        return graph
+
+    @classmethod
+    def _deferred(
+        cls, num_nodes: int, num_edges: int, build: Callable[[], np.ndarray]
+    ) -> "Graph":
+        """A graph of ``num_edges`` edges whose codes ``build()`` returns on
+        the first read.
+
+        Trusted-caller API, like :meth:`_seed_degrees`: ``build`` must return
+        a fresh int64 array of ``num_edges`` sorted unique in-range codes,
+        which is adopted and frozen.  Everything that reads the codes —
+        edge arrays, CSR, equality, hashing, pickling, shared-memory export
+        — builds them once; :attr:`num_edges`, :attr:`num_nodes` and seeded
+        degrees do not.
+        """
+        graph = cls.__new__(cls)
+        graph._num_nodes = int(num_nodes)
+        graph._stored_codes = None
+        graph._pending = (int(num_edges), build)
         graph._indptr = graph._indices = graph._degrees = None
         return graph
 
@@ -172,7 +196,19 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
-        return int(self._codes.size)
+        if self._pending is not None:
+            return self._pending[0]
+        return int(self._stored_codes.size)
+
+    @property
+    def _codes(self) -> np.ndarray:
+        """The sorted edge codes; a deferred graph builds them here, once."""
+        if self._pending is not None:
+            codes = self._pending[1]()
+            codes.flags.writeable = False
+            self._stored_codes = codes
+            self._pending = None
+        return self._stored_codes
 
     @property
     def edge_codes(self) -> np.ndarray:
@@ -301,8 +337,8 @@ class Graph:
             codes = np.empty(0, dtype=np.int64)  # no pointer into the segment
         graph = cls.__new__(cls)
         graph._num_nodes = int(handle.num_nodes)
-        graph._codes = codes
-        graph._indptr = graph._indices = graph._degrees = None
+        graph._stored_codes = codes
+        graph._pending = graph._indptr = graph._indices = graph._degrees = None
         return graph, segment
 
     def csr(self) -> sp.csr_matrix:
@@ -339,8 +375,12 @@ class Graph:
         return Graph.from_codes(self._num_nodes, kept, assume_sorted_unique=True)
 
     def subgraph(self, nodes: Sequence[int]) -> "Graph":
-        """Induced subgraph on ``nodes`` (relabelled to 0..len(nodes)-1)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+        """Induced subgraph on ``nodes`` (relabelled to 0..len(nodes)-1).
+
+        ``nodes`` must be distinct ids in ``0..n-1``; anything else raises a
+        :class:`ValueError` naming ``nodes``.
+        """
+        nodes = node_ids(nodes, self._num_nodes)
         ascending = bool(np.all(nodes[1:] > nodes[:-1]))
         if not ascending and nodes.size != np.unique(nodes).size:
             raise ValueError("subgraph nodes must be unique")
@@ -397,6 +437,11 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self._num_nodes, self._codes.tobytes()))
+
+    def __getstate__(self):
+        """Slot state with the codes built: a deferred builder never travels."""
+        self._codes  # builds a deferred graph's codes
+        return None, {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self._num_nodes}, num_edges={self.num_edges})"

@@ -43,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from repro.telemetry.core import current_tracer
+from repro.utils.validation import node_ids
 
 #: Packed-vs-sparse crossover of :func:`triangle_backend`, in packed words
 #: per wedge: the packed sweep costs ``E ceil(n/64)`` word operations, the
@@ -119,17 +120,6 @@ def should_use_packed(graph) -> bool:
     """Whether ``graph``'s triangles are counted on the in-memory packed
     backend (:func:`triangle_backend` is ``"packed"``)."""
     return triangle_backend(graph) == "packed"
-
-
-def node_ids(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
-    """``nodes`` as flat int64 ids in the given order, repeats kept — the one
-    validator of node-id arguments; an id outside ``0..n-1`` raises
-    :class:`ValueError` naming ``name``."""
-    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    out = (nodes < 0) | (nodes >= num_nodes)
-    if out.any():
-        raise ValueError(f"{name} must be node ids in 0..{num_nodes - 1}; got {int(nodes[out][0])}")
-    return nodes
 
 
 def node_set(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:

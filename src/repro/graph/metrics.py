@@ -13,11 +13,11 @@ from typing import MutableMapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import BitMatrix, node_ids, node_set, should_use_packed, triangle_backend
+from repro.graph.bitmatrix import BitMatrix, node_set, should_use_packed, triangle_backend
 from repro.graph.streaming import streaming_triangles_per_node
 from repro.telemetry.core import current_tracer
 from repro.utils.sparse import decode_pairs, pair_count
-from repro.utils.validation import check_labels
+from repro.utils.validation import check_labels, node_ids
 
 #: Touched-row fraction above which incremental before/after estimation loses
 #: to a full recompute (the delta pass costs ~4x the touched fraction of a
@@ -87,7 +87,7 @@ def _triangles_packed(
     graph: Graph, cache: Optional[MutableMapping] = None, nodes: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Packed backend: edge-gather row-AND + popcount sweep."""
-    edges = graph.edge_arrays()
+    edges = graph.edge_arrays() if cache is None else paired_edge_arrays(graph, cache)
     packed = BitMatrix.from_edge_arrays(graph.num_nodes, *edges)
     if cache is not None:
         cache["bitmatrix"] = packed
@@ -102,6 +102,24 @@ def _triangles_sparse(graph: Graph, nodes: Optional[np.ndarray] = None) -> np.nd
     # diag(A @ A @ A)[i] = sum_j A[i, j] * (A @ A)[i, j], A being symmetric
     closed_walks = np.asarray(rows.multiply(rows @ adjacency).sum(axis=1)).ravel()
     return closed_walks // 2
+
+
+def paired_edge_arrays(graph: Graph, cache: MutableMapping) -> Tuple[np.ndarray, np.ndarray]:
+    """``graph.edge_arrays()``, decoded once into ``cache["edges"]``.
+
+    The one decode of a paired run's honest plane: override application,
+    the packed triangle sweep and the honest degrees all read it.  The
+    first call seeds ``graph``'s degrees from the same decode (the
+    bincounts :meth:`Graph.degrees` would take), so the plane is never
+    decoded a second time for them.
+    """
+    edges = cache.get("edges")
+    if edges is None:
+        rows, cols = edges = graph.edge_arrays()
+        n = graph.num_nodes
+        graph._seed_degrees(np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n))
+        cache["edges"] = edges
+    return edges
 
 
 def triangles_per_node_cached(

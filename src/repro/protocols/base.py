@@ -17,32 +17,46 @@ randomness is a pure function of the seed, a paired run never needs to *draw*
 it twice.  :meth:`GraphLDPProtocol.collect_paired` materialises the honest
 state once and manufactures after-views by applying overrides to that shared
 state; the result is bit-identical to two ``collect`` calls with the same
-seed by construction.  After-views of pair-level protocols additionally carry
-a :class:`PairedBaseline` naming the honest reports, the touched rows and the
-net edge changes, from which estimators derive the after-view's packed
-plane and intra-community counts instead of recomputing them (see
-``repro.graph.metrics.triangles_per_node_cached``).  The honest
-intermediates (packed matrix, intra-community counts) are computed lazily,
-once per run, into the baseline's shared ``cache`` — the only place they
-are computed.
+seed by construction.
+
+A paired run of a pair-level protocol holds the honest state plus the
+attacker's edit, nothing more:
+
+* an after-view's graph is the honest plane's *net edit*
+  (:func:`apply_overrides_tracked`): its edge count and degrees are known
+  at once, its codes are merged only when something reads them (a
+  defense, a subgraph, a sparse-backend count) and counted as
+  ``overrides.materialized`` on the current tracer;
+* every view carries a :class:`PairedBaseline` with the net edge changes,
+  from which estimators derive the after-view's packed plane and
+  intra-community counts instead of recomputing them (see
+  ``repro.graph.metrics.triangles_per_node_cached``);
+* the honest intermediates (the one decode of the honest plane, the packed
+  matrix, intra-community counts) are computed lazily, once per run, into
+  the baseline's shared ``cache`` — the only place they are computed;
+* no view refers back to itself, so a run is freed by reference counting
+  as soon as its views are dropped.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
 from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import node_set
+from repro.graph.metrics import paired_edge_arrays
+from repro.telemetry.core import current_tracer
 from repro.utils.rng import RngLike
 from repro.utils.sparse import (
     decode_pairs,
     encode_pairs,
     merge_sorted_disjoint,
     reject_members,
+    sorted_unique,
 )
 
 
@@ -70,7 +84,10 @@ class FakeReport:
     ----------
     claimed_neighbors:
         Replace mode: the full claimed bit vector.  Augment mode: extra
-        edges added on top of the honest report.
+        edges added on top of the honest report.  A 1-D array of integer
+        node ids (stored sorted and distinct); any other input raises a
+        :class:`ValueError` naming ``claimed_neighbors``, except that an
+        empty claim of any dtype is accepted.
     reported_degree:
         Replace mode: the degree value sent.  Ignored in augment mode.
     augment:
@@ -85,7 +102,21 @@ class FakeReport:
     degree_delta: float = 0.0
 
     def __post_init__(self):
-        neighbors = np.unique(np.asarray(self.claimed_neighbors, dtype=np.int64))
+        claims = np.asarray(self.claimed_neighbors)
+        if claims.size == 0:
+            neighbors = np.empty(0, dtype=np.int64)
+        elif claims.ndim != 1:
+            raise ValueError(
+                f"claimed_neighbors must be a 1-D array of node ids, got shape {claims.shape}"
+            )
+        elif claims.dtype.kind not in "iu":
+            raise ValueError(
+                f"claimed_neighbors must hold integer node ids, "
+                f"got {claims.dtype} value {claims[0]!r}"
+            )
+        else:
+            # astype copies, so the in-place sort never touches the caller's array.
+            neighbors = sorted_unique(claims.astype(np.int64))
         object.__setattr__(self, "claimed_neighbors", neighbors)
 
 
@@ -98,18 +129,22 @@ class PairedBaseline:
     """Link from a paired-run view to the shared honest collection.
 
     Attached to the :class:`CollectedReports` of a
-    :meth:`GraphLDPProtocol.collect_paired` run.  For the honest view itself
-    ``honest`` is the carrying reports object and ``touched`` is empty; for
-    an after-view ``touched`` names the rows the overrides may have changed.
-    Estimators treat this as an *optimisation hint only*: every quantity
-    derived through it must be bit-identical to a from-scratch computation
-    on the carrying reports, and ``touched=None`` (changes not localisable,
-    e.g. LDPGen's regenerated synthetic graph) mandates a full recompute.
+    :meth:`GraphLDPProtocol.collect_paired` run.  The honest view itself
+    carries ``honest=None`` (it *is* the honest state, and a link to itself
+    would make every run a reference cycle that only the cyclic garbage
+    collector frees) with empty ``touched`` and edits; an after-view names
+    the honest reports, and ``touched`` the rows the overrides may have
+    changed.  Estimators treat this as an *optimisation hint only*: every
+    quantity derived through it must be bit-identical to a from-scratch
+    computation on the carrying reports, and ``touched=None`` (changes not
+    localisable, e.g. LDPGen's regenerated synthetic graph) mandates a full
+    recompute.
 
     Attributes
     ----------
     honest:
-        The shared honest reports (the before-world view).
+        The shared honest reports (the before-world view); ``None`` on the
+        honest view itself.
     touched:
         Sorted ids of users whose adjacency rows may differ from the honest
         graph — a vertex cover of every changed pair.  ``None`` = unknown.
@@ -117,11 +152,13 @@ class PairedBaseline:
         Net sorted pair codes of edges present only in this view / only in
         the honest graph.  ``None`` when not tracked.
     cache:
-        Scratch shared by all views of one paired run (honest triangle
-        counts, the packed honest matrix, intra-community counts, ...).
+        Scratch shared by all views of one paired run: the decoded honest
+        plane (``"edges"``), the packed honest matrix (``"bitmatrix"``) and
+        intra-community counts (``"intra"``).  Never an after-view or its
+        graph, which would keep them alive as long as the run.
     """
 
-    honest: "CollectedReports"
+    honest: Optional["CollectedReports"]
     touched: Optional[np.ndarray]
     added_codes: Optional[np.ndarray] = None
     removed_codes: Optional[np.ndarray] = None
@@ -264,11 +301,11 @@ def _crafted_pair_codes(overrides: Overrides, num_nodes: int) -> np.ndarray:
             f"fake user {int(nodes[position])} claims out-of-range "
             f"neighbor {int(neighbors[position])}"
         )
-    return np.unique(encode_pairs(nodes, neighbors, num_nodes))
+    return sorted_unique(encode_pairs(nodes, neighbors, num_nodes))
 
 
 def apply_overrides_tracked(
-    perturbed: Graph, overrides: Overrides | None
+    perturbed: Graph, overrides: Overrides | None, cache: MutableMapping
 ) -> tuple[Graph, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`apply_overrides` that also reports the net edge changes.
 
@@ -276,6 +313,17 @@ def apply_overrides_tracked(
     code arrays are the sorted pair codes present only in the result /
     only in ``perturbed``.  Both are incident to ``overridden`` by
     construction — the localisation guarantee paired estimators need.
+
+    Only the net edit is computed: ``dropped`` (the honest pairs incident
+    to replaced users), ``added = crafted - honest`` and
+    ``removed = dropped - crafted``.  The result is a deferred graph
+    (:meth:`Graph._deferred`): its edge count and degrees (the honest
+    degrees plus the edit's bincounts) are set at once, and its codes,
+    ``(honest - removed) + added``, are merged on the first read and counted
+    as ``overrides.materialized`` on the tracer current at that read.
+    ``cache`` is the paired run's scratch, whose one decode of ``perturbed``
+    (:func:`repro.graph.metrics.paired_edge_arrays`) this reads; a fresh
+    ``{}`` keeps the decode local to the call.
     """
     if not overrides:
         empty = np.empty(0, dtype=np.int64)
@@ -291,24 +339,33 @@ def apply_overrides_tracked(
     )
     flags = np.zeros(n, dtype=bool)
     flags[replaced] = True
-    rows, cols = perturbed.edge_arrays()
-    keep = ~(flags[rows] | flags[cols])
-    # edge_arrays() is aligned with edge_codes, so the kept codes are already
-    # sorted and unique — no python-tuple round trip, no np.unique re-sort.
-    kept_codes = perturbed.edge_codes[keep]
-    dropped_codes = perturbed.edge_codes[~keep]
+    rows, cols = paired_edge_arrays(perturbed, cache)
+    honest_codes = perturbed.edge_codes
+    # The decode is aligned with the codes, so a mask keeps them sorted.
+    dropped = honest_codes[flags[rows] | flags[cols]]
 
     # Net changes: a crafted edge that coincides with a surviving RR pair is
     # no change at all, and one that re-creates a dropped pair cancels the
     # removal.  All code arrays are sorted and unique, so membership runs as
-    # binary search and the union as a disjoint merge — no hash-based
-    # np.unique/np.union1d pass over the near-dense kept set.
+    # binary search and the deferred union as a disjoint merge.
     crafted = _crafted_pair_codes(overrides, n)
-    merged = merge_sorted_disjoint(kept_codes, reject_members(crafted, kept_codes))
-    result = Graph.from_codes(n, merged, assume_sorted_unique=True)
-    added_codes = reject_members(crafted, perturbed.edge_codes)
-    removed_codes = reject_members(dropped_codes, crafted)
-    return result, overridden, added_codes, removed_codes
+    added = reject_members(crafted, honest_codes)
+    removed = reject_members(dropped, crafted)
+
+    def build() -> np.ndarray:
+        current_tracer().counter("overrides.materialized")
+        return merge_sorted_disjoint(reject_members(honest_codes, removed), added)
+
+    result = Graph._deferred(n, perturbed.num_edges - removed.size + added.size, build)
+    degrees = np.array(perturbed.degrees(), dtype=np.int64, copy=True)
+    for codes, sign in ((added, 1), (removed, -1)):
+        if codes.size:
+            edit_rows, edit_cols = decode_pairs(codes, n)
+            degrees += sign * (
+                np.bincount(edit_rows, minlength=n) + np.bincount(edit_cols, minlength=n)
+            )
+    result._seed_degrees(degrees)
+    return result, overridden, added, removed
 
 
 def apply_overrides(
@@ -326,9 +383,10 @@ def apply_overrides(
     a shared honest collection (:meth:`GraphLDPProtocol.collect_paired`)
     bit-identical to an independent re-collection under the same seed.
 
-    Returns the resulting graph and the sorted array of overridden ids.
+    Returns the resulting graph — deferred, see
+    :func:`apply_overrides_tracked` — and the sorted array of overridden ids.
     """
-    result, overridden, _, _ = apply_overrides_tracked(perturbed, overrides)
+    result, overridden, _, _ = apply_overrides_tracked(perturbed, overrides, {})
     return result, overridden
 
 
@@ -405,19 +463,22 @@ class SharedGraphPairedCollection(PairedCollection):
     The shape used by pair-level protocols (LF-GDPR): the honest randomness
     lives entirely in ``honest.perturbed_graph`` and
     ``honest.reported_degrees``, and an after-view is a pure function of
-    that state and the overrides (:func:`apply_overrides` +
+    that state and the overrides (:func:`apply_overrides_tracked` +
     :func:`apply_degree_overrides`).  Every view carries a
     :class:`PairedBaseline`, so estimators can reuse honest intermediates
-    and patch them with the view's net edits; the after-graph's degree
-    array is seeded from the honest degrees plus the net edge changes
-    (exact integers, so downstream estimates stay bit-identical while
-    skipping the O(E) recount).
+    and patch them with the view's net edits.  An after-view's graph is the
+    deferred net edit of the honest plane, with seeded degrees: undefended
+    estimators never build its codes.
+
+    The run holds the honest reports and the shared cache only — no
+    after-view, and no link from the honest view to itself — so it is
+    freed by reference counting once its views are dropped.
     """
 
     def __init__(self, honest: CollectedReports):
         self._cache: dict = {}
         honest.baseline = PairedBaseline(
-            honest=honest,
+            honest=None,
             touched=np.empty(0, dtype=np.int64),
             added_codes=np.empty(0, dtype=np.int64),
             removed_codes=np.empty(0, dtype=np.int64),
@@ -434,18 +495,8 @@ class SharedGraphPairedCollection(PairedCollection):
         if not overrides:
             return honest
         graph, overridden, added, removed = apply_overrides_tracked(
-            honest.perturbed_graph, overrides
+            honest.perturbed_graph, overrides, self._cache
         )
-        if graph is not honest.perturbed_graph:
-            degrees = np.array(honest.perturbed_graph.degrees(), dtype=np.int64, copy=True)
-            for codes, sign in ((added, 1), (removed, -1)):
-                if codes.size:
-                    rows, cols = decode_pairs(codes, graph.num_nodes)
-                    degrees += sign * (
-                        np.bincount(rows, minlength=graph.num_nodes)
-                        + np.bincount(cols, minlength=graph.num_nodes)
-                    )
-            graph._seed_degrees(degrees)
         reported = apply_degree_overrides(honest.reported_degrees, overrides)
         return CollectedReports(
             perturbed_graph=graph,

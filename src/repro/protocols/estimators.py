@@ -18,11 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import node_ids
 from repro.graph.metrics import edge_density, triangles_per_node
 from repro.graph.streaming import streaming_intra_community_edges
 from repro.ldp.mechanisms import calibrate_bit_counts, rr_keep_probability
-from repro.utils.validation import check_labels, check_positive
+from repro.utils.validation import check_labels, check_positive, node_ids
 
 
 def degrees_from_perturbed_graph(

@@ -27,7 +27,6 @@ from typing import Iterator, List, Sequence
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import node_ids
 # Unused here: perfbench/layers.py patches ``lfgdpr.should_use_packed`` and
 # ``lfgdpr.triangles_per_node_incremental`` by name.
 from repro.graph.bitmatrix import should_use_packed  # noqa: F401
@@ -54,7 +53,7 @@ from repro.protocols.estimators import (
 )
 from repro.utils.rng import RngLike, child_rng
 from repro.utils.sparse import decode_pairs
-from repro.utils.validation import check_epsilon, check_labels
+from repro.utils.validation import check_epsilon, check_labels, node_ids
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,9 @@ class LFGDPRProtocol(GraphLDPProtocol):
         is derived with the same ``child_rng`` keys and consumed in the same
         order.  :func:`perturb_graph_batch` hoists the perturbation setup
         shared by the trials; everything the estimators derive from a
-        run's honest view (packed matrix, triangle and intra-community
-        counts) is computed lazily, once, in that run's paired cache.
+        run's honest view (the decoded plane, the packed matrix and the
+        intra-community counts) is computed lazily, once, in that run's
+        paired cache.
         """
         seeds = [require_replayable_seed(seed) for seed in seeds]
         adjacency_rngs = [child_rng(seed, "lfgdpr-adjacency") for seed in seeds]
@@ -295,7 +295,7 @@ class LFGDPRProtocol(GraphLDPProtocol):
         if base is None:
             return None
         edits = None
-        if reports is not base.honest:
+        if base.honest is not None:
             if base.added_codes is None or base.removed_codes is None:
                 return None
             edits = (base.added_codes, base.removed_codes)
@@ -314,15 +314,16 @@ class LFGDPRProtocol(GraphLDPProtocol):
         n = reports.num_nodes
         labels = check_labels(labels, n)
         num_communities = int(labels.max()) + 1 if n else 0
+        honest = reports if base.honest is None else base.honest
         cached = base.cache.get("intra")
         if cached is None or not np.array_equal(cached[0], labels):
             honest_counts = streaming_intra_community_edges(
-                base.honest.perturbed_graph, labels, num_communities
+                honest.perturbed_graph, labels, num_communities
             )
             base.cache["intra"] = (labels, honest_counts)
         else:
             honest_counts = cached[1]
-        if reports is base.honest:
+        if base.honest is None:
             return honest_counts
         if base.touched is None or base.added_codes is None or base.removed_codes is None:
             return None

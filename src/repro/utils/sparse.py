@@ -133,6 +133,15 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def sorted_union(a, b) -> np.ndarray:
+    """Sorted distinct elements of two int arrays (``np.union1d``
+    equivalent): :func:`sorted_unique` over a fresh int64 concatenation,
+    so neither input is touched."""
+    return sorted_unique(
+        np.concatenate((np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)))
+    )
+
+
 def merge_sorted_disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Merge two sorted int64 arrays with no common elements into one.
 

@@ -114,3 +114,14 @@ def check_labels(labels, num_nodes: int) -> np.ndarray:
     if array.size and array.min() < 0:
         raise ValueError(f"labels must be non-negative community ids, got {array.min()}")
     return array.astype(np.int64, copy=False)
+
+
+def node_ids(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
+    """``nodes`` as flat int64 ids in the given order, repeats kept — the one
+    validator of node-id arguments; an id outside ``0..n-1`` raises
+    :class:`ValueError` naming ``name``."""
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    out = (nodes < 0) | (nodes >= num_nodes)
+    if out.any():
+        raise ValueError(f"{name} must be node ids in 0..{num_nodes - 1}; got {int(nodes[out][0])}")
+    return nodes

@@ -1,5 +1,7 @@
 """Tests for repro.graph.adjacency.Graph."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,3 +270,68 @@ def test_graph_invariants_property(n, data):
         assert np.all(np.diff(nbrs) > 0), "neighbours sorted and unique"
         for nbr in nbrs.tolist():
             assert node in g.neighbors(nbr).tolist(), "symmetry"
+
+
+def _shared_round_trip(graph):
+    handle, segment = graph.to_shared()
+    try:
+        attached, view = Graph.attach_shared(handle)
+        codes = attached.edge_codes.copy()
+        del attached
+        view.close()
+    finally:
+        segment.close()
+        segment.unlink()
+    return codes
+
+
+class TestDeferred:
+    """A deferred graph knows its size at once and builds its codes on the
+    first read, once."""
+
+    @staticmethod
+    def deferred(builds):
+        reference = Graph(5, [(0, 1), (1, 2), (2, 4), (3, 4)])
+
+        def build():
+            builds.append(1)
+            return reference.edge_codes.copy()
+
+        return Graph._deferred(5, reference.num_edges, build), reference
+
+    def test_size_and_seeded_degrees_do_not_build(self):
+        builds = []
+        graph, reference = self.deferred(builds)
+        graph._seed_degrees(reference.degrees())
+        assert graph.num_nodes == 5 and graph.num_edges == 4
+        assert np.array_equal(graph.degrees(), reference.degrees())
+        assert repr(graph) == repr(reference)
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda g: g.edge_codes,
+            lambda g: g == Graph(5),
+            lambda g: hash(g),
+            lambda g: pickle.dumps(g),
+            lambda g: g.csr(),
+            lambda g: g.subgraph([0, 1, 2]),
+            lambda g: g.neighbors(1),
+            lambda g: g.has_edge(0, 1),
+            lambda g: _shared_round_trip(g),
+        ],
+        ids=["codes", "eq", "hash", "pickle", "csr", "subgraph", "neighbors", "has_edge",
+             "to_shared"],
+    )
+    def test_every_code_reader_builds_once(self, read):
+        builds = []
+        graph, reference = self.deferred(builds)
+        read(graph)
+        read(graph)
+        assert builds == [1]
+        assert graph == reference and hash(graph) == hash(reference)
+        assert not graph.edge_codes.flags.writeable
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone == reference and clone._pending is None
+        assert np.array_equal(_shared_round_trip(graph), reference.edge_codes)

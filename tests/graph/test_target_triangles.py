@@ -51,7 +51,7 @@ def after_view(graph: Graph, seed: int):
         for fake in rng.choice(n, size=min(2, n - 1), replace=False).tolist():
             claims = rng.choice(n, size=min(n - 1, 5), replace=False)
             overrides[fake] = FakeReport(claims[claims != fake], 0.0)
-    after, _, added, removed = apply_overrides_tracked(graph, overrides)
+    after, _, added, removed = apply_overrides_tracked(graph, overrides, {})
     return after, (added, removed)
 
 

@@ -7,15 +7,20 @@ whole evaluation pipeline (undefended and defended), and for the override
 plumbing the shared path relies on.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core.degree_attacks import DegreeMGA
-from repro.core.gain import evaluate_attack
+from repro.core.gain import craft_trial, evaluate_attack
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.defenses.evaluation import evaluate_defended_attack
 from repro.defenses.naive import NaiveTopDegreeDefense
+from repro.engine.registry import ATTACKS
 from repro.graph import metrics
+from repro.graph.adjacency import Graph
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.protocols.base import (
     FakeReport,
@@ -259,7 +264,7 @@ class TestAugmentCollisionRegression:
                 claimed_neighbors=[1, 5], reported_degree=0.0, augment=True, degree_delta=2.0
             )
         }
-        graph, overridden, added, removed = apply_overrides_tracked(perturbed, overrides)
+        graph, overridden, added, removed = apply_overrides_tracked(perturbed, overrides, {})
         # Only the genuinely new pair is a net addition; nothing was removed
         # (augment keeps the user's RR pairs).
         rows, cols = Graph.from_codes(6, added).edge_arrays()
@@ -271,7 +276,7 @@ class TestAugmentCollisionRegression:
 
         perturbed = Graph(5, [(0, 1), (0, 2)])
         overrides = {0: FakeReport(claimed_neighbors=[1, 3], reported_degree=2.0)}
-        graph, _, added, removed = apply_overrides_tracked(perturbed, overrides)
+        graph, _, added, removed = apply_overrides_tracked(perturbed, overrides, {})
         assert sorted(graph.edges()) == [(0, 1), (0, 3)]
         # (0, 1) was dropped and re-claimed: no net change either way.
         add_pairs = list(zip(*Graph.from_codes(5, added).edge_arrays()))
@@ -314,3 +319,94 @@ class TestVectorizedOverridePlumbing:
         overrides = {9: FakeReport(claimed_neighbors=[0], reported_degree=1.0)}
         with pytest.raises(ValueError, match="out of range"):
             apply_overrides(perturbed, overrides)
+
+
+class TestPairedFootprint:
+    """A paired run holds the honest state plus the attacker's net edit."""
+
+    def test_run_is_freed_by_refcount(self, graph):
+        """No view refers to itself: with the cyclic collector off, the
+        honest reports die as soon as the run and its views are dropped."""
+        protocol = LFGDPRProtocol(epsilon=2.0)
+        targets = np.array([1, 3, 8], dtype=np.int64)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run = protocol.collect_paired(graph, 17)
+            after = run.after(replace_overrides(graph.num_nodes))
+            for view in (run.before, after):  # fill the run's cache
+                protocol.estimate_clustering_coefficient(view, targets)
+                protocol.estimate_degree_centrality(view)
+            honest = weakref.ref(run.before)
+            del run, after, view
+            assert honest() is None, "the honest view outlived its run"
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_honest_plane_is_decoded_once(self, graph, monkeypatch):
+        """Override application, the honest degrees and the packed count
+        all read the run's one decode of the honest plane."""
+        from repro.graph import adjacency
+
+        protocol = LFGDPRProtocol(epsilon=2.0)
+        run = protocol.collect_paired(graph, 17)
+        honest_edges = run.before.perturbed_graph.num_edges
+        decodes = []
+        real = adjacency.decode_pairs
+
+        def counted(codes, n):
+            decodes.append(np.asarray(codes).size)
+            return real(codes, n)
+
+        monkeypatch.setattr(adjacency, "decode_pairs", counted)
+        monkeypatch.setattr(metrics, "triangle_backend", lambda graph: "packed")
+        after = run.after(replace_overrides(graph.num_nodes))
+        for view in (run.before, after):
+            protocol.estimate_clustering_coefficient(view, np.array([1, 3, 8]))
+            protocol.estimate_degree_centrality(view)
+        assert decodes.count(honest_edges) == 1
+        assert "edges" in run.before.baseline.cache
+
+    @pytest.mark.parametrize("attack_name", ATTACKS.names())
+    def test_after_view_equals_the_seed_replayed_collect(self, graph, attack_name):
+        """Every registered attack's after-view: its edge count and seeded
+        degrees before the build, and its built codes, equal the
+        independent ``collect`` and a from-scratch recount."""
+        protocol = LFGDPRProtocol(epsilon=2.0)
+        threat = ThreatModel.sample(graph, 0.1, 0.05, rng=4)
+        overrides, seed = craft_trial(graph, protocol, ATTACKS.create(attack_name), threat, 9)
+        with use_tracer(Tracer()) as tracer:
+            view = protocol.collect_paired(graph, seed).after(overrides).perturbed_graph
+            num_edges, degrees = view.num_edges, np.array(view.degrees())
+            assert tracer.counters.get("overrides.materialized", 0) == 0
+            codes = view.edge_codes
+            view.edge_codes
+            assert tracer.counters["overrides.materialized"] == 1, "built exactly once"
+        reference = protocol.collect(graph, seed, overrides=overrides).perturbed_graph
+        recount = Graph.from_codes(graph.num_nodes, codes)
+        assert np.array_equal(codes, reference.edge_codes)
+        assert num_edges == reference.num_edges == codes.size
+        assert np.array_equal(degrees, reference.degrees())
+        assert np.array_equal(degrees, recount.degrees())
+
+    @pytest.mark.parametrize(
+        "metric", ["degree_centrality", "clustering_coefficient", "modularity"]
+    )
+    def test_undefended_estimation_never_builds_the_after_graph(self, graph, metric):
+        threat = ThreatModel.sample(graph, 0.05, 0.05, rng=1)
+        with use_tracer(Tracer()) as tracer:
+            evaluate_attack(
+                graph, LFGDPRProtocol(epsilon=2.0), DegreeMGA(), threat,
+                metric=metric, rng=5, labels=np.arange(graph.num_nodes) % 4,
+            )
+        assert tracer.counters.get("overrides.materialized", 0) == 0
+
+    def test_a_defense_builds_the_after_graph_once(self, graph):
+        threat = ThreatModel.sample(graph, 0.05, 0.05, rng=1)
+        with use_tracer(Tracer()) as tracer:
+            evaluate_defended_attack(
+                graph, LFGDPRProtocol(epsilon=2.0), DegreeMGA(), NaiveTopDegreeDefense(),
+                threat, rng=5,
+            )
+        assert tracer.counters.get("overrides.materialized") == 1

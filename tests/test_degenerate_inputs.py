@@ -15,6 +15,7 @@ from repro import ATTACKS, DEFENSES, PROTOCOLS, Graph, ThreatModel, evaluate_att
 from repro.core.gain import METRICS
 from repro.defenses import evaluate_defended_attack
 from repro.experiments.config import ExperimentConfig
+from repro.protocols.base import FakeReport
 
 
 def _complete(n):
@@ -131,3 +132,43 @@ def test_threat_model_rejects_degenerate_fractions(beta, gamma, graph_name):
     argument = "beta" if beta in (0.0, 1.0) else "gamma"
     with pytest.raises(ValueError, match=argument):
         ThreatModel.sample(GRAPHS[graph_name], beta=beta, gamma=gamma, rng=0)
+
+
+@pytest.mark.parametrize(
+    "claims",
+    [[1.7, 2.2], np.array([1.0, 2.0]), [True, False], [[1, 2], [3, 4]], np.array([[5]])],
+    ids=["floats", "integral-floats", "booleans", "2-d", "2-d-single"],
+)
+def test_fake_report_rejects_non_integer_or_multidimensional_claims(claims):
+    with pytest.raises(ValueError, match="claimed_neighbors"):
+        FakeReport(claimed_neighbors=claims, reported_degree=1.0)
+
+
+@pytest.mark.parametrize(
+    "claims",
+    [[], np.empty(0), np.empty(0, dtype=bool), np.empty((0, 2), dtype=np.int64)],
+    ids=["list", "float", "bool", "2-d"],
+)
+def test_fake_report_accepts_an_empty_claim_of_any_dtype(claims):
+    report = FakeReport(claimed_neighbors=claims, reported_degree=0.0)
+    assert report.claimed_neighbors.dtype == np.int64
+    assert report.claimed_neighbors.shape == (0,)
+
+
+def test_fake_report_sorts_and_dedupes_without_touching_the_input():
+    claims = np.array([7, 2, 7, 0], dtype=np.int64)
+    report = FakeReport(claimed_neighbors=claims, reported_degree=3.0)
+    assert report.claimed_neighbors.tolist() == [0, 2, 7]
+    assert claims.tolist() == [7, 2, 7, 0]
+
+
+@pytest.mark.parametrize("nodes", [[-1, 2], [2, 4], [0, 10]], ids=["negative", "n", "beyond-n"])
+def test_subgraph_rejects_out_of_range_nodes(nodes):
+    graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="nodes"):
+        graph.subgraph(nodes)
+
+
+def test_subgraph_rejects_repeated_nodes():
+    with pytest.raises(ValueError, match="nodes"):
+        Graph(4, [(0, 1), (1, 2), (2, 3)]).subgraph([2, 1, 2])

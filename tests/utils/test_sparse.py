@@ -14,6 +14,7 @@ from repro.utils.sparse import (
     merge_sorted_disjoint,
     pair_count,
     sample_pairs_excluding,
+    sorted_union,
     sorted_unique,
 )
 
@@ -328,4 +329,46 @@ class TestMergeSortedDisjoint:
         split = data.draw(st.integers(min_value=0, max_value=len(pool)))
         a = np.sort(np.array(pool[:split], dtype=np.int64))
         b = np.sort(np.array(pool[split:], dtype=np.int64))
+        assert np.array_equal(merge_sorted_disjoint(a, b), np.union1d(a, b))
+
+
+#: Int arrays for the set-algebra properties: empty, repeated and unsorted
+#: values all occur.
+int_lists = st.lists(st.integers(min_value=-60, max_value=60), max_size=40)
+
+
+class TestSortedSetAlgebraAgainstNumpy:
+    """The sorted helpers of the trial path equal numpy's set routines."""
+
+    @given(values=int_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_unique_is_np_unique(self, values):
+        array = np.array(values, dtype=np.int64)
+        expected = np.unique(array)
+        result = sorted_unique(array.copy())
+        assert result.dtype == expected.dtype
+        assert np.array_equal(result, expected)
+
+    @given(first=int_lists, second=int_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_union_is_np_union1d(self, first, second):
+        a = np.array(first, dtype=np.int64)
+        b = np.array(second, dtype=np.int64)
+        a_copy, b_copy = a.copy(), b.copy()
+        expected = np.union1d(a, b)
+        result = sorted_union(a, b)
+        assert result.dtype == expected.dtype
+        assert np.array_equal(result, expected)
+        assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy), "inputs untouched"
+
+    def test_sorted_union_of_lists_and_empties(self):
+        assert sorted_union([], []).dtype == np.int64
+        assert sorted_union([], []).size == 0
+        assert sorted_union([3], np.array([5, 3, 1])).tolist() == [1, 3, 5]
+
+    @given(first=int_lists, second=int_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_merge_sorted_disjoint_is_np_union1d_on_disjoint_sets(self, first, second):
+        a = np.unique(np.array(first, dtype=np.int64))
+        b = np.setdiff1d(np.array(second, dtype=np.int64), a)
         assert np.array_equal(merge_sorted_disjoint(a, b), np.union1d(a, b))
