@@ -11,7 +11,6 @@ from repro.graph.adjacency import Graph
 from repro.protocols.base import FakeReport
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.sparse import reject_members, sorted_unique
 
 
 class Attack(abc.ABC):
@@ -55,21 +54,26 @@ def random_new_neighbors(
     """Sample ``count`` distinct new neighbours for ``node`` uniformly.
 
     Excludes ``node`` itself and ``existing`` neighbours.  Returns fewer than
-    ``count`` only if the graph runs out of candidates.
+    ``count`` only if the graph runs out of candidates.  Rejection sampling
+    over boolean masks of the ids; a surplus is thinned by one
+    ``rng.choice`` over the sorted chosen ids.
     """
-    forbidden = sorted_unique(np.append(np.asarray(existing, dtype=np.int64), node))
-    available = num_nodes - forbidden.size
-    count = min(count, available)
+    forbidden = np.zeros(num_nodes, dtype=bool)
+    forbidden[np.asarray(existing, dtype=np.int64)] = True
+    forbidden[node] = True
+    count = min(count, num_nodes - int(np.count_nonzero(forbidden)))
     if count <= 0:
         return np.empty(0, dtype=np.int64)
-    chosen: np.ndarray = np.empty(0, dtype=np.int64)
-    while chosen.size < count:
-        draws = rng.integers(0, num_nodes, size=int((count - chosen.size) * 1.3) + 8)
-        draws = reject_members(sorted_unique(draws), forbidden)
-        chosen = sorted_unique(np.concatenate([chosen, draws]))
-    if chosen.size > count:
-        chosen = rng.choice(chosen, size=count, replace=False)
-    return np.sort(chosen)
+    chosen = np.zeros(num_nodes, dtype=bool)
+    size = 0
+    while size < count:
+        draws = rng.integers(0, num_nodes, size=int((count - size) * 1.3) + 8)
+        chosen[draws[~forbidden[draws]]] = True
+        size = int(np.count_nonzero(chosen))
+    picked = np.flatnonzero(chosen)
+    if size > count:
+        picked = np.sort(rng.choice(picked, size=count, replace=False))
+    return picked
 
 
 def ensure_attack_rng(rng: RngLike) -> np.random.Generator:

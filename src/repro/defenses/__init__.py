@@ -1,6 +1,5 @@
 """Countermeasures against the poisoning attacks (§VII) and their baselines."""
 
-from repro.defenses.apriori import apriori
 from repro.defenses.base import (
     Defense,
     DetectionQuality,
@@ -16,7 +15,6 @@ from repro.defenses.naive import NaiveDegreeTailsDefense, NaiveTopDegreeDefense
 
 __all__ = [
     "HybridDefense",
-    "apriori",
     "Defense",
     "DetectionQuality",
     "detection_quality",

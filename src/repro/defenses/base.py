@@ -15,8 +15,11 @@ estimation.  Two repair strategies cover the paper's countermeasures:
   looks like to the server a priori).  See the paper's §VII-A for the
   reconstruction this stands in for.
 
-Both repairs stay in sorted int64 pair codes end to end: removal masks the
-graph's code array, reconstruction merges the redrawn pairs' codes into it.
+A repair composes its removal and redrawn pairs, as sorted int64 pair
+codes, with the edit the graph already is of its plane
+(:func:`repro.protocols.base.paired_edit`).  The result is a deferred graph
+with seeded degrees, and a repaired paired view stays a view of its run, so
+defended estimation reads the run's cache like the undefended after-view.
 """
 
 from __future__ import annotations
@@ -27,11 +30,17 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.graph.adjacency import Graph
-from repro.graph.metrics import edge_density
-from repro.protocols.base import CollectedReports
+from repro.graph.metrics import edge_density, paired_edge_arrays
+from repro.protocols.base import CollectedReports, PairedBaseline, edited_graph, paired_edit
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.sparse import encode_pairs, merge_sorted_disjoint, sorted_unique
+from repro.utils.sparse import (
+    decode_pairs,
+    encode_pairs,
+    merge_sorted_disjoint,
+    reject_members,
+    sorted_union,
+    sorted_unique,
+)
 
 
 class Defense(abc.ABC):
@@ -111,6 +120,51 @@ def _flagged_ids(flagged, num_nodes: int) -> np.ndarray:
     return ids
 
 
+def _stripped_edit(reports: CollectedReports, flagged: np.ndarray) -> tuple:
+    """:func:`paired_edit` of ``reports`` composed with the removal of every
+    pair incident to ``flagged``, read from the plane's decode and the edit
+    (the view's own codes are never merged)."""
+    plane, cache, added, removed = paired_edit(reports)
+    graph = plane.perturbed_graph
+    n = graph.num_nodes
+    mask = np.zeros(n, dtype=bool)
+    mask[flagged] = True
+    rows, cols = graph.edge_arrays() if cache is None else paired_edge_arrays(graph, cache)
+    # The decode is aligned with the codes, so a mask keeps them sorted.
+    incident = graph.edge_codes[mask[rows] | mask[cols]]
+    added_rows, added_cols = decode_pairs(added, n)
+    added = added[~(mask[added_rows] | mask[added_cols])]
+    removed = merge_sorted_disjoint(removed, reject_members(incident, removed))
+    return plane, cache, added, removed
+
+
+def _repaired(
+    reports: CollectedReports, flagged: np.ndarray, edit: tuple, excluded: np.ndarray
+) -> CollectedReports:
+    """``reports`` with the graph ``edit = (plane, cache, added, removed)``;
+    a paired view stays a view of its run, ``flagged`` joining ``touched``."""
+    plane, cache, added, removed = edit
+    baseline = None
+    if cache is not None:
+        touched = reports.baseline.touched
+        baseline = PairedBaseline(
+            honest=plane,
+            touched=None if touched is None else sorted_union(touched, flagged),
+            added_codes=added,
+            removed_codes=removed,
+            cache=cache,
+        )
+    return CollectedReports(
+        perturbed_graph=edited_graph(plane.perturbed_graph, added, removed),
+        reported_degrees=reports.reported_degrees,
+        adjacency_epsilon=reports.adjacency_epsilon,
+        degree_epsilon=reports.degree_epsilon,
+        overridden=reports.overridden,
+        excluded=excluded,
+        baseline=baseline,
+    )
+
+
 def remove_flagged_pairs(reports: CollectedReports, flagged: np.ndarray) -> CollectedReports:
     """Removal repair: drop every pair incident to a flagged user.
 
@@ -118,25 +172,14 @@ def remove_flagged_pairs(reports: CollectedReports, flagged: np.ndarray) -> Coll
     against the reduced bit universe instead of reading the removal as a
     global degree drop.
     """
-    graph = reports.perturbed_graph
-    flagged = _flagged_ids(flagged, graph.num_nodes)
+    flagged = _flagged_ids(flagged, reports.num_nodes)
     if flagged.size == 0:
         return reports
-    mask = np.zeros(graph.num_nodes, dtype=bool)
-    mask[flagged] = True
-    rows, cols = graph.edge_arrays()
-    keep = ~(mask[rows] | mask[cols])
-    # A mask over sorted unique codes keeps them sorted and unique.
-    repaired = Graph.from_codes(
-        graph.num_nodes, graph.edge_codes[keep], assume_sorted_unique=True
-    )
-    return CollectedReports(
-        perturbed_graph=repaired,
-        reported_degrees=reports.reported_degrees,
-        adjacency_epsilon=reports.adjacency_epsilon,
-        degree_epsilon=reports.degree_epsilon,
-        overridden=reports.overridden,
-        excluded=np.union1d(reports.excluded, flagged),
+    return _repaired(
+        reports,
+        flagged,
+        _stripped_edit(reports, flagged),
+        sorted_union(reports.excluded, flagged),
     )
 
 
@@ -149,40 +192,33 @@ def resample_flagged_rows(
     flagged users lose their real data — the false-positive cost that drives
     the U-shape of Fig. 12(a).
     """
-    graph = reports.perturbed_graph
-    num_nodes = graph.num_nodes
+    num_nodes = reports.num_nodes
     flagged = _flagged_ids(flagged, num_nodes)
     if flagged.size == 0:
         return reports
     generator = ensure_rng(rng)
-    density = edge_density(graph)
-    stripped = remove_flagged_pairs(reports, flagged).perturbed_graph
+    density = edge_density(reports.perturbed_graph)
+    plane, cache, added, removed = _stripped_edit(reports, flagged)
 
-    # Process flagged nodes in order, unmasking each as it is handled, so a
+    # Process flagged nodes in order, unmasking each once it is drawn, so a
     # flagged-flagged pair is drawn exactly once (by the later node).
     mask = np.zeros(num_nodes, dtype=bool)
     mask[flagged] = True
-    drawn = []
+    partners = []
     for node in flagged.tolist():
-        mask[node] = False
+        mask[node] = True
         others = np.flatnonzero(~mask)
-        others = others[others != node]
-        draws = others[generator.random(others.size) < density]
-        drawn.append(encode_pairs(np.full(draws.size, node), draws, num_nodes))
+        partners.append(others[generator.random(others.size) < density])
+        mask[node] = False
+    sizes = [draws.size for draws in partners]
 
-    # A duplicated flagged id can redraw a pair, so dedupe the new codes; they
-    # are disjoint from the stripped graph, whose pairs touch no flagged node.
-    new_codes = sorted_unique(np.concatenate(drawn))
-    repaired = Graph.from_codes(
-        num_nodes,
-        merge_sorted_disjoint(stripped.edge_codes, new_codes),
-        assume_sorted_unique=True,
+    # A duplicated flagged id can redraw a pair, so dedupe the new codes.
+    # They touch flagged users only, so they are disjoint from ``added``;
+    # one that redraws a plane pair cancels its removal instead.
+    new_codes = sorted_unique(
+        encode_pairs(np.repeat(flagged, sizes), np.concatenate(partners), num_nodes)
     )
-    return CollectedReports(
-        perturbed_graph=repaired,
-        reported_degrees=reports.reported_degrees,
-        adjacency_epsilon=reports.adjacency_epsilon,
-        degree_epsilon=reports.degree_epsilon,
-        overridden=reports.overridden,
-        excluded=reports.excluded,
-    )
+    plane_codes = plane.perturbed_graph.edge_codes
+    added = merge_sorted_disjoint(added, reject_members(new_codes, plane_codes))
+    removed = reject_members(removed, new_codes)
+    return _repaired(reports, flagged, (plane, cache, added, removed), reports.excluded)

@@ -72,8 +72,9 @@ def evaluate_defended_attack(
     overrides, protocol_seed = craft_trial(graph, protocol, attack, threat, rng)
     # The honest collection is shared with the attacked after-run the
     # defense post-processes — one perturbation per evaluation, exactly as
-    # in the undefended pipeline.  Repairs rebuild reports without the
-    # paired baseline, so defended estimation recomputes fully.
+    # in the undefended pipeline.  Detection reads the run's packed plane
+    # and a repair is one more edit of it, so defended estimation reuses
+    # the run's cache like the undefended after-view.
     run = protocol.collect_paired(graph, protocol_seed)
     defended_reports, flagged = defense.apply(run.after(overrides))
     before, after = metric_estimates(

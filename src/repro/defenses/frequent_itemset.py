@@ -12,11 +12,14 @@ far beyond what perturbation noise produces.  The countermeasure:
 3. reconstruct flagged users' connections (here: re-drawn at ambient
    density; see ``repro.defenses.base.resample_flagged_rows``).
 
-Mining runs vectorised over the sparse report matrix rather than through the
-generic :mod:`repro.defenses.apriori` miner — same semantics (validated in
-tests), graph-scale performance.  The Apriori property is still what makes
-it tractable: only *individually* popular columns can participate in a
-frequent pair, so co-occurrence is computed on the candidate columns only.
+Mining runs on the packed plane (:func:`repro.protocols.base.packed_plane`)
+of the symmetric reported graph, so every count is a popcount: a column's
+count is the view's degree, the co-occurrence of columns ``a`` and ``b`` is
+``popcount(row_a & row_b)``, and a row contains ``(a, b)`` iff its user is
+a common neighbour of both.  The Apriori property keeps it tractable: only
+*individually* popular columns can be in a frequent pair, so co-occurrence
+is computed on the candidate columns only (checked against an Apriori
+miner in the tests).
 """
 
 from __future__ import annotations
@@ -24,9 +27,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.defenses.base import Defense, resample_flagged_rows
-from repro.protocols.base import CollectedReports
+from repro.graph.bitmatrix import pair_popcounts
+from repro.protocols.base import CollectedReports, packed_plane
 from repro.utils.rng import RngLike
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive_int
+
+
+def _support(value, name: str) -> int | None:
+    """``None`` or a non-negative integer support (booleans rejected)."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be None or an integer, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return int(value)
 
 
 class FrequentItemsetDefense(Defense):
@@ -36,13 +51,13 @@ class FrequentItemsetDefense(Defense):
     ----------
     threshold:
         A user is flagged when its bit vector contains more than this many
-        frequent pairs (the x-axis of Figs. 12(a)/13(a)).
+        frequent pairs (the x-axis of Figs. 12(a)/13(a)); a positive integer.
     item_support / pair_support:
         Minimum column count for candidate items and minimum co-occurrence
-        for a frequent pair.  ``None`` (default) derives both from the data:
-        items need counts above mean + 2 std of the column counts; pairs
-        need co-occurrence above the independence expectation plus
-        3 binomial standard deviations.
+        for a frequent pair, each ``None`` or a non-negative integer.
+        ``None`` (default) derives both from the data: items need counts of
+        at least the mean column count; pairs need co-occurrence above the
+        independence expectation plus 3 binomial standard deviations.
     rng:
         Seed for the reconstruction redraw.
     """
@@ -56,21 +71,18 @@ class FrequentItemsetDefense(Defense):
         pair_support: int | None = None,
         rng: RngLike = 0,
     ):
-        check_positive(threshold, "threshold")
-        self.threshold = int(threshold)
-        self.item_support = item_support
-        self.pair_support = pair_support
+        self.threshold = check_positive_int(threshold, "threshold")
+        self.item_support = _support(item_support, "item_support")
+        self.pair_support = _support(pair_support, "pair_support")
         self.rng = rng
 
     # ------------------------------------------------------------------
     def frequent_pair_counts(self, reports: CollectedReports) -> np.ndarray:
         """Per-user count of frequent pairs contained in their bit vector."""
-        import scipy.sparse as sp
-
-        adjacency = reports.perturbed_graph.csr().astype(np.int64)
-        n = adjacency.shape[0]
-        column_counts = np.asarray(adjacency.sum(axis=0)).ravel()
-
+        n = reports.num_nodes
+        if n < 2:  # no pair of columns
+            return np.zeros(n, dtype=np.int64)
+        column_counts = reports.perturbed_graph.degrees()
         if self.item_support is not None:
             item_support = self.item_support
         else:
@@ -81,24 +93,24 @@ class FrequentItemsetDefense(Defense):
         if candidates.size < 2:
             return np.zeros(n, dtype=np.int64)
 
-        submatrix = adjacency[:, candidates].tocsc()
-        cooccurrence = (submatrix.T @ submatrix).toarray()
-        np.fill_diagonal(cooccurrence, 0)
-
+        plane = packed_plane(reports)
+        first, second = np.triu_indices(candidates.size, 1)
+        cooccurrence = pair_popcounts(
+            np.ascontiguousarray(plane.rows.T), candidates[first], candidates[second]
+        )
         if self.pair_support is not None:
             frequent = cooccurrence >= self.pair_support
         else:
             # Independence baseline: co-occurrence of columns a, b is
             # Binomial(n, (cnt_a/n)(cnt_b/n)) under no coordination.
             rates = column_counts[candidates] / n
-            expected = n * np.outer(rates, rates)
-            sigma = np.sqrt(np.maximum(expected * (1.0 - np.outer(rates, rates)), 1e-12))
+            product = rates[first] * rates[second]
+            expected = n * product
+            sigma = np.sqrt(np.maximum(expected * (1.0 - product), 1e-12))
             frequent = cooccurrence > expected + 3.0 * sigma
-        frequent = sp.csr_matrix(frequent.astype(np.int64))
-
-        # count_i = (1/2) sum_{(a,b) frequent} S[i,a] S[i,b]
-        per_row = submatrix.multiply(submatrix @ frequent).sum(axis=1)
-        return (np.asarray(per_row).ravel() // 2).astype(np.int64)
+        return plane.common_neighbor_counts(
+            candidates[first[frequent]], candidates[second[frequent]]
+        )
 
     def detect(self, reports: CollectedReports) -> np.ndarray:
         counts = self.frequent_pair_counts(reports)

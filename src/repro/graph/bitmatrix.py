@@ -470,6 +470,17 @@ class BitMatrix:
             edge_cols = np.asarray(edges[1], dtype=np.int64)
         return _gather_triangles(self.rows, edge_rows, edge_cols, n)
 
+    def common_neighbor_counts(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per node, the number of pairs ``(u[k], v[k])`` it is a common
+        neighbour of: column sums of ``row_u & row_v``, unpacked in blocks."""
+        n = self.num_nodes
+        counts = np.zeros(n, dtype=np.int64)
+        block = max(1, _CHUNK_WORDS // max(1, n))
+        for start in range(0, u.size, block):
+            anded = self.rows[u[start : start + block]] & self.rows[v[start : start + block]]
+            counts += _unpack_rows(anded, n).sum(axis=0, dtype=np.int64)
+        return counts
+
     def with_edits(
         self,
         add_rows: np.ndarray,

@@ -25,12 +25,12 @@ attacker's edit, nothing more:
 * an after-view's graph is the honest plane's *net edit*
   (:func:`apply_overrides_tracked`): its edge count and degrees are known
   at once, its codes are merged only when something reads them (a
-  defense, a subgraph, a sparse-backend count) and counted as
+  subgraph, a sparse-backend count) and counted as
   ``overrides.materialized`` on the current tracer;
 * every view carries a :class:`PairedBaseline` with the net edge changes,
-  from which estimators derive the after-view's packed plane and
-  intra-community counts instead of recomputing them (see
-  ``repro.graph.metrics.triangles_per_node_cached``);
+  from which estimators and defenses derive the after-view's packed plane
+  (:func:`packed_plane`) and intra-community counts instead of recomputing
+  them; a defense's repair is one more edit of the same plane;
 * the honest intermediates (the one decode of the honest plane, the packed
   matrix, intra-community counts) are computed lazily, once per run, into
   the baseline's shared ``cache`` — the only place they are computed;
@@ -47,7 +47,7 @@ from typing import List, Mapping, MutableMapping, Optional, Sequence
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import node_set
+from repro.graph.bitmatrix import BitMatrix, node_set
 from repro.graph.metrics import paired_edge_arrays
 from repro.telemetry.core import current_tracer
 from repro.utils.rng import RngLike
@@ -195,8 +195,8 @@ class CollectedReports:
         Present only on the views of a paired run
         (:meth:`GraphLDPProtocol.collect_paired`): the shared honest state
         and the localisation of this view's changes, from which estimators
-        derive this view's intermediates.  Never part of equality or the
-        server's knowledge model; defenses drop it when they rebuild reports.
+        derive this view's intermediates — a defense's repair included.
+        Never part of equality or the server's knowledge model.
     """
 
     perturbed_graph: Graph
@@ -221,6 +221,40 @@ class CollectedReports:
     def num_nodes(self) -> int:
         """Total number of participating users N."""
         return self.perturbed_graph.num_nodes
+
+
+def paired_edit(
+    reports: CollectedReports,
+) -> tuple[CollectedReports, Optional[MutableMapping], np.ndarray, np.ndarray]:
+    """``(plane, cache, added_codes, removed_codes)``: a paired view's graph
+    is its run's honest reports' graph (``plane``; the view itself on the
+    honest view) edited by the net codes, with the run's shared ``cache``.
+    Other reports are their own plane, with an empty edit and no cache."""
+    base = reports.baseline
+    if base is None or base.added_codes is None or base.removed_codes is None:
+        empty = np.empty(0, dtype=np.int64)
+        return reports, None, empty, empty
+    plane = reports if base.honest is None else base.honest
+    return plane, base.cache, base.added_codes, base.removed_codes
+
+
+def packed_plane(reports: CollectedReports) -> BitMatrix:
+    """The packed matrix of ``reports``' graph: a paired view's is its run's
+    honest plane, packed once into the cache's ``"bitmatrix"`` (as
+    :func:`repro.graph.metrics.triangles_per_node_cached` parks it) and
+    patched by :meth:`BitMatrix.with_edits` with the view's edit."""
+    plane, cache, added, removed = paired_edit(reports)
+    if cache is None:
+        return BitMatrix.from_graph(reports.perturbed_graph)
+    graph = plane.perturbed_graph
+    packed = cache.get("bitmatrix")
+    if packed is None:
+        packed = BitMatrix.from_edge_arrays(graph.num_nodes, *paired_edge_arrays(graph, cache))
+        cache["bitmatrix"] = packed
+    if plane is reports:
+        return packed
+    n = graph.num_nodes
+    return packed.with_edits(*decode_pairs(added, n), *decode_pairs(removed, n))
 
 
 class GraphLDPProtocol(abc.ABC):
@@ -352,12 +386,22 @@ def apply_overrides_tracked(
     added = reject_members(crafted, honest_codes)
     removed = reject_members(dropped, crafted)
 
+    return edited_graph(perturbed, added, removed), overridden, added, removed
+
+
+def edited_graph(plane: Graph, added: np.ndarray, removed: np.ndarray) -> Graph:
+    """``(plane - removed) + added``, for sorted codes ``added`` disjoint
+    from ``plane``'s and ``removed`` among them, as a deferred graph: see
+    :func:`apply_overrides_tracked`."""
+    n = plane.num_nodes
+    plane_codes = plane.edge_codes
+
     def build() -> np.ndarray:
         current_tracer().counter("overrides.materialized")
-        return merge_sorted_disjoint(reject_members(honest_codes, removed), added)
+        return merge_sorted_disjoint(reject_members(plane_codes, removed), added)
 
-    result = Graph._deferred(n, perturbed.num_edges - removed.size + added.size, build)
-    degrees = np.array(perturbed.degrees(), dtype=np.int64, copy=True)
+    result = Graph._deferred(n, plane.num_edges - removed.size + added.size, build)
+    degrees = np.array(plane.degrees(), dtype=np.int64, copy=True)
     for codes, sign in ((added, 1), (removed, -1)):
         if codes.size:
             edit_rows, edit_cols = decode_pairs(codes, n)
@@ -365,7 +409,7 @@ def apply_overrides_tracked(
                 np.bincount(edit_rows, minlength=n) + np.bincount(edit_cols, minlength=n)
             )
     result._seed_degrees(degrees)
-    return result, overridden, added, removed
+    return result
 
 
 def apply_overrides(

@@ -44,6 +44,7 @@ from repro.protocols.base import (
     SharedGraphPairedCollection,
     apply_degree_overrides,
     apply_overrides,
+    paired_edit,
     require_replayable_seed,
 )
 from repro.protocols.estimators import (
@@ -291,15 +292,11 @@ class LFGDPRProtocol(GraphLDPProtocol):
         (:func:`repro.graph.metrics.triangles_per_node_cached`).  ``None``
         when the reports carry no usable baseline.
         """
-        base = reports.baseline
-        if base is None:
+        plane, cache, added, removed = paired_edit(reports)
+        if cache is None:
             return None
-        edits = None
-        if base.honest is not None:
-            if base.added_codes is None or base.removed_codes is None:
-                return None
-            edits = (base.added_codes, base.removed_codes)
-        return triangles_per_node_cached(reports.perturbed_graph, base.cache, nodes, edits)
+        edits = None if plane is reports else (added, removed)
+        return triangles_per_node_cached(reports.perturbed_graph, cache, nodes, edits)
 
     def _paired_intra(self, reports: CollectedReports, labels: np.ndarray) -> np.ndarray | None:
         """Observed intra-community edge counts via the paired baseline.
@@ -308,29 +305,27 @@ class LFGDPRProtocol(GraphLDPProtocol):
         them by bucketing only the net added/removed same-label edges —
         exact integer updates, bit-identical to recounting the whole graph.
         """
-        base = reports.baseline
-        if base is None:
+        plane, cache, added, removed = paired_edit(reports)
+        if cache is None:
             return None
         n = reports.num_nodes
         labels = check_labels(labels, n)
         num_communities = int(labels.max()) + 1 if n else 0
-        honest = reports if base.honest is None else base.honest
-        cached = base.cache.get("intra")
+        cached = cache.get("intra")
         if cached is None or not np.array_equal(cached[0], labels):
             honest_counts = streaming_intra_community_edges(
-                honest.perturbed_graph, labels, num_communities
+                plane.perturbed_graph, labels, num_communities
             )
-            base.cache["intra"] = (labels, honest_counts)
+            cache["intra"] = (labels, honest_counts)
         else:
             honest_counts = cached[1]
-        if base.honest is None:
+        if plane is reports:
             return honest_counts
-        if base.touched is None or base.added_codes is None or base.removed_codes is None:
-            return None
-        if not should_use_incremental(n, base.touched.size):
+        touched = reports.baseline.touched
+        if touched is None or not should_use_incremental(n, touched.size):
             return None
         counts = np.array(honest_counts, copy=True)
-        for codes, sign in ((base.added_codes, 1), (base.removed_codes, -1)):
+        for codes, sign in ((added, 1), (removed, -1)):
             if codes.size:
                 rows, cols = decode_pairs(codes, n)
                 same = labels[rows] == labels[cols]

@@ -5,6 +5,10 @@ import hashlib
 import numpy as np
 
 from repro.core.base import random_new_neighbors
+from repro.core.degree_attacks import DegreeMGA, DegreeRVA
+from repro.core.threat_model import AttackerKnowledge, ThreatModel
+from repro.graph.generators import powerlaw_cluster_graph
+from repro.protocols.lfgdpr import LFGDPRProtocol
 
 
 class TestRandomNewNeighbors:
@@ -44,9 +48,39 @@ class TestRandomNewNeighbors:
         # return the same neighbours and consume the generator identically.
         assert _random_new_neighbors_digest() == RANDOM_NEW_NEIGHBORS_DIGEST
 
+    def test_crafted_claims_pinned(self):
+        # sha256 of every fake's claims and degree report, plus one trailing
+        # draw, for the two attacks that pad claims with random new
+        # neighbours (DegreeRVA, inherited by ClusteringRVA, and DegreeMGA's
+        # evasion padding), recorded from the sorted-set implementation:
+        # the mask-based sampler must craft the same reports.
+        assert _crafted_claims_digest() == CRAFTED_CLAIMS_DIGEST
+
 
 #: See ``TestRandomNewNeighbors.test_stream_pinned``.
 RANDOM_NEW_NEIGHBORS_DIGEST = "57b62bde12318f5b5284480c2cb45c6be79fc5dd9629fd9889d079124c90e63f"
+
+
+#: See ``TestRandomNewNeighbors.test_crafted_claims_pinned``.
+CRAFTED_CLAIMS_DIGEST = "9a32d7e1ed8924fa9b32acffa917e9281095676fb3690b664d9833a4674e4a98"
+
+
+def _crafted_claims_digest() -> str:
+    digest = hashlib.sha256()
+    graph = powerlaw_cluster_graph(300, 4, 0.4, rng=7)
+    for epsilon in (1.0, 4.0):
+        knowledge = AttackerKnowledge.from_protocol(LFGDPRProtocol(epsilon), graph)
+        for seed in range(3):
+            threat = ThreatModel.sample(graph, beta=0.05, gamma=0.05, rng=seed)
+            for attack in (DegreeRVA(), DegreeMGA(evade_consistency=True)):
+                generator = np.random.default_rng(seed)
+                overrides = attack.craft(graph, threat, knowledge, rng=generator)
+                for fake, report in sorted(overrides.items()):
+                    digest.update(np.int64(fake).tobytes())
+                    digest.update(report.claimed_neighbors.tobytes())
+                    digest.update(np.float64(report.reported_degree).tobytes())
+                digest.update(generator.integers(0, 2**62, dtype=np.int64).tobytes())
+    return digest.hexdigest()
 
 
 def _random_new_neighbors_digest() -> str:

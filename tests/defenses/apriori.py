@@ -1,14 +1,15 @@
 """Apriori frequent-itemset mining (Agrawal & Srikant, VLDB 1994).
 
-Implemented from scratch as the substrate for the frequent-itemsets-based
-countermeasure (§VII-A).  The classic level-wise algorithm: frequent
-``k``-itemsets are generated only from frequent ``(k-1)``-itemsets (the
-*Apriori property*: every subset of a frequent itemset is frequent), and
-support is counted against the transaction database each level.
+The textbook level-wise algorithm, kept as the oracle that Detect1
+(:class:`repro.defenses.frequent_itemset.FrequentItemsetDefense`) is checked
+against: frequent ``k``-itemsets are generated only from frequent
+``(k-1)``-itemsets (the *Apriori property*: every subset of a frequent
+itemset is frequent), and support is counted against the transaction
+database each level.
 
 Transactions here are sets of node ids (the 1-bits of reported adjacency
-vectors); the defense only needs small ``max_size``, but the miner is fully
-general and tested against brute force.
+vectors); Detect1 mines 2-itemsets only, but the miner is fully general and
+tested against brute force.
 """
 
 from __future__ import annotations

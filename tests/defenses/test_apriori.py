@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.defenses.apriori import apriori
+from tests.defenses.apriori import apriori
 
 
 def brute_force(transactions, min_support, max_size):

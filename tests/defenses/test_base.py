@@ -9,8 +9,11 @@ from repro.defenses.base import (
     resample_flagged_rows,
 )
 from repro.graph.adjacency import Graph
+from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.metrics import edge_density
-from repro.protocols.base import CollectedReports
+from repro.protocols.base import CollectedReports, FakeReport, packed_plane
+from repro.protocols.lfgdpr import LFGDPRProtocol
+from repro.telemetry.core import Tracer, use_tracer
 from repro.utils.sparse import pair_count
 
 
@@ -245,3 +248,119 @@ class TestFlaggedValidation:
     def test_empty_of_any_dtype_is_identity(self, reports, repair):
         assert repair(reports, []) is reports
         assert repair(reports, np.array([])) is reports
+
+
+def _attacked_views(epsilon):
+    """A paired after-view, its run's honest view and the plain ``collect``
+    of the same attacked world (n = 90, 4 fakes replacing their rows)."""
+    graph = powerlaw_cluster_graph(90, 3, 0.5, rng=0)
+    protocol = LFGDPRProtocol(epsilon=epsilon)
+    overrides = {
+        fake: FakeReport(claimed_neighbors=np.array(claims), reported_degree=3.0)
+        for fake, claims in (
+            (2, [5, 9, 11, 40]),
+            (7, [2, 30, 5]),  # claims fake 2
+            (50, [9, 11, 60, 61, 62]),
+            (61, []),
+        )
+    }
+    run = protocol.collect_paired(graph, 11)
+    return run, run.after(overrides), protocol.collect(graph, 11, overrides)
+
+
+def _edit_flagged_cases(n):
+    """Empty, unsorted with duplicates, intersecting the overridden users,
+    holding flagged-flagged pairs (fakes 2 and 7 claim each other) and
+    every node."""
+    return [
+        np.empty(0, dtype=np.int64),
+        np.array([33, 4, 33, 18, 4]),
+        np.array([50, 3, 7]),
+        np.array([2, 7, 5, 9]),
+        np.arange(n),
+    ]
+
+
+def _assert_edit_matches_scratch(repaired, expected):
+    """Seeded degrees and edge count before the build, then the codes."""
+    graph = repaired.perturbed_graph
+    with use_tracer(Tracer()) as tracer:
+        num_edges, degrees = graph.num_edges, np.array(graph.degrees())
+        assert tracer.counters.get("overrides.materialized", 0) == 0
+    assert num_edges == expected.perturbed_graph.num_edges
+    assert np.array_equal(degrees, expected.perturbed_graph.degrees())
+    assert np.array_equal(graph.edge_codes, expected.perturbed_graph.edge_codes)
+    assert np.array_equal(repaired.excluded, expected.excluded)
+    assert np.array_equal(repaired.overridden, expected.overridden)
+
+
+class TestEditRepairs:
+    """A repair is an edit of the view it repairs, equal to a from-scratch
+    repair (``_reference_remove`` / ``_reference_resample``) of the same
+    reports, draw for draw."""
+
+    @pytest.mark.parametrize("epsilon", [1.0, 4.0])
+    @pytest.mark.parametrize("view", ["after", "honest", "plain"])
+    def test_repairs_equal_scratch_repairs(self, epsilon, view):
+        run, after, plain = _attacked_views(epsilon)
+        reports = {"after": after, "honest": run.before, "plain": plain}[view]
+        # The oracle repairs a baseline-free copy holding the built codes.
+        scratch = CollectedReports(
+            perturbed_graph=Graph.from_codes(
+                reports.num_nodes, np.array(reports.perturbed_graph.edge_codes)
+            ),
+            reported_degrees=reports.reported_degrees,
+            adjacency_epsilon=reports.adjacency_epsilon,
+            degree_epsilon=reports.degree_epsilon,
+            overridden=reports.overridden,
+        )
+        for flagged in _edit_flagged_cases(reports.num_nodes):
+            _assert_edit_matches_scratch(
+                remove_flagged_pairs(reports, flagged), _reference_remove(scratch, flagged)
+            )
+            rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+            _assert_edit_matches_scratch(
+                resample_flagged_rows(reports, flagged, rng=rng),
+                _reference_resample(scratch, flagged, reference_rng),
+            )
+            assert rng.random() == reference_rng.random()
+
+    def test_a_repaired_paired_view_stays_a_view_of_its_run(self):
+        run, after, _ = _attacked_views(2.0)
+        flagged = np.array([61, 2, 20])
+        repaired = resample_flagged_rows(after, flagged, rng=1)
+        base = repaired.baseline
+        assert base.honest is run.before
+        assert base.cache is run.before.baseline.cache
+        assert np.array_equal(base.touched, [2, 7, 20, 50, 61])
+        honest_codes = run.before.perturbed_graph.edge_codes
+        assert np.intersect1d(base.added_codes, honest_codes).size == 0
+        assert np.setdiff1d(base.removed_codes, honest_codes).size == 0
+
+    @pytest.mark.parametrize("epsilon", [1.0, 4.0])
+    def test_defended_estimates_equal_scratch(self, epsilon):
+        """Estimates of a repaired view, read through its baseline (the
+        patched plane, the intra-count edit), equal those of the same
+        repair on baseline-free reports — a repair of a repair included."""
+        run, after, plain = _attacked_views(epsilon)
+        protocol = LFGDPRProtocol(epsilon=epsilon)
+        targets = np.array([5, 9, 11, 30, 60])
+        labels = np.arange(after.num_nodes) % 5
+        packed_plane(run.before)  # park the honest plane, as Detect1 does
+        for flagged in _edit_flagged_cases(after.num_nodes)[1:4]:
+            views = [
+                resample_flagged_rows(reports, flagged, rng=3) for reports in (after, plain)
+            ]
+            views += [
+                resample_flagged_rows(remove_flagged_pairs(reports, flagged[:1]), flagged, rng=4)
+                for reports in (after, plain)
+            ]
+            views += [remove_flagged_pairs(reports, flagged) for reports in (after, plain)]
+            for paired, scratch in zip(views[::2], views[1::2]):
+                assert paired.baseline is not None and scratch.baseline is None
+                for estimate in (
+                    lambda reports: protocol.estimate_degree_centrality(reports),
+                    lambda reports: protocol.estimate_clustering_coefficient(reports, targets),
+                    lambda reports: protocol.estimate_modularity(reports, labels),
+                ):
+                    assert np.array_equal(estimate(paired), estimate(scratch))

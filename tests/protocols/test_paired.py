@@ -18,7 +18,7 @@ from repro.core.gain import craft_trial, evaluate_attack
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.defenses.evaluation import evaluate_defended_attack
 from repro.defenses.naive import NaiveTopDegreeDefense
-from repro.engine.registry import ATTACKS
+from repro.engine.registry import ATTACKS, DEFENSES
 from repro.graph import metrics
 from repro.graph.adjacency import Graph
 from repro.graph.generators import powerlaw_cluster_graph
@@ -402,11 +402,15 @@ class TestPairedFootprint:
             )
         assert tracer.counters.get("overrides.materialized", 0) == 0
 
-    def test_a_defense_builds_the_after_graph_once(self, graph):
+    @pytest.mark.parametrize("defense_name", DEFENSES.names())
+    def test_a_defense_never_builds_the_after_graph(self, graph, defense_name):
+        """Detection reads the packed plane and seeded degrees, and a repair
+        is an edit of the after-view, so a defended degree estimate builds
+        no graph."""
         threat = ThreatModel.sample(graph, 0.05, 0.05, rng=1)
         with use_tracer(Tracer()) as tracer:
             evaluate_defended_attack(
-                graph, LFGDPRProtocol(epsilon=2.0), DegreeMGA(), NaiveTopDegreeDefense(),
-                threat, rng=5,
+                graph, LFGDPRProtocol(epsilon=2.0), DegreeMGA(),
+                DEFENSES.create(defense_name), threat, rng=5,
             )
-        assert tracer.counters.get("overrides.materialized") == 1
+        assert tracer.counters.get("overrides.materialized", 0) == 0

@@ -172,3 +172,36 @@ def test_subgraph_rejects_out_of_range_nodes(nodes):
 def test_subgraph_rejects_repeated_nodes():
     with pytest.raises(ValueError, match="nodes"):
         Graph(4, [(0, 1), (1, 2), (2, 3)]).subgraph([2, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, name",
+    [
+        ({"threshold": True}, TypeError, "threshold"),
+        ({"threshold": 2.7}, TypeError, "threshold"),
+        ({"threshold": 100.0}, TypeError, "threshold"),
+        ({"threshold": 0}, ValueError, "threshold"),
+        ({"threshold": -3}, ValueError, "threshold"),
+        ({"item_support": -5}, ValueError, "item_support"),
+        ({"item_support": True}, TypeError, "item_support"),
+        ({"item_support": 2.5}, TypeError, "item_support"),
+        ({"pair_support": True}, TypeError, "pair_support"),
+        ({"pair_support": -1}, ValueError, "pair_support"),
+        ({"pair_support": "3"}, TypeError, "pair_support"),
+    ],
+)
+def test_detect1_rejects_non_integer_or_negative_arguments(kwargs, error, name):
+    with pytest.raises(error, match=name):
+        DEFENSES.create("detect1", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"threshold": np.int64(50)}, {"item_support": 0, "pair_support": 0},
+     {"item_support": np.int32(4), "pair_support": None}],
+)
+def test_detect1_accepts_integer_arguments(kwargs):
+    defense = DEFENSES.create("detect1", **kwargs)
+    assert isinstance(defense.threshold, int)
+    for support in (defense.item_support, defense.pair_support):
+        assert support is None or (isinstance(support, int) and support >= 0)

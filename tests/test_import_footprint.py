@@ -2,10 +2,12 @@
 
 Every CLI call, worker and benchmark child pays for ``import repro`` before
 its first task, so scipy and networkx are imported inside the functions that
-use them (the sparse adjacency matrix, Detect1, LDPGen's k-means, the
-Erdős–Rényi/Barabási–Albert wrappers) rather than at module level.  Each
-check runs in a fresh interpreter, where ``sys.modules`` reflects exactly
-what the code under test imported.
+use them (the sparse adjacency matrix, LDPGen's k-means, the
+Erdős–Rényi/Barabási–Albert wrappers) rather than at module level.  The
+defenses use neither: Detect1 counts by popcount on the packed plane, so a
+defended degree point runs on numpy alone.  Each check runs in a fresh
+interpreter, where ``sys.modules`` reflects exactly what the code under test
+imported.
 """
 
 import json
@@ -81,19 +83,6 @@ matrix = graph.csr()
 assert matrix.shape == (4, 4) and matrix.nnz == 6
 """,
     ),
-    "FrequentItemsetDefense.frequent_pair_counts": (
-        "scipy.sparse",
-        """
-from repro import LFGDPRProtocol
-from repro.defenses import FrequentItemsetDefense
-from repro.graph.generators import powerlaw_cluster_graph
-graph = powerlaw_cluster_graph(60, 3, 0.5, rng=0)
-reports = LFGDPRProtocol(epsilon=2.0).collect(graph, rng=0)
-before = heavy()
-counts = FrequentItemsetDefense(threshold=1).frequent_pair_counts(reports)
-assert counts.shape == (60,)
-""",
-    ),
     "LDPGenProtocol.collect": (
         "scipy.cluster.vq",
         """
@@ -126,3 +115,29 @@ def test_deferred_call_site_loads_its_module_when_called(site):
     before, after = _heavy_after(code + "\nprint(json.dumps(before))")
     assert before == []
     assert module in after
+
+
+def test_defended_degree_point_loads_no_heavy_dependency():
+    """One fig12a point per defended series (Detect1, Naive1) at scale
+    0.02: detection, repair and estimation, with no scipy or networkx."""
+    (gains, loaded) = _heavy_after(
+        """
+from repro.engine.kernels import execute_tasks_grouped
+from repro.experiments.config import ExperimentConfig
+from repro.scenarios import get_scenario
+from repro.scenarios.compiler import compile_scenario
+from repro.scenarios.run import load_scenario_graph
+
+spec = get_scenario("fig12a")
+config = ExperimentConfig(trials=1, scale=0.02, seed=0, cache=False)
+graph = load_scenario_graph(spec, config)
+tasks = compile_scenario(spec, graph, config)
+points = [
+    next(task for task in tasks if task.defense == defense)
+    for defense in ("detect1", "naive1")
+]
+print(json.dumps(execute_tasks_grouped(points, graph)))
+"""
+    )
+    assert len(gains) == 2
+    assert loaded == []
