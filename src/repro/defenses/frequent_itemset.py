@@ -18,30 +18,27 @@ count is the view's degree, the co-occurrence of columns ``a`` and ``b`` is
 ``popcount(row_a & row_b)``, and a row contains ``(a, b)`` iff its user is
 a common neighbour of both.  The Apriori property keeps it tractable: only
 *individually* popular columns can be in a frequent pair, so co-occurrence
-is computed on the candidate columns only (checked against an Apriori
-miner in the tests).
+is computed on the candidate columns' rows only (checked against an Apriori
+miner in the tests).  Above ``REPRO_DENSE_MAX_BYTES`` no plane is packed:
+the same counts run block pair by block pair over bounded row blocks built
+from the view's edge codes (:class:`repro.graph.streaming.RowBlockBuilder`).
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.defenses.base import Defense, resample_flagged_rows
-from repro.graph.bitmatrix import pair_popcounts
+from repro.graph.bitmatrix import common_neighbor_counts, max_packed_bytes, pair_popcounts
+from repro.graph.streaming import RowBlockBuilder, rows_per_block
 from repro.protocols.base import CollectedReports, packed_plane
 from repro.utils.rng import RngLike
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
-
-def _support(value, name: str) -> int | None:
-    """``None`` or a non-negative integer support (booleans rejected)."""
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be None or an integer, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return int(value)
+#: Candidate grid cells per pair chunk: bounds the pair transients (tens of MB).
+_PAIR_CHUNK = 1 << 18
 
 
 class FrequentItemsetDefense(Defense):
@@ -72,16 +69,21 @@ class FrequentItemsetDefense(Defense):
         rng: RngLike = 0,
     ):
         self.threshold = check_positive_int(threshold, "threshold")
-        self.item_support = _support(item_support, "item_support")
-        self.pair_support = _support(pair_support, "pair_support")
+        self.item_support = (
+            None if item_support is None else check_non_negative_int(item_support, "item_support")
+        )
+        self.pair_support = (
+            None if pair_support is None else check_non_negative_int(pair_support, "pair_support")
+        )
         self.rng = rng
 
     # ------------------------------------------------------------------
     def frequent_pair_counts(self, reports: CollectedReports) -> np.ndarray:
         """Per-user count of frequent pairs contained in their bit vector."""
         n = reports.num_nodes
+        counts = np.zeros(n, dtype=np.int64)
         if n < 2:  # no pair of columns
-            return np.zeros(n, dtype=np.int64)
+            return counts
         column_counts = reports.perturbed_graph.degrees()
         if self.item_support is not None:
             item_support = self.item_support
@@ -91,26 +93,27 @@ class FrequentItemsetDefense(Defense):
             item_support = column_counts.mean()
         candidates = np.flatnonzero(column_counts >= item_support)
         if candidates.size < 2:
-            return np.zeros(n, dtype=np.int64)
-
-        plane = packed_plane(reports)
-        first, second = np.triu_indices(candidates.size, 1)
-        cooccurrence = pair_popcounts(
-            np.ascontiguousarray(plane.rows.T), candidates[first], candidates[second]
-        )
-        if self.pair_support is not None:
-            frequent = cooccurrence >= self.pair_support
-        else:
-            # Independence baseline: co-occurrence of columns a, b is
-            # Binomial(n, (cnt_a/n)(cnt_b/n)) under no coordination.
-            rates = column_counts[candidates] / n
-            product = rates[first] * rates[second]
-            expected = n * product
-            sigma = np.sqrt(np.maximum(expected * (1.0 - product), 1e-12))
-            frequent = cooccurrence > expected + 3.0 * sigma
-        return plane.common_neighbor_counts(
-            candidates[first[frequent]], candidates[second[frequent]]
-        )
+            return counts
+        rates = column_counts[candidates] / n
+        for (a_lo, rows_a, columns_a), (b_lo, rows_b, columns_b), first, second in (
+            _candidate_pairs(reports, candidates)
+        ):
+            cooccurrence = pair_popcounts(
+                columns_a, first - a_lo, second - b_lo, v_columns=columns_b
+            )
+            if self.pair_support is not None:
+                frequent = cooccurrence >= self.pair_support
+            else:
+                # Independence baseline: co-occurrence of columns a, b is
+                # Binomial(n, (cnt_a/n)(cnt_b/n)) under no coordination.
+                product = rates[first] * rates[second]
+                expected = n * product
+                sigma = np.sqrt(np.maximum(expected * (1.0 - product), 1e-12))
+                frequent = cooccurrence > expected + 3.0 * sigma
+            counts += common_neighbor_counts(
+                rows_a, first[frequent] - a_lo, second[frequent] - b_lo, n, v_rows=rows_b
+            )
+        return counts
 
     def detect(self, reports: CollectedReports) -> np.ndarray:
         counts = self.frequent_pair_counts(reports)
@@ -118,3 +121,43 @@ class FrequentItemsetDefense(Defense):
 
     def repair(self, reports: CollectedReports, flagged: np.ndarray) -> CollectedReports:
         return resample_flagged_rows(reports, flagged, rng=self.rng)
+
+
+def _candidate_pairs(reports: CollectedReports, candidates: np.ndarray) -> Iterator[tuple]:
+    """Every candidate pair ``a < b`` once, as ``(side_a, side_b, first,
+    second)``: ``first`` and ``second`` index ``candidates``, ``first`` in
+    runs of equal ids, at most :data:`_PAIR_CHUNK` grid cells a chunk; a
+    side ``(lo, rows, columns)`` holds the packed rows of the candidates
+    from ``lo`` on and their transpose (a column's bits are its row's).
+
+    The rows are read from :func:`packed_plane`, one slice, when the plane
+    fits the packing cap.  Above it no plane is packed: a slice is the
+    candidates of one node-range block built from the view's edge codes, a
+    fifth of the cap high, so two sides and a block being built fit in it.
+    """
+    n = reports.num_nodes
+    plane = packed_plane(reports)
+    if plane is not None:
+        height, build = n, lambda start, stop: plane.rows[start:stop]
+    else:
+        height = rows_per_block(n, max_packed_bytes() // 5)
+        build = RowBlockBuilder(n, reports.perturbed_graph.edge_codes).build
+    cuts = np.searchsorted(candidates, np.append(np.arange(0, n, height), n)).tolist()
+    bounds = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]
+
+    def side(lo: int, hi: int) -> tuple:
+        start = int(candidates[lo]) // height * height
+        rows = build(start, min(n, start + height))[candidates[lo:hi] - start]
+        return lo, rows, np.ascontiguousarray(rows.T)
+
+    for index, (a_lo, a_hi) in enumerate(bounds):
+        side_a = side(a_lo, a_hi)
+        for b_lo, b_hi in bounds[index:]:
+            side_b = side_a if b_lo == a_lo else side(b_lo, b_hi)
+            step = max(1, _PAIR_CHUNK // (b_hi - b_lo))
+            for start in range(a_lo, a_hi, step):
+                stop = min(a_hi, start + step)
+                first = np.repeat(np.arange(start, stop), b_hi - b_lo)
+                second = np.tile(np.arange(b_lo, b_hi), stop - start)
+                keep = first < second
+                yield side_a, side_b, first[keep], second[keep]

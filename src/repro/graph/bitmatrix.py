@@ -310,6 +310,26 @@ def pair_popcounts(
     return full if mask is None else (full, masked)
 
 
+def common_neighbor_counts(
+    rows: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    num_nodes: int,
+    v_rows: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Per node, the number of pairs ``(u[k], v[k])`` it is a common
+    neighbour of: column sums of ``rows[u[k]] & v_rows[v[k]]`` (packed row
+    blocks, ``v_rows`` defaulting to ``rows``), unpacked in bounded blocks."""
+    v_rows = rows if v_rows is None else v_rows
+    n = int(num_nodes)
+    counts = np.zeros(n, dtype=np.int64)
+    block = max(1, _CHUNK_WORDS // max(1, n))
+    for start in range(0, u.size, block):
+        anded = rows[u[start : start + block]] & v_rows[v[start : start + block]]
+        counts += _unpack_rows(anded, n).sum(axis=0, dtype=np.int64)
+    return counts
+
+
 def _gather_triangles(
     flat_rows: np.ndarray,
     edge_rows: np.ndarray,
@@ -469,17 +489,6 @@ class BitMatrix:
             edge_rows = np.asarray(edges[0], dtype=np.int64)
             edge_cols = np.asarray(edges[1], dtype=np.int64)
         return _gather_triangles(self.rows, edge_rows, edge_cols, n)
-
-    def common_neighbor_counts(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per node, the number of pairs ``(u[k], v[k])`` it is a common
-        neighbour of: column sums of ``row_u & row_v``, unpacked in blocks."""
-        n = self.num_nodes
-        counts = np.zeros(n, dtype=np.int64)
-        block = max(1, _CHUNK_WORDS // max(1, n))
-        for start in range(0, u.size, block):
-            anded = self.rows[u[start : start + block]] & self.rows[v[start : start + block]]
-            counts += _unpack_rows(anded, n).sum(axis=0, dtype=np.int64)
-        return counts
 
     def with_edits(
         self,

@@ -13,7 +13,14 @@ from typing import MutableMapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import BitMatrix, node_set, should_use_packed, triangle_backend
+from repro.graph.bitmatrix import (
+    BitMatrix,
+    max_packed_bytes,
+    node_set,
+    packing_bytes,
+    should_use_packed,
+    triangle_backend,
+)
 from repro.graph.streaming import streaming_triangles_per_node
 from repro.telemetry.core import current_tracer
 from repro.utils.sparse import decode_pairs, pair_count
@@ -70,10 +77,10 @@ def triangles_per_node(graph: Graph, nodes: Optional[np.ndarray] = None) -> np.n
 
 
 def _dispatch_triangles(
-    graph: Graph, cache: Optional[MutableMapping], nodes: Optional[np.ndarray] = None
+    graph: Graph, cache: MutableMapping, nodes: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Count on :func:`triangle_backend`'s choice; a packed matrix is parked
-    in ``cache`` (when given) under ``"bitmatrix"``."""
+    in ``cache`` under ``"bitmatrix"``."""
     backend = triangle_backend(graph)
     if backend == "packed":
         return _triangles_packed(graph, cache, nodes)
@@ -87,11 +94,8 @@ def _triangles_packed(
     graph: Graph, cache: Optional[MutableMapping] = None, nodes: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Packed backend: edge-gather row-AND + popcount sweep."""
-    edges = graph.edge_arrays() if cache is None else paired_edge_arrays(graph, cache)
-    packed = BitMatrix.from_edge_arrays(graph.num_nodes, *edges)
-    if cache is not None:
-        cache["bitmatrix"] = packed
-    return packed.triangles_per_node(edges=edges, nodes=nodes)
+    cache = {} if cache is None else cache
+    return _parked_plane(graph, cache).triangles_per_node(edges=cache["edges"], nodes=nodes)
 
 
 def _triangles_sparse(graph: Graph, nodes: Optional[np.ndarray] = None) -> np.ndarray:
@@ -122,6 +126,36 @@ def paired_edge_arrays(graph: Graph, cache: MutableMapping) -> Tuple[np.ndarray,
     return edges
 
 
+def _parked_plane(graph: Graph, cache: MutableMapping) -> BitMatrix:
+    """``cache["bitmatrix"]``, packed from :func:`paired_edge_arrays` of
+    ``graph`` on first use.  Callers have checked the packing cap."""
+    packed = cache.get("bitmatrix")
+    if packed is None:
+        packed = cache["bitmatrix"] = BitMatrix.from_edge_arrays(
+            graph.num_nodes, *paired_edge_arrays(graph, cache)
+        )
+    return packed
+
+
+def paired_plane(
+    graph: Graph,
+    cache: MutableMapping,
+    edits: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> Optional[BitMatrix]:
+    """The packed matrix of a view of one paired run: the honest plane
+    ``graph``, parked once in ``cache`` (:func:`_parked_plane`), patched by
+    :meth:`BitMatrix.with_edits` with the view's net ``edits = (added_codes,
+    removed_codes)``.  ``None`` when the packing bytes exceed the cap
+    (:func:`~repro.graph.bitmatrix.max_packed_bytes`)."""
+    n = graph.num_nodes
+    if packing_bytes(n) > max_packed_bytes():
+        return None
+    packed = _parked_plane(graph, cache)
+    if edits is None:
+        return packed
+    return packed.with_edits(*decode_pairs(edits[0], n), *decode_pairs(edits[1], n))
+
+
 def triangles_per_node_cached(
     graph: Graph,
     cache: MutableMapping,
@@ -134,17 +168,17 @@ def triangles_per_node_cached(
     (``edits=None``) parks its packed :class:`BitMatrix` there under
     ``"bitmatrix"``, so the plane is packed once per run.  An after view
     passes its net ``edits = (added_codes, removed_codes)`` and is counted
-    on the parked plane patched by :meth:`BitMatrix.with_edits`.
+    on the parked plane patched by :meth:`BitMatrix.with_edits`
+    (:func:`paired_plane`), or on its own graph, parking nothing, when no
+    plane is parked.  A parked plane is used whatever the backend would
+    be: it is already packed, and every backend counts the same integers.
     """
     if nodes is not None:
         nodes = node_ids(nodes, graph.num_nodes)
         current_tracer().counter("triangles.at_nodes")
-    packed = cache.get("bitmatrix")
+    packed = paired_plane(graph, cache, edits) if "bitmatrix" in cache else None
     if packed is None:
-        return _dispatch_triangles(graph, cache if edits is None else None, nodes)
-    if edits is not None:
-        n = graph.num_nodes
-        packed = packed.with_edits(*decode_pairs(edits[0], n), *decode_pairs(edits[1], n))
+        return _dispatch_triangles(graph, cache if edits is None else {}, nodes)
     return packed.triangles_per_node(nodes=nodes)
 
 
@@ -236,11 +270,7 @@ def triangles_per_node_incremental(
         return triangles_per_node(after)
     current_tracer().counter("delta.incremental")
     if should_use_packed(before):
-        packed_before = cache.get("bitmatrix") if cache is not None else None
-        if packed_before is None:
-            packed_before = BitMatrix.from_graph(before)
-            if cache is not None:
-                cache["bitmatrix"] = packed_before
+        packed_before = _parked_plane(before, {} if cache is None else cache)
         if added_codes is not None and removed_codes is not None:
             add_rows, add_cols = decode_pairs(added_codes, n)
             drop_rows, drop_cols = decode_pairs(removed_codes, n)

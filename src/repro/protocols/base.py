@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix, node_set
-from repro.graph.metrics import paired_edge_arrays
+from repro.graph.metrics import paired_edge_arrays, paired_plane
 from repro.telemetry.core import current_tracer
 from repro.utils.rng import RngLike
 from repro.utils.sparse import (
@@ -238,23 +238,14 @@ def paired_edit(
     return plane, base.cache, base.added_codes, base.removed_codes
 
 
-def packed_plane(reports: CollectedReports) -> BitMatrix:
-    """The packed matrix of ``reports``' graph: a paired view's is its run's
-    honest plane, packed once into the cache's ``"bitmatrix"`` (as
-    :func:`repro.graph.metrics.triangles_per_node_cached` parks it) and
-    patched by :meth:`BitMatrix.with_edits` with the view's edit."""
+def packed_plane(reports: CollectedReports) -> Optional[BitMatrix]:
+    """The packed matrix of ``reports``' graph (:func:`paired_plane`): a
+    paired view's is its run's honest plane, packed once into the run's
+    cache and patched with the view's edit; other reports are packed on
+    their own.  ``None`` when packing would exceed the cap."""
     plane, cache, added, removed = paired_edit(reports)
-    if cache is None:
-        return BitMatrix.from_graph(reports.perturbed_graph)
-    graph = plane.perturbed_graph
-    packed = cache.get("bitmatrix")
-    if packed is None:
-        packed = BitMatrix.from_edge_arrays(graph.num_nodes, *paired_edge_arrays(graph, cache))
-        cache["bitmatrix"] = packed
-    if plane is reports:
-        return packed
-    n = graph.num_nodes
-    return packed.with_edits(*decode_pairs(added, n), *decode_pairs(removed, n))
+    edits = None if plane is reports else (added, removed)
+    return paired_plane(plane.perturbed_graph, {} if cache is None else cache, edits)
 
 
 class GraphLDPProtocol(abc.ABC):

@@ -68,10 +68,20 @@ def check_positive_int(value: Any, name: str) -> int:
     knob like ``trials`` or ``jobs`` silently truncated from a float is
     almost always a caller bug, and ``True`` counting as 1 trial is worse.
     """
+    return _check_int(value, name, 1, "a positive integer")
+
+
+def check_non_negative_int(value: Any, name: str) -> int:
+    """:func:`check_positive_int` with 0 allowed (a support or a count)."""
+    return _check_int(value, name, 0, "a non-negative integer")
+
+
+def _check_int(value: Any, name: str, minimum: int, kind: str) -> int:
+    """``value`` as an ``int`` if it is a non-boolean integer >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    if value <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be {kind}, got {value}")
     return int(value)
 
 

@@ -9,6 +9,7 @@ from repro.defenses.base import (
     resample_flagged_rows,
 )
 from repro.graph.adjacency import Graph
+from repro.graph.bitmatrix import MAX_PACKED_BYTES_ENV
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.metrics import edge_density
 from repro.protocols.base import CollectedReports, FakeReport, packed_plane
@@ -338,15 +339,21 @@ class TestEditRepairs:
         assert np.setdiff1d(base.removed_codes, honest_codes).size == 0
 
     @pytest.mark.parametrize("epsilon", [1.0, 4.0])
-    def test_defended_estimates_equal_scratch(self, epsilon):
+    @pytest.mark.parametrize("cap", [None, "1600"])
+    def test_defended_estimates_equal_scratch(self, monkeypatch, epsilon, cap):
         """Estimates of a repaired view, read through its baseline (the
         patched plane, the intra-count edit), equal those of the same
-        repair on baseline-free reports — a repair of a repair included."""
+        repair on baseline-free reports — a repair of a repair included.
+        Below ``REPRO_DENSE_MAX_BYTES`` the honest plane is parked first, as
+        Detect1 parks it; above it none can be."""
         run, after, plain = _attacked_views(epsilon)
         protocol = LFGDPRProtocol(epsilon=epsilon)
         targets = np.array([5, 9, 11, 30, 60])
         labels = np.arange(after.num_nodes) % 5
-        packed_plane(run.before)  # park the honest plane, as Detect1 does
+        if cap is not None:
+            monkeypatch.setenv(MAX_PACKED_BYTES_ENV, cap)
+        parked = packed_plane(run.before)
+        assert (parked is None) == (cap is not None)
         for flagged in _edit_flagged_cases(after.num_nodes)[1:4]:
             views = [
                 resample_flagged_rows(reports, flagged, rng=3) for reports in (after, plain)

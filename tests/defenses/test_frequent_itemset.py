@@ -4,7 +4,8 @@
   ``item_support = pair_support = s``, a user's count is the number of
   frequent 2-itemsets (at ``min_support = s``) contained in its row.
 * The scipy ``Sᵀ S`` formula the popcount counts replaced, for the default
-  data-derived supports, whose float tests must flag the same pairs.
+  data-derived supports, whose float tests must flag the same pairs —
+  also above the packing cap, where no plane is packed.
 """
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 from repro.core.degree_attacks import DegreeMGA
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.defenses.frequent_itemset import FrequentItemsetDefense
+from repro.graph import bitmatrix
 from repro.graph.adjacency import Graph
 from repro.graph.generators import powerlaw_cluster_graph
-from repro.protocols.base import CollectedReports
+from repro.protocols.base import CollectedReports, packed_plane
 from repro.protocols.lfgdpr import LFGDPRProtocol
 from repro.utils.sparse import pair_count
 from tests.defenses.apriori import apriori
@@ -143,3 +145,53 @@ class TestSparseFormulaOracle:
                     defense.frequent_pair_counts(reports), _sparse_counts(defense, reports)
                 )
         assert "bitmatrix" in run.before.baseline.cache
+
+
+def _refuse_packing(*args, **kwargs):
+    raise AssertionError("a full plane was packed")
+
+
+class TestAboveThePackingCap:
+    """With ``REPRO_DENSE_MAX_BYTES`` below a graph's packing bytes,
+    Detect1 packs no plane and parks none: it counts over node-range blocks
+    of candidate rows (one row per block at a cap of 1 byte, ten of 200
+    nodes' rows at 1,600 bytes), the same integers as the formula."""
+
+    def test_sizes_are_above_the_cap(self):
+        assert bitmatrix.packing_bytes(2) > 1 and bitmatrix.packing_bytes(65) > 1600
+
+    DEFENSES = (
+        FrequentItemsetDefense(threshold=1),
+        FrequentItemsetDefense(threshold=1, item_support=3, pair_support=2),
+    )
+
+    @pytest.mark.parametrize(
+        "n, cap", [(2, 1), (63, 1), (64, 1), (65, 1), (65, 1600), (200, 1600)]
+    )
+    @pytest.mark.parametrize("density", [0.05, 0.5])
+    def test_counts_equal_formula(self, monkeypatch, cap, n, density):
+        reports = _reports(_random_graph(n, density, seed=n + 7))
+        expected = [_sparse_counts(defense, reports) for defense in self.DEFENSES]
+        monkeypatch.setenv(bitmatrix.MAX_PACKED_BYTES_ENV, str(cap))
+        monkeypatch.setattr(bitmatrix, "pack_symmetric_plane", _refuse_packing)
+        for defense, counts in zip(self.DEFENSES, expected):
+            assert np.array_equal(defense.frequent_pair_counts(reports), counts)
+
+    def test_paired_views_park_no_plane(self, monkeypatch):
+        graph = powerlaw_cluster_graph(150, 4, 0.5, rng=0)
+        protocol = LFGDPRProtocol(epsilon=2.0)
+        threat = ThreatModel.sample(graph, 0.05, 0.05, rng=1)
+        knowledge = AttackerKnowledge.from_protocol(protocol, graph)
+        overrides = DegreeMGA().craft(graph, threat, knowledge, rng=2)
+        run = protocol.collect_paired(graph, 3)
+        views = (run.before, run.after(overrides))
+        expected = [
+            [_sparse_counts(defense, reports) for reports in views] for defense in self.DEFENSES
+        ]
+        monkeypatch.setenv(bitmatrix.MAX_PACKED_BYTES_ENV, "1600")
+        monkeypatch.setattr(bitmatrix, "pack_symmetric_plane", _refuse_packing)
+        for defense, counts in zip(self.DEFENSES, expected):
+            for reports, view_counts in zip(views, counts):
+                assert packed_plane(reports) is None
+                assert np.array_equal(defense.frequent_pair_counts(reports), view_counts)
+        assert "bitmatrix" not in run.before.baseline.cache

@@ -18,6 +18,7 @@ from repro.graph.bitmatrix import BitMatrix
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.metrics import (
     local_clustering_coefficients,
+    paired_plane,
     triangles_per_node,
     triangles_per_node_cached,
 )
@@ -182,6 +183,26 @@ class TestPairedViews:
         assert np.array_equal(
             triangles_per_node_cached(after, cache, None, edits), networkx_triangles(after)
         )
+
+    def test_no_plane_is_packed_above_the_cap(self, monkeypatch):
+        """Above ``REPRO_DENSE_MAX_BYTES`` :func:`paired_plane` packs and
+        parks nothing, so the honest view streams and the after-view counts
+        on its own graph."""
+        graph = erdos_renyi_graph(80, 0.4, rng=5)
+        after, edits = after_view(graph, 5)
+        monkeypatch.setenv(bitmatrix.MAX_PACKED_BYTES_ENV, str(bitmatrix.packing_bytes(80) - 1))
+        cache = {}
+        assert paired_plane(graph, cache) is None
+        assert paired_plane(graph, cache, edits) is None
+        assert "bitmatrix" not in cache
+        nodes = np.array([4, 9, 77])
+        with use_tracer(Tracer()) as tracer:
+            honest = triangles_per_node_cached(graph, cache, nodes)
+            counts = triangles_per_node_cached(after, cache, nodes, edits)
+        assert tracer.counters["backend.stream"] == 2
+        assert "bitmatrix" not in cache
+        assert np.array_equal(honest, networkx_triangles(graph)[nodes])
+        assert np.array_equal(counts, networkx_triangles(after)[nodes])
 
     def test_tracer_counts_each_target_count(self):
         graph = erdos_renyi_graph(40, 0.3, rng=1)
