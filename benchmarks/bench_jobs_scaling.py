@@ -34,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from conftest import bench_config, emit, record_timing
 
 from repro.engine.cache import NullCache
-from repro.engine.executors import execute_task
+from repro.engine.kernels import execute_tasks_grouped
 from repro.scenarios import get_scenario
 from repro.scenarios.run import prepare_scenario, run_scenario
 
@@ -62,7 +62,8 @@ def _legacy_init(graph, labels):
 
 
 def _legacy_run(task):
-    return execute_task(task, _LEGACY_GRAPH, _LEGACY_LABELS)
+    # One task at a time, as the pre-session workers ran them.
+    return execute_tasks_grouped([task], _LEGACY_GRAPH, _LEGACY_LABELS)[0]
 
 
 def _bench_jobs() -> int:

@@ -8,18 +8,14 @@ from repro.core.theory import theorem1_degree_gain, theorem2_clustering_gain
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.core.untargeted_attacks import (
     UntargetedConcentratedAttack,
-    UntargetedOutcome,
     UntargetedUniformAttack,
     UntargetedWithdrawalAttack,
-    evaluate_untargeted_attack,
 )
 
 __all__ = [
     "UntargetedConcentratedAttack",
-    "UntargetedOutcome",
     "UntargetedUniformAttack",
     "UntargetedWithdrawalAttack",
-    "evaluate_untargeted_attack",
     "Attack",
     "random_new_neighbors",
     "ClusteringMGA",

@@ -24,6 +24,10 @@ class Attack(abc.ABC):
     #: Short name used in experiment tables ("RVA", "RNA", "MGA", ...).
     name: str = "attack"
 
+    #: Whether the attack aims at the threat model's targets.  An untargeted
+    #: attack is scored at every node (``repro.core.gain.scored_targets``).
+    targeted: bool = True
+
     @abc.abstractmethod
     def craft(
         self,

@@ -4,6 +4,8 @@
 estimates come from full protocol runs.  The *before* run has every user —
 including the (not yet activated) fake users — reporting honestly; the
 *after* run replaces fake users' reports with the attack's crafted values.
+An untargeted attack (``Attack.targeted`` false) is scored at every node, so
+its gain is the L1 distance between the full estimate vectors.
 
 By default the two runs share their random streams (common random numbers):
 the protocol derives genuine-user noise from named child streams of one
@@ -11,9 +13,10 @@ seed, so the measured gain isolates the attack's effect instead of LDP noise
 variance.  ``paired=False`` re-randomises the after run for sensitivity
 analysis (benchmarked in ``bench_theory_validation``).
 
-Every evaluation path — here, the defended and untargeted evaluations and
-the engine's point kernel — shares :func:`craft_trial` (the per-trial
-prologue) and :func:`metric_estimates` (the estimator dispatch).  Paired
+A trial is scored by one body, :func:`score_trial`: after-view, the
+defense if any, then :func:`metric_estimates` (the estimator dispatch).
+:func:`evaluate_attack`, the defended evaluation and the engine's point
+kernel each call it after the shared prologue :func:`craft_trial`.  Paired
 runs flow through :meth:`GraphLDPProtocol.collect_paired`: the honest world
 is collected once and the after-world derived from the shared state —
 bit-identical to two seed-replayed ``collect`` calls.  Clustering gains
@@ -23,7 +26,8 @@ count the targets' triangles only, in both views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +37,9 @@ from repro.graph.adjacency import Graph
 from repro.protocols.base import FakeReport, GraphLDPProtocol
 from repro.utils.rng import RngLike, child_rng
 
+if TYPE_CHECKING:
+    from repro.defenses.base import Defense
+
 #: Metrics an attack can be evaluated on.
 METRICS = ("degree_centrality", "clustering_coefficient", "modularity")
 
@@ -40,8 +47,9 @@ METRICS = ("degree_centrality", "clustering_coefficient", "modularity")
 class AttackOutcome:
     """Result of one attack evaluation.
 
-    ``before``/``after`` hold the estimated metric of every target (for the
-    global modularity metric they are length-1 arrays).
+    ``before``/``after`` hold the estimated metric of every target — of
+    every node for an untargeted attack (for the global modularity metric
+    they are length-1 arrays).
     """
 
     attack_name: str
@@ -82,6 +90,11 @@ def craft_trial(
     drawn from the ``"protocol-run"`` child stream.  Every evaluation path
     calls this one helper, so their RNG streams agree by construction.
     """
+    if threat.num_nodes != graph.num_nodes:
+        raise ValueError(
+            f"threat is drawn for {threat.num_nodes} nodes but the graph has "
+            f"{graph.num_nodes}"
+        )
     knowledge = AttackerKnowledge.from_protocol(protocol, graph)
     overrides = attack.craft(graph, threat, knowledge, rng=child_rng(seed, "attack-craft"))
     missing = np.setdiff1d(threat.fake_users, np.fromiter(overrides.keys(), dtype=np.int64))
@@ -104,21 +117,21 @@ def metric_estimates(
     metric: str,
     before_reports,
     after_reports,
-    targets: np.ndarray,
+    targets: Optional[np.ndarray],
     labels: Optional[np.ndarray] = None,
 ) -> tuple:
-    """Before/after target estimates for one paired pair of report views.
+    """Before/after estimates at ``targets`` (every node: ``None``).
 
     The single definition of how a metric name maps onto the protocol's
-    estimator surface, shared by :func:`evaluate_attack`, the defended
-    evaluation and the engine's point kernel (``repro.engine.kernels``) so
-    every path produces identical floats by construction.  Clustering is
-    estimated at ``targets`` only.  Modularity is a global metric: its
-    estimates are length-1 arrays regardless of ``targets``.
+    estimator surface.  Clustering is estimated at ``targets`` only.
+    Modularity is a global metric: its estimates are length-1 arrays
+    regardless of ``targets``.
     """
     if metric == "degree_centrality":
-        before = protocol.estimate_degree_centrality(before_reports)[targets]
-        after = protocol.estimate_degree_centrality(after_reports)[targets]
+        before = protocol.estimate_degree_centrality(before_reports)
+        after = protocol.estimate_degree_centrality(after_reports)
+        if targets is not None:
+            before, after = before[targets], after[targets]
     elif metric == "clustering_coefficient":
         before = protocol.estimate_clustering_coefficient(before_reports, targets)
         after = protocol.estimate_clustering_coefficient(after_reports, targets)
@@ -126,6 +139,37 @@ def metric_estimates(
         before = np.array([protocol.estimate_modularity(before_reports, labels)])
         after = np.array([protocol.estimate_modularity(after_reports, labels)])
     return before, after
+
+
+def scored_targets(attack: Attack, threat: ThreatModel) -> Optional[np.ndarray]:
+    """The nodes a trial is scored at: the targets, or every node (``None``)."""
+    return threat.targets if attack.targeted else None
+
+
+def score_trial(
+    protocol: GraphLDPProtocol,
+    run,
+    overrides: Dict[int, FakeReport],
+    metric: str,
+    targets: Optional[np.ndarray],
+    labels: Optional[np.ndarray] = None,
+    defense: Optional["Defense"] = None,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The one trial-scoring body: ``(before, after, flagged)`` of one run.
+
+    Builds the attacked view ``run.after(overrides)``, lets ``defense``
+    (if any; else ``flagged`` is ``None``) detect and repair it, and
+    estimates ``metric`` at ``targets`` in both views.  The gain of Eq. 5
+    is ``np.abs(after - before).sum()``.
+    """
+    after_reports = run.after(overrides)
+    flagged = None
+    if defense is not None:
+        after_reports, flagged = defense.apply(after_reports)
+    before, after = metric_estimates(
+        protocol, metric, run.before, after_reports, targets, labels
+    )
+    return before, after, flagged
 
 
 def evaluate_attack(
@@ -158,24 +202,23 @@ def evaluate_attack(
         # to the same perturbed state the before-view exposes (bit-identical
         # to replaying the seed, without re-drawing the honest randomness).
         run = protocol.collect_paired(graph, protocol_seed)
-        before_reports = run.before
-        after_reports = run.after(overrides)
     else:
-        before_reports = protocol.collect(graph, protocol_seed)
+        # Two independent collections: the after-view re-draws the honest
+        # noise on its own seed.
         after_seed = int(child_rng(rng, "protocol-run-after").integers(2**63 - 1))
-        after_reports = protocol.collect(graph, after_seed, overrides=overrides)
+        run = SimpleNamespace(
+            before=protocol.collect(graph, protocol_seed),
+            after=lambda crafted: protocol.collect(graph, after_seed, overrides=crafted),
+        )
+    targets = scored_targets(attack, threat)
+    before, after, _ = score_trial(protocol, run, overrides, metric, targets, labels)
 
-    before, after = metric_estimates(
-        protocol, metric, before_reports, after_reports, threat.targets, labels
-    )
-
-    # The estimators return float64 arrays already; fancy-indexing them by
-    # the target ids yields fresh float64 arrays, so no defensive re-copy is
+    # The estimators return fresh float64 arrays, so no defensive re-copy is
     # needed — and a mapping that is already a plain dict is adopted as-is.
     return AttackOutcome(
         attack_name=attack.name,
         metric=metric,
-        targets=threat.targets,
+        targets=np.arange(graph.num_nodes) if targets is None else targets,
         before=before,
         after=after,
         overrides=overrides if type(overrides) is dict else dict(overrides),

@@ -16,22 +16,21 @@ attack taxonomy:
   and zero degrees, deleting their organic contribution (the "silent"
   manipulation baseline).
 
-Gain is measured as the Lp distance between the full estimated metric
-vectors of the paired runs.
+Each class sets ``targeted = False``, so every evaluation path scores it at
+every node: its gain is the L1 distance ``||f~_after - f~_before||_1``
+between the full estimated metric vectors of the paired runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 
 from repro.core.base import Attack, ensure_attack_rng, random_new_neighbors
-from repro.core.gain import craft_trial
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.graph.adjacency import Graph
-from repro.protocols.base import FakeReport, GraphLDPProtocol
+from repro.protocols.base import FakeReport
 from repro.utils.rng import RngLike
 
 
@@ -39,6 +38,7 @@ class UntargetedUniformAttack(Attack):
     """Spread the claim budget uniformly over the whole node set."""
 
     name = "U-Uniform"
+    targeted = False
 
     def craft(
         self,
@@ -68,6 +68,7 @@ class UntargetedConcentratedAttack(Attack):
     """
 
     name = "U-Concentrated"
+    targeted = False
 
     def craft(
         self,
@@ -92,7 +93,8 @@ class UntargetedConcentratedAttack(Attack):
 class UntargetedWithdrawalAttack(Attack):
     """Report nothing: erase the fake users' organic contribution."""
 
-    name = "U-Withdraw"
+    name = "U-Withdrawal"
+    targeted = False
 
     def craft(
         self,
@@ -107,55 +109,3 @@ class UntargetedWithdrawalAttack(Attack):
             )
             for fake in threat.fake_users.tolist()
         }
-
-
-@dataclass
-class UntargetedOutcome:
-    """Distortion of the whole estimate vector under an untargeted attack."""
-
-    attack_name: str
-    metric: str
-    norm: float
-    distance: float
-    before: np.ndarray
-    after: np.ndarray
-
-
-def evaluate_untargeted_attack(
-    graph: Graph,
-    protocol: GraphLDPProtocol,
-    attack: Attack,
-    threat: ThreatModel,
-    metric: str = "degree_centrality",
-    norm: float = 1.0,
-    rng: RngLike = 0,
-) -> UntargetedOutcome:
-    """Paired evaluation measuring ``||f~_after - f~_before||_p`` over all nodes.
-
-    The ``targets`` of the threat model are ignored (the attack is
-    untargeted); the distance runs over the entire estimate vector.
-    """
-    if metric not in ("degree_centrality", "clustering_coefficient"):
-        raise ValueError(
-            "untargeted evaluation supports degree_centrality or "
-            f"clustering_coefficient, got {metric!r}"
-        )
-    overrides, seed = craft_trial(graph, protocol, attack, threat, rng)
-    run = protocol.collect_paired(graph, seed)
-    before_reports = run.before
-    after_reports = run.after(overrides)
-    if metric == "degree_centrality":
-        before = protocol.estimate_degree_centrality(before_reports)
-        after = protocol.estimate_degree_centrality(after_reports)
-    else:
-        before = protocol.estimate_clustering_coefficient(before_reports)
-        after = protocol.estimate_clustering_coefficient(after_reports)
-    distance = float(np.linalg.norm(after - before, ord=norm))
-    return UntargetedOutcome(
-        attack_name=attack.name,
-        metric=metric,
-        norm=norm,
-        distance=distance,
-        before=before,
-        after=after,
-    )

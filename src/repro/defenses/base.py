@@ -189,8 +189,10 @@ def resample_flagged_rows(
     """Reconstruction repair: redraw flagged users' pairs at ambient density.
 
     Pairs between two flagged users are drawn once (not twice).  Genuine
-    flagged users lose their real data — the false-positive cost that drives
-    the U-shape of Fig. 12(a).
+    flagged users lose their real data: the false-positive cost of the
+    repair.  That this cost shapes Fig. 12(a) into a U is unverified:
+    Detect1's measured curve over the threshold is flat (see the
+    defended-baseline item in ROADMAP.md).
     """
     num_nodes = reports.num_nodes
     flagged = _flagged_ids(flagged, num_nodes)

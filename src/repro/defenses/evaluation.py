@@ -7,8 +7,13 @@ The defended gain compares the *defended attacked* estimates against the
 
 so a defense scores well only if it both neutralises the fakes and avoids
 collateral damage to genuine data — flagging half the graph "stops" the
-attack but wrecks the estimates, and the metric charges for that (the
-mechanism behind the U-shape of Fig. 12(a) and Naive2's negative results).
+attack but wrecks the estimates, and the metric charges for that.  Whether
+this trade-off yields the U-shape of Fig. 12(a) is unverified: measured
+over the threshold, Detect1's curve is flat (see the defended-baseline
+item in ROADMAP.md).
+
+The trial is scored by :func:`repro.core.gain.score_trial`, the body the
+undefended evaluation and the engine's point kernel share.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.base import Attack
-from repro.core.gain import check_metric, craft_trial, metric_estimates
+from repro.core.gain import check_metric, craft_trial, score_trial, scored_targets
 from repro.core.threat_model import ThreatModel
 from repro.defenses.base import Defense, DetectionQuality, detection_quality
 from repro.graph.adjacency import Graph
@@ -63,31 +68,26 @@ def evaluate_defended_attack(
 ) -> DefendedOutcome:
     """Run attack + defense with common random numbers and measure the gain.
 
-    Mirrors :func:`repro.core.gain.evaluate_attack` exactly (the same
-    :func:`~repro.core.gain.craft_trial` prologue, so the undefended and
-    defended gains of the same seed are directly comparable), inserting
-    ``defense.apply`` between collection and estimation of the attacked run.
+    The same :func:`~repro.core.gain.craft_trial` prologue and
+    :func:`~repro.core.gain.score_trial` body as
+    :func:`repro.core.gain.evaluate_attack`, so the undefended and defended
+    gains of the same seed are directly comparable; ``defense.apply`` runs
+    on the attacked view of the shared honest collection.
     """
     check_metric(metric, labels)
     overrides, protocol_seed = craft_trial(graph, protocol, attack, threat, rng)
-    # The honest collection is shared with the attacked after-run the
-    # defense post-processes — one perturbation per evaluation, exactly as
-    # in the undefended pipeline.  Detection reads the run's packed plane
-    # and a repair is one more edit of it, so defended estimation reuses
-    # the run's cache like the undefended after-view.
     run = protocol.collect_paired(graph, protocol_seed)
-    defended_reports, flagged = defense.apply(run.after(overrides))
-    before, after = metric_estimates(
-        protocol, metric, run.before, defended_reports, threat.targets, labels
+    targets = scored_targets(attack, threat)
+    before, after, flagged = score_trial(
+        protocol, run, overrides, metric, targets, labels, defense
     )
-
     return DefendedOutcome(
         attack_name=attack.name,
         defense_name=defense.name,
         metric=metric,
-        targets=threat.targets,
-        before=np.asarray(before, dtype=np.float64),
-        after_defended=np.asarray(after, dtype=np.float64),
+        targets=np.arange(graph.num_nodes) if targets is None else targets,
+        before=before,
+        after_defended=after,
         flagged=flagged,
         quality=detection_quality(flagged, threat.fake_users),
     )

@@ -51,7 +51,6 @@ from repro.engine.executors import (
     PoolManager,
     SerialExecutor,
     cache_for,
-    execute_task,
     run_batch,
 )
 from repro.engine.graph_store import GraphStore
@@ -91,7 +90,6 @@ __all__ = [
     "GraphStore",
     "ShardedResultStore",
     "cache_for",
-    "execute_task",
     "execute_tasks_grouped",
     "point_key",
     "run_batch",

@@ -18,7 +18,7 @@ from typing import Optional
 from repro.engine.tasks import TrialTask
 
 #: Invalidation stamp: entries written under another version are ignored.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

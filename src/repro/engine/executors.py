@@ -1,8 +1,9 @@
 """Task executors: serial, process-pool parallel, and the cache-aware driver.
 
 Both executors compute through one function,
-:func:`~repro.engine.kernels.execute_tasks_grouped`, whose gains equal the
-single-task reference :func:`execute_task` bit for bit; the only difference
+:func:`~repro.engine.kernels.execute_tasks_grouped`, whose gains equal a
+one-task-at-a-time ``collect_paired`` reference bit for bit (the test
+suite's ``tests/engine/test_kernels.py`` holds it); the only difference
 between backends is *where* tasks run.  Because every task carries its own
 derived seed, results are bit-identical across executors, worker counts and
 scheduling orders.
@@ -46,9 +47,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from repro.core.gain import evaluate_attack
-from repro.core.threat_model import ThreatModel
-from repro.defenses.evaluation import evaluate_defended_attack
+# Unused here: perfbench/layers.py patches ``executors.evaluate_attack`` and
+# ``executors.evaluate_defended_attack`` by name.
+from repro.core.gain import evaluate_attack  # noqa: F401
+from repro.defenses.evaluation import evaluate_defended_attack  # noqa: F401
 from repro.engine.cache import NullCache
 from repro.engine.graph_store import (
     GraphStore,
@@ -57,12 +59,10 @@ from repro.engine.graph_store import (
 )
 from repro.engine.integrity import ensure_finite_gain
 from repro.engine.kernels import execute_tasks_grouped, point_key
-from repro.engine.registry import ATTACKS, DEFENSES, PROTOCOLS
 from repro.engine.result_store import ShardedResultStore
 from repro.engine.tasks import TrialTask
 from repro.graph.adjacency import Graph, SharedGraphHandle
 from repro.telemetry.core import Tracer, current_tracer, set_tracer
-from repro.utils.rng import child_rng
 
 #: Any cache flavour the drivers accept.
 CacheLike = Union[ShardedResultStore, NullCache]
@@ -143,40 +143,6 @@ class PoolManager:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-
-def execute_task(
-    task: TrialTask,
-    graph: Graph,
-    labels: Optional[np.ndarray] = None,
-) -> float:
-    """Run one trial task and return its total gain.
-
-    The single-task reference the engine's point kernel
-    (:mod:`repro.engine.kernels`) must equal.
-    """
-    with current_tracer().span(
-        "task.execute",
-        figure=task.figure, series=task.series, attack=task.attack,
-        value=task.value, trial=task.trial,
-    ):
-        attack = ATTACKS.create(task.attack)
-        protocol = PROTOCOLS.create(task.protocol, epsilon=task.epsilon)
-        threat = ThreatModel.sample(
-            graph, task.beta, task.gamma, rng=child_rng(task.seed, "threat")
-        )
-        if task.defense:
-            defense = DEFENSES.create(task.defense, **dict(task.defense_args))
-            outcome = evaluate_defended_attack(
-                graph, protocol, attack, defense, threat,
-                metric=task.metric, rng=task.seed, labels=labels,
-            )
-        else:
-            outcome = evaluate_attack(
-                graph, protocol, attack, threat,
-                metric=task.metric, rng=task.seed, labels=labels,
-            )
-        return float(outcome.total_gain)
 
 
 class Executor(abc.ABC):

@@ -11,12 +11,14 @@ cache as the estimators ask for them; clustering counts triangles at the
 targets only, on the honest plane and on its copy patched with the edits.
 
 Bit-identity contract: per task, the kernel runs the same prologue
-(:func:`~repro.core.gain.craft_trial`) and estimator dispatch
-(:func:`~repro.core.gain.metric_estimates`) as the single-task reference
-:func:`repro.engine.executors.execute_task`; batching only reorders draws
-*across* independent streams and shares the perturbation setup, so gains,
-goldens and cache entries are unchanged.  Each task keeps its own
-``task.execute`` span; the ``kernel.batched`` counter counts tasks served.
+(:func:`~repro.core.gain.craft_trial`) and trial-scoring body
+(:func:`~repro.core.gain.score_trial`) as ``evaluate_attack`` and
+``evaluate_defended_attack``.  Batching only reorders draws *across*
+independent streams and shares the perturbation setup, so gains, goldens
+and cache entries equal those of one ``collect_paired`` per task — the
+single-task reference the test suite (``tests/engine/test_kernels.py``)
+holds the kernel to.  Each task keeps its own ``task.execute`` span; the
+``kernel.batched`` counter counts tasks served.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.gain import check_metric, craft_trial, metric_estimates
+from repro.core.gain import check_metric, craft_trial, score_trial, scored_targets
 from repro.core.threat_model import ThreatModel
 from repro.engine.registry import ATTACKS, DEFENSES, PROTOCOLS
 from repro.engine.tasks import TrialTask
@@ -96,9 +98,10 @@ def _execute_point_batched(
     Phase one runs each task's threat sampling and
     :func:`~repro.core.gain.craft_trial` under its own ``task.execute``
     span and creates its defense, if any.  Phase two collects every trial
-    at once.  Phase three applies each defense to its attacked view and
-    estimates.  Protocol construction is deterministic in epsilon and
-    collection is stateless, so one protocol instance serves the point.
+    at once.  Phase three scores each trial through
+    :func:`~repro.core.gain.score_trial`.  Protocol construction is
+    deterministic in epsilon and collection is stateless, so one protocol
+    instance serves the point.
     """
     first = tasks[0]
     protocol = PROTOCOLS.create(first.protocol, epsilon=first.epsilon)
@@ -122,16 +125,13 @@ def _execute_point_batched(
                 else None
             )
             overrides, protocol_seed = craft_trial(graph, protocol, attack, threat, task.seed)
-            crafted.append((threat, overrides, protocol_seed, defense))
+            crafted.append((scored_targets(attack, threat), overrides, protocol_seed, defense))
 
     runs = protocol.collect_paired_batch(graph, [seed for _, _, seed, _ in crafted])
     gains = []
-    for (threat, overrides, _, defense), run in zip(crafted, runs):
-        after_reports = run.after(overrides)
-        if defense is not None:
-            after_reports, _ = defense.apply(after_reports)
-        before, after = metric_estimates(
-            protocol, metric, run.before, after_reports, threat.targets, labels
+    for (targets, overrides, _, defense), run in zip(crafted, runs):
+        before, after, _ = score_trial(
+            protocol, run, overrides, metric, targets, labels, defense
         )
         gains.append(float(np.abs(after - before).sum()))
     return gains

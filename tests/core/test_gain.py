@@ -126,14 +126,6 @@ class TestMissingFakeReports:
                 NaiveTopDegreeDefense(), threat,
             )
 
-    def test_evaluate_untargeted_attack(self, graph, threat):
-        from repro.core.untargeted_attacks import evaluate_untargeted_attack
-
-        with pytest.raises(ValueError, match="fake users without reports"):
-            evaluate_untargeted_attack(
-                graph, LFGDPRProtocol(epsilon=4.0), DropFirstFakeMGA(), threat
-            )
-
     def test_engine_kernel_on_defended_task(self, graph, monkeypatch):
         from repro.engine.kernels import execute_tasks_grouped
         from repro.engine.registry import ATTACKS

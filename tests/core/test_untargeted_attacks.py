@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.degree_attacks import DegreeMGA
+from repro.core.gain import evaluate_attack
 from repro.core.threat_model import AttackerKnowledge, ThreatModel
 from repro.core.untargeted_attacks import (
     UntargetedConcentratedAttack,
     UntargetedUniformAttack,
     UntargetedWithdrawalAttack,
-    evaluate_untargeted_attack,
 )
+from repro.defenses.evaluation import evaluate_defended_attack
+from repro.defenses.naive import NaiveTopDegreeDefense
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.protocols.lfgdpr import LFGDPRProtocol
 
@@ -65,57 +68,69 @@ class TestCrafting:
 
 
 class TestEvaluation:
-    @pytest.mark.parametrize("attack", ATTACKS, ids=lambda a: a.name)
-    def test_distance_positive(self, attack, graph, threat):
-        protocol = LFGDPRProtocol(epsilon=4.0)
-        outcome = evaluate_untargeted_attack(graph, protocol, attack, threat, rng=0)
-        assert outcome.distance > 0
-        assert outcome.before.shape == (graph.num_nodes,)
+    """Untargeted attacks are scored at every node: Eq. 5's sum runs over
+    the full estimate vector, so the gain is ``||f~_after - f~_before||_1``."""
 
-    def test_metric_validation(self, graph, threat):
+    @pytest.mark.parametrize("attack", ATTACKS, ids=lambda a: a.name)
+    def test_scored_at_every_node(self, attack, graph, threat):
         protocol = LFGDPRProtocol(epsilon=4.0)
-        with pytest.raises(ValueError, match="untargeted"):
-            evaluate_untargeted_attack(
-                graph, protocol, UntargetedUniformAttack(), threat, metric="modularity"
-            )
+        outcome = evaluate_attack(graph, protocol, attack, threat, rng=0)
+        assert outcome.total_gain > 0
+        assert outcome.before.shape == outcome.after.shape == (graph.num_nodes,)
+        assert np.array_equal(outcome.targets, np.arange(graph.num_nodes))
+        assert outcome.total_gain == float(
+            np.linalg.norm(outcome.after - outcome.before, ord=1)
+        )
+
+    def test_targeted_attack_scored_at_targets(self, graph, threat):
+        outcome = evaluate_attack(graph, LFGDPRProtocol(epsilon=4.0), DegreeMGA(), threat)
+        assert DegreeMGA.targeted
+        assert np.array_equal(outcome.targets, threat.targets)
+        assert outcome.before.shape == (threat.num_targets,)
+
+    def test_defended_scored_at_every_node(self, graph, threat):
+        outcome = evaluate_defended_attack(
+            graph, LFGDPRProtocol(epsilon=4.0), UntargetedWithdrawalAttack(),
+            NaiveTopDegreeDefense(), threat, rng=0,
+        )
+        assert outcome.before.shape == (graph.num_nodes,)
+        assert np.isfinite(outcome.total_gain)
+
+    def test_modularity_is_a_global_scalar(self, graph, threat):
+        labels = (np.arange(graph.num_nodes) // 50).astype(np.int64)
+        outcome = evaluate_attack(
+            graph, LFGDPRProtocol(epsilon=4.0), UntargetedConcentratedAttack(), threat,
+            metric="modularity", rng=0, labels=labels,
+        )
+        assert outcome.before.shape == (1,)
 
     def test_l2_concentration_beats_uniform(self, graph, threat):
         """Concentrating claims maximises the L2 displacement."""
         protocol = LFGDPRProtocol(epsilon=4.0)
-        concentrated = np.mean(
-            [
-                evaluate_untargeted_attack(
-                    graph, protocol, UntargetedConcentratedAttack(), threat,
-                    norm=2.0, rng=seed,
-                ).distance
-                for seed in range(3)
-            ]
-        )
-        uniform = np.mean(
-            [
-                evaluate_untargeted_attack(
-                    graph, protocol, UntargetedUniformAttack(), threat,
-                    norm=2.0, rng=seed,
-                ).distance
-                for seed in range(3)
-            ]
-        )
-        assert concentrated > uniform
+
+        def l2(attack):
+            distances = []
+            for seed in range(3):
+                outcome = evaluate_attack(graph, protocol, attack, threat, rng=seed)
+                distances.append(np.linalg.norm(outcome.after - outcome.before))
+            return np.mean(distances)
+
+        assert l2(UntargetedConcentratedAttack()) > l2(UntargetedUniformAttack())
 
     def test_deterministic(self, graph, threat):
         protocol = LFGDPRProtocol(epsilon=4.0)
-        a = evaluate_untargeted_attack(
-            graph, protocol, UntargetedUniformAttack(), threat, rng=7
-        )
-        b = evaluate_untargeted_attack(
-            graph, protocol, UntargetedUniformAttack(), threat, rng=7
-        )
-        assert a.distance == b.distance
+        a = evaluate_attack(graph, protocol, UntargetedUniformAttack(), threat, rng=7)
+        b = evaluate_attack(graph, protocol, UntargetedUniformAttack(), threat, rng=7)
+        assert a.total_gain == b.total_gain
 
     def test_clustering_metric_supported(self, graph, threat):
         protocol = LFGDPRProtocol(epsilon=4.0)
-        outcome = evaluate_untargeted_attack(
+        outcome = evaluate_attack(
             graph, protocol, UntargetedConcentratedAttack(), threat,
             metric="clustering_coefficient", rng=0,
         )
-        assert np.isfinite(outcome.distance)
+        assert outcome.after.shape == (graph.num_nodes,)
+        assert np.isfinite(outcome.total_gain)
+
+    def test_withdrawal_name_matches_catalog_series(self):
+        assert UntargetedWithdrawalAttack.name == "U-Withdrawal"

@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from repro.engine.cache import NullCache
-from repro.engine.executors import (
-    ParallelExecutor,
-    SerialExecutor,
-    execute_task,
-    run_batch,
-)
+from repro.engine.executors import ParallelExecutor, SerialExecutor, run_batch
 from repro.engine.graph_store import GraphStore
 from repro.engine.result_store import ShardedResultStore
 from repro.engine.session import EngineSession
@@ -35,6 +30,7 @@ from repro.graph.generators import powerlaw_cluster_graph
 from repro.scenarios import get_scenario, run_scenario
 from repro.telemetry.core import Tracer, use_tracer
 from tests.conftest import CountingExecutor, run_on_graph
+from tests.engine.test_kernels import execute_task
 
 CONFIG = ExperimentConfig(trials=2, seed=3, cache=False, scale=0.03)
 

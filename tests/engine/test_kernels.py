@@ -1,7 +1,8 @@
 """Tests for the engine's point kernel, the one path every task runs through.
 
 The kernel is pure reordering: for any task list it must produce gains
-bit-identical to the single-task reference (``execute_task``), emit the same
+bit-identical to the single-task reference (:func:`execute_task`, defined
+here: the public evaluators, one ``collect_paired`` per task), emit the same
 ``task.execute`` span accounting, and share cache entries with the reference
 in both directions.  These tests pin that contract for every point shape —
 multi-trial and singleton groups, defended points, LDPGen and modularity —
@@ -11,14 +12,19 @@ plus the kernel's counters and errors.
 import numpy as np
 import pytest
 
+from repro.core.gain import METRICS, craft_trial, evaluate_attack
+from repro.core.threat_model import ThreatModel
+from repro.defenses.evaluation import evaluate_defended_attack
 from repro.engine.cache import NullCache
 from repro.engine.result_store import ShardedResultStore
-from repro.engine.executors import Executor, SerialExecutor, execute_task
+from repro.engine.executors import Executor, SerialExecutor
 from repro.engine.kernels import execute_tasks_grouped, group_by_point, point_key
+from repro.engine.registry import ATTACKS, DEFENSES, PROTOCOLS
 from repro.engine.tasks import TrialTask, derive_trial_seed, graph_fingerprint
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.protocols.lfgdpr import LFGDPRProtocol
-from repro.telemetry.core import Tracer, use_tracer
+from repro.telemetry.core import Tracer, current_tracer, use_tracer
+from repro.utils.rng import child_rng
 from tests.conftest import run_on_graph
 
 
@@ -44,6 +50,36 @@ def make_tasks(
         )
         for trial in range(trials)
     ]
+
+
+def execute_task(task, graph, labels=None):
+    """Run one trial task through the public evaluators; its total gain.
+
+    The single-task reference the engine's point kernel must equal: one
+    ``collect_paired`` per task, no batching across trials.
+    """
+    with current_tracer().span(
+        "task.execute",
+        figure=task.figure, series=task.series, attack=task.attack,
+        value=task.value, trial=task.trial,
+    ):
+        attack = ATTACKS.create(task.attack)
+        protocol = PROTOCOLS.create(task.protocol, epsilon=task.epsilon)
+        threat = ThreatModel.sample(
+            graph, task.beta, task.gamma, rng=child_rng(task.seed, "threat")
+        )
+        if task.defense:
+            defense = DEFENSES.create(task.defense, **dict(task.defense_args))
+            outcome = evaluate_defended_attack(
+                graph, protocol, attack, defense, threat,
+                metric=task.metric, rng=task.seed, labels=labels,
+            )
+        else:
+            outcome = evaluate_attack(
+                graph, protocol, attack, threat,
+                metric=task.metric, rng=task.seed, labels=labels,
+            )
+        return float(outcome.total_gain)
 
 
 class ReferenceExecutor(Executor):
@@ -89,24 +125,18 @@ class TestPointGrouping:
         assert group_by_point(interleaved) == [[0, 2], [1, 3]]
 
 
-METRIC_ATTACKS = [
-    ("degree_centrality", "degree/rva"),
-    ("degree_centrality", "degree/mga"),
-    ("clustering_coefficient", "clustering/mga"),
-    ("modularity", "clustering/mga"),
-]
-
-#: Defended points: the paper's two detectors and a naive baseline.
-DEFENSES = [
-    ("detect1", (("threshold", 1),)),
-    ("detect2", ()),
-    ("naive1", ()),
-]
+#: Arguments under which each registered defense flags users on this graph
+#: at epsilon 8 (the defaults' thresholds are sized for larger graphs).
+FLAGGING_ARGS = {
+    "detect1": (("threshold", 1),),
+    "hybrid": (("itemset_threshold", 1),),
+}
 
 
 class TestKernelEqualsReference:
     @pytest.mark.parametrize("trials", [4, 1])
-    @pytest.mark.parametrize("metric,attack", METRIC_ATTACKS)
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("attack", ATTACKS.names())
     def test_undefended_groups(self, graph, labels, metric, attack, trials):
         tasks = make_tasks(graph, metric, attack, trials)
         task_labels = labels if metric == "modularity" else None
@@ -115,15 +145,53 @@ class TestKernelEqualsReference:
 
     @pytest.mark.parametrize("trials", [3, 1])
     @pytest.mark.parametrize("metric", ["degree_centrality", "clustering_coefficient"])
-    @pytest.mark.parametrize("defense,defense_args", DEFENSES)
-    def test_defended_groups(self, graph, metric, defense, defense_args, trials):
-        # At epsilon 8 every listed defense flags users on this graph.
+    @pytest.mark.parametrize("attack", ["degree/mga", "untargeted/concentrated"])
+    @pytest.mark.parametrize("defense", DEFENSES.names())
+    def test_defended_groups(self, graph, metric, attack, defense, trials):
         tasks = make_tasks(
-            graph, metric, "degree/mga", trials, epsilon=8.0, tag="defended",
-            defense=defense, defense_args=defense_args,
+            graph, metric, attack, trials, epsilon=8.0, tag="defended",
+            defense=defense, defense_args=FLAGGING_ARGS.get(defense, ()),
         )
         kernel = execute_tasks_grouped(tasks, graph)
         assert kernel == [execute_task(task, graph) for task in tasks]
+
+    @pytest.mark.parametrize("metric", ["degree_centrality", "clustering_coefficient"])
+    @pytest.mark.parametrize(
+        "attack", [name for name in ATTACKS.names() if name.startswith("untargeted/")]
+    )
+    def test_untargeted_gain_is_full_vector_l1(self, graph, metric, attack):
+        """An untargeted task scores ||f~_after - f~_before||_1 over all N."""
+        tasks = make_tasks(graph, metric, attack, 2, tag="untargeted")
+        protocol = LFGDPRProtocol(epsilon=2.0)
+        estimate = (
+            protocol.estimate_degree_centrality
+            if metric == "degree_centrality"
+            else protocol.estimate_clustering_coefficient
+        )
+        for task, gain in zip(tasks, execute_tasks_grouped(tasks, graph)):
+            threat = ThreatModel.sample(
+                graph, task.beta, task.gamma, rng=child_rng(task.seed, "threat")
+            )
+            overrides, protocol_seed = craft_trial(
+                graph, protocol, ATTACKS.create(attack), threat, task.seed
+            )
+            run = protocol.collect_paired(graph, protocol_seed)
+            before, after = estimate(run.before), estimate(run.after(overrides))
+            assert before.shape == after.shape == (graph.num_nodes,)
+            assert gain == float(np.abs(after - before).sum())
+
+    @pytest.mark.parametrize("defense", DEFENSES.names())
+    def test_every_defense_flags_users(self, graph, defense):
+        """At epsilon 8 on this graph every registered defense, given its
+        ``FLAGGING_ARGS``, flags users: the defended cells run a repair."""
+        protocol = LFGDPRProtocol(epsilon=8.0)
+        threat = ThreatModel.sample(graph, 0.05, 0.05, rng=1)
+        outcome = evaluate_defended_attack(
+            graph, protocol, ATTACKS.create("degree/mga"),
+            DEFENSES.create(defense, **dict(FLAGGING_ARGS.get(defense, ()))),
+            threat, rng=2,
+        )
+        assert outcome.flagged.size > 0
 
     @pytest.mark.parametrize("metric", ["degree_centrality", "modularity"])
     def test_ldpgen_groups(self, graph, labels, metric):
@@ -213,8 +281,7 @@ class TestCollectPairedBatch:
         """Each run's views and estimates equal two seed-replayed collects;
         ``None`` estimates every metric off one shared run cache."""
         from repro.core.degree_attacks import DegreeMGA
-        from repro.core.gain import METRICS, craft_trial, metric_estimates
-        from repro.core.threat_model import ThreatModel
+        from repro.core.gain import metric_estimates
 
         protocol = LFGDPRProtocol(epsilon=2.0)
         seeds = [3, 11, 27]
@@ -257,8 +324,6 @@ class TestHonestPlanePackedOnce:
 
     def test_clustering_evaluate_attack_packs_one_plane(self, graph, packs):
         from repro.core.clustering_attacks import ClusteringMGA
-        from repro.core.gain import evaluate_attack
-        from repro.core.threat_model import ThreatModel
 
         threat = ThreatModel.sample(graph, 0.05, 0.05, rng=1)
         with use_tracer(Tracer()) as tracer:

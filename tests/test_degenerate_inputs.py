@@ -98,6 +98,22 @@ def test_defended_cell(defense, protocol, metric, graph_name):
             )
 
 
+@pytest.mark.parametrize("threat_nodes", [200, 30])
+@pytest.mark.parametrize("defense", (None,) + DEFENSES.names())
+@pytest.mark.parametrize("attack", ATTACKS.names())
+def test_threat_from_another_graph_names_threat(attack, defense, threat_nodes):
+    graph = Graph(60, [(node, (node + 1) % 60) for node in range(60)])
+    threat = ThreatModel.sample(Graph(threat_nodes, []), beta=0.05, gamma=0.05, rng=0)
+    protocol = PROTOCOLS.create("lfgdpr", epsilon=4.0)
+    with pytest.raises(ValueError, match="threat"):
+        if defense is None:
+            evaluate_attack(graph, protocol, ATTACKS.create(attack), threat)
+        else:
+            evaluate_defended_attack(
+                graph, protocol, ATTACKS.create(attack), DEFENSES.create(defense), threat
+            )
+
+
 @pytest.mark.parametrize("epsilon", [math.inf, math.nan, True])
 @pytest.mark.parametrize("protocol", PROTOCOLS.names())
 def test_protocol_rejects_non_finite_or_boolean_epsilon(protocol, epsilon):
