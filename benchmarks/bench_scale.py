@@ -4,7 +4,10 @@ Runs the LF-GDPR streaming collection sweep (``collect_blocks``) on sparse
 synthetic graphs at ``n = 10^5`` (always) and ``n = 10^6`` (opt in with
 ``REPRO_SCALE_MILLION=1``), recording wall-clock per size into
 ``benchmarks/BENCH_timings.json`` plus a peak-RSS table under
-``benchmarks/results/``.
+``benchmarks/results/``.  Next to the sweep it times the construction of
+the row-block builder (``RowBlockBuilder``: decode plus one sort of the
+transposed codes) on the same perturbed graph, the sweep's one pass over
+all ``E`` codes.
 
 The point of the sweep is the memory envelope, not the arithmetic: the dense
 path would materialize the full packed adjacency — ``n^2 / 8`` bytes, 125 GB
@@ -27,6 +30,7 @@ import pytest
 from conftest import emit, record_timing
 from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import _row_popcounts
+from repro.graph.streaming import RowBlockBuilder
 from repro.protocols.lfgdpr import LFGDPRProtocol
 from repro.utils.sparse import pair_count
 
@@ -81,6 +85,14 @@ def _streaming_sweep(n: int, seed: int) -> dict:
 
     # Consistency: per-row popcounts of an undirected adjacency sum to 2E.
     assert observed.sum() % 2 == 0
+    peak_rss_gb = _peak_rss_gb()
+
+    # The same perturbed graph the sweep streamed (collect and collect_blocks
+    # draw identically), so the builder sees the sweep's E codes.
+    perturbed = protocol.collect(graph, rng=seed).perturbed_graph
+    builder_start = time.perf_counter()
+    RowBlockBuilder.from_graph(perturbed)
+    builder_seconds = time.perf_counter() - builder_start
     return {
         "n": n,
         "edges": graph.num_edges,
@@ -88,13 +100,15 @@ def _streaming_sweep(n: int, seed: int) -> dict:
         "blocks": blocks,
         "build_seconds": build_seconds,
         "sweep_seconds": sweep_seconds,
-        "peak_rss_gb": _peak_rss_gb(),
+        "builder_seconds": builder_seconds,
+        "peak_rss_gb": peak_rss_gb,
     }
 
 
 def _report(result: dict) -> None:
     n = result["n"]
     record_timing(f"bench_scale.n{n}", result["sweep_seconds"])
+    record_timing(f"bench_scale.builder_n{n}", result["builder_seconds"])
     dense_gb = n * n / 8 / (1 << 30)
     emit(
         "bench_scale",
@@ -106,6 +120,7 @@ def _report(result: dict) -> None:
                 f"  row blocks         {result['blocks']}",
                 f"  graph build        {result['build_seconds']:.2f} s",
                 f"  collection sweep   {result['sweep_seconds']:.2f} s",
+                f"  row-block builder  {result['builder_seconds']:.2f} s",
                 f"  peak RSS           {result['peak_rss_gb']:.2f} GB "
                 f"(dense matrix would be {dense_gb:,.1f} GB)",
             ]

@@ -140,7 +140,7 @@ def _candidate_pairs(reports: CollectedReports, candidates: np.ndarray) -> Itera
     if plane is not None:
         height, build = n, lambda start, stop: plane.rows[start:stop]
     else:
-        height = rows_per_block(n, max_packed_bytes() // 5)
+        height = rows_per_block(n, max(1, max_packed_bytes() // 5))
         build = RowBlockBuilder(n, reports.perturbed_graph.edge_codes).build
     cuts = np.searchsorted(candidates, np.append(np.arange(0, n, height), n)).tolist()
     bounds = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]

@@ -37,6 +37,7 @@ stream packed row blocks instead (:mod:`repro.graph.streaming`).
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
@@ -136,11 +137,32 @@ _BYTE_POPCOUNT = np.array([bin(value).count("1") for value in range(256)], dtype
 _CHUNK_WORDS = 1 << 22
 
 
+#: Byte budget (256 KiB) of the per-word count buffer :func:`_row_popcounts`
+#: reuses across row chunks — small enough to stay in cache between the
+#: count and the row sums.
+_POPCOUNT_CHUNK_BYTES = 1 << 18
+
+
 def _row_popcounts(words: np.ndarray) -> np.ndarray:
-    """Total set bits along the last axis of a uint64 array."""
-    if _HAVE_BITWISE_COUNT:
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-    return _BYTE_POPCOUNT[words.view(np.uint8)].sum(axis=-1, dtype=np.int64)
+    """Total set bits along the last axis of a uint64 array.
+
+    Counts rows in chunks into one reused uint8 buffer (a word holds at
+    most 64 bits) and sums each row as uint32, exact while a row holds
+    fewer than ``2^32`` bits — instead of materializing an int64-sized
+    count per word of the whole array.
+    """
+    if not _HAVE_BITWISE_COUNT:
+        return _BYTE_POPCOUNT[words.view(np.uint8)].sum(axis=-1, dtype=np.int64)
+    width = words.shape[-1]
+    flat = words.reshape(math.prod(words.shape[:-1]), width)
+    counts = np.empty(flat.shape[0], dtype=np.int64)
+    chunk = max(1, _POPCOUNT_CHUNK_BYTES // max(1, width))
+    buffer = np.empty((min(chunk, flat.shape[0]), width), dtype=np.uint8)
+    for start in range(0, flat.shape[0], chunk):
+        rows = flat[start : start + chunk]
+        counted = np.bitwise_count(rows, out=buffer[: rows.shape[0]])
+        counts[start : start + rows.shape[0]] = counted.sum(axis=-1, dtype=np.uint32)
+    return counts.reshape(words.shape[:-1])
 
 
 def _unpack_rows(rows: np.ndarray, num_nodes: int) -> np.ndarray:

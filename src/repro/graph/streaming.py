@@ -24,9 +24,9 @@ holds) and serves the packed form in **row-range blocks** built on demand:
 Why this is possible: the codes are sorted in upper-triangle row-major
 order, so the edges whose *lower* endpoint falls in a row range occupy one
 contiguous code slice (two ``searchsorted`` probes); the edges whose
-*upper* endpoint falls in the range are served from a column-sorted
-permutation built once per sweep.  A row block therefore costs
-``O(E_block)`` — no pass over the full matrix ever happens.
+*upper* endpoint falls in the range occupy one contiguous slice of the
+*transposed* codes ``col * n + row``, sorted once per sweep.  A row block
+therefore costs ``O(E_block)`` — no pass over the full matrix ever happens.
 
 Dispatch: :func:`repro.graph.bitmatrix.triangle_backend` is ``"stream"``
 for graphs whose packed sweep beats the sparse matmul but whose packing
@@ -51,7 +51,7 @@ from repro.graph.bitmatrix import (
     pair_popcounts,
 )
 from repro.utils.sparse import decode_pairs
-from repro.utils.validation import check_labels
+from repro.utils.validation import check_labels, check_positive_int
 
 #: Default edge-chunk size of the chunk-accumulated estimators (codes per
 #: decode pass; 4M codes ~ 96 MB of transients).
@@ -64,23 +64,50 @@ def rows_per_block(num_nodes: int, max_bytes: int | None = None) -> int:
     Defaults to ``REPRO_DENSE_MAX_BYTES`` — one block is never bigger than
     the cap the dense backend honours.  Always at least 1: a single packed
     row (``ceil(n/64)`` words) is the granularity floor of the format.
+    ``max_bytes`` must be a positive integer.
     """
     if max_bytes is None:
         max_bytes = max_packed_bytes()
+    max_bytes = check_positive_int(max_bytes, "max_bytes")
     row_bytes = packed_bytes(num_nodes) // max(1, num_nodes)
-    return max(1, int(max_bytes) // max(1, row_bytes))
+    return max(1, max_bytes // max(1, row_bytes))
+
+
+def block_height(
+    num_nodes: int, block_rows: int | None = None, max_bytes: int | None = None
+) -> int:
+    """The validated row-block height: ``block_rows`` when given, else
+    :func:`rows_per_block` of ``max_bytes``.
+
+    Both must be positive integers when given — a float height or byte cap
+    is a caller bug to name, not a value to truncate — and are checked
+    before any block is built.
+    """
+    if max_bytes is not None:
+        check_positive_int(max_bytes, "max_bytes")
+    if block_rows is None:
+        return rows_per_block(num_nodes, max_bytes)
+    return check_positive_int(block_rows, "block_rows")
 
 
 class RowBlockBuilder:
     """Builds packed row-range blocks of one graph from its sorted codes.
 
-    The constructor decodes the codes once and prepares a column-sorted
-    permutation (one ``O(E log E)`` argsort); every :meth:`build` then costs
-    ``O(E_block)``.  Total extra memory is four E-length int64 arrays —
-    proportional to the *sparse* size of the graph, never to ``n^2``.
+    The constructor decodes the codes once into ``rows``/``cols`` (row-major
+    order, so ``rows`` is sorted) and sorts the *transposed* codes
+    ``cols * n + rows`` in place — one SIMD ``np.sort`` of unique int64
+    keys, no permutation array.  Within one column the keys ascend by row,
+    which is exactly the order a stable column sort of the edges gives, so
+    a decoded key slice is the column-sorted view of those edges.  The keys
+    stay below ``n^2``, which fits int64 for every ``n < 3 * 10^9``
+    (``n^2 < 2^63``).
+
+    Every :meth:`build` then costs ``O(E_block)``.  Total extra memory is
+    three E-length int64 arrays (rows, cols, sorted keys) — proportional to
+    the *sparse* size of the graph, never to ``n^2``.
     """
 
-    __slots__ = ("num_nodes", "num_words", "_rows", "_cols", "_cols_sorted", "_rows_by_col")
+    __slots__ = ("num_nodes", "num_words", "_rows", "_cols", "_col_keys")
 
     def __init__(self, num_nodes: int, codes: np.ndarray):
         self.num_nodes = int(num_nodes)
@@ -94,9 +121,10 @@ class RowBlockBuilder:
         # sorted: the row half of any block is two searchsorted probes.
         self._rows = rows
         self._cols = cols
-        order = np.argsort(cols, kind="stable")
-        self._cols_sorted = cols[order]
-        self._rows_by_col = rows[order]
+        keys = cols * self.num_nodes
+        keys += rows
+        keys.sort()
+        self._col_keys = keys
 
     @classmethod
     def from_graph(cls, graph) -> "RowBlockBuilder":
@@ -114,14 +142,16 @@ class RowBlockBuilder:
         if height == 0 or words == 0:
             return np.zeros((height, words), dtype=np.uint64)
         # Bits with the *lower* endpoint in range: contiguous slice of the
-        # row-sorted arrays.  Bits with the *upper* endpoint in range: a
-        # contiguous slice of the column-sorted permutation.
+        # row-sorted arrays.  Bits with the *upper* endpoint in range: the
+        # transposed keys of columns [start, stop), decoded per block.
+        n = self.num_nodes
         lo = np.searchsorted(self._rows, start, side="left")
         hi = np.searchsorted(self._rows, stop, side="left")
-        clo = np.searchsorted(self._cols_sorted, start, side="left")
-        chi = np.searchsorted(self._cols_sorted, stop, side="left")
-        local = np.concatenate([self._rows[lo:hi], self._cols_sorted[clo:chi]]) - start
-        bits = np.concatenate([self._cols[lo:hi], self._rows_by_col[clo:chi]])
+        klo = np.searchsorted(self._col_keys, start * n, side="left")
+        khi = np.searchsorted(self._col_keys, stop * n, side="left")
+        upper, lower = np.divmod(self._col_keys[klo:khi], n)
+        local = np.concatenate([self._rows[lo:hi], upper]) - start
+        bits = np.concatenate([self._cols[lo:hi], lower])
         if local.size == 0:
             return np.zeros((height, words), dtype=np.uint64)
         # Every (row, bit) position is unique (simple graph; the two halves
@@ -143,17 +173,18 @@ def iter_packed_row_blocks(
     same slice of the in-memory ``BitMatrix`` — for every ``block_rows``,
     including 1 and ``> n`` — so downstream consumers are chunk-size
     invariant by construction.  The default block height honours
-    ``REPRO_DENSE_MAX_BYTES`` (``max_bytes`` overrides the cap).
+    ``REPRO_DENSE_MAX_BYTES`` (``max_bytes`` overrides the cap); both are
+    validated by :func:`block_height` in this call, before iteration.
     """
+    height = block_height(graph.num_nodes, block_rows, max_bytes)
+    return _row_blocks(graph, height)
+
+
+def _row_blocks(graph, height: int) -> Iterator[Tuple[int, int, np.ndarray]]:
     n = graph.num_nodes
-    if block_rows is None:
-        block_rows = rows_per_block(n, max_bytes)
-    block_rows = int(block_rows)
-    if block_rows < 1:
-        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
     builder = RowBlockBuilder.from_graph(graph)
-    for start in range(0, n, block_rows):
-        stop = min(n, start + block_rows)
+    for start in range(0, n, height):
+        stop = min(n, start + height)
         yield start, stop, builder.build(start, stop)
 
 
@@ -162,12 +193,12 @@ def streaming_degrees(graph, chunk_edges: int | None = None) -> np.ndarray:
 
     Equals ``graph.degrees()`` bit for bit (the same bincounts over the same
     decoded endpoints, accumulated chunk by chunk in exact int64).
+    ``chunk_edges`` must be a positive integer.
     """
     n = graph.num_nodes
     if chunk_edges is None:
         chunk_edges = DEFAULT_CHUNK_EDGES
-    if chunk_edges < 1:
-        raise ValueError(f"chunk_edges must be >= 1, got {chunk_edges}")
+    chunk_edges = check_positive_int(chunk_edges, "chunk_edges")
     counts = np.zeros(n, dtype=np.int64)
     codes = graph.edge_codes
     for start in range(0, codes.size, chunk_edges):
@@ -194,8 +225,7 @@ def streaming_intra_community_edges(
     labels = check_labels(labels, n)
     if chunk_edges is None:
         chunk_edges = DEFAULT_CHUNK_EDGES
-    if chunk_edges < 1:
-        raise ValueError(f"chunk_edges must be >= 1, got {chunk_edges}")
+    chunk_edges = check_positive_int(chunk_edges, "chunk_edges")
     counts = np.zeros(num_communities, dtype=np.int64)
     codes = graph.edge_codes
     for start in range(0, codes.size, chunk_edges):
@@ -237,12 +267,9 @@ def streaming_triangles_per_node(
     """
     n = graph.num_nodes
     if block_rows is None:
-        if max_bytes is None:
-            max_bytes = max_packed_bytes()
-        block_rows = rows_per_block(n, int(max_bytes) // 3)
-    block_rows = int(block_rows)
-    if block_rows < 1:
-        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
+        cap = max_packed_bytes() if max_bytes is None else max_bytes
+        block_rows = rows_per_block(n, max(1, check_positive_int(cap, "max_bytes") // 3))
+    block_rows = block_height(n, block_rows, max_bytes)
     counts = np.zeros(n, dtype=np.int64)
     if n == 0 or graph.num_edges == 0:
         return counts

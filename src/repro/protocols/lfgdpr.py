@@ -32,7 +32,11 @@ from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import should_use_packed  # noqa: F401
 from repro.graph.metrics import should_use_incremental, triangles_per_node_cached
 from repro.graph.metrics import triangles_per_node_incremental  # noqa: F401
-from repro.graph.streaming import iter_packed_row_blocks, streaming_intra_community_edges
+from repro.graph.streaming import (
+    block_height,
+    iter_packed_row_blocks,
+    streaming_intra_community_edges,
+)
 from repro.ldp.budget import BudgetAllocation, split_budget
 from repro.ldp.mechanisms import perturb_degree
 from repro.ldp.perturbation import perturb_graph, perturb_graph_batch
@@ -141,7 +145,10 @@ class LFGDPRProtocol(GraphLDPProtocol):
         its sparse pair-code form, and each yielded
         :class:`ReportBlock` carries one packed row range sized to
         ``REPRO_DENSE_MAX_BYTES`` (or the explicit ``block_rows`` /
-        ``max_bytes``) that drops when the consumer advances.
+        ``max_bytes``, both validated in this call before any draw).  Peak
+        memory is two blocks, not one: the block the consumer still holds
+        while the next one is built, on top of the sparse codes and the
+        builder's three E-length arrays.
 
         Seed semantics match :meth:`collect` exactly: all randomness is
         drawn **eagerly in this call** from the same named child streams
@@ -151,6 +158,7 @@ class LFGDPRProtocol(GraphLDPProtocol):
         matrix and degree reports bit for bit.  Block iteration itself
         draws nothing.
         """
+        height = block_height(graph.num_nodes, block_rows, max_bytes)
         perturbed = perturb_graph(
             graph, self.budget.adjacency_epsilon, rng=child_rng(rng, "lfgdpr-adjacency")
         )
@@ -164,9 +172,7 @@ class LFGDPRProtocol(GraphLDPProtocol):
         )
 
         def blocks() -> Iterator[ReportBlock]:
-            for start, stop, rows in iter_packed_row_blocks(
-                perturbed, block_rows, max_bytes=max_bytes
-            ):
+            for start, stop, rows in iter_packed_row_blocks(perturbed, height):
                 yield ReportBlock(
                     start=start,
                     stop=stop,

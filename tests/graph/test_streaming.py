@@ -23,6 +23,7 @@ from repro.graph.streaming import (
 from repro.ldp.perturbation import perturb_graph
 from repro.protocols.lfgdpr import LFGDPRProtocol
 from repro.telemetry.core import Tracer, use_tracer
+from repro.utils.sparse import decode_pairs, pair_count
 
 
 def random_graph(n: int, density: float, seed: int = 0) -> Graph:
@@ -82,8 +83,6 @@ class TestRowBlocks:
         # n = 10^4, sparse codes sampled directly (listcomp generation would
         # visit 5e7 pairs).  Blocks must tile to the exact packed matrix and
         # the chunked estimators must agree with the in-memory backends.
-        from repro.utils.sparse import pair_count
-
         n = 10_000
         rng = np.random.default_rng(9)
         codes = np.unique(
@@ -97,6 +96,79 @@ class TestRowBlocks:
             streaming_triangles_per_node(graph, 2048),
             BitMatrix.from_graph(graph).triangles_per_node(),
         )
+
+
+def sampled_codes(n: int, density: float, seed: int) -> np.ndarray:
+    """Sorted codes of ``round(density * C(n, 2))`` distinct random pairs."""
+    total = pair_count(n)
+    count = int(round(density * total))
+    return np.sort(np.random.default_rng(seed).choice(total, size=count, replace=False))
+
+
+def reference_block(n: int, codes: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Packed rows ``[start, stop)`` through the stable column argsort the
+    builder used to keep — a permutation array beside four E-length arrays —
+    and a dense bool block packed little-endian."""
+    rows, cols = decode_pairs(codes, n)
+    order = np.argsort(cols, kind="stable")
+    cols_sorted, rows_by_col = cols[order], rows[order]
+    lo, hi = np.searchsorted(rows, [start, stop])
+    clo, chi = np.searchsorted(cols_sorted, [start, stop])
+    words = (n + 63) >> 6
+    dense = np.zeros((stop - start, words * 64), dtype=bool)
+    dense[rows[lo:hi] - start, cols[lo:hi]] = True
+    dense[cols_sorted[clo:chi] - start, rows_by_col[clo:chi]] = True
+    packed = np.packbits(dense, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64).reshape(stop - start, words)
+
+
+class TestBuilderMatchesColumnArgsort:
+    """The sorted transposed keys decode to the old column-sorted permutation,
+    so every block equals the argsort builder's and the in-memory matrix's."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 130])
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
+    def test_every_block_height(self, n, density):
+        codes = sampled_codes(n, density, seed=n)
+        builder = RowBlockBuilder(n, codes)
+        rows, cols = decode_pairs(codes, n)
+        order = np.argsort(cols, kind="stable")
+        upper, lower = np.divmod(builder._col_keys, max(n, 1))
+        assert np.array_equal(upper, cols[order])
+        assert np.array_equal(lower, rows[order])
+        full = BitMatrix.from_graph(Graph.from_codes(n, codes)).rows
+        for height in range(1, n + 2):
+            for start in range(0, n, height):
+                stop = min(n, start + height)
+                block = builder.build(start, stop)
+                assert np.array_equal(block, reference_block(n, codes, start, stop))
+                assert np.array_equal(block, full[start:stop])
+
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
+    def test_ranges_off_block_boundaries(self, density):
+        n = 130
+        codes = sampled_codes(n, density, seed=7)
+        builder = RowBlockBuilder(n, codes)
+        full = BitMatrix.from_graph(Graph.from_codes(n, codes)).rows
+        for start, stop in [(1, 2), (3, 70), (63, 65), (64, 130), (129, 130), (50, 50)]:
+            assert np.array_equal(builder.build(start, stop), full[start:stop])
+            assert np.array_equal(
+                builder.build(start, stop), reference_block(n, codes, start, stop)
+            )
+
+    @pytest.mark.parametrize("density", [0.0, 1e-6, 1e-5])
+    def test_keys_past_32_bits(self, density):
+        """n = 2^16 + 1 puts transposed keys past 2^32; the last pair
+        (n - 2, n - 1) holds the largest key.  Packing the whole matrix
+        would take gigabytes, so blocks are checked against the reference."""
+        n = (1 << 16) + 1
+        codes = np.union1d(sampled_codes(n, density, seed=3), [pair_count(n) - 1])
+        builder = RowBlockBuilder(n, codes)
+        assert builder._col_keys[-1] == (n - 1) * n + (n - 2)
+        for start, stop in [(0, 64), (64, 200), (1000, 1001), (n - 129, n), (n - 1, n)]:
+            assert np.array_equal(
+                builder.build(start, stop), reference_block(n, codes, start, stop)
+            )
 
 
 class TestRowsPerBlock:

@@ -221,3 +221,64 @@ def test_detect1_accepts_integer_arguments(kwargs):
     assert isinstance(defense.threshold, int)
     for support in (defense.item_support, defense.pair_support):
         assert support is None or (isinstance(support, int) and support >= 0)
+
+
+#: Streaming size arguments: a non-positive, fractional, boolean or NaN
+#: height, byte cap or chunk size is named, never truncated or clamped.
+BAD_SIZES = [
+    (0, ValueError),
+    (-5, ValueError),
+    (2.7, TypeError),
+    (2.0, TypeError),
+    (True, TypeError),
+    (math.nan, TypeError),
+    ("3", TypeError),
+]
+
+
+@pytest.mark.parametrize("name", ["block_rows", "max_bytes"])
+@pytest.mark.parametrize("value, error", BAD_SIZES)
+def test_collect_blocks_rejects_bad_sizes_before_drawing(name, value, error):
+    from repro.protocols.lfgdpr import LFGDPRProtocol
+
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match=name):
+        LFGDPRProtocol(epsilon=2.0).collect_blocks(GRAPHS["star10"], rng, **{name: value})
+    assert rng.bit_generator.state == state  # raised in the call, before any draw
+
+
+@pytest.mark.parametrize("name", ["block_rows", "max_bytes"])
+@pytest.mark.parametrize("value, error", BAD_SIZES)
+def test_iter_packed_row_blocks_rejects_bad_sizes_eagerly(name, value, error):
+    from repro.graph.streaming import iter_packed_row_blocks
+
+    with pytest.raises(error, match=name):
+        iter_packed_row_blocks(GRAPHS["K10"], **{name: value})
+
+
+@pytest.mark.parametrize("value, error", BAD_SIZES)
+def test_rows_per_block_rejects_bad_max_bytes(value, error):
+    from repro.graph.streaming import rows_per_block
+
+    with pytest.raises(error, match="max_bytes"):
+        rows_per_block(10, value)
+
+
+@pytest.mark.parametrize("value, error", BAD_SIZES)
+def test_streaming_degrees_rejects_bad_chunk_edges(value, error):
+    from repro.graph.streaming import streaming_degrees
+
+    with pytest.raises(error, match="chunk_edges"):
+        streaming_degrees(GRAPHS["K10"], value)
+
+
+@pytest.mark.parametrize("value", [1, np.int64(3), 64, 10**9])
+def test_streaming_sizes_accept_integers(value):
+    from repro.graph.streaming import iter_packed_row_blocks, streaming_degrees
+
+    graph = GRAPHS["star10"]
+    for kwargs in ({"block_rows": value}, {"max_bytes": value}):
+        blocks = list(iter_packed_row_blocks(graph, **kwargs))
+        assert blocks[-1][1] == graph.num_nodes
+    assert np.array_equal(streaming_degrees(graph, value), graph.degrees())

@@ -233,6 +233,55 @@ class TestMemberTableDispatch:
                 sparse._MEMBER_TABLE_MAX_CODES = original
             assert np.array_equal(with_table, without_table)
 
+    @staticmethod
+    def sample_both_ways(monkeypatch, n, count, forbidden, seed):
+        """Outputs of the table and binary-search paths, and the rounds the
+        binary-search run took (one ``sorted_unique`` per round)."""
+        with_table = sample_pairs_excluding(n, count, forbidden, np.random.default_rng(seed))
+        rounds = []
+        counted = sparse.sorted_unique
+        monkeypatch.setattr(sparse, "_MEMBER_TABLE_MAX_CODES", 0)
+        monkeypatch.setattr(
+            sparse, "sorted_unique", lambda values: rounds.append(1) or counted(values)
+        )
+        without_table = sample_pairs_excluding(n, count, forbidden, np.random.default_rng(seed))
+        return with_table, without_table, len(rounds)
+
+    def test_forbidden_set_larger_than_the_draws(self, monkeypatch):
+        """The forbidden codes outnumber every batch of draws, so the draws
+        are searched into them rather than the other way round."""
+        forbidden = np.arange(0, pair_count(200), 2, dtype=np.int64)
+        count = 300
+        assert forbidden.size > int(count * 1.1) + 16
+        with_table, without_table, _ = self.sample_both_ways(
+            monkeypatch, 200, count, forbidden, seed=5
+        )
+        assert np.array_equal(with_table, without_table)
+        assert np.intersect1d(without_table, forbidden).size == 0
+
+    def test_rejection_over_several_rounds(self, monkeypatch):
+        """Half the space forbidden and most of the rest requested: later
+        rounds reject their draws against the earlier accepted blocks."""
+        forbidden = np.arange(0, pair_count(120), 2, dtype=np.int64)
+        with_table, without_table, rounds = self.sample_both_ways(
+            monkeypatch, 120, 2500, forbidden, seed=6
+        )
+        assert rounds >= 2
+        assert np.array_equal(with_table, without_table)
+        assert np.unique(without_table).size == 2500
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reject_from_unique_matches_reject_members(self, data):
+        draws = np.array(
+            data.draw(st.lists(st.integers(0, 300), unique=True, max_size=60)), dtype=np.int64
+        )
+        reference = np.array(data.draw(st.lists(st.integers(0, 300), max_size=60)), dtype=np.int64)
+        draws.sort()
+        reference.sort()
+        assert np.array_equal(
+            sparse._reject_from_unique(draws, reference), np.setdiff1d(draws, reference)
+        )
 
 
 class TestStalledRejection:
