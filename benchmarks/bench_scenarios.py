@@ -114,22 +114,24 @@ def test_fig9_counts_triangles_at_targets(monkeypatch):
 
 
 def test_fig12_defended_batch_builds_no_after_view():
-    """A defended degree batch holds only the honest plane and the edits.
+    """A defended batch holds only the honest plane and the edits.
 
     Runs fig12a and fig12b (Detect1, Naive1, Detect2 and Naive2 against
-    degree-centrality attacks, plus the undefended series) as one batch and
-    asserts that no after-view graph was built
+    degree-centrality attacks, plus the undefended series) and fig13a
+    (Detect1 and Naive1 redraws composed with clustering counted at the
+    targets) as one batch and asserts that no after-view graph was built
     (``overrides.materialized``): Detect1 counts on the run's packed plane,
-    Detect2 and the naive detectors read seeded degrees, and every repair
-    is an edit of the after-view.  Forces ``jobs=1`` so the tracer's
-    counters stay in this process.
+    Detect2 and the naive detectors read seeded degrees, every repair is
+    an edit of the after-view, and a redrawn view's triangles are counted
+    on the run's plane patched with its edit.  Forces ``jobs=1`` so the
+    tracer's counters stay in this process.
     """
     import time
 
     from repro.scenarios import run_scenarios
     from repro.telemetry.core import Tracer, use_tracer
 
-    specs = [get_scenario(name) for name in ("fig12a", "fig12b")]
+    specs = [get_scenario(name) for name in ("fig12a", "fig12b", "fig13a")]
     config = bench_config(specs[0].dataset, jobs=1)
     with use_tracer(Tracer()) as tracer:
         start = time.perf_counter()
@@ -141,7 +143,7 @@ def test_fig12_defended_batch_builds_no_after_view():
     record_timing("bench_scenarios/defended", seconds)
     emit(
         "fig12_defended_footprint",
-        f"fig12a + fig12b ({specs[0].dataset}): {seconds:.2f}s for {tasks} tasks; "
+        f"fig12a + fig12b + fig13a ({specs[0].dataset}): {seconds:.2f}s for {tasks} tasks; "
         f"after-views built: {materialized}",
     )
     assert tasks > 0

@@ -17,9 +17,10 @@ estimation.  Two repair strategies cover the paper's countermeasures:
 
 A repair composes its removal and redrawn pairs, as sorted int64 pair
 codes, with the edit the graph already is of its plane
-(:func:`repro.protocols.base.paired_edit`).  The result is a deferred graph
-with seeded degrees, and a repaired paired view stays a view of its run, so
-defended estimation reads the run's cache like the undefended after-view.
+(:attr:`repro.graph.adjacency.Graph.edit`), and returns
+``plane.edited(added, removed)``: its degrees are set at once and its codes
+merged only if read.  A repaired paired view keeps its run's ``cache``, so
+defended estimation reads the run's plane like the undefended after-view.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.graph.metrics import edge_density, paired_edge_arrays
-from repro.protocols.base import CollectedReports, PairedBaseline, edited_graph, paired_edit
+from repro.protocols.base import CollectedReports
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.sparse import (
     decode_pairs,
@@ -121,47 +122,36 @@ def _flagged_ids(flagged, num_nodes: int) -> np.ndarray:
 
 
 def _stripped_edit(reports: CollectedReports, flagged: np.ndarray) -> tuple:
-    """:func:`paired_edit` of ``reports`` composed with the removal of every
-    pair incident to ``flagged``, read from the plane's decode and the edit
-    (the view's own codes are never merged)."""
-    plane, cache, added, removed = paired_edit(reports)
-    graph = plane.perturbed_graph
-    n = graph.num_nodes
+    """``reports``' graph as ``(plane, added, removed)`` (:attr:`Graph.edit`),
+    composed with the removal of every pair incident to ``flagged``, read
+    from the plane's decode and the edit (the graph's own codes are never
+    merged)."""
+    plane, added, removed = reports.perturbed_graph.edit
+    n = plane.num_nodes
     mask = np.zeros(n, dtype=bool)
     mask[flagged] = True
-    rows, cols = graph.edge_arrays() if cache is None else paired_edge_arrays(graph, cache)
+    cache = reports.cache
+    rows, cols = plane.edge_arrays() if cache is None else paired_edge_arrays(plane, cache)
     # The decode is aligned with the codes, so a mask keeps them sorted.
-    incident = graph.edge_codes[mask[rows] | mask[cols]]
+    incident = plane.edge_codes[mask[rows] | mask[cols]]
     added_rows, added_cols = decode_pairs(added, n)
     added = added[~(mask[added_rows] | mask[added_cols])]
     removed = merge_sorted_disjoint(removed, reject_members(incident, removed))
-    return plane, cache, added, removed
+    return plane, added, removed
 
 
-def _repaired(
-    reports: CollectedReports, flagged: np.ndarray, edit: tuple, excluded: np.ndarray
-) -> CollectedReports:
-    """``reports`` with the graph ``edit = (plane, cache, added, removed)``;
-    a paired view stays a view of its run, ``flagged`` joining ``touched``."""
-    plane, cache, added, removed = edit
-    baseline = None
-    if cache is not None:
-        touched = reports.baseline.touched
-        baseline = PairedBaseline(
-            honest=plane,
-            touched=None if touched is None else sorted_union(touched, flagged),
-            added_codes=added,
-            removed_codes=removed,
-            cache=cache,
-        )
+def _repaired(reports: CollectedReports, edit: tuple, excluded: np.ndarray) -> CollectedReports:
+    """``reports`` with the graph ``edit = (plane, added, removed)``; a
+    paired view keeps its run's cache."""
+    plane, added, removed = edit
     return CollectedReports(
-        perturbed_graph=edited_graph(plane.perturbed_graph, added, removed),
+        perturbed_graph=plane.edited(added, removed),
         reported_degrees=reports.reported_degrees,
         adjacency_epsilon=reports.adjacency_epsilon,
         degree_epsilon=reports.degree_epsilon,
         overridden=reports.overridden,
         excluded=excluded,
-        baseline=baseline,
+        cache=reports.cache,
     )
 
 
@@ -176,10 +166,7 @@ def remove_flagged_pairs(reports: CollectedReports, flagged: np.ndarray) -> Coll
     if flagged.size == 0:
         return reports
     return _repaired(
-        reports,
-        flagged,
-        _stripped_edit(reports, flagged),
-        sorted_union(reports.excluded, flagged),
+        reports, _stripped_edit(reports, flagged), sorted_union(reports.excluded, flagged)
     )
 
 
@@ -200,7 +187,7 @@ def resample_flagged_rows(
         return reports
     generator = ensure_rng(rng)
     density = edge_density(reports.perturbed_graph)
-    plane, cache, added, removed = _stripped_edit(reports, flagged)
+    plane, added, removed = _stripped_edit(reports, flagged)
 
     # Process flagged nodes in order, unmasking each once it is drawn, so a
     # flagged-flagged pair is drawn exactly once (by the later node).
@@ -220,7 +207,6 @@ def resample_flagged_rows(
     new_codes = sorted_unique(
         encode_pairs(np.repeat(flagged, sizes), np.concatenate(partners), num_nodes)
     )
-    plane_codes = plane.perturbed_graph.edge_codes
-    added = merge_sorted_disjoint(added, reject_members(new_codes, plane_codes))
+    added = merge_sorted_disjoint(added, reject_members(new_codes, plane.edge_codes))
     removed = reject_members(removed, new_codes)
-    return _repaired(reports, flagged, (plane, cache, added, removed), reports.excluded)
+    return _repaired(reports, (plane, added, removed), reports.excluded)

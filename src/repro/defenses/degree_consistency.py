@@ -21,6 +21,7 @@ from repro.protocols.estimators import (
     degree_estimate_variance_laplace,
     degrees_from_perturbed_graph,
 )
+from repro.utils.validation import check_epsilon
 
 
 class DegreeConsistencyDefense(Defense):
@@ -29,7 +30,8 @@ class DegreeConsistencyDefense(Defense):
     Parameters
     ----------
     threshold:
-        Flag when ``|reported_degree - degree_from_bits| > threshold``.
+        Flag when ``|reported_degree - degree_from_bits| > threshold``, a
+        finite positive real.
         Two policies for the default (``None``):
 
         * ``"sigma"`` rule (default): 3 standard deviations of the honest
@@ -48,9 +50,8 @@ class DegreeConsistencyDefense(Defense):
     def __init__(self, threshold: float | None = None, policy: str = "sigma"):
         if policy not in ("sigma", "paper"):
             raise ValueError(f"policy must be 'sigma' or 'paper', got {policy!r}")
-        if threshold is not None and threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        self.threshold = threshold
+        # A NaN or infinite threshold would flag no user; True is no threshold.
+        self.threshold = None if threshold is None else check_epsilon(threshold, "threshold")
         self.policy = policy
 
     def consistency_gaps(self, reports: CollectedReports) -> np.ndarray:

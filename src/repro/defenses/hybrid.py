@@ -32,7 +32,7 @@ from repro.defenses.degree_consistency import DegreeConsistencyDefense
 from repro.defenses.frequent_itemset import FrequentItemsetDefense
 from repro.ldp.mechanisms import rr_keep_probability
 from repro.protocols.base import CollectedReports
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_int
 
 
 class HybridDefense(Defense):
@@ -57,7 +57,7 @@ class HybridDefense(Defense):
         min_votes: int = 2,
         noise_z: float = 3.0,
     ):
-        check_positive(min_votes, "min_votes")
+        min_votes = check_positive_int(min_votes, "min_votes")
         check_positive(noise_z, "noise_z")
         if min_votes > 5:
             raise ValueError(
@@ -65,7 +65,7 @@ class HybridDefense(Defense):
             )
         self.coordination = FrequentItemsetDefense(threshold=itemset_threshold)
         self.consistency = DegreeConsistencyDefense()
-        self.min_votes = int(min_votes)
+        self.min_votes = min_votes
         self.noise_z = float(noise_z)
 
     def noise_level_votes(self, reports: CollectedReports) -> np.ndarray:

@@ -13,19 +13,28 @@ bit-packed backend in :mod:`repro.graph.bitmatrix`.
 
 Graphs are value-style objects: mutating operations return new graphs.  This
 keeps before/after attack comparisons safe by construction.  A graph may also
-be *deferred* (:meth:`Graph._deferred`): it knows its edge count up front and
-builds its codes on the first read, so an attacked after-view that no reader
-opens costs only its net edits.
+be an *edit* of another (:meth:`Graph.edited`): its plane minus some codes
+plus others.  It knows its edge count and degrees up front and merges its
+codes on the first read, so an attacked after-view that no reader opens
+costs only its net edit, and readers that can work on the plane instead
+take the edit apart with :attr:`Graph.edit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.sparse import decode_pairs, encode_pairs, pair_count
+from repro.telemetry.core import current_tracer
+from repro.utils.sparse import (
+    decode_pairs,
+    encode_pairs,
+    merge_sorted_disjoint,
+    pair_count,
+    reject_members,
+)
 from repro.utils.validation import check_non_negative, node_ids
 
 if TYPE_CHECKING:
@@ -96,7 +105,7 @@ class Graph:
     False
     """
 
-    __slots__ = ("_num_nodes", "_stored_codes", "_pending", "_indptr", "_indices", "_degrees")
+    __slots__ = ("_num_nodes", "_stored_codes", "_edit", "_indptr", "_indices", "_degrees")
 
     def __init__(self, num_nodes: int, edges: Iterable[Tuple[int, int]] = ()):
         check_non_negative(num_nodes, "num_nodes")
@@ -111,7 +120,7 @@ class Graph:
                 raise ValueError("edges must be an iterable of (u, v) pairs")
             codes = np.unique(encode_pairs(edge_array[:, 0], edge_array[:, 1], self._num_nodes))
         self._stored_codes = codes
-        self._pending = self._indptr = self._indices = self._degrees = None
+        self._edit = self._indptr = self._indices = self._degrees = None
 
     @classmethod
     def from_codes(
@@ -143,28 +152,7 @@ class Graph:
             if codes[0] < 0 or codes[-1] >= pair_count(num_nodes):
                 raise ValueError("edge code out of range for num_nodes")
         graph._stored_codes = codes
-        graph._pending = graph._indptr = graph._indices = graph._degrees = None
-        return graph
-
-    @classmethod
-    def _deferred(
-        cls, num_nodes: int, num_edges: int, build: Callable[[], np.ndarray]
-    ) -> "Graph":
-        """A graph of ``num_edges`` edges whose codes ``build()`` returns on
-        the first read.
-
-        Trusted-caller API, like :meth:`_seed_degrees`: ``build`` must return
-        a fresh int64 array of ``num_edges`` sorted unique in-range codes,
-        which is adopted and frozen.  Everything that reads the codes —
-        edge arrays, CSR, equality, hashing, pickling, shared-memory export
-        — builds them once; :attr:`num_edges`, :attr:`num_nodes` and seeded
-        degrees do not.
-        """
-        graph = cls.__new__(cls)
-        graph._num_nodes = int(num_nodes)
-        graph._stored_codes = None
-        graph._pending = (int(num_edges), build)
-        graph._indptr = graph._indices = graph._degrees = None
+        graph._edit = graph._indptr = graph._indices = graph._degrees = None
         return graph
 
     @classmethod
@@ -196,19 +184,60 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
-        if self._pending is not None:
-            return self._pending[0]
+        if self._stored_codes is None:
+            plane, added, removed = self._edit
+            return plane.num_edges - removed.size + added.size
         return int(self._stored_codes.size)
 
     @property
     def _codes(self) -> np.ndarray:
-        """The sorted edge codes; a deferred graph builds them here, once."""
-        if self._pending is not None:
-            codes = self._pending[1]()
+        """The sorted edge codes.  An edit merges them here, once — the one
+        place an edit's codes are merged, counted as
+        ``overrides.materialized`` on the tracer current at that read."""
+        if self._stored_codes is None:
+            plane, added, removed = self._edit
+            current_tracer().counter("overrides.materialized")
+            codes = merge_sorted_disjoint(reject_members(plane._codes, removed), added)
             codes.flags.writeable = False
             self._stored_codes = codes
-            self._pending = None
         return self._stored_codes
+
+    @property
+    def edit(self) -> Tuple["Graph", np.ndarray, np.ndarray]:
+        """``(plane, added, removed)``: this graph is ``plane`` minus the
+        sorted codes ``removed`` plus the sorted codes ``added``
+        (:meth:`edited`).  A graph that is no edit is ``(self, ∅, ∅)``.
+        The edit outlives the merge of the codes, so a reader of the plane
+        (a paired run's cache) still applies after the codes are built."""
+        if self._edit is None:
+            empty = np.empty(0, dtype=np.int64)
+            return self, empty, empty
+        return self._edit
+
+    def edited(self, added: np.ndarray, removed: np.ndarray) -> "Graph":
+        """This graph minus ``removed`` plus ``added``, as an edit whose
+        codes are merged on the first read.
+
+        Trusted-caller API, like :meth:`_seed_degrees`: ``added`` and
+        ``removed`` are sorted unique int64 pair codes, ``added`` disjoint
+        from this graph's codes and ``removed`` among them.  The edge count
+        and the degrees (this graph's plus the edit's bincounts) are set at
+        once; everything that reads the codes — edge arrays, CSR, equality,
+        hashing, pickling, shared-memory export — merges them once.  A
+        pickled edit is its merged codes: the plane does not travel.
+        """
+        n = self._num_nodes
+        graph = Graph.__new__(Graph)
+        graph._num_nodes = n
+        graph._stored_codes = graph._indptr = graph._indices = None
+        graph._edit = (self, added, removed)
+        degrees = np.array(self.degrees(), dtype=np.int64, copy=True)
+        for codes, sign in ((added, 1), (removed, -1)):
+            if codes.size:
+                rows, cols = decode_pairs(codes, n)
+                degrees += sign * (np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n))
+        graph._degrees = degrees
+        return graph
 
     @property
     def edge_codes(self) -> np.ndarray:
@@ -338,7 +367,7 @@ class Graph:
         graph = cls.__new__(cls)
         graph._num_nodes = int(handle.num_nodes)
         graph._stored_codes = codes
-        graph._pending = graph._indptr = graph._indices = graph._degrees = None
+        graph._edit = graph._indptr = graph._indices = graph._degrees = None
         return graph, segment
 
     def csr(self) -> sp.csr_matrix:
@@ -439,9 +468,11 @@ class Graph:
         return hash((self._num_nodes, self._codes.tobytes()))
 
     def __getstate__(self):
-        """Slot state with the codes built: a deferred builder never travels."""
-        self._codes  # builds a deferred graph's codes
-        return None, {name: getattr(self, name) for name in self.__slots__}
+        """Slot state with the codes merged: an edit's plane never travels."""
+        self._codes  # merges an edit's codes
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_edit"] = None
+        return None, state
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self._num_nodes}, num_edges={self.num_edges})"

@@ -137,48 +137,42 @@ def _parked_plane(graph: Graph, cache: MutableMapping) -> BitMatrix:
     return packed
 
 
-def paired_plane(
-    graph: Graph,
-    cache: MutableMapping,
-    edits: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> Optional[BitMatrix]:
-    """The packed matrix of a view of one paired run: the honest plane
-    ``graph``, parked once in ``cache`` (:func:`_parked_plane`), patched by
-    :meth:`BitMatrix.with_edits` with the view's net ``edits = (added_codes,
-    removed_codes)``.  ``None`` when the packing bytes exceed the cap
+def paired_plane(graph: Graph, cache: MutableMapping) -> Optional[BitMatrix]:
+    """The packed matrix of ``graph``, a view of one paired run: its plane
+    (:attr:`Graph.edit`), parked once in ``cache`` (:func:`_parked_plane`),
+    patched by :meth:`BitMatrix.with_edits` with the graph's edit.  ``None``
+    when the packing bytes exceed the cap
     (:func:`~repro.graph.bitmatrix.max_packed_bytes`)."""
     n = graph.num_nodes
     if packing_bytes(n) > max_packed_bytes():
         return None
-    packed = _parked_plane(graph, cache)
-    if edits is None:
+    plane, added, removed = graph.edit
+    packed = _parked_plane(plane, cache)
+    if plane is graph:
         return packed
-    return packed.with_edits(*decode_pairs(edits[0], n), *decode_pairs(edits[1], n))
+    return packed.with_edits(*decode_pairs(added, n), *decode_pairs(removed, n))
 
 
 def triangles_per_node_cached(
-    graph: Graph,
-    cache: MutableMapping,
-    nodes: Optional[np.ndarray] = None,
-    edits: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    graph: Graph, cache: MutableMapping, nodes: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """:func:`triangles_per_node` over the views of one paired run.
 
-    Every view passes the run's shared ``cache``.  The honest view
-    (``edits=None``) parks its packed :class:`BitMatrix` there under
-    ``"bitmatrix"``, so the plane is packed once per run.  An after view
-    passes its net ``edits = (added_codes, removed_codes)`` and is counted
-    on the parked plane patched by :meth:`BitMatrix.with_edits`
-    (:func:`paired_plane`), or on its own graph, parking nothing, when no
-    plane is parked.  A parked plane is used whatever the backend would
-    be: it is already packed, and every backend counts the same integers.
+    Every view passes the run's shared ``cache``.  The honest view (a graph
+    that is no edit) parks its packed :class:`BitMatrix` there under
+    ``"bitmatrix"``, so the plane is packed once per run.  An after view,
+    an edit of that plane (:attr:`Graph.edit`), is counted on the parked
+    plane patched by :meth:`BitMatrix.with_edits` (:func:`paired_plane`),
+    or on its own graph, parking nothing, when no plane is parked.  A
+    parked plane is used whatever the backend would be: it is already
+    packed, and every backend counts the same integers.
     """
     if nodes is not None:
         nodes = node_ids(nodes, graph.num_nodes)
         current_tracer().counter("triangles.at_nodes")
-    packed = paired_plane(graph, cache, edits) if "bitmatrix" in cache else None
+    packed = paired_plane(graph, cache) if "bitmatrix" in cache else None
     if packed is None:
-        return _dispatch_triangles(graph, cache if edits is None else {}, nodes)
+        return _dispatch_triangles(graph, cache if graph.edit[0] is graph else {}, nodes)
     return packed.triangles_per_node(nodes=nodes)
 
 

@@ -218,7 +218,7 @@ def streaming_intra_community_edges(
 
     A same-label bincount over the edges, accumulated per chunk — the one
     intra-community counter of unpacked graphs (the modularity estimator and
-    its paired baseline).  ``labels`` must hold one non-negative integer
+    a paired run's cached plane counts).  ``labels`` must hold one non-negative integer
     community id per node (:func:`repro.utils.validation.check_labels`).
     """
     n = graph.num_nodes

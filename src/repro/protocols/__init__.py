@@ -5,12 +5,10 @@ from repro.protocols.base import (
     FakeReport,
     GraphLDPProtocol,
     Overrides,
-    PairedBaseline,
     PairedCollection,
     SharedGraphPairedCollection,
     apply_degree_overrides,
     apply_overrides,
-    apply_overrides_tracked,
 )
 from repro.protocols.estimators import (
     degrees_from_perturbed_graph,
@@ -26,12 +24,10 @@ __all__ = [
     "FakeReport",
     "GraphLDPProtocol",
     "Overrides",
-    "PairedBaseline",
     "PairedCollection",
     "SharedGraphPairedCollection",
     "apply_degree_overrides",
     "apply_overrides",
-    "apply_overrides_tracked",
     "degrees_from_perturbed_graph",
     "estimate_clustering_coefficients",
     "estimate_modularity",

@@ -22,18 +22,20 @@ seed by construction.
 A paired run of a pair-level protocol holds the honest state plus the
 attacker's edit, nothing more:
 
-* an after-view's graph is the honest plane's *net edit*
-  (:func:`apply_overrides_tracked`): its edge count and degrees are known
-  at once, its codes are merged only when something reads them (a
-  subgraph, a sparse-backend count) and counted as
-  ``overrides.materialized`` on the current tracer;
-* every view carries a :class:`PairedBaseline` with the net edge changes,
-  from which estimators and defenses derive the after-view's packed plane
-  (:func:`packed_plane`) and intra-community counts instead of recomputing
-  them; a defense's repair is one more edit of the same plane;
+* an after-view's graph is an edit of the honest plane
+  (:meth:`Graph.edited`, built by :func:`apply_overrides`): its
+  edge count and degrees are known at once, its codes are merged only
+  when something reads them (a subgraph, a sparse-backend count) and
+  counted as ``overrides.materialized`` on the current tracer;
+* estimators and defenses take that graph apart with :attr:`Graph.edit`
+  into ``(plane, added, removed)`` and derive the view's packed plane
+  (:func:`packed_plane`) and intra-community counts from the plane's
+  instead of recomputing them; a defense's repair is one more edit of the
+  same plane;
 * the honest intermediates (the one decode of the honest plane, the packed
   matrix, intra-community counts) are computed lazily, once per run, into
-  the baseline's shared ``cache`` — the only place they are computed;
+  the run's memo ``reports.cache``, which every view of the run shares —
+  the only place they are computed;
 * no view refers back to itself, so a run is freed by reference counting
   as soon as its views are dropped.
 """
@@ -49,15 +51,8 @@ import numpy as np
 from repro.graph.adjacency import Graph
 from repro.graph.bitmatrix import BitMatrix, node_set
 from repro.graph.metrics import paired_edge_arrays, paired_plane
-from repro.telemetry.core import current_tracer
 from repro.utils.rng import RngLike
-from repro.utils.sparse import (
-    decode_pairs,
-    encode_pairs,
-    merge_sorted_disjoint,
-    reject_members,
-    sorted_unique,
-)
+from repro.utils.sparse import encode_pairs, reject_members, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -125,47 +120,6 @@ Overrides = Mapping[int, FakeReport]
 
 
 @dataclass
-class PairedBaseline:
-    """Link from a paired-run view to the shared honest collection.
-
-    Attached to the :class:`CollectedReports` of a
-    :meth:`GraphLDPProtocol.collect_paired` run.  The honest view itself
-    carries ``honest=None`` (it *is* the honest state, and a link to itself
-    would make every run a reference cycle that only the cyclic garbage
-    collector frees) with empty ``touched`` and edits; an after-view names
-    the honest reports, and ``touched`` the rows the overrides may have
-    changed.  Estimators treat this as an *optimisation hint only*: every
-    quantity derived through it must be bit-identical to a from-scratch
-    computation on the carrying reports, and ``touched=None`` (changes not
-    localisable, e.g. LDPGen's regenerated synthetic graph) mandates a full
-    recompute.
-
-    Attributes
-    ----------
-    honest:
-        The shared honest reports (the before-world view); ``None`` on the
-        honest view itself.
-    touched:
-        Sorted ids of users whose adjacency rows may differ from the honest
-        graph — a vertex cover of every changed pair.  ``None`` = unknown.
-    added_codes / removed_codes:
-        Net sorted pair codes of edges present only in this view / only in
-        the honest graph.  ``None`` when not tracked.
-    cache:
-        Scratch shared by all views of one paired run: the decoded honest
-        plane (``"edges"``), the packed honest matrix (``"bitmatrix"``) and
-        intra-community counts (``"intra"``).  Never an after-view or its
-        graph, which would keep them alive as long as the run.
-    """
-
-    honest: Optional["CollectedReports"]
-    touched: Optional[np.ndarray]
-    added_codes: Optional[np.ndarray] = None
-    removed_codes: Optional[np.ndarray] = None
-    cache: dict = field(default_factory=dict)
-
-
-@dataclass
 class CollectedReports:
     """Server-side view after one collection round.
 
@@ -191,12 +145,15 @@ class CollectedReports:
         from ``N - 1`` to ``N - 1 - |excluded|`` and extrapolate, otherwise
         every removal shifts all degree estimates downward.  Stored as
         sorted distinct ids, validated against ``0..N-1``.
-    baseline:
+    cache:
         Present only on the views of a paired run
-        (:meth:`GraphLDPProtocol.collect_paired`): the shared honest state
-        and the localisation of this view's changes, from which estimators
-        derive this view's intermediates — a defense's repair included.
-        Never part of equality or the server's knowledge model.
+        (:meth:`GraphLDPProtocol.collect_paired`): the run's memo, shared by
+        all its views, of what estimators derive from the honest plane
+        (``perturbed_graph.edit[0]``): its decode (``"edges"``), its packed
+        matrix (``"bitmatrix"``) and intra-community counts (``"intra"``).
+        Never an after-view or its graph, which would keep them alive as
+        long as the run, and never part of equality or the server's
+        knowledge model.
     """
 
     perturbed_graph: Graph
@@ -205,7 +162,7 @@ class CollectedReports:
     degree_epsilon: float
     overridden: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     excluded: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    baseline: Optional[PairedBaseline] = field(default=None, repr=False, compare=False)
+    cache: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         degrees = np.asarray(self.reported_degrees, dtype=np.float64)
@@ -223,29 +180,13 @@ class CollectedReports:
         return self.perturbed_graph.num_nodes
 
 
-def paired_edit(
-    reports: CollectedReports,
-) -> tuple[CollectedReports, Optional[MutableMapping], np.ndarray, np.ndarray]:
-    """``(plane, cache, added_codes, removed_codes)``: a paired view's graph
-    is its run's honest reports' graph (``plane``; the view itself on the
-    honest view) edited by the net codes, with the run's shared ``cache``.
-    Other reports are their own plane, with an empty edit and no cache."""
-    base = reports.baseline
-    if base is None or base.added_codes is None or base.removed_codes is None:
-        empty = np.empty(0, dtype=np.int64)
-        return reports, None, empty, empty
-    plane = reports if base.honest is None else base.honest
-    return plane, base.cache, base.added_codes, base.removed_codes
-
-
 def packed_plane(reports: CollectedReports) -> Optional[BitMatrix]:
-    """The packed matrix of ``reports``' graph (:func:`paired_plane`): a
-    paired view's is its run's honest plane, packed once into the run's
-    cache and patched with the view's edit; other reports are packed on
-    their own.  ``None`` when packing would exceed the cap."""
-    plane, cache, added, removed = paired_edit(reports)
-    edits = None if plane is reports else (added, removed)
-    return paired_plane(plane.perturbed_graph, {} if cache is None else cache, edits)
+    """The packed matrix of ``reports``' graph (:func:`paired_plane`): its
+    plane packed once into the run's cache (a fresh one outside a paired
+    run) and patched with the graph's edit.  ``None`` when packing would
+    exceed the cap."""
+    cache = reports.cache
+    return paired_plane(reports.perturbed_graph, {} if cache is None else cache)
 
 
 class GraphLDPProtocol(abc.ABC):
@@ -329,82 +270,8 @@ def _crafted_pair_codes(overrides: Overrides, num_nodes: int) -> np.ndarray:
     return sorted_unique(encode_pairs(nodes, neighbors, num_nodes))
 
 
-def apply_overrides_tracked(
-    perturbed: Graph, overrides: Overrides | None, cache: MutableMapping
-) -> tuple[Graph, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`apply_overrides` that also reports the net edge changes.
-
-    Returns ``(graph, overridden, added_codes, removed_codes)`` where the
-    code arrays are the sorted pair codes present only in the result /
-    only in ``perturbed``.  Both are incident to ``overridden`` by
-    construction — the localisation guarantee paired estimators need.
-
-    Only the net edit is computed: ``dropped`` (the honest pairs incident
-    to replaced users), ``added = crafted - honest`` and
-    ``removed = dropped - crafted``.  The result is a deferred graph
-    (:meth:`Graph._deferred`): its edge count and degrees (the honest
-    degrees plus the edit's bincounts) are set at once, and its codes,
-    ``(honest - removed) + added``, are merged on the first read and counted
-    as ``overrides.materialized`` on the tracer current at that read.
-    ``cache`` is the paired run's scratch, whose one decode of ``perturbed``
-    (:func:`repro.graph.metrics.paired_edge_arrays`) this reads; a fresh
-    ``{}`` keeps the decode local to the call.
-    """
-    if not overrides:
-        empty = np.empty(0, dtype=np.int64)
-        return perturbed, empty, empty, empty
-
-    overridden = np.sort(np.fromiter(overrides.keys(), dtype=np.int64))
-    n = perturbed.num_nodes
-    if overridden[0] < 0 or overridden[-1] >= n:
-        raise ValueError("override node id out of range")
-
-    replaced = np.array(
-        [node for node, report in overrides.items() if not report.augment], dtype=np.int64
-    )
-    flags = np.zeros(n, dtype=bool)
-    flags[replaced] = True
-    rows, cols = paired_edge_arrays(perturbed, cache)
-    honest_codes = perturbed.edge_codes
-    # The decode is aligned with the codes, so a mask keeps them sorted.
-    dropped = honest_codes[flags[rows] | flags[cols]]
-
-    # Net changes: a crafted edge that coincides with a surviving RR pair is
-    # no change at all, and one that re-creates a dropped pair cancels the
-    # removal.  All code arrays are sorted and unique, so membership runs as
-    # binary search and the deferred union as a disjoint merge.
-    crafted = _crafted_pair_codes(overrides, n)
-    added = reject_members(crafted, honest_codes)
-    removed = reject_members(dropped, crafted)
-
-    return edited_graph(perturbed, added, removed), overridden, added, removed
-
-
-def edited_graph(plane: Graph, added: np.ndarray, removed: np.ndarray) -> Graph:
-    """``(plane - removed) + added``, for sorted codes ``added`` disjoint
-    from ``plane``'s and ``removed`` among them, as a deferred graph: see
-    :func:`apply_overrides_tracked`."""
-    n = plane.num_nodes
-    plane_codes = plane.edge_codes
-
-    def build() -> np.ndarray:
-        current_tracer().counter("overrides.materialized")
-        return merge_sorted_disjoint(reject_members(plane_codes, removed), added)
-
-    result = Graph._deferred(n, plane.num_edges - removed.size + added.size, build)
-    degrees = np.array(plane.degrees(), dtype=np.int64, copy=True)
-    for codes, sign in ((added, 1), (removed, -1)):
-        if codes.size:
-            edit_rows, edit_cols = decode_pairs(codes, n)
-            degrees += sign * (
-                np.bincount(edit_rows, minlength=n) + np.bincount(edit_cols, minlength=n)
-            )
-    result._seed_degrees(degrees)
-    return result
-
-
 def apply_overrides(
-    perturbed: Graph, overrides: Overrides | None
+    perturbed: Graph, overrides: Overrides | None, cache: Optional[MutableMapping] = None
 ) -> tuple[Graph, np.ndarray]:
     """Replace overridden users' adjacency pairs with their claimed edges.
 
@@ -418,11 +285,43 @@ def apply_overrides(
     a shared honest collection (:meth:`GraphLDPProtocol.collect_paired`)
     bit-identical to an independent re-collection under the same seed.
 
-    Returns the resulting graph — deferred, see
-    :func:`apply_overrides_tracked` — and the sorted array of overridden ids.
+    Returns the resulting graph and the sorted array of overridden ids.
+    Only the net edit is computed: ``dropped`` (the honest pairs incident
+    to replaced users), ``added = crafted - honest`` and
+    ``removed = dropped - crafted``, both incident to the overridden users.
+    The graph is ``perturbed.edited(added, removed)`` (:meth:`Graph.edited`),
+    ``perturbed`` itself without overrides: its edge count and degrees are
+    set at once, and its codes are merged on the first read.  ``cache`` is
+    a paired run's memo, whose one decode of ``perturbed``
+    (:func:`repro.graph.metrics.paired_edge_arrays`) this reads; without
+    one the decode is local to the call.
     """
-    result, overridden, _, _ = apply_overrides_tracked(perturbed, overrides, {})
-    return result, overridden
+    if not overrides:
+        return perturbed, np.empty(0, dtype=np.int64)
+
+    overridden = np.sort(np.fromiter(overrides.keys(), dtype=np.int64))
+    n = perturbed.num_nodes
+    if overridden[0] < 0 or overridden[-1] >= n:
+        raise ValueError("override node id out of range")
+
+    replaced = np.array(
+        [node for node, report in overrides.items() if not report.augment], dtype=np.int64
+    )
+    flags = np.zeros(n, dtype=bool)
+    flags[replaced] = True
+    rows, cols = paired_edge_arrays(perturbed, {} if cache is None else cache)
+    honest_codes = perturbed.edge_codes
+    # The decode is aligned with the codes, so a mask keeps them sorted.
+    dropped = honest_codes[flags[rows] | flags[cols]]
+
+    # Net changes: a crafted edge that coincides with a surviving RR pair is
+    # no change at all, and one that re-creates a dropped pair cancels the
+    # removal.  All code arrays are sorted and unique, so membership runs as
+    # binary search and the edit's merge as a disjoint one.
+    crafted = _crafted_pair_codes(overrides, n)
+    added = reject_members(crafted, honest_codes)
+    removed = reject_members(dropped, crafted)
+    return perturbed.edited(added, removed), overridden
 
 
 def apply_degree_overrides(
@@ -498,27 +397,20 @@ class SharedGraphPairedCollection(PairedCollection):
     The shape used by pair-level protocols (LF-GDPR): the honest randomness
     lives entirely in ``honest.perturbed_graph`` and
     ``honest.reported_degrees``, and an after-view is a pure function of
-    that state and the overrides (:func:`apply_overrides_tracked` +
-    :func:`apply_degree_overrides`).  Every view carries a
-    :class:`PairedBaseline`, so estimators can reuse honest intermediates
-    and patch them with the view's net edits.  An after-view's graph is the
-    deferred net edit of the honest plane, with seeded degrees: undefended
-    estimators never build its codes.
+    that state and the overrides (:func:`apply_overrides` +
+    :func:`apply_degree_overrides`).  Every view carries the run's
+    ``cache``, and an after-view's graph is an edit of the honest plane
+    (:attr:`Graph.edit`), so estimators reuse the honest intermediates and
+    patch them with the view's edit: undefended estimators never build its
+    codes.
 
-    The run holds the honest reports and the shared cache only — no
-    after-view, and no link from the honest view to itself — so it is
+    The run holds only the honest reports, which hold the shared cache —
+    no after-view, and no link from the honest view to itself — so it is
     freed by reference counting once its views are dropped.
     """
 
     def __init__(self, honest: CollectedReports):
-        self._cache: dict = {}
-        honest.baseline = PairedBaseline(
-            honest=None,
-            touched=np.empty(0, dtype=np.int64),
-            added_codes=np.empty(0, dtype=np.int64),
-            removed_codes=np.empty(0, dtype=np.int64),
-            cache=self._cache,
-        )
+        honest.cache = {}
         self._before = honest
 
     @property
@@ -529,9 +421,7 @@ class SharedGraphPairedCollection(PairedCollection):
         honest = self._before
         if not overrides:
             return honest
-        graph, overridden, added, removed = apply_overrides_tracked(
-            honest.perturbed_graph, overrides, self._cache
-        )
+        graph, overridden = apply_overrides(honest.perturbed_graph, overrides, honest.cache)
         reported = apply_degree_overrides(honest.reported_degrees, overrides)
         return CollectedReports(
             perturbed_graph=graph,
@@ -539,11 +429,5 @@ class SharedGraphPairedCollection(PairedCollection):
             adjacency_epsilon=honest.adjacency_epsilon,
             degree_epsilon=honest.degree_epsilon,
             overridden=overridden,
-            baseline=PairedBaseline(
-                honest=honest,
-                touched=overridden,
-                added_codes=added,
-                removed_codes=removed,
-                cache=self._cache,
-            ),
+            cache=honest.cache,
         )

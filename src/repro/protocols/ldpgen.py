@@ -195,7 +195,7 @@ class LDPGenProtocol(GraphLDPProtocol):
         overridden phase-1 vectors, phase-2 counting, synthetic generation)
         still reruns per view, because overrides can re-cluster users and
         thereby change the synthetic graph globally: after-views are
-        therefore *not* localisable and carry no paired baseline.
+        therefore *not* localisable and carry no paired ``cache``.
         """
         return _LDPGenPairedCollection(self, graph, rng)
 

@@ -30,7 +30,7 @@ from repro.graph.adjacency import Graph
 # Unused here: perfbench/layers.py patches ``lfgdpr.should_use_packed`` and
 # ``lfgdpr.triangles_per_node_incremental`` by name.
 from repro.graph.bitmatrix import should_use_packed  # noqa: F401
-from repro.graph.metrics import should_use_incremental, triangles_per_node_cached
+from repro.graph.metrics import triangles_per_node_cached
 from repro.graph.metrics import triangles_per_node_incremental  # noqa: F401
 from repro.graph.streaming import (
     block_height,
@@ -48,7 +48,6 @@ from repro.protocols.base import (
     SharedGraphPairedCollection,
     apply_degree_overrides,
     apply_overrides,
-    paired_edit,
     require_replayable_seed,
 )
 from repro.protocols.estimators import (
@@ -294,42 +293,37 @@ class LFGDPRProtocol(GraphLDPProtocol):
     ) -> np.ndarray | None:
         """Perturbed-graph triangle counts at ``nodes`` (all when ``None``)
         through the paired run's cache: the honest plane is packed once and
-        an after-view counted on it patched with the view's net edits
+        an after-view counted on it patched with the view's edit
         (:func:`repro.graph.metrics.triangles_per_node_cached`).  ``None``
-        when the reports carry no usable baseline.
+        outside a paired run.
         """
-        plane, cache, added, removed = paired_edit(reports)
-        if cache is None:
+        if reports.cache is None:
             return None
-        edits = None if plane is reports else (added, removed)
-        return triangles_per_node_cached(reports.perturbed_graph, cache, nodes, edits)
+        return triangles_per_node_cached(reports.perturbed_graph, reports.cache, nodes)
 
     def _paired_intra(self, reports: CollectedReports, labels: np.ndarray) -> np.ndarray | None:
-        """Observed intra-community edge counts via the paired baseline.
+        """Observed intra-community edge counts through the paired run's cache.
 
-        The honest counts are cached per labelling; an after-view adjusts
-        them by bucketing only the net added/removed same-label edges —
-        exact integer updates, bit-identical to recounting the whole graph.
+        The plane's counts are cached per labelling; an edit of it adjusts
+        them by bucketing only its added/removed same-label edges — exact
+        integer updates in O(|edit|), bit-identical to recounting the whole
+        graph.  ``None`` outside a paired run.
         """
-        plane, cache, added, removed = paired_edit(reports)
+        cache = reports.cache
         if cache is None:
             return None
         n = reports.num_nodes
         labels = check_labels(labels, n)
         num_communities = int(labels.max()) + 1 if n else 0
+        plane, added, removed = reports.perturbed_graph.edit
         cached = cache.get("intra")
         if cached is None or not np.array_equal(cached[0], labels):
-            honest_counts = streaming_intra_community_edges(
-                plane.perturbed_graph, labels, num_communities
-            )
+            honest_counts = streaming_intra_community_edges(plane, labels, num_communities)
             cache["intra"] = (labels, honest_counts)
         else:
             honest_counts = cached[1]
-        if plane is reports:
+        if plane is reports.perturbed_graph:
             return honest_counts
-        touched = reports.baseline.touched
-        if touched is None or not should_use_incremental(n, touched.size):
-            return None
         counts = np.array(honest_counts, copy=True)
         for codes, sign in ((added, 1), (removed, -1)):
             if codes.size:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import DEFENSES
 from repro.defenses.base import (
     detection_quality,
     remove_flagged_pairs,
@@ -282,6 +283,24 @@ def _edit_flagged_cases(n):
     ]
 
 
+def _scratch_copy(reports):
+    """``reports`` outside any run: no cache, its graph the built codes."""
+    return CollectedReports(
+        perturbed_graph=Graph.from_codes(
+            reports.num_nodes, np.array(reports.perturbed_graph.edge_codes)
+        ),
+        reported_degrees=reports.reported_degrees,
+        adjacency_epsilon=reports.adjacency_epsilon,
+        degree_epsilon=reports.degree_epsilon,
+        overridden=reports.overridden,
+    )
+
+
+#: Arguments under which each registered defense flags users of
+#: :func:`_attacked_views`' after-view (the defaults do for the others).
+_FLAGGING_ARGUMENTS = {"detect1": {"threshold": 1, "item_support": 10, "pair_support": 5}}
+
+
 def _assert_edit_matches_scratch(repaired, expected):
     """Seeded degrees and edge count before the build, then the codes."""
     graph = repaired.perturbed_graph
@@ -305,16 +324,7 @@ class TestEditRepairs:
     def test_repairs_equal_scratch_repairs(self, epsilon, view):
         run, after, plain = _attacked_views(epsilon)
         reports = {"after": after, "honest": run.before, "plain": plain}[view]
-        # The oracle repairs a baseline-free copy holding the built codes.
-        scratch = CollectedReports(
-            perturbed_graph=Graph.from_codes(
-                reports.num_nodes, np.array(reports.perturbed_graph.edge_codes)
-            ),
-            reported_degrees=reports.reported_degrees,
-            adjacency_epsilon=reports.adjacency_epsilon,
-            degree_epsilon=reports.degree_epsilon,
-            overridden=reports.overridden,
-        )
+        scratch = _scratch_copy(reports)
         for flagged in _edit_flagged_cases(reports.num_nodes):
             _assert_edit_matches_scratch(
                 remove_flagged_pairs(reports, flagged), _reference_remove(scratch, flagged)
@@ -326,24 +336,30 @@ class TestEditRepairs:
             )
             assert rng.random() == reference_rng.random()
 
-    def test_a_repaired_paired_view_stays_a_view_of_its_run(self):
+    @pytest.mark.parametrize("name", DEFENSES.names())
+    def test_a_repaired_paired_view_stays_a_view_of_its_run(self, name):
+        """Every registered defense's repair of an after-view is an edit of
+        the run's honest plane, keeps the run's cache, and merges to the
+        codes of the same repair of a cache-free copy of the view."""
         run, after, _ = _attacked_views(2.0)
-        flagged = np.array([61, 2, 20])
-        repaired = resample_flagged_rows(after, flagged, rng=1)
-        base = repaired.baseline
-        assert base.honest is run.before
-        assert base.cache is run.before.baseline.cache
-        assert np.array_equal(base.touched, [2, 7, 20, 50, 61])
-        honest_codes = run.before.perturbed_graph.edge_codes
-        assert np.intersect1d(base.added_codes, honest_codes).size == 0
-        assert np.setdiff1d(base.removed_codes, honest_codes).size == 0
+        defense = DEFENSES.create(name, **_FLAGGING_ARGUMENTS.get(name, {}))
+        repaired, flagged = defense.apply(after)
+        assert flagged.size > 0
+        plane, added, removed = repaired.perturbed_graph.edit
+        assert plane is run.before.perturbed_graph
+        assert repaired.cache is run.before.cache
+        assert np.intersect1d(added, plane.edge_codes).size == 0
+        assert np.setdiff1d(removed, plane.edge_codes).size == 0
+        merged = np.union1d(np.setdiff1d(plane.edge_codes, removed), added)
+        scratch = defense.repair(_scratch_copy(after), flagged)
+        assert np.array_equal(merged, scratch.perturbed_graph.edge_codes)
 
     @pytest.mark.parametrize("epsilon", [1.0, 4.0])
     @pytest.mark.parametrize("cap", [None, "1600"])
     def test_defended_estimates_equal_scratch(self, monkeypatch, epsilon, cap):
-        """Estimates of a repaired view, read through its baseline (the
+        """Estimates of a repaired view, read through its run's cache (the
         patched plane, the intra-count edit), equal those of the same
-        repair on baseline-free reports — a repair of a repair included.
+        repair on cache-free reports — a repair of a repair included.
         Below ``REPRO_DENSE_MAX_BYTES`` the honest plane is parked first, as
         Detect1 parks it; above it none can be."""
         run, after, plain = _attacked_views(epsilon)
@@ -364,7 +380,7 @@ class TestEditRepairs:
             ]
             views += [remove_flagged_pairs(reports, flagged) for reports in (after, plain)]
             for paired, scratch in zip(views[::2], views[1::2]):
-                assert paired.baseline is not None and scratch.baseline is None
+                assert paired.cache is run.before.cache and scratch.cache is None
                 for estimate in (
                     lambda reports: protocol.estimate_degree_centrality(reports),
                     lambda reports: protocol.estimate_clustering_coefficient(reports, targets),

@@ -144,7 +144,7 @@ class TestSparseFormulaOracle:
                 assert np.array_equal(
                     defense.frequent_pair_counts(reports), _sparse_counts(defense, reports)
                 )
-        assert "bitmatrix" in run.before.baseline.cache
+        assert "bitmatrix" in run.before.cache
 
 
 def _refuse_packing(*args, **kwargs):
@@ -194,4 +194,4 @@ class TestAboveThePackingCap:
             for reports, view_counts in zip(views, counts):
                 assert packed_plane(reports) is None
                 assert np.array_equal(defense.frequent_pair_counts(reports), view_counts)
-        assert "bitmatrix" not in run.before.baseline.cache
+        assert "bitmatrix" not in run.before.cache

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.adjacency import Graph
+from repro.telemetry.core import Tracer, use_tracer
 from repro.utils.sparse import pair_count
 
 
@@ -286,27 +287,36 @@ def _shared_round_trip(graph):
 
 
 class TestDeferred:
-    """A deferred graph knows its size at once and builds its codes on the
-    first read, once."""
+    """An edit (:meth:`Graph.edited`) knows its size and degrees at once and
+    merges its codes on the first read, once; it stays an edit of its plane
+    after the merge, and a pickled edit is its merged codes alone."""
 
     @staticmethod
-    def deferred(builds):
+    def edited():
+        plane = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
         reference = Graph(5, [(0, 1), (1, 2), (2, 4), (3, 4)])
+        added = np.setdiff1d(reference.edge_codes, plane.edge_codes)
+        removed = np.setdiff1d(plane.edge_codes, reference.edge_codes)
+        return plane, plane.edited(added, removed), reference
 
-        def build():
-            builds.append(1)
-            return reference.edge_codes.copy()
+    def test_size_and_degrees_do_not_merge(self):
+        _, graph, reference = self.edited()
+        with use_tracer(Tracer()) as tracer:
+            assert graph.num_nodes == 5 and graph.num_edges == 4
+            assert np.array_equal(graph.degrees(), reference.degrees())
+            assert repr(graph) == repr(reference)
+        assert "overrides.materialized" not in tracer.counters
 
-        return Graph._deferred(5, reference.num_edges, build), reference
-
-    def test_size_and_seeded_degrees_do_not_build(self):
-        builds = []
-        graph, reference = self.deferred(builds)
-        graph._seed_degrees(reference.degrees())
-        assert graph.num_nodes == 5 and graph.num_edges == 4
-        assert np.array_equal(graph.degrees(), reference.degrees())
-        assert repr(graph) == repr(reference)
-        assert builds == []
+    def test_edit_is_plane_and_codes(self):
+        plane, graph, reference = self.edited()
+        base, added, removed = graph.edit
+        assert base is plane
+        assert added.tolist() == [int(reference.edge_codes[2])]
+        assert removed.tolist() == [int(plane.edge_codes[1])]
+        same, none_added, none_removed = plane.edit
+        assert same is plane and none_added.size == none_removed.size == 0
+        graph.edge_codes
+        assert graph.edit[0] is plane  # the edit outlives the merge
 
     @pytest.mark.parametrize(
         "read",
@@ -325,13 +335,13 @@ class TestDeferred:
              "to_shared"],
     )
     def test_every_code_reader_builds_once(self, read):
-        builds = []
-        graph, reference = self.deferred(builds)
-        read(graph)
-        read(graph)
-        assert builds == [1]
+        _, graph, reference = self.edited()
+        with use_tracer(Tracer()) as tracer:
+            read(graph)
+            read(graph)
+        assert tracer.counters["overrides.materialized"] == 1
         assert graph == reference and hash(graph) == hash(reference)
         assert not graph.edge_codes.flags.writeable
         clone = pickle.loads(pickle.dumps(graph))
-        assert clone == reference and clone._pending is None
+        assert clone == reference and clone.edit[0] is clone  # the plane stays behind
         assert np.array_equal(_shared_round_trip(graph), reference.edge_codes)

@@ -245,12 +245,12 @@ class TestDispatch:
 
         def estimate():
             before = protocol.collect_paired_batch(graph, [5])[0].before
-            assert "intra" not in before.baseline.cache  # nothing eager
+            assert "intra" not in before.cache  # nothing eager
             value = protocol.estimate_modularity(before, labels)
             rows, cols = before.perturbed_graph.edge_arrays()
             same = labels[rows] == labels[cols]
             assert np.array_equal(
-                before.baseline.cache["intra"][1],
+                before.cache["intra"][1],
                 np.bincount(labels[rows[same]], minlength=4),
             )
             return value

@@ -22,7 +22,7 @@ from repro.graph.metrics import (
     triangles_per_node,
     triangles_per_node_cached,
 )
-from repro.protocols.base import FakeReport, apply_overrides_tracked
+from repro.protocols.base import FakeReport, apply_overrides
 from repro.telemetry.core import Tracer, use_tracer
 from repro.utils.sparse import pair_count
 
@@ -44,7 +44,7 @@ def code_graph(n: int, density: float, seed: int) -> Graph:
 
 def after_view(graph: Graph, seed: int):
     """A paired after-view of ``graph``: up to two fake users replace their
-    rows with fresh claims.  Returns ``(after, edits)``."""
+    rows with fresh claims; the result is an edit of ``graph``."""
     n = graph.num_nodes
     rng = np.random.default_rng(seed)
     overrides = {}
@@ -52,8 +52,7 @@ def after_view(graph: Graph, seed: int):
         for fake in rng.choice(n, size=min(2, n - 1), replace=False).tolist():
             claims = rng.choice(n, size=min(n - 1, 5), replace=False)
             overrides[fake] = FakeReport(claims[claims != fake], 0.0)
-    after, _, added, removed = apply_overrides_tracked(graph, overrides, {})
-    return after, (added, removed)
+    return apply_overrides(graph, overrides)[0]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -72,7 +71,7 @@ def test_counts_at_nodes_equal_full_counts(backend, force_backend, n, seed, dens
     """Honest and after-view counts at arbitrary (unsorted, repeated, empty)
     ``nodes`` equal the full counts indexed by them, on every backend."""
     graph = code_graph(n, density, seed)
-    after, edits = after_view(graph, seed)
+    after = after_view(graph, seed)
     nodes = np.array([pick % n for pick in picks] if n else [], dtype=np.int64)
     honest_expected = networkx_triangles(graph)[nodes]
     after_expected = networkx_triangles(after)[nodes]
@@ -81,7 +80,7 @@ def test_counts_at_nodes_equal_full_counts(backend, force_backend, n, seed, dens
     cache = {}
     assert np.array_equal(triangles_per_node_cached(graph, cache, nodes), honest_expected)
     assert np.array_equal(
-        triangles_per_node_cached(after, cache, nodes, edits), after_expected
+        triangles_per_node_cached(after, cache, nodes), after_expected
     )
     assert set(ran) <= {backend}
 
@@ -157,31 +156,31 @@ class TestPairedViews:
         spy(BitMatrix, "with_edits", "with_edits")
         spy(bitmatrix, "pack_symmetric_plane", "pack")
         graph = erdos_renyi_graph(80, 0.4, rng=5)
-        after, edits = after_view(graph, 5)
+        after = after_view(graph, 5)
         nodes = np.array([4, 9, 77])
         cache = {}
         triangles_per_node_cached(graph, cache, nodes)
         assert isinstance(cache.get("bitmatrix"), BitMatrix)
-        counts = triangles_per_node_cached(after, cache, nodes, edits)
+        counts = triangles_per_node_cached(after, cache, nodes)
         assert np.array_equal(counts, networkx_triangles(after)[nodes])
         assert ran == {"packed": 1, "with_edits": 1, "pack": 1}
 
     def test_after_view_without_parked_plane_counts_from_scratch(self):
         graph = erdos_renyi_graph(80, 0.4, rng=5)
-        after, edits = after_view(graph, 5)
+        after = after_view(graph, 5)
         cache = {}
-        counts = triangles_per_node_cached(after, cache, None, edits)
+        counts = triangles_per_node_cached(after, cache, None)
         assert np.array_equal(counts, networkx_triangles(after))
         assert cache == {}  # the after-view parks nothing
 
     def test_after_view_full_counts_on_patched_plane(self, force_backend):
         force_backend("packed")
         graph = erdos_renyi_graph(80, 0.4, rng=5)
-        after, edits = after_view(graph, 5)
+        after = after_view(graph, 5)
         cache = {}
         triangles_per_node_cached(graph, cache)
         assert np.array_equal(
-            triangles_per_node_cached(after, cache, None, edits), networkx_triangles(after)
+            triangles_per_node_cached(after, cache, None), networkx_triangles(after)
         )
 
     def test_no_plane_is_packed_above_the_cap(self, monkeypatch):
@@ -189,16 +188,16 @@ class TestPairedViews:
         parks nothing, so the honest view streams and the after-view counts
         on its own graph."""
         graph = erdos_renyi_graph(80, 0.4, rng=5)
-        after, edits = after_view(graph, 5)
+        after = after_view(graph, 5)
         monkeypatch.setenv(bitmatrix.MAX_PACKED_BYTES_ENV, str(bitmatrix.packing_bytes(80) - 1))
         cache = {}
         assert paired_plane(graph, cache) is None
-        assert paired_plane(graph, cache, edits) is None
+        assert paired_plane(after, cache) is None
         assert "bitmatrix" not in cache
         nodes = np.array([4, 9, 77])
         with use_tracer(Tracer()) as tracer:
             honest = triangles_per_node_cached(graph, cache, nodes)
-            counts = triangles_per_node_cached(after, cache, nodes, edits)
+            counts = triangles_per_node_cached(after, cache, nodes)
         assert tracer.counters["backend.stream"] == 2
         assert "bitmatrix" not in cache
         assert np.array_equal(honest, networkx_triangles(graph)[nodes])
@@ -206,13 +205,13 @@ class TestPairedViews:
 
     def test_tracer_counts_each_target_count(self):
         graph = erdos_renyi_graph(40, 0.3, rng=1)
-        after, edits = after_view(graph, 1)
+        after = after_view(graph, 1)
         cache = {}
         with use_tracer(Tracer()) as tracer:
             triangles_per_node(graph)
             assert "triangles.at_nodes" not in tracer.counters
             triangles_per_node(graph, [1, 2])
             triangles_per_node_cached(graph, cache, [3])
-            triangles_per_node_cached(after, cache, [3], edits)
+            triangles_per_node_cached(after, cache, [3])
         assert tracer.counters["triangles.at_nodes"] == 3
         assert not any(name.startswith("delta.") for name in tracer.counters)

@@ -22,12 +22,7 @@ from repro.engine.registry import ATTACKS, DEFENSES
 from repro.graph import metrics
 from repro.graph.adjacency import Graph
 from repro.graph.generators import powerlaw_cluster_graph
-from repro.protocols.base import (
-    FakeReport,
-    apply_degree_overrides,
-    apply_overrides,
-    apply_overrides_tracked,
-)
+from repro.protocols.base import FakeReport, apply_degree_overrides, apply_overrides
 from repro.protocols.ldpgen import LDPGenProtocol
 from repro.protocols.lfgdpr import LFGDPRProtocol
 from repro.telemetry.core import Tracer, use_tracer
@@ -264,7 +259,9 @@ class TestAugmentCollisionRegression:
                 claimed_neighbors=[1, 5], reported_degree=0.0, augment=True, degree_delta=2.0
             )
         }
-        graph, overridden, added, removed = apply_overrides_tracked(perturbed, overrides, {})
+        graph, overridden = apply_overrides(perturbed, overrides)
+        plane, added, removed = graph.edit
+        assert plane is perturbed
         # Only the genuinely new pair is a net addition; nothing was removed
         # (augment keeps the user's RR pairs).
         rows, cols = Graph.from_codes(6, added).edge_arrays()
@@ -276,7 +273,8 @@ class TestAugmentCollisionRegression:
 
         perturbed = Graph(5, [(0, 1), (0, 2)])
         overrides = {0: FakeReport(claimed_neighbors=[1, 3], reported_degree=2.0)}
-        graph, _, added, removed = apply_overrides_tracked(perturbed, overrides, {})
+        graph, _ = apply_overrides(perturbed, overrides)
+        _, added, removed = graph.edit
         assert sorted(graph.edges()) == [(0, 1), (0, 3)]
         # (0, 1) was dropped and re-claimed: no net change either way.
         add_pairs = list(zip(*Graph.from_codes(5, added).edge_arrays()))
@@ -366,7 +364,7 @@ class TestPairedFootprint:
             protocol.estimate_clustering_coefficient(view, np.array([1, 3, 8]))
             protocol.estimate_degree_centrality(view)
         assert decodes.count(honest_edges) == 1
-        assert "edges" in run.before.baseline.cache
+        assert "edges" in run.before.cache
 
     @pytest.mark.parametrize("attack_name", ATTACKS.names())
     def test_after_view_equals_the_seed_replayed_collect(self, graph, attack_name):

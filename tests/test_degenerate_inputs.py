@@ -223,6 +223,53 @@ def test_detect1_accepts_integer_arguments(kwargs):
         assert support is None or (isinstance(support, int) and support >= 0)
 
 
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (math.nan, ValueError),
+        (math.inf, ValueError),
+        (-math.inf, ValueError),
+        (True, ValueError),
+        (False, ValueError),
+        (0, ValueError),
+        (-1.5, ValueError),
+        ("3", TypeError),
+    ],
+)
+def test_detect2_rejects_non_finite_or_boolean_threshold(value, error):
+    with pytest.raises(error, match="threshold"):
+        DEFENSES.create("detect2", threshold=value)
+
+
+@pytest.mark.parametrize("value", [None, 0.5, 3, np.float64(2.5), np.int64(7)])
+def test_detect2_accepts_finite_positive_threshold(value):
+    assert DEFENSES.create("detect2", threshold=value).threshold == value
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (2.5, TypeError),
+        (2.0, TypeError),
+        (True, TypeError),
+        (math.nan, TypeError),
+        ("2", TypeError),
+        (0, ValueError),
+        (-1, ValueError),
+        (6, ValueError),
+    ],
+)
+def test_hybrid_rejects_non_integer_min_votes(value, error):
+    with pytest.raises(error, match="min_votes"):
+        DEFENSES.create("hybrid", min_votes=value)
+
+
+@pytest.mark.parametrize("value", [1, np.int64(3), 5])
+def test_hybrid_accepts_integer_min_votes(value):
+    defense = DEFENSES.create("hybrid", min_votes=value)
+    assert isinstance(defense.min_votes, int) and defense.min_votes == value
+
+
 #: Streaming size arguments: a non-positive, fractional, boolean or NaN
 #: height, byte cap or chunk size is named, never truncated or clamped.
 BAD_SIZES = [
